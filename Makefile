@@ -8,7 +8,10 @@
 #                   strict/lenient × row/columnar × sharded; N concurrent
 #                   identical uploads coalesce onto one pipeline run) + the
 #                   property tests that pin the indexed clustering kernels
-#                   to their brute-force references + a short fuzz run over
+#                   to their brute-force references + a -count 10 stress
+#                   run of the timing-sensitive packages (foldsvc,
+#                   session, pipeline, faultinject, rescache) so timing
+#                   flakes surface when introduced + a short fuzz run over
 #                   the trace decoder (row and columnar paths) + a build of
 #                   every example the docs reference + the benchmark
 #                   regression gate (benchjson -gate fails on any >10%
@@ -47,6 +50,9 @@ DATE      := $(shell date +%Y-%m-%d)
 BENCH     ?= .
 BENCHTIME ?= 1s
 FUZZTIME  ?= 10s
+# The timing-sensitive packages, run ten times over in make check so a
+# new timing flake fails the gate when it is introduced.
+STRESS_PKGS := ./internal/foldsvc ./internal/session ./internal/pipeline ./internal/faultinject ./internal/rescache
 # BENCH_SCALE=large unlocks the expensive baselines: the quadratic
 # AutoEps/Silhouette reference kernels at n=100k and the end-to-end
 # clustering of a ~100k-burst trace (tracegen -preset bench-large).
@@ -65,6 +71,7 @@ check:
 	$(GO) vet ./...
 	$(GO) test -count 1 ./internal/doccheck
 	$(GO) test -race ./...
+	$(GO) test -count 10 $(STRESS_PKGS)
 	$(GO) test -race -count 1 -run 'TestCacheEquivalence|TestCacheSingleflight' ./internal/foldsvc/
 	$(GO) test -run 'Property' -count 1 ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzReadFrom$$ -fuzztime $(FUZZTIME) ./internal/trace

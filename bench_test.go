@@ -406,21 +406,32 @@ func BenchmarkKMeans(b *testing.B) {
 	}
 }
 
-// benchInstances synthesizes folding input: n instances with s samples.
-func benchInstances(n, s int) []folding.Instance {
+// benchInstances synthesizes folding input: n instances with s samples,
+// each counter in cs (default TOT_INS) ticking along its own shape.
+func benchInstances(n, s int, cs ...counters.Counter) []folding.Instance {
+	if len(cs) == 0 {
+		cs = []counters.Counter{counters.TotIns}
+	}
 	rng := rand.New(rand.NewPCG(3, 4))
-	shape := counters.ExpDecay(3, 0.2)
+	shapes := []counters.Shape{
+		counters.ExpDecay(3, 0.2), counters.Linear(0.4, 1.6), counters.Constant(),
+		counters.Piecewise(counters.Segment{Width: 0.4, Area: 0.7}, counters.Segment{Width: 0.6, Area: 0.3}),
+	}
 	out := make([]folding.Instance, n)
 	var clock trace.Time
 	for i := range out {
 		d := trace.Time(1_000_000)
 		in := folding.Instance{Start: clock, End: clock + d}
-		in.Totals[counters.TotIns] = 10_000_000
+		for _, c := range cs {
+			in.Totals[c] = 10_000_000
+		}
 		for j := 0; j < s; j++ {
 			x := rng.Float64()
 			var sm trace.Sample
 			sm.Time = in.Start + trace.Time(x*float64(d))
-			sm.Counters[counters.TotIns] = int64(1e7 * shape.Integral(x))
+			for k, c := range cs {
+				sm.Counters[c] = int64(1e7 * shapes[k%len(shapes)].Integral(x))
+			}
 			in.Samples = append(in.Samples, sm)
 		}
 		out[i] = in
@@ -429,17 +440,34 @@ func benchInstances(n, s int) []folding.Instance {
 	return out
 }
 
-// BenchmarkFold measures the core folding reconstruction (1000 instances,
-// 2 samples each).
+// BenchmarkFold measures the folding reconstruction: one counter over
+// 1000 instances × 2 samples, and a phase-sized cloud (1600 instances ×
+// 70 samples, ~112k points) with the four default counters folded
+// together through FoldCounters, as the engine folds each phase.
 func BenchmarkFold(b *testing.B) {
-	instances := benchInstances(1000, 2)
-	cfg := folding.Config{Counter: counters.TotIns}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := folding.Fold(instances, cfg); err != nil {
-			b.Fatal(err)
+	b.Run("1000x2", func(b *testing.B) {
+		instances := benchInstances(1000, 2)
+		cfg := folding.Config{Counter: counters.TotIns}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := folding.Fold(instances, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("phase-1600x70x4", func(b *testing.B) {
+		cs := []counters.Counter{counters.TotIns, counters.FPOps, counters.L1DCM, counters.L2DCM}
+		instances := benchInstances(1600, 70, cs...)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, errs := folding.FoldCounters(instances, folding.Config{}, cs, 1)
+			for _, err := range errs {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkFoldStacks measures call-stack folding.

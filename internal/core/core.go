@@ -436,17 +436,9 @@ func analyzePhase(meta *trace.Metadata, kept []burst.Burst, instances []folding.
 	}
 	aggregatePhase(&ph, meta, kept, cid)
 
-	// Fold every requested counter. Each fold reads the shared instances
-	// and produces an independent Result, so the counters fan out onto
-	// workers; results land in indexed slots and the maps are filled in
-	// counter order afterwards.
-	folds := make([]*folding.Result, len(opts.Counters))
-	foldErrs := make([]error, len(opts.Counters))
-	parallel.ForEach(len(opts.Counters), opts.Parallelism, func(i int) {
-		cfg := opts.Fold
-		cfg.Counter = opts.Counters[i]
-		folds[i], foldErrs[i] = folding.Fold(instances, cfg)
-	})
+	// Fold every requested counter from the phase's one shared x-order
+	// of samples; the maps are filled in counter order afterwards.
+	folds, foldErrs := folding.FoldCounters(instances, opts.Fold, opts.Counters, opts.Parallelism)
 	for i, c := range opts.Counters {
 		if foldErrs[i] != nil {
 			ph.FoldErrors[c] = foldErrs[i]

@@ -21,11 +21,6 @@ type Point struct {
 	W    float64 // weight; 0 is treated as 1 by constructors that accept raw points
 }
 
-// SortPoints orders points by X ascending (stable for equal X).
-func SortPoints(pts []Point) {
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-}
-
 // ErrTooFewPoints is returned when an operation needs more data.
 var ErrTooFewPoints = errors.New("fit: too few points")
 

@@ -462,11 +462,3 @@ func TestSegmentPanicsOnLengthMismatch(t *testing.T) {
 	}()
 	Segment([]float64{1, 2}, []float64{1}, 2, 0.1)
 }
-
-func TestSortPoints(t *testing.T) {
-	pts := []Point{{X: 3}, {X: 1}, {X: 2}}
-	SortPoints(pts)
-	if pts[0].X != 1 || pts[1].X != 2 || pts[2].X != 3 {
-		t.Fatalf("SortPoints = %v", pts)
-	}
-}

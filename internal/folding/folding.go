@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/burst"
 	"repro/internal/counters"
@@ -104,7 +105,8 @@ func (m Model) String() string {
 
 // Config parameterizes a fold.
 type Config struct {
-	// Counter is the hardware counter to reconstruct.
+	// Counter is the hardware counter Fold reconstructs (FoldCounters
+	// takes its counters as an argument instead).
 	Counter counters.Counter
 	// Bins is the output grid resolution (default 100).
 	Bins int
@@ -172,7 +174,7 @@ type Result struct {
 	StdErr []float64
 }
 
-// Errors returned by Fold.
+// Errors returned by Fold and FoldCounters.
 var (
 	ErrNoInstances = errors.New("folding: no instances to fold")
 	ErrNoSignal    = errors.New("folding: counter never increments in this phase")
@@ -180,74 +182,200 @@ var (
 )
 
 // Fold reconstructs the internal evolution of one counter across the given
-// instances.
+// instances: FoldCounters for cfg.Counter alone.
 func Fold(instances []Instance, cfg Config) (*Result, error) {
+	res, errs := FoldCounters(instances, cfg, []counters.Counter{cfg.Counter}, 1)
+	return res[0], errs[0]
+}
+
+// FoldCounters reconstructs the internal evolution of every counter in cs
+// across the same instances. Results and errors are indexed like cs; a
+// counter that cannot be folded has a nil Result and a non-nil error.
+// cfg.Counter is ignored.
+//
+// A sample's normalized time depends only on its instance, never on the
+// counter, so the phase's samples are put in x order once and every
+// counter's cloud is read off that shared order. The counters then fold
+// on at most parallelism workers (parallel.ForEach semantics); the
+// results do not depend on the worker count.
+func FoldCounters(instances []Instance, cfg Config, cs []counters.Counter, parallelism int) ([]*Result, []error) {
 	cfg.setDefaults()
+	results := make([]*Result, len(cs))
+	errs := make([]error, len(cs))
 	if len(instances) == 0 {
-		return nil, ErrNoInstances
+		for i := range errs {
+			errs[i] = ErrNoInstances
+		}
+		return results, errs
 	}
+	ph := newPhaseCloud(instances, cfg.PruneK)
+	parallel.ForEach(len(cs), parallelism, func(i int) {
+		results[i], errs[i] = ph.fold(cs[i], cfg)
+	})
+	return results, errs
+}
 
-	kept, pruned := PruneInstances(instances, cfg.PruneK, cfg.Counter)
-	if len(kept) == 0 {
-		// Pathologically dispersed durations; fall back to all instances.
-		kept, pruned = instances, 0
+// phaseCloud is the counter-independent half of a phase's fold, built
+// once per phase and shared read-only by every counter's fold.
+type phaseCloud struct {
+	instances []Instance
+	// order holds every foldable sample by (x, instance, sample).
+	order []samplePos
+	// prune is set when pruning is on (k >= 0 and at least 4
+	// instances); durMed and durScale are then the durations' robust
+	// center and scale.
+	prune            bool
+	k                float64
+	durMed, durScale float64
+}
+
+// samplePos is one foldable sample: its normalized time and where it
+// sits in the phase's instances.
+type samplePos struct {
+	x         float64
+	inst, smp int32
+}
+
+// newPhaseCloud puts the instances' foldable samples — those of
+// positive-duration instances with 0 <= x <= 1 — in x order and, when
+// pruning is on, computes the duration median and MAD. Equal x keeps
+// instance-then-sample order, so any counter's cloud read off this
+// order is exactly its points stably sorted by x.
+func newPhaseCloud(instances []Instance, k float64) *phaseCloud {
+	n := 0
+	for i := range instances {
+		n += len(instances[i].Samples)
 	}
+	ph := &phaseCloud{instances: instances, order: make([]samplePos, 0, n), k: k}
+	for i := range instances {
+		in := &instances[i]
+		d := float64(in.Duration())
+		if d <= 0 {
+			continue
+		}
+		for j := range in.Samples {
+			if x := float64(in.Samples[j].Time-in.Start) / d; x >= 0 && x <= 1 {
+				ph.order = append(ph.order, samplePos{x: x, inst: int32(i), smp: int32(j)})
+			}
+		}
+	}
+	// x is never NaN (d > 0), so plain comparisons order it.
+	slices.SortFunc(ph.order, func(a, b samplePos) int {
+		switch {
+		case a.x < b.x:
+			return -1
+		case a.x > b.x:
+			return 1
+		case a.inst != b.inst:
+			return int(a.inst - b.inst)
+		}
+		return int(a.smp - b.smp)
+	})
+	if k >= 0 && len(instances) >= 4 {
+		durs := parallel.GetFloat64(len(instances))
+		for i := range instances {
+			durs[i] = float64(instances[i].Duration())
+		}
+		ph.prune = true
+		ph.durMed, ph.durScale = robustCenter(durs)
+		parallel.PutFloat64(durs)
+	}
+	return ph
+}
 
+// robustCenter returns the median of xs and its MAD, the MAD floored so
+// that zero-MAD (perfectly regular) data tolerates tiny relative
+// deviations instead of pruning everything unequal.
+func robustCenter(xs []float64) (med, scale float64) {
+	med = stats.Median(xs)
+	return med, math.Max(stats.MAD(xs), 0.001*math.Abs(med))
+}
+
+// keepMask marks the instances folded for counter c. With pruning on it
+// drops those whose duration or c-total is more than k·MAD from the
+// median (robust outlier rejection: a phase instance hit by OS noise or
+// an unusual iteration would otherwise smear the fold). pruned counts
+// the dropped instances.
+func (ph *phaseCloud) keepMask(c counters.Counter) (keep []bool, pruned int) {
+	keep = make([]bool, len(ph.instances))
+	if ph.prune {
+		tots := parallel.GetFloat64(len(ph.instances))
+		defer parallel.PutFloat64(tots)
+		for i := range ph.instances {
+			tots[i] = float64(ph.instances[i].Totals[c])
+		}
+		tMed, tScale := robustCenter(tots)
+		for i := range keep {
+			dur := float64(ph.instances[i].Duration())
+			if math.Abs(dur-ph.durMed) > ph.k*ph.durScale || math.Abs(tots[i]-tMed) > ph.k*tScale {
+				pruned++
+				continue
+			}
+			keep[i] = true
+		}
+		if pruned < len(keep) {
+			return keep, pruned
+		}
+	}
+	// Pruning is off, or it would drop every instance (pathologically
+	// dispersed data): fold them all.
+	for i := range keep {
+		keep[i] = true
+	}
+	return keep, 0
+}
+
+// fold reconstructs counter c from the shared cloud.
+func (ph *phaseCloud) fold(c counters.Counter, cfg Config) (*Result, error) {
+	keep, pruned := ph.keepMask(c)
 	res := &Result{
-		Counter:   cfg.Counter,
-		Instances: len(kept),
+		Counter:   c,
+		Instances: len(keep) - pruned,
 		Pruned:    pruned,
 	}
 	var durSum, totSum float64
-	for i := range kept {
-		durSum += float64(kept[i].Duration())
-		totSum += float64(kept[i].Totals[cfg.Counter])
+	for i := range ph.instances {
+		if keep[i] {
+			durSum += float64(ph.instances[i].Duration())
+			totSum += float64(ph.instances[i].Totals[c])
+		}
 	}
-	res.MeanDuration = durSum / float64(len(kept))
-	res.MeanTotal = totSum / float64(len(kept))
+	res.MeanDuration = durSum / float64(res.Instances)
+	res.MeanTotal = totSum / float64(res.Instances)
 	if res.MeanTotal <= 0 {
-		return nil, fmt.Errorf("%w (%s)", ErrNoSignal, cfg.Counter)
+		return nil, fmt.Errorf("%w (%s)", ErrNoSignal, c)
 	}
 
-	// Fold every sample into the synthetic instance. The cloud is sized
-	// up front — at most one point per attached sample — so the append
-	// loop never reallocates.
-	npts := 0
-	for i := range kept {
-		npts += len(kept[i].Samples)
-	}
-	res.Points = make([]fit.Point, 0, npts)
-	for i := range kept {
-		in := &kept[i]
-		d := float64(in.Duration())
-		tot := float64(in.Totals[cfg.Counter])
-		if d <= 0 || tot <= 0 {
+	res.Points = make([]fit.Point, 0, len(ph.order))
+	for _, p := range ph.order {
+		in := &ph.instances[p.inst]
+		if !keep[p.inst] || in.Totals[c] <= 0 {
 			continue
 		}
-		for _, s := range in.Samples {
-			x := float64(s.Time-in.Start) / d
-			y := float64(s.Counters[cfg.Counter]-in.Base[cfg.Counter]) / tot
-			if x < 0 || x > 1 || math.IsNaN(y) {
-				continue
-			}
-			if y < 0 {
-				y = 0
-			}
-			if y > 1 {
-				y = 1
-			}
-			res.Points = append(res.Points, fit.Point{X: x, Y: y, W: 1})
+		y := float64(in.Samples[p.smp].Counters[c]-in.Base[c]) / float64(in.Totals[c])
+		if y < 0 {
+			y = 0
 		}
+		if y > 1 {
+			y = 1
+		}
+		res.Points = append(res.Points, fit.Point{X: p.x, Y: y, W: 1})
 	}
 	if len(res.Points) < 4 {
 		return nil, fmt.Errorf("%w: %d folded points", ErrTooFew, len(res.Points))
 	}
+	if err := fitCloud(res, cfg); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
+// fitCloud fits cfg.Model to res.Points (sorted by x) and fills the
+// grid, cumulative curve, rate and sub-phase breakpoints.
+func fitCloud(res *Result, cfg Config) error {
 	// The physical boundary conditions (0,0) and (1,1) are pinned as knots
 	// after binning (addBoundaryKnots) rather than as weighted pseudo-
 	// points: pseudo-points would bias the boundary bins' means.
-	fit.SortPoints(res.Points)
-
 	res.Grid = make([]float64, cfg.Bins+1)
 	for i := range res.Grid {
 		res.Grid[i] = float64(i) / float64(cfg.Bins)
@@ -265,7 +393,7 @@ func Fold(instances []Instance, cfg Config) (*Result, error) {
 		err = fmt.Errorf("folding: unknown model %d", cfg.Model)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Clamp and pin the boundary conditions, then derive the rate scale.
@@ -284,7 +412,7 @@ func Fold(instances []Instance, cfg Config) (*Result, error) {
 			res.Breakpoints = append(res.Breakpoints, res.Grid[bi])
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // fitBinnedPCHIP is the default model: PAVA → bin means → monotone cubic.
@@ -403,41 +531,6 @@ func numericRate(grid, cum []float64) []float64 {
 		out[i] = (cum[hi] - cum[lo]) / (grid[hi] - grid[lo])
 	}
 	return out
-}
-
-// PruneInstances drops instances whose duration or counter total is more
-// than k·MAD from the median (robust outlier rejection: a phase instance
-// hit by OS noise or an unusual iteration would otherwise smear the fold).
-// k < 0 disables pruning. The returned slice shares backing instances.
-func PruneInstances(instances []Instance, k float64, c counters.Counter) (kept []Instance, pruned int) {
-	if k < 0 || len(instances) < 4 {
-		return instances, 0
-	}
-	durs := parallel.GetFloat64(len(instances))
-	defer parallel.PutFloat64(durs)
-	tots := parallel.GetFloat64(len(instances))
-	defer parallel.PutFloat64(tots)
-	for i := range instances {
-		durs[i] = float64(instances[i].Duration())
-		tots[i] = float64(instances[i].Totals[c])
-	}
-	dMed, dMAD := stats.Median(durs), stats.MAD(durs)
-	tMed, tMAD := stats.Median(tots), stats.MAD(tots)
-	// Floor the scale so that zero-MAD (perfectly regular) data tolerates
-	// tiny relative deviations instead of pruning everything unequal.
-	dScale := math.Max(dMAD, 0.001*math.Abs(dMed))
-	tScale := math.Max(tMAD, 0.001*math.Abs(tMed))
-	// Sized for the common case (few or no outliers): one allocation
-	// instead of append doubling — this runs once per phase per counter.
-	kept = make([]Instance, 0, len(instances))
-	for i := range instances {
-		if math.Abs(durs[i]-dMed) > k*dScale || math.Abs(tots[i]-tMed) > k*tScale {
-			pruned++
-			continue
-		}
-		kept = append(kept, instances[i])
-	}
-	return kept, pruned
 }
 
 // MeanAbsDiff returns the mean absolute difference between the folded

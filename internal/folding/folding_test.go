@@ -2,13 +2,17 @@ package folding
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/burst"
 	"repro/internal/counters"
+	"repro/internal/fit"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -168,6 +172,17 @@ func TestFoldErrors(t *testing.T) {
 	}
 }
 
+// keptCount counts the set entries of a keep mask.
+func keptCount(keep []bool) int {
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestPruneInstancesDropsOutliers(t *testing.T) {
 	shape := counters.Linear(0.5, 1.5)
 	instances := genInstances(shape, 200, 2, 0.02, 9)
@@ -175,12 +190,17 @@ func TestPruneInstancesDropsOutliers(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		instances[i].End = instances[i].Start + 5*instances[i].Duration()
 	}
-	kept, pruned := PruneInstances(instances, 3, counters.TotIns)
+	keep, pruned := newPhaseCloud(instances, 3).keepMask(counters.TotIns)
 	if pruned != 10 {
 		t.Fatalf("pruned = %d, want 10", pruned)
 	}
-	if len(kept) != 190 {
-		t.Fatalf("kept = %d", len(kept))
+	if n := keptCount(keep); n != 190 {
+		t.Fatalf("kept = %d", n)
+	}
+	for i := 0; i < 10; i++ {
+		if keep[i] {
+			t.Fatalf("corrupted instance %d kept", i)
+		}
 	}
 	// Folding with pruning must beat folding without.
 	resPruned, err := Fold(instances, Config{Counter: counters.TotIns, PruneK: 3})
@@ -202,9 +222,215 @@ func TestPruneInstancesDropsOutliers(t *testing.T) {
 
 func TestPruneInstancesSmallSetsUntouched(t *testing.T) {
 	instances := genInstances(counters.Constant(), 3, 1, 0.5, 2)
-	kept, pruned := PruneInstances(instances, 3, counters.TotIns)
-	if pruned != 0 || len(kept) != 3 {
+	keep, pruned := newPhaseCloud(instances, 3).keepMask(counters.TotIns)
+	if pruned != 0 || keptCount(keep) != 3 {
 		t.Fatal("small instance sets must not be pruned")
+	}
+}
+
+// refFold is the per-counter fold FoldCounters replaced, kept as its
+// equivalence oracle: prune by copying the kept instances, append their
+// samples in instance order, stable-sort the cloud by x, then fit.
+func refFold(instances []Instance, cfg Config) (*Result, error) {
+	cfg.setDefaults()
+	if len(instances) == 0 {
+		return nil, ErrNoInstances
+	}
+	c := cfg.Counter
+	kept, pruned := refPrune(instances, cfg.PruneK, c)
+	if len(kept) == 0 {
+		kept, pruned = instances, 0
+	}
+	res := &Result{Counter: c, Instances: len(kept), Pruned: pruned}
+	var durSum, totSum float64
+	for i := range kept {
+		durSum += float64(kept[i].Duration())
+		totSum += float64(kept[i].Totals[c])
+	}
+	res.MeanDuration = durSum / float64(len(kept))
+	res.MeanTotal = totSum / float64(len(kept))
+	if res.MeanTotal <= 0 {
+		return nil, fmt.Errorf("%w (%s)", ErrNoSignal, c)
+	}
+	for i := range kept {
+		in := &kept[i]
+		d := float64(in.Duration())
+		tot := float64(in.Totals[c])
+		if d <= 0 || tot <= 0 {
+			continue
+		}
+		for _, s := range in.Samples {
+			x := float64(s.Time-in.Start) / d
+			y := float64(s.Counters[c]-in.Base[c]) / tot
+			if x < 0 || x > 1 || math.IsNaN(y) {
+				continue
+			}
+			if y < 0 {
+				y = 0
+			}
+			if y > 1 {
+				y = 1
+			}
+			res.Points = append(res.Points, fit.Point{X: x, Y: y, W: 1})
+		}
+	}
+	if len(res.Points) < 4 {
+		return nil, fmt.Errorf("%w: %d folded points", ErrTooFew, len(res.Points))
+	}
+	sort.SliceStable(res.Points, func(i, j int) bool { return res.Points[i].X < res.Points[j].X })
+	if err := fitCloud(res, cfg); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// refPrune drops instances whose duration or counter-c total is more
+// than k·MAD from the median, copying the survivors.
+func refPrune(instances []Instance, k float64, c counters.Counter) (kept []Instance, pruned int) {
+	if k < 0 || len(instances) < 4 {
+		return instances, 0
+	}
+	durs := make([]float64, len(instances))
+	tots := make([]float64, len(instances))
+	for i := range instances {
+		durs[i] = float64(instances[i].Duration())
+		tots[i] = float64(instances[i].Totals[c])
+	}
+	dMed, dMAD := stats.Median(durs), stats.MAD(durs)
+	tMed, tMAD := stats.Median(tots), stats.MAD(tots)
+	dScale := math.Max(dMAD, 0.001*math.Abs(dMed))
+	tScale := math.Max(tMAD, 0.001*math.Abs(tMed))
+	for i := range instances {
+		if math.Abs(durs[i]-dMed) > k*dScale || math.Abs(tots[i]-tMed) > k*tScale {
+			pruned++
+			continue
+		}
+		kept = append(kept, instances[i])
+	}
+	return kept, pruned
+}
+
+// equivInstances builds a phase that exercises every branch of the
+// fold's point selection. Every fourth instance has the same duration
+// and sample offsets as the others of its kind, two of them equal, so
+// x values tie across and within instances;
+// instance 1 is an L1DCM outlier only; every fifth instance has zero
+// duration; L2DCM never counts in every third instance; FP_OPS never
+// counts at all; and some samples fall outside their instance or below
+// its base.
+func equivInstances(n int, seed uint64) []Instance {
+	rng := rand.New(rand.NewPCG(seed, 99))
+	out := make([]Instance, n)
+	var clock trace.Time
+	for i := range out {
+		d := trace.Time(800_000 + rng.IntN(400_000))
+		offsets := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		if i%4 == 0 {
+			d = 1_000_000
+			offsets = []float64{0, 0.25, 0.5, 0.5, 0.75, 1}
+		}
+		if i%5 == 0 {
+			d = 0
+		}
+		sort.Float64s(offsets)
+		in := Instance{Rank: int32(i % 3), Start: clock, End: clock + d}
+		for c := range in.Base {
+			in.Base[c] = int64(1000 * (i + c))
+		}
+		in.Totals[counters.TotIns] = int64(9_000_000 + rng.IntN(2_000_000))
+		in.Totals[counters.TotCyc] = int64(2 * float64(d))
+		in.Totals[counters.L1DCM] = int64(40_000 + rng.IntN(2_000))
+		if i == 1 {
+			in.Totals[counters.L1DCM] *= 100
+		}
+		if i%3 != 0 {
+			in.Totals[counters.L2DCM] = int64(5_000 + rng.IntN(500))
+		}
+		for j, x := range offsets {
+			var s trace.Sample
+			s.Rank = in.Rank
+			s.Time = in.Start + trace.Time(x*float64(d))
+			for c := range s.Counters {
+				s.Counters[c] = in.Base[c] + int64(rng.Float64()*x*float64(in.Totals[c]))
+			}
+			if j == 0 && i%7 == 3 {
+				s.Counters[counters.TotIns] = in.Base[counters.TotIns] - 10 // below base: y < 0
+			}
+			in.Samples = append(in.Samples, s)
+		}
+		if i%6 == 2 {
+			// Stray samples just outside the instance: x < 0 and x > 1.
+			var before, after trace.Sample
+			before.Time, after.Time = in.Start-1, in.End+1
+			in.Samples = append([]trace.Sample{before}, append(in.Samples, after)...)
+		}
+		out[i] = in
+		clock += d + 5_000
+	}
+	return out
+}
+
+// TestFoldCountersMatchesPerCounterReference pins FoldCounters to the
+// per-counter prune → append → stable-sort fold it replaced: the
+// Results, point clouds included, must be deep-equal and the errors
+// identical, for every model, pruning setting and worker count.
+func TestFoldCountersMatchesPerCounterReference(t *testing.T) {
+	cs := counters.All()
+	var ties []Instance // only the equal-duration, equal-offset instances
+	for _, in := range equivInstances(160, 5) {
+		if in.Duration() == 1_000_000 {
+			ties = append(ties, in)
+		}
+	}
+	inputs := map[string][]Instance{
+		"mixed":     equivInstances(120, 1),
+		"ties":      ties,
+		"small":     equivInstances(3, 2),
+		"one":       equivInstances(1, 4),
+		"empty":     nil,
+		"too_few":   genInstances(counters.Constant(), 3, 1, 0, 1),
+		"realistic": genInstances(counters.ExpDecay(3, 0.2), 200, 3, 0.05, 4),
+	}
+	var sawNoSignal, sawTooFew, sawPrunedOne bool
+	for name, instances := range inputs {
+		for _, model := range []Model{ModelBinnedPCHIP, ModelKernel, ModelBinned} {
+			for _, k := range []float64{0, -1, 1e-9} { // default, off, prunes everything
+				cfg := Config{Model: model, PruneK: k}
+				for _, p := range []int{1, 4} {
+					got, errs := FoldCounters(instances, cfg, cs, p)
+					if len(got) != len(cs) || len(errs) != len(cs) {
+						t.Fatalf("%s: %d results, %d errors for %d counters", name, len(got), len(errs), len(cs))
+					}
+					pruned := map[counters.Counter]int{}
+					for i, c := range cs {
+						rc := cfg
+						rc.Counter = c
+						want, wantErr := refFold(instances, rc)
+						where := fmt.Sprintf("%s/%s/k=%g/p=%d/%s", name, model, k, p, c)
+						if wantErr != nil {
+							if errs[i] == nil || errs[i].Error() != wantErr.Error() || got[i] != nil {
+								t.Fatalf("%s: got (%v, %v), want error %v", where, got[i], errs[i], wantErr)
+							}
+							sawNoSignal = sawNoSignal || errors.Is(wantErr, ErrNoSignal)
+							sawTooFew = sawTooFew || errors.Is(wantErr, ErrTooFew)
+							continue
+						}
+						if errs[i] != nil {
+							t.Fatalf("%s: unexpected error %v", where, errs[i])
+						}
+						if !reflect.DeepEqual(got[i], want) {
+							t.Fatalf("%s: FoldCounters result differs from the reference fold", where)
+						}
+						pruned[c] = want.Pruned
+					}
+					sawPrunedOne = sawPrunedOne || pruned[counters.L1DCM] > pruned[counters.TotIns]
+				}
+			}
+		}
+	}
+	if !sawNoSignal || !sawPrunedOne || !sawTooFew {
+		t.Fatalf("inputs missed a branch: no-signal %v, single-counter prune %v, too-few %v",
+			sawNoSignal, sawPrunedOne, sawTooFew)
 	}
 }
 

@@ -199,17 +199,11 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfDraining(w) {
 		return
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
-			http.StatusTooManyRequests)
+	w, release, ok := s.acquireJob(w)
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
+	defer release()
 
 	opts, err := optionsFromQuery(r)
 	if err != nil {
@@ -283,17 +277,11 @@ func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectIfDraining(w) {
 		return
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
-			http.StatusTooManyRequests)
+	w, release, ok := s.acquireJob(w)
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
+	defer release()
 
 	opts, err := optionsFromQuery(r)
 	if err != nil {

@@ -315,19 +315,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Backpressure: a bounded job semaphore instead of an unbounded
-	// goroutine pile. Full means the caller should retry, not queue.
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		w.Header().Set("Retry-After", "1")
-		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
-			http.StatusTooManyRequests)
+	w, release, ok := s.acquireJob(w)
+	if !ok {
 		return
 	}
-	defer func() { <-s.sem }()
-	s.inflight.Inc()
-	defer s.inflight.Dec()
+	defer release()
 
 	opts, err := optionsFromQuery(r)
 	if err != nil {
@@ -391,6 +383,63 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// The report was computed; a failed write means the client left.
 		s.cfg.Logger.Debug("response write failed", "err", err)
 	}
+}
+
+// acquireJob takes one of the Config.Jobs analysis slots for a request.
+// Backpressure is a bounded job semaphore instead of an unbounded
+// goroutine pile: when every slot is busy it answers 429 with
+// Retry-After (the caller should retry, not queue) and reports false.
+//
+// The slot and the foldsvc_inflight_jobs gauge are held while the
+// handler computes and given back by the first WriteHeader or Write
+// through the returned writer, before any response byte leaves: a
+// client that has its answer never finds its own finished job still
+// holding the slot. release covers the paths that write nothing; it is
+// idempotent, so handlers defer it.
+func (s *Server) acquireJob(w http.ResponseWriter) (http.ResponseWriter, func(), bool) {
+	select {
+	case s.sem <- struct{}{}:
+	default:
+		w.Header().Set("Retry-After", "1")
+		s.reject(w, "capacity", "analysis capacity exhausted, retry later",
+			http.StatusTooManyRequests)
+		return w, nil, false
+	}
+	s.inflight.Inc()
+	jw := &jobWriter{ResponseWriter: w, s: s, held: true}
+	return jw, jw.release, true
+}
+
+// jobWriter is the response writer of a request holding a job slot; it
+// releases the slot before the response starts.
+type jobWriter struct {
+	http.ResponseWriter
+	s    *Server
+	held bool
+}
+
+// release gives the job slot back, once.
+func (jw *jobWriter) release() {
+	if jw.held {
+		jw.held = false
+		jw.s.inflight.Dec()
+		<-jw.s.sem
+	}
+}
+
+func (jw *jobWriter) WriteHeader(code int) {
+	jw.release()
+	jw.ResponseWriter.WriteHeader(code)
+}
+
+func (jw *jobWriter) Write(p []byte) (int, error) {
+	jw.release()
+	return jw.ResponseWriter.Write(p)
+}
+
+// Unwrap exposes the underlying writer to http.NewResponseController.
+func (jw *jobWriter) Unwrap() http.ResponseWriter {
+	return jw.ResponseWriter
 }
 
 // limitTrackingReader remembers whether the wrapped http.MaxBytesReader

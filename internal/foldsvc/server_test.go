@@ -262,6 +262,39 @@ func TestAnalyzeBackpressure429(t *testing.T) {
 	}
 }
 
+// TestJobSlotFreedBeforeResponse pins the release ordering behind the
+// backpressure tests: a job's slot and the inflight gauge are given
+// back when its response starts, not after the body is written, so a
+// client holding its answer is never 429'd by its own finished job.
+func TestJobSlotFreedBeforeResponse(t *testing.T) {
+	s := NewServer(Config{Jobs: 1})
+	w, release, ok := s.acquireJob(httptest.NewRecorder())
+	if !ok {
+		t.Fatal("idle server refused a job")
+	}
+	busy := httptest.NewRecorder()
+	if _, _, ok := s.acquireJob(busy); ok || busy.Code != http.StatusTooManyRequests {
+		t.Fatalf("second job while the only slot is held: admitted %v, status %d", ok, busy.Code)
+	}
+	if got := s.inflight.Value(); got != 1 {
+		t.Fatalf("inflight = %g while computing, want 1", got)
+	}
+	w.WriteHeader(http.StatusOK)
+	if got := s.inflight.Value(); got != 0 {
+		t.Fatalf("inflight = %g once the response started, want 0", got)
+	}
+	_, release2, ok := s.acquireJob(httptest.NewRecorder())
+	if !ok {
+		t.Fatal("slot still held after the response started")
+	}
+	release2()
+	w.Write([]byte("{}"))
+	release() // idempotent: the deferred release after a write
+	if got := s.inflight.Value(); got != 0 || len(s.sem) != 0 {
+		t.Fatalf("after release: inflight %g, %d slots taken, want 0 and 0", got, len(s.sem))
+	}
+}
+
 func TestClientDisconnectCancelsPipeline(t *testing.T) {
 	_, enc := genTrace(t, 2, 20)
 	srv := httptest.NewServer(NewServer(Config{}))
