@@ -5,14 +5,14 @@
 #                   gate (internal/doccheck fails on undocumented exported
 #                   API) + the result-cache acceptance tests under -race
 #                   (cached Reports byte-identical to fresh across
-#                   strict/lenient × row/columnar × sharded; N concurrent
+#                   strict/lenient × single-node/sharded; N concurrent
 #                   identical uploads coalesce onto one pipeline run) + the
 #                   property tests that pin the indexed clustering kernels
 #                   to their brute-force references + a -count 10 stress
 #                   run of the timing-sensitive packages (foldsvc,
 #                   session, pipeline, faultinject, rescache) so timing
 #                   flakes surface when introduced + a short fuzz run over
-#                   the trace decoder (row and columnar paths) + a build of
+#                   the trace decoder (record and column-block reads) + a build of
 #                   every example the docs reference + the benchmark
 #                   regression gate (benchjson -gate fails on any >10%
 #                   ns/op or B/op regression between the two newest

@@ -55,6 +55,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -96,8 +97,11 @@ type Snapshot struct {
 // benchLine matches e.g.
 //
 //	BenchmarkFold-8   100   12345678 ns/op   54.21 MB/s   2345 B/op   67 allocs/op
+//
+// capturing the "value unit" pairs after ns/op whole: go test prints
+// b.ReportMetric units among them, so they are parsed in any order.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) MB/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op((?:\s+\S+\s+\S+)*)`)
 
 // parseLine extracts a benchmark Entry from one line of `go test -bench`
 // output; ok is false for non-benchmark lines (headers, PASS, pkg path).
@@ -112,17 +116,23 @@ func parseLine(line string) (Entry, bool) {
 	}
 	e.Iterations, _ = strconv.ParseInt(m[3], 10, 64)
 	e.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
-	if m[5] != "" {
-		v, _ := strconv.ParseFloat(m[5], 64)
-		e.MBPerS = &v
-	}
-	if m[6] != "" {
-		v, _ := strconv.ParseInt(m[6], 10, 64)
-		e.BytesPerOp = &v
-	}
-	if m[7] != "" {
-		v, _ := strconv.ParseInt(m[7], 10, 64)
-		e.AllocsPerOp = &v
+	pairs := strings.Fields(m[5])
+	for i := 0; i+1 < len(pairs); i += 2 {
+		val, unit := pairs[i], pairs[i+1]
+		switch unit {
+		case "MB/s":
+			if v, err := strconv.ParseFloat(val, 64); err == nil {
+				e.MBPerS = &v
+			}
+		case "B/op":
+			if v, err := strconv.ParseInt(val, 10, 64); err == nil {
+				e.BytesPerOp = &v
+			}
+		case "allocs/op":
+			if v, err := strconv.ParseInt(val, 10, 64); err == nil {
+				e.AllocsPerOp = &v
+			}
+		}
 	}
 	return e, true
 }

@@ -46,6 +46,29 @@ func TestParseLineMinimal(t *testing.T) {
 	}
 }
 
+func TestParseLineCustomMetric(t *testing.T) {
+	// b.ReportMetric units print between ns/op and the -benchmem
+	// columns; the gated columns must still be found, in any order.
+	for _, line := range []string{
+		"BenchmarkFoldFine-8 \t 3\t 123456789 ns/op\t 766440 points/op\t 2345 B/op\t 67 allocs/op",
+		"BenchmarkFoldFine-8 \t 3\t 123456789 ns/op\t 54.21 MB/s\t 2345 B/op\t 1.5e+06 fit-ns/op\t 67 allocs/op",
+	} {
+		e, ok := parseLine(line)
+		if !ok {
+			t.Fatalf("line not parsed: %q", line)
+		}
+		if e.Name != "BenchmarkFoldFine" || e.Procs != 8 || e.Iterations != 3 || e.NsPerOp != 123456789 {
+			t.Fatalf("parsed %+v", e)
+		}
+		if e.BytesPerOp == nil || *e.BytesPerOp != 2345 {
+			t.Fatalf("%q: B/op = %v", line, e.BytesPerOp)
+		}
+		if e.AllocsPerOp == nil || *e.AllocsPerOp != 67 {
+			t.Fatalf("%q: allocs/op = %v", line, e.AllocsPerOp)
+		}
+	}
+}
+
 func TestParseLineRejectsNoise(t *testing.T) {
 	for _, line := range []string{
 		"goos: linux",

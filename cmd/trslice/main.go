@@ -80,9 +80,9 @@ func main() {
 }
 
 // readInput materializes the input trace: a whole-file read on the batch
-// path, a record-by-record collect over the streaming decoder with
-// -stream. Both paths produce the same Trace, so the written slice is
-// byte-identical either way; only the salvage stats source differs.
+// path, a decode of the opened stream (stdin or the file) with -stream.
+// Both paths produce the same Trace, so the written slice is
+// byte-identical either way.
 func readInput(path string, stream, lenient bool) (*trace.Trace, trace.DecodeStats, error) {
 	if !stream {
 		if lenient {
@@ -96,42 +96,11 @@ func readInput(path string, stream, lenient bool) (*trace.Trace, trace.DecodeSta
 		return nil, trace.DecodeStats{}, err
 	}
 	defer closeIn()
-	mode := trace.Strict
 	if lenient {
-		mode = trace.Lenient
+		return trace.ReadFromLenient(r)
 	}
-	sr, err := trace.NewStreamReaderMode(r, mode)
-	if err != nil {
-		return nil, trace.DecodeStats{}, err
-	}
-	tr, err := collect(sr)
-	return tr, sr.Stats(), err
-}
-
-// collect drains a record stream into an in-memory Trace, copying the
-// reused sample-stack storage.
-func collect(sr *trace.StreamReader) (*trace.Trace, error) {
-	tr := &trace.Trace{Meta: *sr.Meta()}
-	var rec trace.Record
-	for {
-		err := sr.Next(&rec)
-		if err == io.EOF {
-			return tr, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch rec.Kind {
-		case trace.KindEvent:
-			tr.Events = append(tr.Events, rec.Event)
-		case trace.KindSample:
-			s := rec.Sample
-			s.Stack = append([]uint32(nil), rec.Sample.Stack...)
-			tr.Samples = append(tr.Samples, s)
-		case trace.KindComm:
-			tr.Comms = append(tr.Comms, rec.Comm)
-		}
-	}
+	tr, err := trace.ReadFrom(r)
+	return tr, trace.DecodeStats{}, err
 }
 
 // openInput resolves the streaming input: stdin when path is empty or

@@ -75,37 +75,6 @@ type Options struct {
 	// Report exists. nil disables logging; the Report is identical either
 	// way.
 	Logger *slog.Logger
-	// Columnar selects the record representation of the pipeline's hot
-	// path. The zero value PathColumnar decodes records straight into
-	// structure-of-arrays column blocks; PathRow is the original
-	// record-at-a-time reference path. The Report is deep-equal either
-	// way (see TestColumnarEquivalence) — the knob exists so the row
-	// path stays exercisable as the reference implementation.
-	Columnar HotPath
-}
-
-// HotPath selects the record representation the analysis pipeline
-// iterates. The zero value is the columnar path.
-type HotPath int
-
-const (
-	// PathColumnar streams structure-of-arrays trace.ColBlock batches
-	// through the pipeline (the default).
-	PathColumnar HotPath = iota
-	// PathRow streams []trace.Record batches — the reference
-	// implementation the columnar path is validated against.
-	PathRow
-)
-
-// String names the hot path for logs and flags.
-func (h HotPath) String() string {
-	switch h {
-	case PathColumnar:
-		return "columnar"
-	case PathRow:
-		return "row"
-	}
-	return fmt.Sprintf("HotPath(%d)", int(h))
 }
 
 // StreamOptions selects how much the analysis may buffer. The zero value
@@ -139,7 +108,6 @@ func (o *Options) pipelineConfig() pipeline.Config {
 		Lenient:          o.Lenient,
 		StallTimeout:     o.StallTimeout,
 		Logger:           o.Logger,
-		Columnar:         o.Columnar == PathColumnar,
 	}
 }
 

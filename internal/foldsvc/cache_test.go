@@ -29,8 +29,8 @@ func postAnalyze(t *testing.T, base, query string, enc []byte) (int, string, []b
 }
 
 // TestCacheEquivalence is the acceptance gate for the result cache:
-// for every analysis path — strict/lenient × row/columnar on a single
-// node, plus the coordinator-sharded path — the cached Report must be
+// for every analysis path — strict and lenient on a single node, plus
+// the coordinator-sharded path — the cached Report must be
 // byte-identical to the freshly computed one (?nocache=1), and a
 // repeat request must hit. `make check` runs this test explicitly.
 func TestCacheEquivalence(t *testing.T) {
@@ -38,31 +38,29 @@ func TestCacheEquivalence(t *testing.T) {
 	srv := httptest.NewServer(NewServer(Config{Jobs: 16}))
 	defer srv.Close()
 
-	// Row and columnar layouts are result-invariant (locked by
-	// TestColumnarEquivalence), so they deliberately share one cache
-	// entry per decode mode: the columnar request HITS the entry the
-	// row request stored — which is exactly the cross-path
-	// byte-identity the cache key design promises. Decode mode
-	// (lenient) IS part of the key, so the lenient rows miss afresh.
+	// Decode mode (lenient) is part of the key, so each mode misses
+	// once. The *-columnar requests carry the columnar= knob old clients
+	// may still send: it is an unknown parameter now, ignored, so they
+	// HIT the entry the plain request stored.
 	for _, tc := range []struct{ name, query, first string }{
-		{"strict-row", "?columnar=0", "miss"},
-		{"strict-columnar", "?columnar=1", "hit"},
-		{"lenient-row", "?lenient=1&columnar=0", "miss"},
-		{"lenient-columnar", "?lenient=1&columnar=1", "hit"},
+		{"strict", "", "miss"},
+		{"strict-columnar", "columnar=1", "hit"},
+		{"lenient", "lenient=1", "miss"},
+		{"lenient-columnar", "lenient=1&columnar=1", "hit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			code, cs, fresh := postAnalyze(t, srv.URL, tc.query+"&nocache=1", enc)
+			code, cs, fresh := postAnalyze(t, srv.URL, "?"+tc.query+"&nocache=1", enc)
 			if code != http.StatusOK {
 				t.Fatalf("nocache status %d: %s", code, fresh)
 			}
 			if cs != "" {
 				t.Fatalf("nocache request got Cache-Status %q; want none", cs)
 			}
-			code, cs, miss := postAnalyze(t, srv.URL, tc.query, enc)
+			code, cs, miss := postAnalyze(t, srv.URL, "?"+tc.query, enc)
 			if code != http.StatusOK || cs != tc.first {
 				t.Fatalf("first cached request: status %d, Cache-Status %q; want %q", code, cs, tc.first)
 			}
-			code, cs, hit := postAnalyze(t, srv.URL, tc.query, enc)
+			code, cs, hit := postAnalyze(t, srv.URL, "?"+tc.query, enc)
 			if code != http.StatusOK || cs != "hit" {
 				t.Fatalf("second cached request: status %d, Cache-Status %q", code, cs)
 			}

@@ -543,7 +543,10 @@ func (s *Server) openLocal(p string) (*os.File, int, error) {
 //
 //	online=1 train=N parallel=N phases=N bins=N model=binned+pchip
 //	counter=PAPI_TOT_INS[,...] knn=auto|brute|kdtree sil_sample=N
-//	min_burst_us=N lenient=1 columnar=0|1
+//	min_burst_us=N lenient=1
+//
+// Unknown parameters are ignored, so a client still sending the retired
+// columnar= knob gets the one data plane and the same cache entry.
 func optionsFromQuery(r *http.Request) (core.Options, error) {
 	return optionsFromValues(r.URL.Query())
 }
@@ -601,17 +604,6 @@ func optionsFromValues(q url.Values) (core.Options, error) {
 			return opts, fmt.Errorf("bad lenient=%q: want a boolean", v)
 		}
 		opts.Lenient = on
-	}
-	if v := q.Get("columnar"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			return opts, fmt.Errorf("bad columnar=%q: want a boolean", v)
-		}
-		if on {
-			opts.Columnar = core.PathColumnar
-		} else {
-			opts.Columnar = core.PathRow
-		}
 	}
 	if v := q.Get("knn"); v != "" {
 		mode, err := cluster.ParseIndexMode(v)

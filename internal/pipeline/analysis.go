@@ -6,8 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/burst"
@@ -68,13 +66,6 @@ type Config struct {
 	TrainBursts int
 	// BatchSize is the number of records per pipeline block (default 256).
 	BatchSize int
-	// Columnar routes the run through the structure-of-arrays hot path:
-	// records are decoded straight into pooled trace.ColBlock columns and
-	// every stage iterates columns instead of []trace.Record. Output is
-	// deep-equal to the row path (locked by equivalence tests); the row
-	// path remains the reference implementation. core sets this from
-	// Options.Columnar, which defaults it on.
-	Columnar bool
 	// Partial selects the map half of the sharded analysis algebra: the
 	// run extracts, filters, sorts and attaches as usual but resolves no
 	// phases — clustering, classification and fallback splitting are
@@ -219,14 +210,16 @@ type Outcome struct {
 	Warnings []string
 }
 
-// block is the unit of flow between stages: a pooled batch of decoded
-// records plus the kept bursts extraction closed while scanning them.
-// Ownership travels with the block; the final stage recycles it, so
-// steady-state decoding allocates nothing.
+// block is the unit of flow between stages: a pooled
+// structure-of-arrays batch of decoded records plus the kept bursts
+// extraction closed while scanning it. Blocks are homogeneous in record
+// kind (the decoder cuts them at section boundaries), so stages dispatch
+// once per block instead of once per record. Ownership travels with the
+// block; the final stage recycles it, so steady-state decoding allocates
+// nothing.
 type block struct {
-	recs    []trace.Record
-	bursts  []burst.Burst
-	samples bool // block contains at least one sample record
+	cols   *trace.ColBlock
+	bursts []burst.Burst
 }
 
 // analysis is the shared state of one Run. Each field is written by
@@ -235,7 +228,6 @@ type block struct {
 type analysis struct {
 	cfg  Config
 	meta *trace.Metadata
-	pool sync.Pool
 
 	// extract stage
 	records    RecordCounts
@@ -267,12 +259,12 @@ type analysis struct {
 	phaseIDs []int
 	rankBuf  []instanceBuf
 
-	// columnar path block recycling: colFree is the freelist the fold
-	// stage feeds and the decode stage drains; colAll tracks every block
-	// ever created (decode goroutine only) so a completed run can return
-	// their arenas to the parallel pools.
-	colFree    chan *cblock
-	colAll     []*cblock
+	// block recycling: free is the freelist the fold stage feeds and the
+	// decode stage drains; all tracks every block ever created (decode
+	// goroutine only) so a completed run can return their arenas to the
+	// parallel pools.
+	free       chan *block
+	all        []*block
 	stackChunk []uint32 // arena for attached-sample stack copies (exact mode)
 }
 
@@ -310,6 +302,9 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, er
 		return nil, err
 	}
 	a := &analysis{cfg: cfg, meta: meta, marks: map[int32][]trace.Time{}}
+	// Capacity exceeds the blocks that can be in flight at once: a full
+	// buffer per channel plus one held by each stage.
+	a.free = make(chan *block, 4*blockChanBuf+4)
 	a.rankBursts = make([]int, meta.Ranks)
 	a.prof, _ = profile.NewPartialBuilder(meta.Ranks, cfg.Resume) // ranks >= 1 was validated
 
@@ -317,18 +312,10 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, er
 	p.Logger = cfg.Logger
 	stop := p.Watch(ctx)
 	defer stop()
-	if cfg.Columnar {
-		a.colFree = make(chan *cblock, 4*blockChanBuf+4)
-		blocks := a.decodeStageCols(p, src)
-		extracted := a.extractStageCols(p, blocks)
-		phased := a.phaseStageCols(p, extracted)
-		a.foldStageCols(p, phased)
-	} else {
-		blocks := a.decodeStage(p, src)
-		extracted := a.extractStage(p, blocks)
-		phased := a.phaseStage(p, extracted)
-		a.foldStage(p, phased)
-	}
+	blocks := a.decodeStage(p, src)
+	extracted := a.extractStage(p, blocks)
+	phased := a.phaseStage(p, extracted)
+	a.foldStage(p, phased)
 	// Armed only now: the watchdog reads the stage list, which must be
 	// complete before another goroutine looks at it.
 	stopStall := p.WatchStall(cfg.StallTimeout)
@@ -347,48 +334,59 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, er
 	// All stages have returned, so no goroutine can still touch a block:
 	// hand the column arenas back to the pools. Failed runs skip this
 	// (abandoned stages may still hold blocks) and let the GC collect.
-	for _, cb := range a.colAll {
-		cb.cols.Release()
+	for _, blk := range a.all {
+		blk.cols.Release()
 	}
-	a.colAll = nil
+	a.all = nil
 	return out, nil
 }
 
+// getBlock returns a reset block from the freelist, or creates one.
+// Called only by the decode goroutine, which is why all needs no lock.
 func (a *analysis) getBlock() *block {
-	if v := a.pool.Get(); v != nil {
-		blk := v.(*block)
-		blk.recs = blk.recs[:cap(blk.recs)]
+	select {
+	case blk := <-a.free:
 		blk.bursts = blk.bursts[:0]
-		blk.samples = false
+		return blk
+	default:
+		blk := &block{cols: trace.NewColBlock(a.cfg.BatchSize)}
+		a.all = append(a.all, blk)
 		return blk
 	}
-	return &block{recs: make([]trace.Record, a.cfg.BatchSize)}
 }
 
-// decodeStage pumps the source into pooled record blocks.
+// putBlock returns a block to the freelist (dropping it if the list is
+// full; it is then released with the rest at the end of the run).
+func (a *analysis) putBlock(blk *block) {
+	select {
+	case a.free <- blk:
+	default:
+	}
+}
+
+// decodeStage pumps the source into pooled column blocks. When the
+// source is a StreamReader the records decode straight into the columns
+// with no intermediate Record construction at all.
 func (a *analysis) decodeStage(p *Pipeline, src trace.Source) <-chan *block {
+	bs := trace.NewBlockSource(src)
 	out := make(chan *block, blockChanBuf)
 	p.Go("decode", func(m *Metrics) error {
 		defer close(out)
 		for {
 			blk := a.getBlock()
-			n := 0
-			var err error
-			for n < len(blk.recs) {
-				if err = src.Next(&blk.recs[n]); err != nil {
-					break
-				}
-				n++
-			}
-			blk.recs = blk.recs[:n]
+			err := bs.NextBlock(blk.cols)
+			n := blk.cols.Len()
 			m.RecordsOut += int64(n)
 			if n > 0 {
 				if !send(p, out, blk) {
 					return nil
 				}
 			} else {
-				a.pool.Put(blk)
+				a.putBlock(blk)
 			}
+			// Identity comparison on purpose: a decode error may *wrap* an
+			// io.EOF cause (truncation inside a record) and must still abort
+			// a strict run.
 			if err == io.EOF {
 				if sr, ok := src.(*trace.StreamReader); ok {
 					m.Bytes = sr.BytesRead()
@@ -417,20 +415,34 @@ func send[T any](p *Pipeline, ch chan<- T, v T) bool {
 	}
 }
 
-// extractStage scans each block's events through the incremental burst
+// extractStage scans each event block through the incremental burst
 // extractor, the profile builder and the iteration-marker collector, and
-// forwards the block carrying the kept bursts it closed.
+// forwards the block carrying the kept bursts it closed; sample and comm
+// blocks just tally. One scratch Event is assembled per row — the
+// consumers copy what they keep.
 func (a *analysis) extractStage(p *Pipeline, in <-chan *block) <-chan *block {
 	x, _ := burst.NewExtractor(a.meta.Ranks) // ranks >= 1 was validated
 	return Stage(p, "extract", blockChanBuf, in, func(ctx *StageCtx[*block], blk *block) error {
-		ctx.Metrics.RecordsIn += int64(len(blk.recs))
-		for i := range blk.recs {
-			rec := &blk.recs[i]
-			switch rec.Kind {
-			case trace.KindEvent:
-				a.records.Events++
-				e := &rec.Event
-				b, ok, err := x.Add(e)
+		cols := blk.cols
+		n := cols.Len()
+		ctx.Metrics.RecordsIn += int64(n)
+		switch cols.Kind() {
+		case trace.KindEvent:
+			a.records.Events += int64(n)
+			for i := 0; i < n; i++ {
+				e := trace.Event{
+					Rank:  cols.Ranks[i],
+					Time:  trace.Time(cols.Times[i]),
+					Type:  trace.EventType(cols.Types[i]),
+					Value: cols.Values[i],
+				}
+				if cols.Flags[i] != 0 {
+					e.HasCounters = true
+					for c := range cols.Ctrs {
+						e.Counters[c] = cols.Ctrs[c][i]
+					}
+				}
+				b, ok, err := x.Add(&e)
 				if err != nil {
 					return err
 				}
@@ -444,16 +456,15 @@ func (a *analysis) extractStage(p *Pipeline, in <-chan *block) <-chan *block {
 						blk.bursts = append(blk.bursts, b)
 					}
 				}
-				a.prof.Add(e)
+				a.prof.Add(&e)
 				if e.Type == trace.EvIteration {
 					a.marks[e.Rank] = append(a.marks[e.Rank], e.Time)
 				}
-			case trace.KindSample:
-				a.records.Samples++
-				blk.samples = true
-			case trace.KindComm:
-				a.records.Comms++
 			}
+		case trace.KindSample:
+			a.records.Samples += int64(n)
+		case trace.KindComm:
+			a.records.Comms += int64(n)
 		}
 		ctx.Metrics.RecordsOut += int64(len(blk.bursts))
 		ctx.Emit(blk)
@@ -463,10 +474,11 @@ func (a *analysis) extractStage(p *Pipeline, in <-chan *block) <-chan *block {
 
 // phaseStage collects kept bursts and resolves their phases. In exact
 // mode it is a barrier at the event→sample boundary: all bursts are
-// known there (sections are ordered), so it sorts and clusters them
-// before the first sample flows on. In online mode it trains the
-// classifier on the first TrainBursts bursts mid-stream and classifies
-// the rest as they arrive.
+// known there (sections are ordered, and blocks are homogeneous, so the
+// first sample block marks it), so it sorts and clusters them before the
+// first sample flows on. In online mode it trains the classifier on the
+// first TrainBursts bursts mid-stream and classifies the rest as they
+// arrive.
 func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 	name := "cluster"
 	if a.cfg.Online {
@@ -484,7 +496,7 @@ func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 				a.train()
 			}
 		}
-		if blk.samples && !a.finalized {
+		if blk.cols.Kind() == trace.KindSample && !a.finalized {
 			a.finalize(ctx.Metrics)
 		}
 		ctx.Emit(blk)
@@ -608,14 +620,12 @@ func (a *analysis) foldStage(p *Pipeline, in <-chan *block) {
 		name = "fold"
 	}
 	Sink(p, name, in, func(m *Metrics, blk *block) error {
-		if !a.cfg.NoSamples {
-			for i := range blk.recs {
-				if blk.recs[i].Kind == trace.KindSample {
-					a.routeSample(m, &blk.recs[i].Sample)
-				}
+		if !a.cfg.NoSamples && blk.cols.Kind() == trace.KindSample {
+			for i := 0; i < blk.cols.Len(); i++ {
+				a.routeSample(m, blk.cols, i)
 			}
 		}
-		a.pool.Put(blk)
+		a.putBlock(blk)
 		return nil
 	}, func(m *Metrics) error {
 		if a.cfg.Online && !a.cfg.NoSamples {
@@ -625,48 +635,82 @@ func (a *analysis) foldStage(p *Pipeline, in <-chan *block) {
 	})
 }
 
-// routeSample advances the per-rank cursor to the burst containing the
-// sample (bursts per rank are time-ordered and samples arrive in time
-// order, so the walk never rewinds — the streaming equivalent of
-// burst.AttachSamples) and attaches or folds it.
-func (a *analysis) routeSample(m *Metrics, s *trace.Sample) {
+// routeSample advances the per-rank cursor to the burst containing
+// sample row i of cols (bursts per rank are time-ordered and samples
+// arrive in time order, so the walk never rewinds — the streaming
+// equivalent of burst.AttachSamples) and attaches or folds it. The row
+// is read straight from the columns; a Sample struct is assembled only
+// for the samples that land in a kept burst.
+func (a *analysis) routeSample(m *Metrics, cols *trace.ColBlock, i int) {
 	m.RecordsIn++
-	r := int(s.Rank)
+	r := int(cols.Ranks[i])
 	if r < 0 || r >= len(a.byRank) {
 		return
 	}
+	t := trace.Time(cols.Times[i])
 	idx := a.byRank[r]
 	cur := a.cursor[r]
 	if a.cfg.Online {
-		for cur < len(idx) && a.kept[idx[cur]].End <= s.Time {
+		for cur < len(idx) && a.kept[idx[cur]].End <= t {
 			a.closeInstance(m, r, idx[cur])
 			cur++
 		}
 		a.cursor[r] = cur
-		if cur < len(idx) && s.Time >= a.kept[idx[cur]].Start {
+		if cur < len(idx) && t >= a.kept[idx[cur]].Start {
 			buf := &a.rankBuf[r]
-			cp := *s
-			cp.Stack = nil
-			if len(s.Stack) > 0 {
+			cp := trace.Sample{Rank: cols.Ranks[i], Time: t}
+			for c := range cols.Ctrs {
+				cp.Counters[c] = cols.Ctrs[c][i]
+			}
+			if lo, hi := cols.StackOff[i], cols.StackOff[i+1]; hi > lo {
 				j := len(buf.leaves)
-				buf.leaves = append(buf.leaves, s.Stack[0])
+				buf.leaves = append(buf.leaves, cols.Frames[lo])
 				cp.Stack = buf.leaves[j : j+1 : j+1]
 			}
 			buf.samples = append(buf.samples, cp)
 		}
 		return
 	}
-	for cur < len(idx) && a.kept[idx[cur]].End <= s.Time {
+	for cur < len(idx) && a.kept[idx[cur]].End <= t {
 		cur++
 	}
 	a.cursor[r] = cur
-	if cur < len(idx) && s.Time >= a.kept[idx[cur]].Start {
-		cp := *s
-		cp.Stack = slices.Clone(s.Stack)
+	if cur < len(idx) && t >= a.kept[idx[cur]].Start {
+		cp := trace.Sample{Rank: cols.Ranks[i], Time: t}
+		for c := range cols.Ctrs {
+			cp.Counters[c] = cols.Ctrs[c][i]
+		}
+		cp.Stack = a.stackSlice(cols.Frames[cols.StackOff[i]:cols.StackOff[i+1]])
 		ki := idx[cur]
 		a.attached[ki] = append(a.attached[ki], cp)
 		m.RecordsOut++
 	}
+}
+
+// stackSlice copies frames into a chunked append-only arena and returns
+// a capacity-capped alias, so attaching a sample costs no allocation of
+// its own. Returned slices outlive the run (they end up in the Report's
+// attached samples), so chunks come from the regular heap, not the
+// pools. An empty stack returns nil, matching the record decoder.
+func (a *analysis) stackSlice(frames []uint32) []uint32 {
+	need := len(frames)
+	if need == 0 {
+		return nil
+	}
+	if cap(a.stackChunk)-len(a.stackChunk) < need {
+		size := 2 * cap(a.stackChunk)
+		if size < 1024 {
+			size = 1024
+		}
+		if size < need {
+			size = need
+		}
+		// Previous chunks stay alive through the slices already handed out.
+		a.stackChunk = make([]uint32, 0, size)
+	}
+	j := len(a.stackChunk)
+	a.stackChunk = append(a.stackChunk, frames...)
+	return a.stackChunk[j : j+need : j+need]
 }
 
 // closeInstance folds the finished burst instance on rank r — with

@@ -121,8 +121,8 @@ func TestChunksPartition(t *testing.T) {
 
 // TestSessionPrefixEquivalence is the live-session contract: after K
 // appended chunks, the session's snapshot Report deep-equals a batch
-// Analyze over the union of those chunks — for every prefix, across
-// strict/lenient and row/columnar paths, and with the online folder.
+// Analyze over the union of those chunks — for every prefix, strict and
+// lenient, and with the online folder.
 func TestSessionPrefixEquivalence(t *testing.T) {
 	tr := genTrace(t, "stencil", 4, 40)
 	chunks := session.Chunks(tr, 4)
@@ -133,10 +133,8 @@ func TestSessionPrefixEquivalence(t *testing.T) {
 		name string
 		opts core.Options
 	}{
-		{"strict-row", core.Options{Parallelism: 2, Columnar: core.PathRow}},
-		{"strict-columnar", core.Options{Parallelism: 2, Columnar: core.PathColumnar}},
-		{"lenient-row", core.Options{Parallelism: 2, Lenient: true, Columnar: core.PathRow}},
-		{"lenient-columnar", core.Options{Parallelism: 2, Lenient: true, Columnar: core.PathColumnar}},
+		{"strict-columnar", core.Options{Parallelism: 2}},
+		{"lenient-columnar", core.Options{Parallelism: 2, Lenient: true}},
 	}
 	online := core.Options{Parallelism: 2}
 	online.Stream.Online = true
