@@ -15,14 +15,15 @@ package repro
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -676,40 +677,34 @@ func BenchmarkAutoEps(b *testing.B) {
 	}
 }
 
-// benchUniformPoints spreads n points uniformly over the unit cube —
-// the bounded-density regime the DBSCAN grid is built for (the blob set
-// from benchClusteredPoints would put thousands of points in one cell
-// and measure the scan, not the index).
-func benchUniformPoints(n int) [][]float64 {
-	rng := rand.New(rand.NewPCG(9, 10))
-	points := make([][]float64, n)
-	for i := range points {
-		points[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	return points
-}
+// kdTreeSink keeps BenchmarkKDTreeBuild's result live.
+var kdTreeSink *cluster.KDTree
 
-// BenchmarkDBSCANIndex measures one steady-state neighbor query against
-// the packed-coordinate grid, with eps sized for ~20 expected neighbors
-// at every n. The grid is built and the append buffer grown before the
-// timer starts, so allocs/op reports the steady state — the contract is
-// 0 B/op.
-func BenchmarkDBSCANIndex(b *testing.B) {
+// BenchmarkKDTreeBuild measures the k-d tree bulk load (the first step
+// of AutoEps) over the clustered 3-D points, as generated ("random") and
+// sorted along the first axis ("sorted"). Quickselect with a weak pivot
+// degrades toward quadratic on ranges already ordered along the split
+// axis; the sorted case keeps such a relapse visible to the bench gate.
+func BenchmarkKDTreeBuild(b *testing.B) {
 	for _, sz := range benchSizes {
-		points := benchUniformPoints(sz.n)
-		eps := math.Cbrt(20.0 * 6 / math.Pi / float64(sz.n))
-		b.Run(sz.name, func(b *testing.B) {
-			g := cluster.NewNeighborGrid(points, eps)
-			var buf []int32
-			for i := range points {
-				buf = g.Append(i, buf[:0])
+		points, _ := benchClusteredPoints(sz.n)
+		sorted := slices.Clone(points)
+		slices.SortStableFunc(sorted, func(p, q []float64) int { return cmp.Compare(p[0], q[0]) })
+		for _, set := range []struct {
+			name string
+			rows [][]float64
+		}{{"random", points}, {"sorted", sorted}} {
+			flat := make([]float64, 0, 3*sz.n)
+			for _, p := range set.rows {
+				flat = append(flat, p...)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = g.Append(i%sz.n, buf[:0])
-			}
-		})
+			b.Run(set.name+"-"+sz.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					kdTreeSink = cluster.NewKDTreeFlat(flat, 3)
+				}
+			})
+		}
 	}
 }
 

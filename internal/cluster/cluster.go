@@ -27,9 +27,9 @@ type Config struct {
 	// they are measurement debris, not application phases.
 	MinClusterShare float64
 	// Parallelism bounds the workers used by the heavy kernels
-	// (AutoEps, Silhouette) and DBSCAN's neighbor precomputation; 0
-	// selects GOMAXPROCS, 1 forces sequential execution. The clustering
-	// result is identical for every value.
+	// (AutoEps, Silhouette) and by DBSCAN's core-point and border-point
+	// passes; 0 selects GOMAXPROCS, 1 forces sequential execution. The
+	// clustering result is identical for every value.
 	Parallelism int
 	// Index selects the neighbor-search implementation behind AutoEps's
 	// k-dist scan. IndexAuto (the zero value) uses the k-d tree at or
@@ -251,51 +251,25 @@ func AutoEpsP(points [][]float64, k, parallelism int) float64 {
 // finish with a quickselect of the 99th percentile rather than a full
 // sort. Because the tree search is exact and sqrt is monotone, every
 // mode returns bit-identical eps on the same input, for every
-// parallelism (the *Property* tests in knn_test.go enforce this).
+// parallelism (the *Property* tests in knn_test.go enforce this). The
+// rows are copied once into a pooled row-major buffer and handed to
+// autoEpsFlat.
 func AutoEpsMode(points [][]float64, k, parallelism int, mode IndexMode) float64 {
-	n := len(points)
-	if n == 0 {
+	if len(points) == 0 {
 		return 0.1
 	}
-	if k >= n {
-		k = n - 1
+	dim := len(points[0])
+	flat := parallel.GetFloat64(len(points) * dim)
+	defer parallel.PutFloat64(flat)
+	for i, p := range points {
+		copy(flat[i*dim:(i+1)*dim], p)
 	}
-	if k < 1 {
-		return 0.1
-	}
-	kd := make([]float64, n)
-	if mode == IndexKDTree || (mode == IndexAuto && n >= indexAutoMin) {
-		tree := NewKDTree(points)
-		parallel.ForEachChunk(n, parallelism, func(lo, hi int) {
-			heap := parallel.GetFloat64(k)
-			defer parallel.PutFloat64(heap)
-			for i := lo; i < hi; i++ {
-				kd[i] = tree.KNearestDist(i, k, heap)
-			}
-		})
-	} else {
-		parallel.ForEachChunk(n, parallelism, func(lo, hi int) {
-			heap := parallel.GetFloat64(k)
-			defer parallel.PutFloat64(heap)
-			for i := lo; i < hi; i++ {
-				h := heap[:0]
-				pi := points[i]
-				for j := range points {
-					if i != j {
-						h = pushBounded(h, dist2(pi, points[j]), k)
-					}
-				}
-				kd[i] = math.Sqrt(h[0])
-			}
-		})
-	}
-	return epsFromKDists(kd)
+	return autoEpsFlat(flat, dim, k, parallelism, mode)
 }
 
 // autoEpsFlat is AutoEpsMode over a row-major flat matrix — the
-// zero-copy path from featuresFlat. The k-d tree bulk-loads the array
-// without per-row headers; the brute path scans contiguous row views, so
-// both layouts return bit-identical eps.
+// zero-copy path from featuresFlat. The k-d tree bulk-loads the array;
+// the brute path scans contiguous row views.
 func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float64 {
 	if dim <= 0 {
 		return 0.1
@@ -337,21 +311,10 @@ func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float6
 			}
 		})
 	}
-	return epsFromKDists(kd)
-}
-
-// epsFromKDists finishes both AutoEps layouts: the 99th-percentile
-// k-dist via quickselect, floored at 1e-3 so a degenerate point set
-// (all duplicates) still yields a usable radius.
-func epsFromKDists(kd []float64) float64 {
-	n := len(kd)
-	// The clamp is redundant for n >= 1 (n*99/100 <= n-1) but guards
-	// the invariant explicitly for tiny n.
-	idx := n * 99 / 100
-	if idx > n-1 {
-		idx = n - 1
-	}
-	eps := quantileSelect(kd, idx)
+	// The 99th-percentile k-dist via quickselect, floored at 1e-3 so a
+	// degenerate point set (all duplicates) still yields a usable
+	// radius. n*99/100 <= n-1 for every n >= 1.
+	eps := quantileSelect(kd, n*99/100)
 	if eps <= 0 {
 		eps = 1e-3
 	}

@@ -23,67 +23,40 @@ import (
 // break on point index — so identical inputs always build identical
 // trees. Queries are read-only and safe for concurrent use.
 type KDTree struct {
-	// Exactly one of the two storages is set: rows references the
-	// caller's per-point slices (NewKDTree), coords is one row-major
-	// array of n*dim values (NewKDTreeFlat). Neither is ever copied.
-	rows   [][]float64
-	coords []float64
+	coords []float64 // row-major, dim values per point; never copied
 	dim    int
 	idx    []int32
 	axes   []int8
 }
 
-// NewKDTree builds the tree in O(n log n). The points are referenced,
-// not copied, and must not be mutated while the tree is in use.
-func NewKDTree(points [][]float64) *KDTree {
-	t := &KDTree{rows: points}
-	if len(points) == 0 {
-		return t
-	}
-	t.dim = len(points[0])
-	t.finish(len(points))
-	return t
-}
-
-// NewKDTreeFlat builds the tree over a row-major coordinate array of
-// len(coords)/dim points — the bulk-load entry point for columnar
-// feature matrices. coords is referenced, not copied, and must not be
-// mutated while the tree is in use.
+// NewKDTreeFlat builds the tree in O(n log n) over a row-major
+// coordinate array of len(coords)/dim points — the bulk-load entry point
+// for columnar feature matrices. coords is referenced, not copied, and
+// must not be mutated while the tree is in use.
 func NewKDTreeFlat(coords []float64, dim int) *KDTree {
 	t := &KDTree{coords: coords, dim: dim}
 	if len(coords) == 0 || dim <= 0 {
 		t.coords, t.dim = nil, 0
 		return t
 	}
-	t.finish(len(coords) / dim)
-	return t
-}
-
-// finish allocates the index/axis permutation for n points and builds.
-func (t *KDTree) finish(n int) {
+	n := len(coords) / dim
 	t.idx = make([]int32, n)
 	for i := range t.idx {
 		t.idx[i] = int32(i)
 	}
 	t.axes = make([]int8, n)
 	t.build(0, n)
+	return t
 }
 
-// at returns point j's coordinates. The storage branch is taken the same
-// way for the life of a tree, so it predicts perfectly in query loops.
+// at returns point j's coordinates.
 func (t *KDTree) at(j int32) []float64 {
-	if t.rows != nil {
-		return t.rows[j]
-	}
 	o := int(j) * t.dim
 	return t.coords[o : o+t.dim]
 }
 
 // coord returns coordinate d of point j.
 func (t *KDTree) coord(j int32, d int) float64 {
-	if t.rows != nil {
-		return t.rows[j][d]
-	}
 	return t.coords[int(j)*t.dim+d]
 }
 
@@ -140,6 +113,9 @@ func (t *KDTree) less(a, b int32, axis int) bool {
 func (t *KDTree) selectNth(lo, hi, nth, axis int) {
 	idx := t.idx
 	for hi-lo > 8 {
+		// Order the lo/mid/hi-1 samples, then park their median at hi-1
+		// as the pivot: pivoting on the largest sample would peel only a
+		// few elements per pass off ranges already sorted along axis.
 		mid := lo + (hi-lo)/2
 		if t.less(idx[mid], idx[lo], axis) {
 			idx[mid], idx[lo] = idx[lo], idx[mid]
@@ -150,6 +126,7 @@ func (t *KDTree) selectNth(lo, hi, nth, axis int) {
 		if t.less(idx[hi-1], idx[mid], axis) {
 			idx[hi-1], idx[mid] = idx[mid], idx[hi-1]
 		}
+		idx[mid], idx[hi-1] = idx[hi-1], idx[mid]
 		pivot := idx[hi-1]
 		store := lo
 		for i := lo; i < hi-1; i++ {

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -70,7 +73,11 @@ func TestKNNPropertyMatchesBrute(t *testing.T) {
 		n := 30 + rng.IntN(250)
 		dim := 1 + rng.IntN(3)
 		pts := propPoints(rng, n, dim)
-		tree := NewKDTree(pts)
+		var flat []float64
+		for _, p := range pts {
+			flat = append(flat, p...)
+		}
+		tree := NewKDTreeFlat(flat, dim)
 		scratch := make([]float64, 0, 16)
 		for _, k := range []int{1, 2, 4, 9} {
 			if k >= n {
@@ -88,6 +95,80 @@ func TestKNNPropertyMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestKDTreeBuildInvariant checks every inner node of trees built over
+// random, ascending and descending inputs: its slot holds the rank-mid
+// element of its range ordered by (coordinate on the node's axis, index),
+// the range splits around it by that order, and the axis has the range's
+// maximum spread (ties to the lowest axis).
+func TestKDTreeBuildInvariant(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 141))
+	for trial := 0; trial < 12; trial++ {
+		n := 1 + rng.IntN(400)
+		dim := 1 + rng.IntN(3)
+		pts := propPoints(rng, n, dim)
+		for _, order := range []string{"random", "ascending", "descending"} {
+			rows := slices.Clone(pts)
+			switch order {
+			case "ascending":
+				slices.SortStableFunc(rows, slices.Compare[[]float64])
+			case "descending":
+				slices.SortStableFunc(rows, func(a, b []float64) int { return slices.Compare(b, a) })
+			}
+			var flat []float64
+			for _, p := range rows {
+				flat = append(flat, p...)
+			}
+			tree := NewKDTreeFlat(flat, dim)
+			if err := checkKDNodes(tree, 0, n); err != "" {
+				t.Fatalf("trial %d n=%d dim=%d %s: %s", trial, n, dim, order, err)
+			}
+		}
+	}
+}
+
+// checkKDNodes verifies the subtree over idx[lo:hi) and returns a
+// description of the first violation, or "".
+func checkKDNodes(tree *KDTree, lo, hi int) string {
+	if hi-lo <= 1 {
+		return ""
+	}
+	members := tree.idx[lo:hi]
+	axis, best := 0, math.Inf(-1)
+	for d := 0; d < tree.dim; d++ {
+		mn, mx := math.Inf(1), math.Inf(-1)
+		for _, j := range members {
+			mn, mx = min(mn, tree.coord(j, d)), max(mx, tree.coord(j, d))
+		}
+		if mx-mn > best {
+			axis, best = d, mx-mn
+		}
+	}
+	mid := (lo + hi) / 2
+	if int(tree.axes[mid]) != axis {
+		return fmt.Sprintf("node %d splits on axis %d, max spread is on %d", mid, tree.axes[mid], axis)
+	}
+	ranked := slices.Clone(members)
+	slices.SortFunc(ranked, func(a, b int32) int {
+		if c := cmp.Compare(tree.coord(a, axis), tree.coord(b, axis)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	if tree.idx[mid] != ranked[mid-lo] {
+		return fmt.Sprintf("node %d over [%d,%d) holds point %d, rank-mid is %d", mid, lo, hi, tree.idx[mid], ranked[mid-lo])
+	}
+	left, want := slices.Clone(tree.idx[lo:mid]), slices.Clone(ranked[:mid-lo])
+	slices.Sort(left)
+	slices.Sort(want)
+	if !slices.Equal(left, want) {
+		return fmt.Sprintf("node %d over [%d,%d): left subtree is not the lower ranks", mid, lo, hi)
+	}
+	if err := checkKDNodes(tree, lo, mid); err != "" {
+		return err
+	}
+	return checkKDNodes(tree, mid+1, hi)
+}
+
 func TestAutoEpsPropertyIndexedMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 13))
 	for trial := 0; trial < 6; trial++ {
@@ -103,35 +184,6 @@ func TestAutoEpsPropertyIndexedMatchesBrute(t *testing.T) {
 				if got := AutoEpsMode(pts, k, par, mode); got != want {
 					t.Fatalf("trial %d n=%d dim=%d k=%d mode=%v par=%d: eps %.17g != brute %.17g",
 						trial, n, dim, k, mode, par, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestNeighborGridPropertyMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 77))
-	for trial := 0; trial < 12; trial++ {
-		n := 20 + rng.IntN(200)
-		dim := 1 + rng.IntN(3)
-		pts := propPoints(rng, n, dim)
-		eps := 0.02 + 0.3*rng.Float64()
-		g := NewNeighborGrid(pts, eps)
-		var buf []int32
-		for i := 0; i < n; i++ {
-			want := bruteNeighborAppend(pts, i, eps, nil)
-			buf = g.Append(i, buf[:0])
-			if g.Count(i) != len(buf) {
-				t.Fatalf("trial %d: point %d Count %d != len(Append) %d", trial, i, g.Count(i), len(buf))
-			}
-			got := append([]int32(nil), buf...)
-			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: point %d grid found %d neighbors, brute %d", trial, i, len(got), len(want))
-			}
-			for x := range got {
-				if got[x] != want[x] {
-					t.Fatalf("trial %d: point %d neighbor sets differ: grid %v brute %v", trial, i, got, want)
 				}
 			}
 		}
@@ -224,10 +276,10 @@ func TestAutoEpsTinyN(t *testing.T) {
 	}
 }
 
-// TestDBSCANHighDimFallback drives the brute-force neighbor path used
-// when the dimensionality exceeds what the grid probes.
+// TestDBSCANHighDimFallback drives the occupied-cell scan DBSCAN uses
+// when the cell stencil would outnumber the occupied cells.
 func TestDBSCANHighDimFallback(t *testing.T) {
-	dim := maxGridDim + 1
+	dim := 17
 	var pts [][]float64
 	for g := 0; g < 2; g++ {
 		for j := 0; j < 6; j++ {
