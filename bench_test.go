@@ -634,6 +634,8 @@ var benchSizes = []struct {
 // exactness: "exact" is the per-cluster sum decomposition (bit-identical
 // to the historical all-pairs scan), "sampled256" caps every cluster at
 // 256 strided members (O(n·K·S)). exact-100k needs BENCH_SCALE=large.
+// Allocations are reported so the gate holds the kernel's pooled
+// coordinate and index buffers to their B/op.
 func BenchmarkSilhouette(b *testing.B) {
 	for _, sz := range benchSizes {
 		points, assign := benchClusteredPoints(sz.n)
@@ -641,11 +643,13 @@ func BenchmarkSilhouette(b *testing.B) {
 			if sz.n >= 100_000 && !benchScaleLarge() {
 				b.Skip("quadratic at n=100k; set BENCH_SCALE=large")
 			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cluster.SilhouetteSampled(points, assign, 0, 1)
 			}
 		})
 		b.Run("sampled256-"+sz.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cluster.SilhouetteSampled(points, assign, 256, 1)
 			}

@@ -11,7 +11,9 @@
 // After writing, it diffs the new entries against the most recent prior
 // BENCH_<date>.json with the same name prefix in the output directory
 // (override with -prev, disable with -prev none) and prints the
-// per-benchmark trajectory to stderr.
+// per-benchmark trajectory to stderr. A snapshot recorded later on a day
+// that already has one is named with an ordinal, BENCH_<date>.2.json,
+// and orders after the day's plain <date>.json.
 //
 // The snapshot records the runner (goos/goarch/CPU count/CPU model/go
 // version) because ns/op from a 1-core container and a 64-core server
@@ -142,33 +144,47 @@ func parseLine(line string) (Entry, bool) {
 var cpuLine = regexp.MustCompile(`^cpu: (.+)$`)
 
 // snapName matches the snapshot naming scheme, capturing the free-form
-// prefix and the ISO date: BENCH_2026-08-05.json → ("BENCH_", "2026-08-05").
-var snapName = regexp.MustCompile(`^(.*?)(\d{4}-\d{2}-\d{2})\.json$`)
+// prefix, the ISO date and an optional same-day ordinal:
+// BENCH_2026-08-05.json → ("BENCH_", "2026-08-05", ""), and a later
+// snapshot recorded the same day, BENCH_2026-08-05.2.json → ("BENCH_",
+// "2026-08-05", "2").
+var snapName = regexp.MustCompile(`^(.*?)(\d{4}-\d{2}-\d{2})(?:\.(\d{1,6}))?\.json$`)
+
+// snapKey orders the names snapName matched: by date, then by ordinal,
+// the plain <date>.json being the day's first. ISO dates and zero-padded
+// ordinals sort lexicographically, so "older" and "most recent" are
+// plain string comparisons.
+func snapKey(m []string) string {
+	ord := m[3]
+	if ord == "" {
+		ord = "1"
+	}
+	return m[2] + "." + strings.Repeat("0", 6-len(ord)) + ord
+}
 
 // findPrev locates the most recent snapshot older than outPath that
-// follows the same <prefix><YYYY-MM-DD>.json naming scheme in the same
-// directory. Returns "" when outPath doesn't follow the scheme or no
-// prior snapshot exists. ISO dates sort lexicographically, so "older"
-// and "most recent" are plain string comparisons.
+// follows the same <prefix><YYYY-MM-DD>[.N].json naming scheme in the
+// same directory. Returns "" when outPath doesn't follow the scheme or
+// no prior snapshot exists.
 func findPrev(outPath string) string {
 	m := snapName.FindStringSubmatch(filepath.Base(outPath))
 	if m == nil {
 		return ""
 	}
-	prefix, date := m[1], m[2]
+	prefix, key := m[1], snapKey(m)
 	dir := filepath.Dir(outPath)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return ""
 	}
-	best := ""
+	best, bestKey := "", ""
 	for _, e := range entries {
 		em := snapName.FindStringSubmatch(e.Name())
-		if em == nil || em[1] != prefix || em[2] >= date {
+		if em == nil || em[1] != prefix || snapKey(em) >= key {
 			continue
 		}
-		if best == "" || em[2] > bestDate(best) {
-			best = e.Name()
+		if k := snapKey(em); best == "" || k > bestKey {
+			best, bestKey = e.Name(), k
 		}
 	}
 	if best == "" {
@@ -177,23 +193,21 @@ func findPrev(outPath string) string {
 	return filepath.Join(dir, best)
 }
 
-func bestDate(name string) string { return snapName.FindStringSubmatch(name)[2] }
-
-// newestSnap returns the path of the newest <prefix><YYYY-MM-DD>.json in
-// dir, or "" when none exists.
+// newestSnap returns the path of the newest <prefix><YYYY-MM-DD>[.N].json
+// in dir, or "" when none exists.
 func newestSnap(dir, prefix string) string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return ""
 	}
-	best := ""
+	best, bestKey := "", ""
 	for _, e := range entries {
 		m := snapName.FindStringSubmatch(e.Name())
 		if m == nil || m[1] != prefix {
 			continue
 		}
-		if best == "" || m[2] > bestDate(best) {
-			best = e.Name()
+		if k := snapKey(m); best == "" || k > bestKey {
+			best, bestKey = e.Name(), k
 		}
 	}
 	if best == "" {

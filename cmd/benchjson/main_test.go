@@ -113,6 +113,21 @@ func TestFindPrev(t *testing.T) {
 	if got := findPrev(filepath.Join(dir, "results.json")); got != "" {
 		t.Fatalf("non-scheme out: findPrev = %q, want \"\"", got)
 	}
+	// Same-day ordinals order after the day's plain snapshot, numerically.
+	touch("BENCH_2026-08-06.2.json")
+	touch("BENCH_2026-08-06.10.json")
+	if got := findPrev(filepath.Join(dir, "BENCH_2026-08-06.2.json")); got != out {
+		t.Fatalf("ordinal 2: findPrev = %q, want %q", got, out)
+	}
+	if got := findPrev(filepath.Join(dir, "BENCH_2026-08-06.10.json")); got != filepath.Join(dir, "BENCH_2026-08-06.2.json") {
+		t.Fatalf("ordinal 10: findPrev = %q", got)
+	}
+	if got := findPrev(filepath.Join(dir, "BENCH_2026-08-07.json")); got != filepath.Join(dir, "BENCH_2026-08-06.10.json") {
+		t.Fatalf("next day: findPrev = %q", got)
+	}
+	if got := newestSnap(dir, "BENCH_"); got != filepath.Join(dir, "BENCH_2026-08-07.json") {
+		t.Fatalf("newestSnap = %q", got)
+	}
 }
 
 func TestDiffLines(t *testing.T) {

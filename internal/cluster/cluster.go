@@ -27,7 +27,7 @@ type Config struct {
 	// they are measurement debris, not application phases.
 	MinClusterShare float64
 	// Parallelism bounds the workers used by the heavy kernels
-	// (AutoEps, Silhouette) and by DBSCAN's core-point and border-point
+	// (AutoEps, the silhouette) and by DBSCAN's core-point and border-point
 	// passes; 0 selects GOMAXPROCS, 1 forces sequential execution. The
 	// clustering result is identical for every value.
 	Parallelism int
@@ -125,8 +125,8 @@ func Features(bursts []burst.Burst, useIPC bool) [][]float64 {
 // featuresFlat is the columnar core of Features: the same per-burst
 // arithmetic and the same min-max normalization, but the matrix lives in
 // one row-major allocation instead of a slice per burst. Downstream
-// kernels that index rows (DBSCAN, silhouette) wrap it with rowsOf; the
-// k-d tree bulk-loads the flat array directly.
+// kernels that index rows (DBSCAN) wrap it with rowsOf; the k-d tree
+// and the silhouette kernel read the flat array directly.
 func featuresFlat(bursts []burst.Burst, useIPC bool) ([]float64, int) {
 	dim := 2
 	if useIPC {
@@ -386,147 +386,13 @@ func ClusterBursts(bursts []burst.Burst, cfg Config) Result {
 		bursts[i].Cluster = remap[c]
 	}
 	res.K = len(ids)
-	res.Silhouette = SilhouetteSampled(res.Features, res.Assign, cfg.SilhouetteSample, cfg.Parallelism)
+	res.Silhouette = silhouetteFlat(flat, dim, res.Assign, cfg.SilhouetteSample, cfg.Parallelism)
 	if cfg.Logger != nil {
 		cfg.Logger.Info("clustered bursts", "bursts", len(bursts),
 			"eps", res.Eps, "min_pts", res.MinPts, "clusters", res.K,
 			"silhouette", res.Silhouette)
 	}
 	return res
-}
-
-// Silhouette computes the mean silhouette coefficient over all clustered
-// (non-noise) points. It returns NaN when fewer than two clusters exist.
-func Silhouette(points [][]float64, assign []int) float64 {
-	return SilhouetteP(points, assign, 0)
-}
-
-// SilhouetteP is Silhouette with an explicit worker bound (0 =
-// GOMAXPROCS). Each clustered point's coefficient is an independent scan,
-// so the point set is chunk-partitioned across workers; the per-point
-// coefficients land in an indexed slice and are summed in point order,
-// making the result identical for every worker count. This is the exact
-// path (SilhouetteSampled with sample 0).
-func SilhouetteP(points [][]float64, assign []int, parallelism int) float64 {
-	return SilhouetteSampled(points, assign, 0, parallelism)
-}
-
-// SilhouetteSampled computes the mean silhouette coefficient with the
-// per-point work decomposed into per-cluster distance sums: one pass
-// over the (possibly subsampled) member lists accumulates Σ d(i, C) for
-// every cluster C, from which a(i) = Σ d(i, own)/(|own|−1) and
-// b(i) = min over other C of Σ d(i, C)/|C| follow directly.
-//
-// sample <= 0 is the exact mode: all members participate and the result
-// is bit-identical to the classic all-pairs definition (the edge tests
-// lock its exact values). sample = S > 0 deterministically subsamples
-// every cluster larger than S to S evenly strided members (stride
-// spacing over the index-ordered member list, independent of the worker
-// count), making the kernel O(n·K·S) instead of O(n²). The sampled
-// coefficient is an approximation of the exact one: each mean distance
-// is estimated from S members, so on blob-like clusters the error of the
-// mean coefficient is typically under a few percent at S >= 64 and
-// shrinks as 1/√S; it is NOT exact, and callers that report silhouette
-// as a locked quality metric must keep sample at 0.
-func SilhouetteSampled(points [][]float64, assign []int, sample, parallelism int) float64 {
-	// Dense-number the clusters in ascending id order; member lists keep
-	// point-index order so every distance sum accumulates in a fixed
-	// order regardless of parallelism.
-	dense := map[int]int{}
-	var ids []int
-	for _, c := range assign {
-		if c == Noise {
-			continue
-		}
-		if _, ok := dense[c]; !ok {
-			dense[c] = 0
-			ids = append(ids, c)
-		}
-	}
-	if len(ids) < 2 {
-		return math.NaN()
-	}
-	sort.Ints(ids)
-	for di, id := range ids {
-		dense[id] = di
-	}
-	members := make([][]int, len(ids))
-	var clustered []int
-	for i, c := range assign {
-		if c == Noise {
-			continue
-		}
-		members[dense[c]] = append(members[dense[c]], i)
-		clustered = append(clustered, i)
-	}
-
-	// Optional deterministic subsample: evenly strided member picks.
-	eval := members
-	if sample > 0 {
-		eval = make([][]int, len(members))
-		for c, mem := range members {
-			if len(mem) <= sample {
-				eval[c] = mem
-				continue
-			}
-			sub := make([]int, sample)
-			for t := 0; t < sample; t++ {
-				sub[t] = mem[t*len(mem)/sample]
-			}
-			eval[c] = sub
-		}
-	}
-
-	nc := len(ids)
-	coeff := make([]float64, len(clustered))
-	parallel.ForEachChunk(len(clustered), parallelism, func(lo, hi int) {
-		sums := parallel.GetFloat64(nc)
-		defer parallel.PutFloat64(sums)
-		for ci := lo; ci < hi; ci++ {
-			i := clustered[ci]
-			own := dense[assign[i]]
-			for c := range sums {
-				sums[c] = 0
-			}
-			selfSeen := false
-			for c, mem := range eval {
-				for _, j := range mem {
-					if j == i {
-						selfSeen = true
-						continue
-					}
-					sums[c] += math.Sqrt(dist2(points[i], points[j]))
-				}
-			}
-			// a = mean distance to own cluster's (sampled) members.
-			var a float64
-			na := len(eval[own])
-			if selfSeen {
-				na--
-			}
-			if na > 0 {
-				a = sums[own] / float64(na)
-			}
-			// b = min over other clusters of mean distance.
-			b := math.Inf(1)
-			for c := range eval {
-				if c == own {
-					continue
-				}
-				if m := sums[c] / float64(len(eval[c])); m < b {
-					b = m
-				}
-			}
-			if den := math.Max(a, b); den > 0 {
-				coeff[ci] = (b - a) / den
-			}
-		}
-	})
-	var sum float64
-	for _, s := range coeff {
-		sum += s
-	}
-	return sum / float64(len(clustered))
 }
 
 // ClusterTimeCoverage returns the fraction of total burst time assigned to

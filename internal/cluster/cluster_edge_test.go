@@ -20,7 +20,7 @@ func TestSilhouetteExactTwoPairs(t *testing.T) {
 	assign := []int{1, 1, 2, 2}
 	b := (10 + math.Sqrt(101)) / 2
 	want := (b - 1) / b
-	if got := Silhouette(pts, assign); math.Abs(got-want) > 1e-12 {
+	if got := SilhouetteSampled(pts, assign, 0, 0); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("silhouette = %.15f, want %.15f", got, want)
 	}
 }
@@ -30,7 +30,7 @@ func TestSilhouetteDuplicatePointsPerfect(t *testing.T) {
 	// for every point.
 	pts := [][]float64{{0, 0}, {0, 0}, {0, 0}, {1, 0}, {1, 0}, {1, 0}}
 	assign := []int{1, 1, 1, 2, 2, 2}
-	if got := Silhouette(pts, assign); got != 1 {
+	if got := SilhouetteSampled(pts, assign, 0, 0); got != 1 {
 		t.Fatalf("duplicate-cluster silhouette = %g, want exactly 1", got)
 	}
 }
@@ -40,21 +40,21 @@ func TestSilhouetteAllPointsIdentical(t *testing.T) {
 	// coefficient is defined as 0.
 	pts := [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}
 	assign := []int{1, 1, 2, 2}
-	if got := Silhouette(pts, assign); got != 0 {
+	if got := SilhouetteSampled(pts, assign, 0, 0); got != 0 {
 		t.Fatalf("identical-points silhouette = %g, want exactly 0", got)
 	}
 }
 
 func TestSilhouetteAllNoiseAndSingleCluster(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, 0}, {2, 0}}
-	if got := Silhouette(pts, []int{0, 0, 0}); !math.IsNaN(got) {
+	if got := SilhouetteSampled(pts, []int{0, 0, 0}, 0, 0); !math.IsNaN(got) {
 		t.Fatalf("all-noise silhouette = %g, want NaN", got)
 	}
-	if got := Silhouette(pts, []int{1, 1, 1}); !math.IsNaN(got) {
+	if got := SilhouetteSampled(pts, []int{1, 1, 1}, 0, 0); !math.IsNaN(got) {
 		t.Fatalf("single-cluster silhouette = %g, want NaN", got)
 	}
 	// Two clusters where one is pure noise is still a single cluster.
-	if got := Silhouette(pts, []int{1, 1, 0}); !math.IsNaN(got) {
+	if got := SilhouetteSampled(pts, []int{1, 1, 0}, 0, 0); !math.IsNaN(got) {
 		t.Fatalf("cluster+noise silhouette = %g, want NaN", got)
 	}
 }
@@ -63,10 +63,10 @@ func TestSilhouetteIgnoresNoisePoints(t *testing.T) {
 	// A far-away noise point must not shift any clustered point's b.
 	pts := [][]float64{{0, 0}, {0, 1}, {10, 0}, {10, 1}}
 	assign := []int{1, 1, 2, 2}
-	base := Silhouette(pts, assign)
-	withNoise := Silhouette(
+	base := SilhouetteSampled(pts, assign, 0, 0)
+	withNoise := SilhouetteSampled(
 		append(pts, []float64{1e6, 1e6}),
-		append(append([]int{}, assign...), Noise))
+		append(append([]int{}, assign...), Noise), 0, 0)
 	if base != withNoise {
 		t.Fatalf("noise point changed silhouette: %g vs %g", base, withNoise)
 	}
@@ -80,9 +80,9 @@ func TestSilhouetteParallelMatchesSequential(t *testing.T) {
 	for i := 0; i < len(assign); i += 17 {
 		assign[i] = Noise
 	}
-	seq := SilhouetteP(pts, assign, 1)
+	seq := SilhouetteSampled(pts, assign, 0, 1)
 	for _, p := range []int{2, 3, 8, 32} {
-		if par := SilhouetteP(pts, assign, p); par != seq {
+		if par := SilhouetteSampled(pts, assign, 0, p); par != seq {
 			t.Fatalf("p=%d: silhouette %.17g != sequential %.17g", p, par, seq)
 		}
 	}

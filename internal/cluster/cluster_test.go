@@ -249,15 +249,15 @@ func TestSilhouetteKnownValues(t *testing.T) {
 	// Two tight, distant pairs: silhouette ≈ 1.
 	pts := [][]float64{{0, 0}, {0, 0.01}, {5, 5}, {5, 5.01}}
 	assign := []int{1, 1, 2, 2}
-	if s := Silhouette(pts, assign); s < 0.99 {
+	if s := SilhouetteSampled(pts, assign, 0, 0); s < 0.99 {
 		t.Fatalf("silhouette = %g, want ≈ 1", s)
 	}
 	// Single cluster → NaN.
-	if s := Silhouette(pts, []int{1, 1, 1, 1}); !math.IsNaN(s) {
+	if s := SilhouetteSampled(pts, []int{1, 1, 1, 1}, 0, 0); !math.IsNaN(s) {
 		t.Fatalf("single-cluster silhouette = %g, want NaN", s)
 	}
 	// All noise → NaN.
-	if s := Silhouette(pts, []int{0, 0, 0, 0}); !math.IsNaN(s) {
+	if s := SilhouetteSampled(pts, []int{0, 0, 0, 0}, 0, 0); !math.IsNaN(s) {
 		t.Fatalf("all-noise silhouette = %g, want NaN", s)
 	}
 }

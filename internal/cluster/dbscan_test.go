@@ -282,6 +282,13 @@ func assignDigest(assign []int) string {
 // features over its kept bursts.
 func digestFeatures(t *testing.T, app string, ranks, iters int, seed uint64) [][]float64 {
 	t.Helper()
+	return Features(digestBursts(t, app, ranks, iters, seed), true)
+}
+
+// digestBursts simulates app and returns its kept bursts (the engine's
+// default 50 µs minimum duration).
+func digestBursts(t *testing.T, app string, ranks, iters int, seed uint64) []burst.Burst {
+	t.Helper()
 	a, err := apps.ByName(app, iters)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +304,7 @@ func digestFeatures(t *testing.T, app string, ranks, iters int, seed uint64) [][
 		t.Fatal(err)
 	}
 	kept, _ := burst.Filter{MinDuration: 50_000}.Apply(all)
-	return Features(kept, true)
+	return kept
 }
 
 func TestDBSCANAssignDigest(t *testing.T) {

@@ -193,7 +193,7 @@ func TestAutoEpsPropertyIndexedMatchesBrute(t *testing.T) {
 func TestSilhouettePropertySampled(t *testing.T) {
 	pts, assign := blobs(4, 120, 3, 0.03, 17)
 	Normalize(pts)
-	exact := SilhouetteP(pts, assign, 1)
+	exact := SilhouetteSampled(pts, assign, 0, 1)
 
 	// A sample bound at or above every cluster size must take the exact
 	// path through the same code and reproduce the value bitwise.

@@ -1,0 +1,267 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"runtime"
+	"sort"
+	"testing"
+
+	"repro/internal/parallel"
+)
+
+// silhouetteRef is the per-point silhouette kernel the blocked flat
+// kernel replaced, kept verbatim as the oracle: every point scans every
+// evaluated member through dist2 over row slices.
+func silhouetteRef(points [][]float64, assign []int, sample, parallelism int) float64 {
+	// Dense-number the clusters in ascending id order; member lists keep
+	// point-index order so every distance sum accumulates in a fixed
+	// order regardless of parallelism.
+	dense := map[int]int{}
+	var ids []int
+	for _, c := range assign {
+		if c == Noise {
+			continue
+		}
+		if _, ok := dense[c]; !ok {
+			dense[c] = 0
+			ids = append(ids, c)
+		}
+	}
+	if len(ids) < 2 {
+		return math.NaN()
+	}
+	sort.Ints(ids)
+	for di, id := range ids {
+		dense[id] = di
+	}
+	members := make([][]int, len(ids))
+	var clustered []int
+	for i, c := range assign {
+		if c == Noise {
+			continue
+		}
+		members[dense[c]] = append(members[dense[c]], i)
+		clustered = append(clustered, i)
+	}
+
+	// Optional deterministic subsample: evenly strided member picks.
+	eval := members
+	if sample > 0 {
+		eval = make([][]int, len(members))
+		for c, mem := range members {
+			if len(mem) <= sample {
+				eval[c] = mem
+				continue
+			}
+			sub := make([]int, sample)
+			for t := 0; t < sample; t++ {
+				sub[t] = mem[t*len(mem)/sample]
+			}
+			eval[c] = sub
+		}
+	}
+
+	nc := len(ids)
+	coeff := make([]float64, len(clustered))
+	parallel.ForEachChunk(len(clustered), parallelism, func(lo, hi int) {
+		sums := parallel.GetFloat64(nc)
+		defer parallel.PutFloat64(sums)
+		for ci := lo; ci < hi; ci++ {
+			i := clustered[ci]
+			own := dense[assign[i]]
+			for c := range sums {
+				sums[c] = 0
+			}
+			selfSeen := false
+			for c, mem := range eval {
+				for _, j := range mem {
+					if j == i {
+						selfSeen = true
+						continue
+					}
+					sums[c] += math.Sqrt(dist2(points[i], points[j]))
+				}
+			}
+			// a = mean distance to own cluster's (sampled) members.
+			var a float64
+			na := len(eval[own])
+			if selfSeen {
+				na--
+			}
+			if na > 0 {
+				a = sums[own] / float64(na)
+			}
+			// b = min over other clusters of mean distance.
+			b := math.Inf(1)
+			for c := range eval {
+				if c == own {
+					continue
+				}
+				if m := sums[c] / float64(len(eval[c])); m < b {
+					b = m
+				}
+			}
+			if den := math.Max(a, b); den > 0 {
+				coeff[ci] = (b - a) / den
+			}
+		}
+	})
+	var sum float64
+	for _, s := range coeff {
+		sum += s
+	}
+	return sum / float64(len(clustered))
+}
+
+// silhouetteCase is one labelled point set of the property test.
+type silhouetteCase struct {
+	name   string
+	pts    [][]float64
+	assign []int
+}
+
+// randomSilhouetteCase draws n points of dimension dim in k clusters
+// plus noise. Duplicate rows, singleton clusters and NaN or ±Inf
+// coordinates are mixed in by the flags.
+func randomSilhouetteCase(rng *rand.Rand, n, dim, k int, dups, singletons, nonFinite bool) silhouetteCase {
+	pts := make([][]float64, n)
+	assign := make([]int, n)
+	for i := range pts {
+		c := 1 + rng.IntN(k)
+		if rng.IntN(6) == 0 {
+			c = Noise
+		}
+		assign[i] = c
+		row := make([]float64, dim)
+		for d := range row {
+			row[d] = 0.3*float64(c) + 0.1*rng.NormFloat64()
+		}
+		pts[i] = row
+		if dups && i > 0 && rng.IntN(3) == 0 {
+			copy(row, pts[rng.IntN(i)])
+		}
+	}
+	if singletons && n > 2 {
+		// Fresh ids above k, each held by exactly one point.
+		for s := 0; s < 1+rng.IntN(3); s++ {
+			assign[rng.IntN(n)] = k + 1 + s
+		}
+	}
+	if nonFinite {
+		vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+		for j := 0; j < 1+rng.IntN(3); j++ {
+			pts[rng.IntN(n)][rng.IntN(dim)] = vals[rng.IntN(len(vals))]
+		}
+	}
+	name := fmt.Sprintf("n=%d dim=%d k=%d dups=%v singletons=%v nonfinite=%v", n, dim, k, dups, singletons, nonFinite)
+	return silhouetteCase{name, pts, assign}
+}
+
+// largestCluster returns the size of the biggest non-noise cluster.
+func largestCluster(assign []int) int {
+	size := map[int]int{}
+	best := 0
+	for _, c := range assign {
+		if c != Noise {
+			size[c]++
+			best = max(best, size[c])
+		}
+	}
+	return best
+}
+
+// TestSilhouettePropertyMatchesReference pins the blocked kernel to the
+// per-pair oracle bit for bit: random labelled sets of dimension 1 to 6
+// (the zero-padded flat path and the row path), sizes leaving every
+// remainder modulo the block, degenerate labellings, duplicate rows and
+// non-finite coordinates, at several sample sizes and worker counts.
+func TestSilhouettePropertyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 4))
+	var cases []silhouetteCase
+	for trial := 0; trial < 48; trial++ {
+		n := 1 + rng.IntN(600)
+		if trial%3 == 0 {
+			n = 1 + rng.IntN(24) // small sets hit every block remainder often
+		}
+		dim := 1 + trial%6
+		cases = append(cases, randomSilhouetteCase(rng, n, dim, 1+rng.IntN(5),
+			trial%4 == 1, trial%5 == 2, trial%7 == 3))
+	}
+	for _, dim := range []int{2, 3, 5} {
+		allNoise := randomSilhouetteCase(rng, 40, dim, 2, false, false, false)
+		for i := range allNoise.assign {
+			allNoise.assign[i] = Noise
+		}
+		allNoise.name = fmt.Sprintf("all-noise dim=%d", dim)
+		oneCluster := randomSilhouetteCase(rng, 40, dim, 1, false, false, false)
+		oneCluster.name = fmt.Sprintf("one-cluster dim=%d", dim)
+		dupOnly := randomSilhouetteCase(rng, 37, dim, 3, false, false, false)
+		for i := range dupOnly.pts {
+			copy(dupOnly.pts[i], dupOnly.pts[0])
+		}
+		dupOnly.name = fmt.Sprintf("all-duplicates dim=%d", dim)
+		cases = append(cases, allNoise, oneCluster, dupOnly)
+	}
+	for _, tc := range cases {
+		for _, sample := range []int{0, 1, 3, 64, largestCluster(tc.assign)} {
+			want := math.Float64bits(silhouetteRef(tc.pts, tc.assign, sample, 1))
+			for _, par := range []int{1, 2, 3, 8} {
+				got := math.Float64bits(SilhouetteSampled(tc.pts, tc.assign, sample, par))
+				if got != want {
+					t.Fatalf("%s sample=%d par=%d: silhouette %#x (%g), reference %#x (%g)",
+						tc.name, sample, par, got, math.Float64frombits(got), want, math.Float64frombits(want))
+				}
+			}
+		}
+	}
+}
+
+// silhouetteDigests pins the silhouette over real burst feature sets as
+// float64 bits, keyed by "<set>/<sample>": the four apps at 8 ranks ×
+// 200 iterations and stencil at 8 × 800 (the live-session input), each
+// labelled by ClusterBursts, exact and at a 256-member sample.
+var silhouetteDigests = map[string]uint64{
+	"stencil/0":         0x3fef560789470f1c,
+	"stencil/256":       0x3fef55cb2c768bf7,
+	"nbody/0":           0x3fee1e14ad2b5e5b,
+	"nbody/256":         0x3fee212dca9fa909,
+	"cg/0":              0x3fecda248a2b818f,
+	"cg/256":            0x3fecdb41f0f06d1f,
+	"wavefront/0":       0x3febfe0f66ce05cf,
+	"wavefront/256":     0x3febfdbd39cedf37,
+	"stencil-8x800/0":   0x3fef5b852f1b6359,
+	"stencil-8x800/256": 0x3fef5d19d081f952,
+}
+
+func TestSilhouetteDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64; other architectures may fuse multiply-adds")
+	}
+	sets := []struct {
+		name         string
+		app          string
+		ranks, iters int
+	}{
+		{"stencil", "stencil", 8, 200},
+		{"nbody", "nbody", 8, 200},
+		{"cg", "cg", 8, 200},
+		{"wavefront", "wavefront", 8, 200},
+		{"stencil-8x800", "stencil", 8, 800},
+	}
+	for _, s := range sets {
+		kept := digestBursts(t, s.app, s.ranks, s.iters, 1)
+		res := ClusterBursts(kept, Config{UseIPC: true})
+		if key := s.name + "/0"; math.Float64bits(res.Silhouette) != silhouetteDigests[key] {
+			t.Errorf("%s: ClusterBursts silhouette %#x, want %#x", key, math.Float64bits(res.Silhouette), silhouetteDigests[key])
+		}
+		for _, sample := range []int{0, 256} {
+			key := fmt.Sprintf("%s/%d", s.name, sample)
+			got := math.Float64bits(SilhouetteSampled(res.Features, res.Assign, sample, 2))
+			if want := silhouetteDigests[key]; got != want {
+				t.Errorf("%s (n=%d K=%d): silhouette %#x (%.17g), want %#x", key, len(res.Assign), res.K, got, math.Float64frombits(got), want)
+			}
+		}
+	}
+}

@@ -204,12 +204,23 @@ func mergePartials(parts []*Partial, model *cluster.Model, opts Options) *pipeli
 	ranks := first.Meta.Ranks
 	out := &pipeline.Outcome{Meta: first.Meta}
 
-	total := 0
-	for _, p := range parts {
-		total += len(p.Kept)
+	// A lone partial (every batch and session analysis) is pooled in
+	// place instead of copied: its indices need no rebase, the canonical
+	// sort below is idempotent, and phase resolution overwrites every
+	// Cluster, so reducing the same partial again gives the same report.
+	lone := len(parts) == 1 && len(first.Attached) == len(first.Kept)
+	var kept []burst.Burst
+	var att [][]trace.Sample
+	if lone {
+		kept, att = first.Kept, first.Attached
+	} else {
+		total := 0
+		for _, p := range parts {
+			total += len(p.Kept)
+		}
+		kept = make([]burst.Burst, 0, total)
+		att = make([][]trace.Sample, 0, total)
 	}
-	kept := make([]burst.Burst, 0, total)
-	att := make([][]trace.Sample, 0, total)
 	marks := map[int32][]trace.Time{}
 	offsets := make([]int, ranks)
 	var keptTime, allTime trace.Time
@@ -217,18 +228,21 @@ func mergePartials(parts []*Partial, model *cluster.Model, opts Options) *pipeli
 	var decode *trace.DecodeStats
 
 	for _, p := range parts {
-		base := len(kept)
-		kept = append(kept, p.Kept...)
-		// Rebase shard-local burst indices to whole-trace per-rank indices.
-		for i := base; i < len(kept); i++ {
-			if r := int(kept[i].Rank); r >= 0 && r < ranks {
-				kept[i].Index += offsets[r]
+		if !lone {
+			base := len(kept)
+			kept = append(kept, p.Kept...)
+			// Rebase shard-local burst indices to whole-trace per-rank
+			// indices.
+			for i := base; i < len(kept); i++ {
+				if r := int(kept[i].Rank); r >= 0 && r < ranks {
+					kept[i].Index += offsets[r]
+				}
 			}
-		}
-		if len(p.Attached) == len(p.Kept) {
-			att = append(att, p.Attached...)
-		} else {
-			att = append(att, make([][]trace.Sample, len(p.Kept))...)
+			if len(p.Attached) == len(p.Kept) {
+				att = append(att, p.Attached...)
+			} else {
+				att = append(att, make([][]trace.Sample, len(p.Kept))...)
+			}
 		}
 		for r := 0; r < ranks && r < len(p.RankBursts); r++ {
 			offsets[r] += p.RankBursts[r]

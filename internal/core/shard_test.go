@@ -225,3 +225,60 @@ func TestReduceOnlineGuards(t *testing.T) {
 		t.Fatalf("reducing one online partial: %v", err)
 	}
 }
+
+// TestReduceLonePartialIdempotent: Reduce pools a lone partial's bursts
+// in place instead of copying them, so reducing the same partial twice,
+// with fresh clustering and against a model, must give deep-equal
+// reports, each equal to the single-pass analysis.
+func TestReduceLonePartialIdempotent(t *testing.T) {
+	tr := shardTestTrace(t, "cg", 60, 4)
+	opts := Options{}
+	want, err := Analyze(tr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := MapShard(Split(tr, 1, ShardTime)[0], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := TrainModelFromPartials([]*Partial{p}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*cluster.Model{nil, model} {
+		first, err := Reduce([]*Partial{p}, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := Reduce([]*Partial{p}, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		normalizeReport(first, second)
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("model=%v: reducing the same lone partial twice gave different reports", m != nil)
+		}
+		normalizeReport(want, first)
+		if !reflect.DeepEqual(want, first) {
+			t.Fatalf("model=%v: lone-partial Report differs from single-pass", m != nil)
+		}
+	}
+
+	// A lone partial without its sample groups (as a worker may send
+	// one) is still pooled like one whose groups are empty.
+	bare, empty := *p, *p
+	bare.Attached = nil
+	empty.Attached = make([][]trace.Sample, len(p.Kept))
+	got, err := Reduce([]*Partial{&bare}, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Reduce([]*Partial{&empty}, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	normalizeReport(got, ref)
+	if got.Degraded || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("sample-less lone partial: degraded=%v warnings=%q, or differs from empty sample groups", got.Degraded, got.Warnings)
+	}
+}

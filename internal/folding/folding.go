@@ -25,12 +25,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/burst"
 	"repro/internal/counters"
 	"repro/internal/fit"
 	"repro/internal/parallel"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -57,7 +57,16 @@ func InstancesFromBursts(bursts []burst.Burst, attached [][]trace.Sample, cluste
 	if len(attached) != len(bursts) {
 		panic(fmt.Sprintf("folding: %d bursts but %d sample groups", len(bursts), len(attached)))
 	}
-	var out []Instance
+	n := 0
+	for i := range bursts {
+		if bursts[i].Cluster == clusterID {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Instance, 0, n)
 	for i := range bursts {
 		if bursts[i].Cluster != clusterID {
 			continue
@@ -285,10 +294,31 @@ func newPhaseCloud(instances []Instance, k float64) *phaseCloud {
 
 // robustCenter returns the median of xs and its MAD, the MAD floored so
 // that zero-MAD (perfectly regular) data tolerates tiny relative
-// deviations instead of pruning everything unequal.
+// deviations instead of pruning everything unequal. It computes
+// stats.Median and stats.MAD's values from one pooled scratch copy: sort
+// it for the median, overwrite it with the absolute deviations (their
+// multiset, and so their sorted order, does not depend on the order they
+// are written in) and sort again.
 func robustCenter(xs []float64) (med, scale float64) {
-	med = stats.Median(xs)
-	return med, math.Max(stats.MAD(xs), 0.001*math.Abs(med))
+	tmp := parallel.GetFloat64(len(xs))
+	defer parallel.PutFloat64(tmp)
+	copy(tmp, xs)
+	sort.Float64s(tmp)
+	med = sortedMedian(tmp)
+	for i, x := range tmp {
+		tmp[i] = math.Abs(x - med)
+	}
+	sort.Float64s(tmp)
+	return med, math.Max(1.4826*sortedMedian(tmp), 0.001*math.Abs(med))
+}
+
+// sortedMedian is stats.Median of an ascending, non-empty slice.
+func sortedMedian(s []float64) float64 {
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // keepMask marks the instances folded for counter c. With pruning on it

@@ -672,3 +672,35 @@ func TestFoldStacksIgnoresStacklessSamples(t *testing.T) {
 		t.Fatalf("stackless samples counted: %d", res.Samples)
 	}
 }
+
+// TestRobustCenterMatchesStats pins robustCenter's single-buffer median
+// and MAD to stats.Median and stats.MAD bit for bit, on integer-valued
+// data like the durations and counter totals it sees (ties, zero MAD)
+// and on continuous data, at odd and even lengths.
+func TestRobustCenterMatchesStats(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	for trial := 0; trial < 200; trial++ {
+		xs := make([]float64, 4+rng.IntN(300))
+		for i := range xs {
+			switch trial % 3 {
+			case 0:
+				xs[i] = float64(1000 + rng.IntN(8))
+			case 1:
+				xs[i] = 1e6 * rng.ExpFloat64()
+			default:
+				xs[i] = 42
+			}
+		}
+		in := append([]float64(nil), xs...)
+		med, scale := robustCenter(xs)
+		wantMed := stats.Median(xs)
+		wantScale := math.Max(stats.MAD(xs), 0.001*math.Abs(wantMed))
+		if math.Float64bits(med) != math.Float64bits(wantMed) || math.Float64bits(scale) != math.Float64bits(wantScale) {
+			t.Fatalf("trial %d n=%d: robustCenter = (%.17g, %.17g), stats = (%.17g, %.17g)",
+				trial, len(xs), med, scale, wantMed, wantScale)
+		}
+		if !reflect.DeepEqual(xs, in) {
+			t.Fatalf("trial %d: robustCenter modified its input", trial)
+		}
+	}
+}

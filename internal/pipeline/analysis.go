@@ -486,6 +486,13 @@ func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 	}
 	return Stage(p, name, blockChanBuf, in, func(ctx *StageCtx[*block], blk *block) error {
 		ctx.Metrics.RecordsIn += int64(len(blk.bursts))
+		if need := len(a.kept) + len(blk.bursts); need > cap(a.kept) {
+			// Double instead of letting append grow by ~1.25× at this
+			// size, which re-copies a 100k-burst slice many times over.
+			grown := make([]burst.Burst, len(a.kept), max(need, 2*cap(a.kept)))
+			copy(grown, a.kept)
+			a.kept = grown
+		}
 		for i := range blk.bursts {
 			if a.cfg.Online && a.classifier != nil {
 				a.classifier.Classify(&blk.bursts[i])

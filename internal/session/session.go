@@ -67,7 +67,11 @@ type Snapshot struct {
 	// Gen is the append generation the snapshot covers: a snapshot with
 	// Gen >= g reflects every append up to generation g.
 	Gen uint64
-	// Report is the analysis result; immutable once published.
+	// Report is the analysis result; immutable once published. Only
+	// the session's latest snapshot carries it (Latest, Barrier): when a
+	// newer one is published, the ring entry is replaced by a copy
+	// without it, and subscribers are handed such Data-only copies from
+	// the start. Older snapshots are served from Data alone.
 	Report *core.Report
 	// Data is the canonical JSON encoding of Report.
 	Data []byte
@@ -208,10 +212,17 @@ func (s *Session) resultLocked() AppendResult {
 	}
 }
 
-// applyLocked folds one decoded chunk into the session state. Record
-// slices are appended and re-sorted stably, which is equivalent to
-// sorting the concatenation of all chunks once — so the accumulated
-// state after K appends is exactly the K-chunk prefix trace.
+// applyLocked folds one decoded chunk into the session state. The
+// accumulated state after K appends is exactly the K-chunk prefix trace:
+// the stable sort of every chunk's records concatenated.
+//
+// Published snapshots analyze views of the accumulated slices, so the
+// records below their current length are never written. The chunk is
+// sorted on its own; when its first record does not sort before the
+// last accumulated one, the stable sort of the concatenation is the
+// concatenation itself, and the chunk is appended in place (past every
+// view's length). Otherwise both go onto a fresh array, which is
+// stable-sorted as a whole.
 func (s *Session) applyLocked(tr *trace.Trace, st trace.DecodeStats, n int, clientSeq uint64) {
 	if !s.haveMeta {
 		s.meta = tr.Meta
@@ -228,11 +239,25 @@ func (s *Session) applyLocked(tr *trace.Trace, st trace.DecodeStats, n int, clie
 		s.meta.Regions = mergeMap(s.meta.Regions, tr.Meta.Regions)
 		s.meta.Params = mergeMap(s.meta.Params, tr.Meta.Params)
 	}
-	s.events = append(s.events, tr.Events...)
-	s.samples = append(s.samples, tr.Samples...)
-	s.comms = append(s.comms, tr.Comms...)
-	view := trace.Trace{Events: s.events, Samples: s.samples, Comms: s.comms}
-	view.Sort()
+	tr.Sort()
+	var fresh trace.Trace // sorts only the kinds that took a fresh array
+	var moved bool
+	if s.events, moved = appendRecords(s.events, tr.Events, func(a, b *trace.Event) bool {
+		return a.Time < b.Time || a.Time == b.Time && a.Rank < b.Rank
+	}); moved {
+		fresh.Events = s.events
+	}
+	if s.samples, moved = appendRecords(s.samples, tr.Samples, func(a, b *trace.Sample) bool {
+		return a.Time < b.Time || a.Time == b.Time && a.Rank < b.Rank
+	}); moved {
+		fresh.Samples = s.samples
+	}
+	if s.comms, moved = appendRecords(s.comms, tr.Comms, func(a, b *trace.Comm) bool {
+		return a.SendTime < b.SendTime || a.SendTime == b.SendTime && a.Src < b.Src
+	}); moved {
+		fresh.Comms = s.comms
+	}
+	fresh.Sort()
 	s.decode.Add(st)
 	s.bytes += int64(n)
 	s.segments++
@@ -245,6 +270,20 @@ func (s *Session) applyLocked(tr *trace.Trace, st trace.DecodeStats, n int, clie
 	case s.dirty <- struct{}{}:
 	default:
 	}
+}
+
+// appendRecords appends a sorted chunk to sorted accumulated records
+// without writing acc[:len(acc)]. before reports whether a record sorts
+// strictly before another by Trace.Sort's keys. If chunk[0] does not
+// sort before acc's last record, the chunk is appended in place and
+// moved is false; otherwise acc and chunk are copied onto a fresh array,
+// which the caller must stable-sort, and moved is true.
+func appendRecords[T any](acc, chunk []T, before func(a, b *T) bool) (out []T, moved bool) {
+	if len(acc) == 0 || len(chunk) == 0 || !before(&chunk[0], &acc[len(acc)-1]) {
+		return append(acc, chunk...), false
+	}
+	out = make([]T, 0, len(acc)+len(chunk))
+	return append(append(out, acc...), chunk...), true
 }
 
 // copyMap deep-copies a metadata map, preserving nil-ness so recovered
@@ -297,8 +336,10 @@ func (s *Session) loop() {
 }
 
 // snapshot analyzes the current accumulated state and publishes the
-// result. The record slices are copied under the lock and analyzed
-// outside it, so appends never wait on an analysis.
+// result. It analyzes capacity-capped views of the record slices,
+// outside the lock: applyLocked never writes below a view's length, and
+// the analysis only reads records, so appends never wait on an analysis
+// and a snapshot copies no record.
 func (s *Session) snapshot(ctx context.Context) {
 	s.mu.Lock()
 	if len(s.events) == 0 && len(s.samples) == 0 {
@@ -308,9 +349,9 @@ func (s *Session) snapshot(ctx context.Context) {
 	gen := s.gen
 	tr := &trace.Trace{
 		Meta:    s.meta,
-		Events:  append([]trace.Event(nil), s.events...),
-		Samples: append([]trace.Sample(nil), s.samples...),
-		Comms:   append([]trace.Comm(nil), s.comms...),
+		Events:  s.events[:len(s.events):len(s.events)],
+		Samples: s.samples[:len(s.samples):len(s.samples)],
+		Comms:   s.comms[:len(s.comms):len(s.comms)],
 	}
 	// Appends mutate the metadata maps in place; the analysis reads its
 	// copy outside the lock, so it needs its own.
@@ -352,6 +393,11 @@ func (s *Session) snapshot(ctx context.Context) {
 	s.analyzeErr = ""
 	s.snapID++
 	snap := &Snapshot{ID: s.snapID, Gen: gen, Report: rep, Data: data, At: time.Now()}
+	// The ring keeps one Report, the latest's: the previous entry is
+	// replaced (never mutated) by its Data-only copy.
+	if n := len(s.ring); n > 0 {
+		s.ring[n-1] = s.ring[n-1].dataOnly()
+	}
 	s.ring = append(s.ring, snap)
 	if len(s.ring) > s.m.cfg.Ring {
 		s.ring = append([]*Snapshot(nil), s.ring[len(s.ring)-s.m.cfg.Ring:]...)
@@ -361,14 +407,22 @@ func (s *Session) snapshot(ctx context.Context) {
 		subs = append(subs, sub)
 	}
 	s.mu.Unlock()
+	lean := snap.dataOnly()
 	for _, sub := range subs {
-		sub.push(snap)
+		sub.push(lean)
 	}
 	incC(s.m.cfg.Metrics.Snapshots)
 }
 
-// Latest returns the most recent published snapshot, or nil before the
-// first one.
+// dataOnly returns a copy of sn without its Report.
+func (sn *Snapshot) dataOnly() *Snapshot {
+	c := *sn
+	c.Report = nil
+	return &c
+}
+
+// Latest returns the most recent published snapshot, Report included,
+// or nil before the first one.
 func (s *Session) Latest() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()

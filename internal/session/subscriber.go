@@ -29,7 +29,8 @@ type Subscriber struct {
 // retained snapshot exactly once, in order, with no duplicates. Pass 0
 // to start from the oldest retained snapshot. Subscribing to an ended
 // session returns a subscriber whose Next drains the backlog and then
-// reports the end reason.
+// reports the end reason. Every snapshot a subscriber receives carries
+// Data without a Report.
 func (s *Session) Subscribe(lastID uint64) *Subscriber {
 	sub := &Subscriber{
 		sess:   s,
@@ -40,6 +41,9 @@ func (s *Session) Subscribe(lastID uint64) *Subscriber {
 	s.mu.Lock()
 	for _, sn := range s.ring {
 		if sn.ID > lastID {
+			if sn.Report != nil {
+				sn = sn.dataOnly()
+			}
 			sub.queue = append(sub.queue, sn)
 		}
 	}
