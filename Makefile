@@ -12,7 +12,9 @@
 #                   run of the timing-sensitive packages (foldsvc,
 #                   session, pipeline, faultinject, rescache) so timing
 #                   flakes surface when introduced + a short fuzz run over
-#                   the trace decoder (record and column-block reads) + a build of
+#                   the trace decoder (whole-trace reads, salvage reads,
+#                   and block reads against the record-decoder oracle in
+#                   both modes) + a build of
 #                   every example the docs reference + the benchmark
 #                   regression gate (benchjson -gate fails on any >10%
 #                   ns/op or B/op regression between the two newest

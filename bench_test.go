@@ -135,9 +135,10 @@ func BenchmarkTraceDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeStream compares the two stream-decode hot paths over
-// one encoded trace: row (one Record at a time via Next) and columnar
-// (arena-backed column blocks via NextBlock, no per-record struct).
+// BenchmarkDecodeStream measures the stream decoder alone over one
+// encoded trace: StreamReader.NextBlock into a recycled column block,
+// strict ("columnar", the name it has in earlier BENCH snapshots) and
+// lenient (the same bytes through the salvage checks).
 func BenchmarkDecodeStream(b *testing.B) {
 	tr := benchTrace(b)
 	var buf bytes.Buffer
@@ -146,45 +147,31 @@ func BenchmarkDecodeStream(b *testing.B) {
 	}
 	raw := buf.Bytes()
 
-	b.Run("row", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sr, err := trace.NewStreamReader(bytes.NewReader(raw))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rec trace.Record
-			for {
-				if err := sr.Next(&rec); err != nil {
-					if err == io.EOF {
-						break
-					}
+	for _, tc := range []struct {
+		name string
+		mode trace.Mode
+	}{{"columnar", trace.Strict}, {"lenient", trace.Lenient}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			blk := trace.NewColBlock(256)
+			defer blk.Release()
+			for i := 0; i < b.N; i++ {
+				sr, err := trace.NewStreamReaderMode(bytes.NewReader(raw), tc.mode)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-	})
-	b.Run("columnar", func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		blk := trace.NewColBlock(256)
-		defer blk.Release()
-		for i := 0; i < b.N; i++ {
-			sr, err := trace.NewStreamReader(bytes.NewReader(raw))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for {
-				if err := sr.NextBlock(blk); err != nil {
-					if err == io.EOF {
-						break
+				for {
+					if err := sr.NextBlock(blk); err != nil {
+						if err == io.EOF {
+							break
+						}
+						b.Fatal(err)
 					}
-					b.Fatal(err)
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAnalyzeEndToEnd runs the full streaming analysis (decode →

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,4 +111,62 @@ func TestAnalyzeStreamContextCompletesUncancelled(t *testing.T) {
 	if rep.Bursts == 0 {
 		t.Fatal("uncancelled context run produced an empty report")
 	}
+}
+
+// TestStreamDecodeIndependentOfContext pins that a cancellable context
+// does not change how an encoded trace decodes. The input's size is
+// taken before its reads are fenced by the context, so a corrupt
+// section count is judged against it either way: strict decoding fails
+// with the same error and lenient decoding salvages with the same
+// warnings under context.Background and under context.WithCancel.
+func TestStreamDecodeIndependentOfContext(t *testing.T) {
+	tr := simTrace(t, "stencil", 4, 20)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc := withEventCount(t, buf.Bytes(), 1<<33)
+
+	for _, lenient := range []bool{false, true} {
+		run := func(ctx context.Context) (string, []string) {
+			rep, err := AnalyzeStreamContext(ctx, bytes.NewReader(enc), Options{Lenient: lenient})
+			if err != nil {
+				return err.Error(), nil
+			}
+			return "", rep.Warnings
+		}
+		bgErr, bgWarn := run(context.Background())
+		ctx, cancel := context.WithCancel(context.Background())
+		ctxErr, ctxWarn := run(ctx)
+		cancel()
+		if bgErr != ctxErr || !slices.Equal(bgWarn, ctxWarn) {
+			t.Errorf("lenient=%v: background gave error %q, warnings %q; cancellable context gave %q, %q",
+				lenient, bgErr, bgWarn, ctxErr, ctxWarn)
+		}
+		// Both must have judged the count against the input size.
+		if !lenient && !strings.Contains(bgErr, "exceeds remaining input") {
+			t.Errorf("strict error %q does not reject the count against the input size", bgErr)
+		}
+		if lenient && !slices.ContainsFunc(bgWarn, func(w string) bool {
+			return strings.Contains(w, "declared impossible record counts")
+		}) {
+			t.Errorf("lenient warnings %q do not report the clamped count", bgWarn)
+		}
+	}
+}
+
+// withEventCount returns enc with its event-section count rewritten.
+func withEventCount(t *testing.T, enc []byte, count uint64) []byte {
+	t.Helper()
+	metaLen, n := binary.Uvarint(enc[4:])
+	if n <= 0 {
+		t.Fatal("no metadata length after the magic")
+	}
+	at := 4 + n + int(metaLen)
+	_, m := binary.Uvarint(enc[at:])
+	if m <= 0 {
+		t.Fatal("no event count after the metadata")
+	}
+	out := binary.AppendUvarint(append([]byte(nil), enc[:at]...), count)
+	return append(out, enc[at+m:]...)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // AnalyzeStream runs the full pipeline on an encoded trace read from r,
-// record by record, without materializing the trace in memory. With the
+// block by block, without materializing the trace in memory. With the
 // default (exact) StreamOptions the resulting Report is deep-equal to
 // Analyze on the decoded trace; with Stream.Online set, memory stays
 // bounded by bursts + folding bins regardless of how many samples the
@@ -28,19 +28,9 @@ func AnalyzeStream(r io.Reader, opts Options) (*Report, error) {
 // cancelled run never returns a partial Report.
 func AnalyzeStreamContext(ctx context.Context, r io.Reader, opts Options) (*Report, error) {
 	opts.setDefaults()
-	if ctx.Done() != nil {
-		r = &ctxReader{ctx: ctx, r: r}
-	}
-	mode := trace.Strict
-	if opts.Lenient {
-		mode = trace.Lenient
-	}
-	sr, err := trace.NewStreamReaderMode(r, mode)
+	sr, err := openStream(ctx, r, opts)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: %w", cerr)
-		}
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
 	// One whole-stream shard through the map/reduce algebra; Reduce of a
 	// single whole partial reproduces the single-pass analysis exactly, and
@@ -60,6 +50,20 @@ func AnalyzeStreamContext(ctx context.Context, r io.Reader, opts Options) (*Repo
 // split — Reduce uses it to detect missing shards.
 func MapShardStreamContext(ctx context.Context, r io.Reader, spec ShardSpec, opts Options) (*Partial, error) {
 	opts.setDefaults()
+	sr, err := openStream(ctx, r, opts)
+	if err != nil {
+		return nil, err
+	}
+	return MapShardContext(ctx, sr, spec, opts)
+}
+
+// openStream opens the decoder of AnalyzeStreamContext and
+// MapShardStreamContext, in the mode opts.Lenient selects. r's size is
+// taken before its reads are fenced by ctx, so the decoder checks
+// declared section counts against it with or without a cancellable
+// context.
+func openStream(ctx context.Context, r io.Reader, opts Options) (*trace.StreamReader, error) {
+	size := trace.InputSize(r)
 	if ctx.Done() != nil {
 		r = &ctxReader{ctx: ctx, r: r}
 	}
@@ -67,14 +71,14 @@ func MapShardStreamContext(ctx context.Context, r io.Reader, spec ShardSpec, opt
 	if opts.Lenient {
 		mode = trace.Lenient
 	}
-	sr, err := trace.NewStreamReaderMode(r, mode)
+	sr, err := trace.NewStreamReaderSize(r, size, mode)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("core: %w", cerr)
 		}
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return MapShardContext(ctx, sr, spec, opts)
+	return sr, nil
 }
 
 // ctxReader fences each Read with a context check, so a decoder pulling

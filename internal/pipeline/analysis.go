@@ -364,17 +364,16 @@ func (a *analysis) putBlock(blk *block) {
 	}
 }
 
-// decodeStage pumps the source into pooled column blocks. When the
-// source is a StreamReader the records decode straight into the columns
-// with no intermediate Record construction at all.
+// decodeStage pumps the source into pooled column blocks: a
+// StreamReader decodes straight into the columns, a TraceSource copies
+// its slices into them.
 func (a *analysis) decodeStage(p *Pipeline, src trace.Source) <-chan *block {
-	bs := trace.NewBlockSource(src)
 	out := make(chan *block, blockChanBuf)
 	p.Go("decode", func(m *Metrics) error {
 		defer close(out)
 		for {
 			blk := a.getBlock()
-			err := bs.NextBlock(blk.cols)
+			err := src.NextBlock(blk.cols)
 			n := blk.cols.Len()
 			m.RecordsOut += int64(n)
 			if n > 0 {

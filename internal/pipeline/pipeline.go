@@ -1,9 +1,10 @@
 // Package pipeline is the streaming analysis engine: a set of composable
-// stages connected by bounded channels that turn a trace record stream
-// (trace.Source) into the analysis outcome the core package assembles
-// reports from. Batch and streaming analysis run through the exact same
-// stages — batch feeds an in-memory TraceSource, streaming a decoding
-// StreamReader — so there is one implementation of extraction,
+// stages connected by bounded channels that turn a stream of trace
+// record blocks (trace.Source) into the analysis outcome the core
+// package assembles reports from. Batch and streaming analysis run
+// through the exact same stages — batch feeds an in-memory TraceSource,
+// streaming a decoding StreamReader, both filling the same column
+// blocks — so there is one implementation of extraction,
 // clustering, sample attachment and folding to test and to trust.
 //
 // The flow is decode → extract → phase (cluster or train-then-classify)

@@ -10,21 +10,27 @@ import (
 	"repro/internal/trace"
 )
 
-// stallSource blocks Next until released — the shape of an upload that
-// goes quiet without disconnecting.
+// stallSource serves one block of three events, then blocks NextBlock
+// until released — the shape of an upload that goes quiet without
+// disconnecting.
 type stallSource struct {
 	meta    trace.Metadata
-	served  int
+	served  bool
 	release chan struct{}
 }
 
 func (s *stallSource) Meta() *trace.Metadata { return &s.meta }
 
-func (s *stallSource) Next(rec *trace.Record) error {
-	if s.served < 3 {
-		s.served++
-		rec.Kind = trace.KindEvent
-		rec.Event = trace.Event{Rank: 0, Time: trace.Time(s.served), Type: trace.EvIteration, Value: int64(s.served)}
+func (s *stallSource) NextBlock(blk *trace.ColBlock) error {
+	blk.Reset(trace.KindEvent)
+	if !s.served {
+		s.served = true
+		for i := 1; i <= 3; i++ {
+			ev := trace.Event{Rank: 0, Time: trace.Time(i), Type: trace.EvIteration, Value: int64(i)}
+			if err := blk.AppendEvent(&ev); err != nil {
+				return err
+			}
+		}
 		return nil
 	}
 	<-s.release
@@ -95,7 +101,7 @@ func TestWatchStallNotTriggeredByProgress(t *testing.T) {
 	}
 }
 
-// slowSource delays every record to simulate a trickling input.
+// slowSource delays every block to simulate a trickling input.
 type slowSource struct {
 	inner *trace.TraceSource
 	delay time.Duration
@@ -103,7 +109,7 @@ type slowSource struct {
 
 func (s *slowSource) Meta() *trace.Metadata { return s.inner.Meta() }
 
-func (s *slowSource) Next(rec *trace.Record) error {
+func (s *slowSource) NextBlock(blk *trace.ColBlock) error {
 	time.Sleep(s.delay)
-	return s.inner.Next(rec)
+	return s.inner.NextBlock(blk)
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/counters"
 	"repro/internal/parallel"
@@ -150,6 +149,25 @@ func (b *ColBlock) Release() {
 	*b = ColBlock{}
 }
 
+// rows returns how many rows the columns that kind k uses can all hold,
+// at most Cap(). It is below Cap() only when the exported column slices
+// were shortened.
+func (b *ColBlock) rows(k Kind) int {
+	n := min(b.capacity, len(b.Times), len(b.Ranks))
+	switch k {
+	case KindEvent:
+		n = min(n, len(b.Types), len(b.Values), len(b.Flags))
+	case KindSample:
+		n = min(n, len(b.StackOff)-1)
+	case KindComm:
+		return min(n, len(b.Recvs), len(b.Dsts), len(b.Sizes), len(b.Tags))
+	}
+	for c := range b.Ctrs {
+		n = min(n, len(b.Ctrs[c]))
+	}
+	return n
+}
+
 // room validates that one more row of kind k fits: the block must hold
 // kind k (or be empty), have spare capacity, and every column the kind
 // uses must still cover the new row. It returns ErrBlockFull or
@@ -163,33 +181,8 @@ func (b *ColBlock) room(k Kind) error {
 	if b.n >= b.capacity {
 		return ErrBlockFull
 	}
-	need := b.n + 1
-	if len(b.Times) < need || len(b.Ranks) < need {
-		return fmt.Errorf("%w: Times/Ranks shorter than %d rows", ErrColumnMismatch, need)
-	}
-	switch k {
-	case KindEvent:
-		if len(b.Types) < need || len(b.Values) < need || len(b.Flags) < need {
-			return fmt.Errorf("%w: event columns shorter than %d rows", ErrColumnMismatch, need)
-		}
-		for c := range b.Ctrs {
-			if len(b.Ctrs[c]) < need {
-				return fmt.Errorf("%w: counter column %d shorter than %d rows", ErrColumnMismatch, c, need)
-			}
-		}
-	case KindSample:
-		for c := range b.Ctrs {
-			if len(b.Ctrs[c]) < need {
-				return fmt.Errorf("%w: counter column %d shorter than %d rows", ErrColumnMismatch, c, need)
-			}
-		}
-		if len(b.StackOff) < need+1 {
-			return fmt.Errorf("%w: StackOff shorter than %d offsets", ErrColumnMismatch, need+1)
-		}
-	case KindComm:
-		if len(b.Recvs) < need || len(b.Dsts) < need || len(b.Sizes) < need || len(b.Tags) < need {
-			return fmt.Errorf("%w: comm columns shorter than %d rows", ErrColumnMismatch, need)
-		}
+	if b.rows(k) <= b.n {
+		return fmt.Errorf("%w: %v columns shorter than %d rows", ErrColumnMismatch, k, b.n+1)
 	}
 	return nil
 }
@@ -201,6 +194,32 @@ func (b *ColBlock) AppendEvent(e *Event) error {
 	if err := b.room(KindEvent); err != nil {
 		return err
 	}
+	b.putEvent(e)
+	return nil
+}
+
+// AppendSample appends a sample row, copying its stack frames into the
+// block's frame arena. Errors are as for AppendEvent.
+func (b *ColBlock) AppendSample(s *Sample) error {
+	if err := b.room(KindSample); err != nil {
+		return err
+	}
+	b.putSample(s)
+	return nil
+}
+
+// AppendComm appends a communication row. Errors are as for AppendEvent.
+func (b *ColBlock) AppendComm(c *Comm) error {
+	if err := b.room(KindComm); err != nil {
+		return err
+	}
+	b.putComm(c)
+	return nil
+}
+
+// putEvent writes e as row Len() and grows the block by one row; the
+// caller has checked that the columns hold it.
+func (b *ColBlock) putEvent(e *Event) {
 	i := b.n
 	b.Times[i] = int64(e.Time)
 	b.Ranks[i] = e.Rank
@@ -218,15 +237,11 @@ func (b *ColBlock) AppendEvent(e *Event) error {
 		}
 	}
 	b.n = i + 1
-	return nil
 }
 
-// AppendSample appends a sample row, copying its stack frames into the
-// block's frame arena. Errors are as for AppendEvent.
-func (b *ColBlock) AppendSample(s *Sample) error {
-	if err := b.room(KindSample); err != nil {
-		return err
-	}
+// putSample writes s as row Len(), copying its stack into the frame
+// arena; the caller has checked that the columns hold it.
+func (b *ColBlock) putSample(s *Sample) {
 	i := b.n
 	b.Times[i] = int64(s.Time)
 	b.Ranks[i] = s.Rank
@@ -237,14 +252,11 @@ func (b *ColBlock) AppendSample(s *Sample) error {
 	b.Frames = append(b.Frames, s.Stack...)
 	b.StackOff[i+1] = int32(len(b.Frames))
 	b.n = i + 1
-	return nil
 }
 
-// AppendComm appends a communication row. Errors are as for AppendEvent.
-func (b *ColBlock) AppendComm(c *Comm) error {
-	if err := b.room(KindComm); err != nil {
-		return err
-	}
+// putComm writes c as row Len(); the caller has checked that the columns
+// hold it.
+func (b *ColBlock) putComm(c *Comm) {
 	i := b.n
 	b.Times[i] = int64(c.SendTime)
 	b.Recvs[i] = int64(c.RecvTime)
@@ -253,102 +265,56 @@ func (b *ColBlock) AppendComm(c *Comm) error {
 	b.Sizes[i] = c.Size
 	b.Tags[i] = c.Tag
 	b.n = i + 1
-	return nil
 }
 
-// AppendRecord appends rec to the block, dispatching on its kind.
-func (b *ColBlock) AppendRecord(rec *Record) error {
-	switch rec.Kind {
-	case KindEvent:
-		return b.AppendEvent(&rec.Event)
-	case KindSample:
-		return b.AppendSample(&rec.Sample)
-	case KindComm:
-		return b.AppendComm(&rec.Comm)
+// eventAt returns event row i.
+func (b *ColBlock) eventAt(i int) Event {
+	e := Event{
+		Rank:        b.Ranks[i],
+		Time:        Time(b.Times[i]),
+		Type:        EventType(b.Types[i]),
+		Value:       b.Values[i],
+		HasCounters: b.Flags[i] != 0,
 	}
-	return fmt.Errorf("trace: append of unknown record kind %d", rec.Kind)
-}
-
-// RecordAt reconstructs row i as a Record — the bridge back from the
-// columnar to the row representation, used by tests and by consumers
-// that need an occasional full record. A sample's Stack aliases the
-// block's frame arena (capacity-capped, so appends cannot clobber it)
-// and is nil when the stack is empty, matching the row decoder.
-func (b *ColBlock) RecordAt(i int, rec *Record) error {
-	if i < 0 || i >= b.n {
-		return fmt.Errorf("trace: block row %d out of range [0, %d)", i, b.n)
-	}
-	if err := b.checkCols(); err != nil {
-		return err
-	}
-	rec.Kind = b.kind
-	switch b.kind {
-	case KindEvent:
-		e := &rec.Event
-		*e = Event{
-			Rank:  b.Ranks[i],
-			Time:  Time(b.Times[i]),
-			Type:  EventType(b.Types[i]),
-			Value: b.Values[i],
-		}
-		if b.Flags[i] != 0 {
-			e.HasCounters = true
-			for c := range b.Ctrs {
-				e.Counters[c] = b.Ctrs[c][i]
-			}
-		}
-	case KindSample:
-		s := &rec.Sample
-		*s = Sample{Rank: b.Ranks[i], Time: Time(b.Times[i])}
+	if e.HasCounters {
 		for c := range b.Ctrs {
-			s.Counters[c] = b.Ctrs[c][i]
-		}
-		lo, hi := b.StackOff[i], b.StackOff[i+1]
-		if hi > lo {
-			s.Stack = b.Frames[lo:hi:hi]
-		}
-	case KindComm:
-		rec.Comm = Comm{
-			Src:      b.Ranks[i],
-			Dst:      b.Dsts[i],
-			SendTime: Time(b.Times[i]),
-			RecvTime: Time(b.Recvs[i]),
-			Size:     b.Sizes[i],
-			Tag:      b.Tags[i],
+			e.Counters[c] = b.Ctrs[c][i]
 		}
 	}
-	return nil
+	return e
+}
+
+// sampleAt returns sample row i. Its Stack aliases the frame arena
+// (capacity-capped, so appends cannot clobber it) and is nil when the
+// stack is empty, as the decoder writes it.
+func (b *ColBlock) sampleAt(i int) Sample {
+	s := Sample{Rank: b.Ranks[i], Time: Time(b.Times[i])}
+	for c := range b.Ctrs {
+		s.Counters[c] = b.Ctrs[c][i]
+	}
+	if lo, hi := b.StackOff[i], b.StackOff[i+1]; hi > lo {
+		s.Stack = b.Frames[lo:hi:hi]
+	}
+	return s
+}
+
+// commAt returns comm row i.
+func (b *ColBlock) commAt(i int) Comm {
+	return Comm{
+		Src:      b.Ranks[i],
+		Dst:      b.Dsts[i],
+		SendTime: Time(b.Times[i]),
+		RecvTime: Time(b.Recvs[i]),
+		Size:     b.Sizes[i],
+		Tag:      b.Tags[i],
+	}
 }
 
 // checkCols validates that every column the block's kind uses covers all
 // n valid rows.
 func (b *ColBlock) checkCols() error {
-	if len(b.Times) < b.n || len(b.Ranks) < b.n {
-		return fmt.Errorf("%w: Times/Ranks shorter than %d rows", ErrColumnMismatch, b.n)
-	}
-	switch b.kind {
-	case KindEvent:
-		if len(b.Types) < b.n || len(b.Values) < b.n || len(b.Flags) < b.n {
-			return fmt.Errorf("%w: event columns shorter than %d rows", ErrColumnMismatch, b.n)
-		}
-		for c := range b.Ctrs {
-			if len(b.Ctrs[c]) < b.n {
-				return fmt.Errorf("%w: counter column %d shorter than %d rows", ErrColumnMismatch, c, b.n)
-			}
-		}
-	case KindSample:
-		for c := range b.Ctrs {
-			if len(b.Ctrs[c]) < b.n {
-				return fmt.Errorf("%w: counter column %d shorter than %d rows", ErrColumnMismatch, c, b.n)
-			}
-		}
-		if len(b.StackOff) < b.n+1 {
-			return fmt.Errorf("%w: StackOff shorter than %d offsets", ErrColumnMismatch, b.n+1)
-		}
-	case KindComm:
-		if len(b.Recvs) < b.n || len(b.Dsts) < b.n || len(b.Sizes) < b.n || len(b.Tags) < b.n {
-			return fmt.Errorf("%w: comm columns shorter than %d rows", ErrColumnMismatch, b.n)
-		}
+	if b.rows(b.kind) < b.n {
+		return fmt.Errorf("%w: %v columns shorter than %d rows", ErrColumnMismatch, b.kind, b.n)
 	}
 	return nil
 }
@@ -393,70 +359,4 @@ func (b *ColBlock) growFrames(need int) {
 	old := b.Frames
 	b.Frames = nf
 	parallel.PutUint32(old)
-}
-
-// BlockSource adapts any row Source into a block producer: NextBlock
-// fills a ColBlock with consecutive same-kind records. When the
-// underlying source is a *StreamReader the records are decoded straight
-// into the block's columns with no intermediate Record at all.
-type BlockSource struct {
-	src     Source
-	pending Record
-	held    bool
-	done    bool
-}
-
-// NewBlockSource wraps src in a BlockSource.
-func NewBlockSource(src Source) *BlockSource {
-	return &BlockSource{src: src}
-}
-
-// Meta returns the underlying source's metadata.
-func (bs *BlockSource) Meta() *Metadata { return bs.src.Meta() }
-
-// NextBlock fills blk with the next run of same-kind records, resetting
-// it first. It returns io.EOF only for an empty block — a partially
-// filled block at end of stream is returned with a nil error, and the
-// following call reports io.EOF. Any other error aborts the stream.
-func (bs *BlockSource) NextBlock(blk *ColBlock) error {
-	if sr, ok := bs.src.(*StreamReader); ok {
-		return sr.NextBlock(blk)
-	}
-	// Empty the block up front so a recycled block never carries stale
-	// rows out of an EOF or error return.
-	blk.Reset(blk.kind)
-	if bs.done {
-		return io.EOF
-	}
-	if !bs.held {
-		if err := bs.src.Next(&bs.pending); err != nil {
-			if err == io.EOF {
-				bs.done = true
-				return io.EOF
-			}
-			return err
-		}
-		bs.held = true
-	}
-	blk.Reset(bs.pending.Kind)
-	for {
-		if bs.pending.Kind != blk.Kind() || blk.Len() >= blk.Cap() {
-			return nil // pending record opens the next block
-		}
-		if err := blk.AppendRecord(&bs.pending); err != nil {
-			return err
-		}
-		bs.held = false
-		if err := bs.src.Next(&bs.pending); err != nil {
-			if err == io.EOF {
-				bs.done = true
-				if blk.Len() > 0 {
-					return nil
-				}
-				return io.EOF
-			}
-			return err
-		}
-		bs.held = true
-	}
 }

@@ -30,26 +30,24 @@ func colFeaturedTrace(t testing.TB) *Trace {
 	return b.Build()
 }
 
-// collectRows drains src record-at-a-time.
-func collectRows(t *testing.T, src Source) []Record {
-	t.Helper()
+// traceRecords lists tr's records in section order.
+func traceRecords(tr *Trace) []Record {
 	var out []Record
-	var rec Record
-	for {
-		err := src.Next(&rec)
-		if errors.Is(err, io.EOF) {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		out = append(out, normRecord(&rec))
+	for _, e := range tr.Events {
+		out = append(out, Record{Kind: KindEvent, Event: e})
 	}
+	for _, s := range tr.Samples {
+		out = append(out, normRecord(&Record{Kind: KindSample, Sample: s}))
+	}
+	for _, c := range tr.Comms {
+		out = append(out, Record{Kind: KindComm, Comm: c})
+	}
+	return out
 }
 
 // normRecord deep-copies rec's active variant into a fresh Record so
-// comparisons ignore stale storage in the inactive variants (Source is
-// allowed to reuse them).
+// comparisons ignore stale storage in the inactive variants (the record
+// decoder is allowed to reuse them).
 func normRecord(rec *Record) Record {
 	out := Record{Kind: rec.Kind}
 	switch rec.Kind {
@@ -67,16 +65,16 @@ func normRecord(rec *Record) Record {
 	return out
 }
 
-// collectBlocks drains bs block-at-a-time through blocks of capacity
+// collectBlocks drains src block-at-a-time through blocks of capacity
 // blockCap, reconstructing rows with RecordAt. Every block is validated
 // before use.
-func collectBlocks(t *testing.T, bs *BlockSource, blockCap int) []Record {
+func collectBlocks(t *testing.T, src Source, blockCap int) []Record {
 	t.Helper()
 	blk := NewColBlock(blockCap)
 	defer blk.Release()
 	var out []Record
 	for {
-		err := bs.NextBlock(blk)
+		err := src.NextBlock(blk)
 		if errors.Is(err, io.EOF) {
 			return out
 		}
@@ -96,58 +94,41 @@ func collectBlocks(t *testing.T, bs *BlockSource, blockCap int) []Record {
 	}
 }
 
-// TestColBlockRoundTrip checks that records pushed through a BlockSource
-// (over an in-memory trace) reconstruct exactly, across block capacities
-// that do and do not divide the section sizes.
+// TestColBlockRoundTrip checks that an in-memory trace's records pushed
+// through TraceSource.NextBlock reconstruct exactly, across block
+// capacities that do and do not divide the section sizes.
 func TestColBlockRoundTrip(t *testing.T) {
 	tr := colFeaturedTrace(t)
-	want := collectRows(t, NewTraceSource(tr))
+	want := traceRecords(tr)
 	for _, capacity := range []int{1, 2, 3, 64} {
-		got := collectBlocks(t, NewBlockSource(NewTraceSource(tr)), capacity)
+		got := collectBlocks(t, NewTraceSource(tr), capacity)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("cap %d: block round trip diverged from row iteration", capacity)
+			t.Fatalf("cap %d: block round trip diverged from the trace", capacity)
 		}
 	}
 }
 
 // TestStreamReaderNextBlock checks that the strict decode-into-block
-// path yields exactly the rows the record-at-a-time decoder yields.
+// path yields exactly the rows the record decoder yields.
 func TestStreamReaderNextBlock(t *testing.T) {
-	tr := colFeaturedTrace(t)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
+	enc := encodeTrace(t, colFeaturedTrace(t))
+	want := oracleDecode(bytes.NewReader(enc), Strict)
+	if want.err != nil || len(want.records) == 0 {
+		t.Fatalf("record decoder: %d records, error %v", len(want.records), want.err)
 	}
-	enc := buf.Bytes()
-
-	srRow, err := NewStreamReader(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collectRows(t, srRow)
-
 	for _, capacity := range []int{1, 3, 256} {
-		srCol, err := NewStreamReader(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectBlocks(t, NewBlockSource(srCol), capacity)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("cap %d: columnar decode diverged from row decode", capacity)
+		got := blockDecode(t, bytes.NewReader(enc), Strict, capacity)
+		if msg := want.diff(got); msg != "" {
+			t.Fatalf("cap %d: %s", capacity, msg)
 		}
 	}
 }
 
 // TestStreamReaderNextBlockLenient checks that the lenient block path
-// salvages exactly the rows the lenient row path salvages — including
-// identical DecodeStats — on truncated and bit-flipped input.
+// salvages exactly the rows the lenient record decoder salvages,
+// including identical DecodeStats, on truncated and bit-flipped input.
 func TestStreamReaderNextBlockLenient(t *testing.T) {
-	tr := colFeaturedTrace(t)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	enc := buf.Bytes()
+	enc := encodeTrace(t, colFeaturedTrace(t))
 	damaged := [][]byte{enc}
 	for _, frac := range []int{30, 55, 80, 95} {
 		damaged = append(damaged, enc[:len(enc)*frac/100])
@@ -157,24 +138,10 @@ func TestStreamReaderNextBlockLenient(t *testing.T) {
 		mut[pos] ^= 0x40
 		damaged = append(damaged, mut)
 	}
-
 	for di, data := range damaged {
-		srRow, err := NewStreamReaderMode(bytes.NewReader(data), Lenient)
-		if err != nil {
-			continue // header damage is fatal in both paths
-		}
-		want := collectRows(t, srRow)
-		srCol, err := NewStreamReaderMode(bytes.NewReader(data), Lenient)
-		if err != nil {
-			t.Fatalf("input %d: row header decoded but columnar failed: %v", di, err)
-		}
-		got := collectBlocks(t, NewBlockSource(srCol), 3)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("input %d: lenient columnar rows diverged from row path", di)
-		}
-		if srRow.Stats() != srCol.Stats() {
-			t.Fatalf("input %d: DecodeStats diverged: row %+v, columnar %+v",
-				di, srRow.Stats(), srCol.Stats())
+		want := oracleDecode(bytes.NewReader(data), Lenient)
+		if msg := want.diff(blockDecode(t, bytes.NewReader(data), Lenient, 3)); msg != "" {
+			t.Fatalf("input %d: %s", di, msg)
 		}
 	}
 }

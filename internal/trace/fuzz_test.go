@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzReadFrom fuzzes the binary trace decoder. Two properties must hold
@@ -100,11 +102,14 @@ func addDamagedSeeds(f *testing.F, tr *Trace) {
 	}
 }
 
-// FuzzReadIntoBlock fuzzes the columnar decode path against the row
-// path. For arbitrary input the block decoder must never panic, every
-// returned block must pass Validate, and a lenient block decode must
-// salvage exactly the records — and report exactly the DecodeStats —
-// of a lenient row decode of the same bytes.
+// FuzzReadIntoBlock fuzzes the block decoder against the record decoder
+// it replaced (the oracle in oracle_test.go), in both modes. For
+// arbitrary input, fed through every reader of decodeReaders at several
+// block capacities, NextBlock must never panic, every block it returns
+// must pass Validate, and it must show exactly what the record decoder
+// shows: the same records, the same terminal error (text, and errors.Is
+// against io.EOF, io.ErrUnexpectedEOF and ErrBadFormat), the same
+// BytesRead and the same DecodeStats.
 func FuzzReadIntoBlock(f *testing.F) {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
@@ -129,66 +134,154 @@ func FuzzReadIntoBlock(f *testing.F) {
 	addDamagedSeeds(f, featured)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srRow, err := NewStreamReaderMode(bytes.NewReader(data), Lenient)
-		if err != nil {
-			// Header corruption fails both paths identically.
-			if _, err2 := NewStreamReaderMode(bytes.NewReader(data), Lenient); err2 == nil {
-				t.Fatal("header decode not deterministic")
-			}
+		if _, err := NewStreamReader(bytes.NewReader(data)); err != nil {
+			// Both decoders share the header code, so header damage fails
+			// them alike. Behind a reader that hides the input size, that
+			// code would allocate whatever metadata length the damage
+			// declares, up to 1 GiB.
 			return
 		}
-		var want []Record
-		var rec Record
-		for {
-			err := srRow.Next(&rec)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				t.Fatalf("lenient row decode failed: %v", err)
-			}
-			want = append(want, normRecord(&rec))
-		}
-
-		srCol, err := NewStreamReaderMode(bytes.NewReader(data), Lenient)
-		if err != nil {
-			t.Fatalf("row header decoded but columnar header failed: %v", err)
-		}
-		// A small odd capacity forces plenty of block boundaries.
-		blk := NewColBlock(7)
-		defer blk.Release()
-		var got []Record
-		for {
-			err := srCol.NextBlock(blk)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				t.Fatalf("lenient block decode failed: %v", err)
-			}
-			if err := blk.Validate(); err != nil {
-				t.Fatalf("invalid block from decoder: %v", err)
-			}
-			for i := 0; i < blk.Len(); i++ {
-				var r Record
-				if err := blk.RecordAt(i, &r); err != nil {
-					t.Fatalf("RecordAt(%d): %v", i, err)
+		for _, mode := range []Mode{Strict, Lenient} {
+			for _, rd := range decodeReaders {
+				want := oracleDecode(rd.wrap(data), mode)
+				for _, capacity := range []int{1, 7, 256} {
+					got := blockDecode(t, rd.wrap(data), mode, capacity)
+					if msg := want.diff(got); msg != "" {
+						t.Fatalf("%v mode, %s reader, capacity %d: %s", mode, rd.name, capacity, msg)
+					}
 				}
-				got = append(got, normRecord(&r))
 			}
-		}
-		if len(want) != len(got) {
-			t.Fatalf("row path salvaged %d records, columnar %d", len(want), len(got))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Fatalf("record %d diverged:\nrow      %+v\ncolumnar %+v", i, want[i], got[i])
-			}
-		}
-		if srRow.Stats() != srCol.Stats() {
-			t.Fatalf("DecodeStats diverged: row %+v, columnar %+v", srRow.Stats(), srCol.Stats())
 		}
 	})
+}
+
+// decodeReaders feed an input to a decoder the ways it meets one: with
+// a known size, with the size hidden, one byte per Read (no record ever
+// sits whole in the read buffer), and half of each requested length.
+var decodeReaders = []struct {
+	name string
+	wrap func([]byte) io.Reader
+}{
+	{"bytes", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+	{"hidden-len", func(b []byte) io.Reader { return hideLen{bytes.NewReader(b)} }},
+	{"one-byte", func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) }},
+	{"half", func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) }},
+}
+
+// decodeOutcome is everything one decode of an input shows its caller.
+type decodeOutcome struct {
+	records []Record
+	err     error // the error that ended the stream; nil at io.EOF
+	read    int64 // BytesRead at the end
+	stats   DecodeStats
+}
+
+// oracleDecode decodes r to the end with the record decoder.
+func oracleDecode(r io.Reader, mode Mode) decodeOutcome {
+	sr, err := NewStreamReaderMode(r, mode)
+	if err != nil {
+		return decodeOutcome{err: err}
+	}
+	var out decodeOutcome
+	var rec Record
+	for {
+		err := sr.Next(&rec)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			out.err = err
+			break
+		}
+		out.records = append(out.records, normRecord(&rec))
+	}
+	out.read, out.stats = sr.BytesRead(), sr.Stats()
+	return out
+}
+
+// blockDecode decodes r to the end with NextBlock into blocks of the
+// given capacity, checking every block and the stickiness of the end.
+func blockDecode(t *testing.T, r io.Reader, mode Mode, capacity int) decodeOutcome {
+	t.Helper()
+	sr, err := NewStreamReaderMode(r, mode)
+	if err != nil {
+		return decodeOutcome{err: err}
+	}
+	blk := NewColBlock(capacity)
+	defer blk.Release()
+	var out decodeOutcome
+	for {
+		err := sr.NextBlock(blk)
+		if verr := blk.Validate(); verr != nil {
+			t.Fatalf("invalid block from decoder: %v", verr)
+		}
+		checkFrames(t, blk)
+		for i := 0; i < blk.Len(); i++ {
+			var rec Record
+			if err := blk.RecordAt(i, &rec); err != nil {
+				t.Fatalf("RecordAt(%d): %v", i, err)
+			}
+			out.records = append(out.records, normRecord(&rec))
+		}
+		if err == io.EOF && blk.Len() > 0 {
+			t.Fatal("NextBlock returned io.EOF with rows")
+		}
+		if err != nil {
+			if again := sr.NextBlock(blk); again != err || blk.Len() != 0 {
+				t.Fatalf("end of stream not sticky: %v, then %v with %d rows", err, again, blk.Len())
+			}
+			if err != io.EOF {
+				out.err = err
+			}
+			break
+		}
+		if blk.Len() == 0 {
+			t.Fatal("NextBlock returned an empty block without an error")
+		}
+	}
+	out.read, out.stats = sr.BytesRead(), sr.Stats()
+	return out
+}
+
+// checkFrames fails unless blk's frame arena holds exactly its rows'
+// frames: none outside a sample block.
+func checkFrames(t *testing.T, blk *ColBlock) {
+	t.Helper()
+	frames := 0
+	if blk.Kind() == KindSample {
+		frames = int(blk.StackOff[blk.Len()])
+	}
+	if len(blk.Frames) != frames {
+		t.Fatalf("%v block of %d rows holds %d frames, want %d", blk.Kind(), blk.Len(), len(blk.Frames), frames)
+	}
+}
+
+// diff describes how got departs from o, or returns "" when they agree.
+func (o decodeOutcome) diff(got decodeOutcome) string {
+	if len(o.records) != len(got.records) {
+		return fmt.Sprintf("oracle decoded %d records, NextBlock %d (errors %v / %v)",
+			len(o.records), len(got.records), o.err, got.err)
+	}
+	for i := range o.records {
+		if !reflect.DeepEqual(o.records[i], got.records[i]) {
+			return fmt.Sprintf("record %d diverged:\noracle    %+v\nNextBlock %+v", i, o.records[i], got.records[i])
+		}
+	}
+	if (o.err == nil) != (got.err == nil) || o.err != nil && o.err.Error() != got.err.Error() {
+		return fmt.Sprintf("error %v, oracle %v", got.err, o.err)
+	}
+	for _, target := range []error{io.EOF, io.ErrUnexpectedEOF, ErrBadFormat} {
+		if errors.Is(o.err, target) != errors.Is(got.err, target) {
+			return fmt.Sprintf("errors.Is(%v, %v) differs from the oracle's %v", got.err, target, o.err)
+		}
+	}
+	if o.read != got.read {
+		return fmt.Sprintf("BytesRead %d, oracle %d", got.read, o.read)
+	}
+	if o.stats != got.stats {
+		return fmt.Sprintf("DecodeStats %+v, oracle %+v", got.stats, o.stats)
+	}
+	return ""
 }
 
 // FuzzReadFromLenient fuzzes the salvage decoder. For arbitrary input it

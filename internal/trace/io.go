@@ -19,9 +19,9 @@ import (
 // delta-encoded against the previous record in the section (records are
 // stored in canonical sorted order, so deltas are non-negative and small).
 //
-// The encoder and decoder proper live in stream.go (StreamWriter /
-// StreamReader, record-at-a-time); this file keeps the whole-trace
-// convenience wrappers over them.
+// The encoder and decoder proper live in stream.go and stream_block.go
+// (StreamWriter, record by record; StreamReader, into column blocks);
+// this file keeps the whole-trace convenience wrappers over them.
 
 var magic = [4]byte{'U', 'V', 'T', '1'}
 
@@ -74,39 +74,49 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 	return readAll(sr)
 }
 
-// readAll drains a StreamReader into an in-memory Trace.
+// readAll drains a StreamReader into an in-memory Trace. Each sample
+// owns a copy of its stack; an empty stack stays nil. The block has the
+// analysis pipeline's default size: column arenas come from shared
+// pools that hand any pooled slice to the next caller, so a larger block
+// here would leave oversized arenas behind in the pipeline's blocks.
 func readAll(sr *StreamReader) (*Trace, error) {
 	tr := &Trace{Meta: *sr.Meta()}
-	var rec Record
+	blk := NewColBlock(256)
+	defer blk.Release()
 	for {
-		err := sr.Next(&rec)
+		err := sr.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		switch rec.Kind {
+		switch blk.Kind() {
 		case KindEvent:
 			if tr.Events == nil {
 				tr.Events = make([]Event, 0, sr.PreallocHint(KindEvent))
 			}
-			tr.Events = append(tr.Events, rec.Event)
+			for i := 0; i < blk.Len(); i++ {
+				tr.Events = append(tr.Events, blk.eventAt(i))
+			}
 		case KindSample:
 			if tr.Samples == nil {
 				tr.Samples = make([]Sample, 0, sr.PreallocHint(KindSample))
 			}
-			s := rec.Sample
-			if len(s.Stack) > 0 {
-				// The reader reuses the record's stack buffer; own a copy.
-				s.Stack = append([]uint32(nil), s.Stack...)
+			for i := 0; i < blk.Len(); i++ {
+				s := blk.sampleAt(i)
+				if s.Stack != nil {
+					s.Stack = append([]uint32(nil), s.Stack...)
+				}
+				tr.Samples = append(tr.Samples, s)
 			}
-			tr.Samples = append(tr.Samples, s)
 		case KindComm:
 			if tr.Comms == nil {
 				tr.Comms = make([]Comm, 0, sr.PreallocHint(KindComm))
 			}
-			tr.Comms = append(tr.Comms, rec.Comm)
+			for i := 0; i < blk.Len(); i++ {
+				tr.Comms = append(tr.Comms, blk.commAt(i))
+			}
 		}
 	}
 	if tr.Events == nil {

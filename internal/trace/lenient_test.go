@@ -193,16 +193,17 @@ func TestLenientStreamReaderEOFSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
+	blk := NewColBlock(3)
+	defer blk.Release()
 	for {
-		if err := sr.Next(&rec); err != nil {
+		if err := sr.NextBlock(blk); err != nil {
 			if err != io.EOF {
-				t.Fatalf("lenient Next error: %v", err)
+				t.Fatalf("lenient NextBlock error: %v", err)
 			}
 			break
 		}
 	}
-	if err := sr.Next(&rec); err != io.EOF {
+	if err := sr.NextBlock(blk); err != io.EOF {
 		t.Fatalf("EOF not sticky: %v", err)
 	}
 	if !sr.Stats().Truncated {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,10 +12,11 @@ import (
 	"repro/internal/counters"
 )
 
-// Kind identifies which record variant a Record carries. The binary
-// format stores the three record kinds in three sequential sections, so a
-// stream always yields all events (time-sorted), then all samples, then
-// all comms — the canonical order Build and Sort produce.
+// Kind identifies a record variant: event, sample or comm. A ColBlock
+// holds rows of one Kind. The binary format stores the three record
+// kinds in three sequential sections, so a stream always yields all
+// events (time-sorted), then all samples, then all comms — the
+// canonical order Build and Sort produce.
 type Kind uint8
 
 const (
@@ -38,29 +38,20 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Record is one trace record of any kind. Only the variant selected by
-// Kind is meaningful; the other two may hold stale data from a previous
-// use of the same Record value.
-type Record struct {
-	Kind   Kind
-	Event  Event
-	Sample Sample
-	Comm   Comm
-}
-
-// Source yields trace records one at a time in canonical section order
+// Source yields trace records in blocks, in canonical section order
 // (events, then samples, then comms, each time-sorted). It is the
 // record-stream interface the analysis pipeline consumes, implemented by
-// both the in-memory TraceSource and the decoding StreamReader — so batch
+// both the in-memory TraceSource and the decoding StreamReader, so batch
 // and streaming analysis share one input contract.
 type Source interface {
 	// Meta returns the stream's metadata, available before any record.
 	Meta() *Metadata
-	// Next fills rec with the next record and returns nil, or returns
-	// io.EOF after the last record (any other error is sticky). The
-	// implementation may reuse rec's storage (e.g. the sample stack
-	// buffer): callers that retain data across calls must copy it.
-	Next(rec *Record) error
+	// NextBlock resets blk and fills it with the next run of same-kind
+	// records, at most blk.Cap(). It returns io.EOF only when no rows
+	// were produced: a partial block at the end of the stream comes
+	// back with a nil error and the next call reports io.EOF. Any other
+	// error ends the stream; the rows already in blk are valid.
+	NextBlock(blk *ColBlock) error
 }
 
 // TraceSource adapts an in-memory Trace to the Source interface, letting
@@ -74,7 +65,7 @@ type TraceSource struct {
 
 // NewTraceSource returns a Source iterating tr's records in section
 // order. The trace must be sorted (Build, Sort and ReadFrom guarantee
-// this). Sample stacks alias the trace's storage.
+// this).
 func NewTraceSource(tr *Trace) *TraceSource {
 	return &TraceSource{tr: tr}
 }
@@ -82,37 +73,36 @@ func NewTraceSource(tr *Trace) *TraceSource {
 // Meta returns the trace metadata.
 func (s *TraceSource) Meta() *Metadata { return &s.tr.Meta }
 
-// Next implements Source.
-func (s *TraceSource) Next(rec *Record) error {
-	for {
-		switch s.kind {
-		case KindEvent:
-			if s.i < len(s.tr.Events) {
-				rec.Kind = KindEvent
-				rec.Event = s.tr.Events[s.i]
-				s.i++
-				return nil
-			}
-		case KindSample:
-			if s.i < len(s.tr.Samples) {
-				rec.Kind = KindSample
-				rec.Sample = s.tr.Samples[s.i]
-				s.i++
-				return nil
-			}
-		case KindComm:
-			if s.i < len(s.tr.Comms) {
-				rec.Kind = KindComm
-				rec.Comm = s.tr.Comms[s.i]
-				s.i++
-				return nil
-			}
-		default:
-			return io.EOF
-		}
+// NextBlock implements Source, copying the trace's records straight into
+// blk's columns.
+func (s *TraceSource) NextBlock(blk *ColBlock) error {
+	blk.Reset(blk.kind)
+	lens := [numKinds]int{len(s.tr.Events), len(s.tr.Samples), len(s.tr.Comms)}
+	for s.kind < numKinds && s.i >= lens[s.kind] {
 		s.kind++
 		s.i = 0
 	}
+	if s.kind >= numKinds {
+		return io.EOF
+	}
+	blk.Reset(s.kind)
+	want := min(blk.capacity, lens[s.kind]-s.i)
+	n := min(want, blk.rows(s.kind))
+	for i := s.i; i < s.i+n; i++ {
+		switch s.kind {
+		case KindEvent:
+			blk.putEvent(&s.tr.Events[i])
+		case KindSample:
+			blk.putSample(&s.tr.Samples[i])
+		default:
+			blk.putComm(&s.tr.Comms[i])
+		}
+	}
+	s.i += n
+	if n < want {
+		return blk.room(s.kind) // shortened columns: ErrColumnMismatch
+	}
+	return nil
 }
 
 // maxSectionRecords caps declared record counts when the input size is
@@ -142,10 +132,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// StreamReader decodes a binary trace record-at-a-time, holding only the
-// metadata and O(1) section state — never the full trace. It implements
-// Source; ReadFrom and ReadFile are thin collect-everything wrappers over
-// it.
+// StreamReader decodes a binary trace into column blocks, holding only
+// the metadata, O(1) section state and its read buffer, never the full
+// trace. It implements Source; ReadFrom and ReadFile are thin
+// collect-everything wrappers over it.
 type StreamReader struct {
 	br    *bufio.Reader
 	cr    countingReader
@@ -162,20 +152,14 @@ type StreamReader struct {
 	counts   [numKinds]uint64
 	stats    DecodeStats
 	err      error // sticky terminal state (io.EOF or a decode error)
-
-	// pending buffers the record that ended a lenient NextBlock batch
-	// (a kind change); it opens the next block.
-	pending    Record
-	hasPending bool
 }
 
 // NewStreamReader opens a streaming decoder over r, reading the header
 // (magic + metadata) immediately. When r's total size is discoverable
-// (bytes.Reader-style Len, or a regular file) it is used to reject
-// malformed section counts before any allocation; use
-// NewStreamReaderSize to supply the size explicitly.
+// (see InputSize) it is used to reject malformed section counts before
+// any allocation; use NewStreamReaderSize to supply the size explicitly.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	return NewStreamReaderSize(r, inputSize(r))
+	return NewStreamReaderSize(r, InputSize(r), Strict)
 }
 
 // NewStreamReaderMode is NewStreamReader with an explicit decode mode.
@@ -183,23 +167,29 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 // (records dropped, the damage tallied in Stats) instead of aborting the
 // stream; header corruption remains fatal in both modes.
 func NewStreamReaderMode(r io.Reader, mode Mode) (*StreamReader, error) {
-	sr, err := NewStreamReaderSize(r, inputSize(r))
-	if err != nil {
-		return nil, err
-	}
-	sr.mode = mode
-	return sr, nil
+	return NewStreamReaderSize(r, InputSize(r), mode)
 }
 
-// NewStreamReaderSize is NewStreamReader with an explicit total input
+// NewStreamReaderSize is NewStreamReaderMode with an explicit total input
 // size in bytes (pass a negative size when unknown). The size is used
-// only to validate declared record counts, never to truncate reads.
-func NewStreamReaderSize(r io.Reader, size int64) (*StreamReader, error) {
-	sr := &StreamReader{cr: countingReader{r: r}, limit: size}
+// only to validate declared record counts, never to truncate reads. A
+// caller that wraps r in a reader hiding its size takes InputSize(r)
+// first, so the decoder validates the same way with or without the
+// wrapper.
+func NewStreamReaderSize(r io.Reader, size int64, mode Mode) (*StreamReader, error) {
+	sr := &StreamReader{cr: countingReader{r: r}, limit: size, mode: mode}
 	if size < 0 {
 		sr.limit = -1
 	}
-	sr.br = bufio.NewReaderSize(&sr.cr, 1<<20)
+	// An input known to be smaller than the 1 MiB read buffer gets a
+	// buffer of its own size, so decoding a small input (a session's
+	// appended chunk) does not allocate and clear a mostly unused
+	// megabyte.
+	bufSize := 1 << 20
+	if size >= 0 && size < int64(bufSize) {
+		bufSize = int(size)
+	}
+	sr.br = bufio.NewReaderSize(&sr.cr, bufSize)
 
 	var m [4]byte
 	if _, err := io.ReadFull(sr.br, m[:]); err != nil {
@@ -229,9 +219,10 @@ func NewStreamReaderSize(r io.Reader, size int64) (*StreamReader, error) {
 	return sr, nil
 }
 
-// inputSize discovers r's remaining byte count when cheaply possible:
-// in-memory readers report Len, regular files their size minus offset.
-func inputSize(r io.Reader) int64 {
+// InputSize returns r's remaining byte count when it is cheaply
+// discoverable, and -1 otherwise: in-memory readers report Len, regular
+// files their size minus offset.
+func InputSize(r io.Reader) int64 {
 	switch v := r.(type) {
 	case interface{ Len() int }:
 		return int64(v.Len())
@@ -270,8 +261,8 @@ func (sr *StreamReader) remaining() int64 {
 // PreallocHint returns a conservative capacity for collecting the
 // current section: the declared count clamped by a fixed bound and, when
 // the input size is known, by how many records the remaining bytes could
-// possibly encode. It is valid once the section's first record has been
-// returned (0 before that).
+// possibly encode. It is valid once NextBlock has returned the section's
+// first block (0 before that).
 func (sr *StreamReader) PreallocHint(k Kind) int {
 	n := sr.counts[k]
 	if rem := sr.remaining(); rem >= 0 {
@@ -287,180 +278,6 @@ func (sr *StreamReader) PreallocHint(k Kind) int {
 func (sr *StreamReader) fail(err error) error {
 	sr.err = err
 	return err
-}
-
-// Next implements Source: it decodes the next record in section order,
-// returning io.EOF after the final comm record. The sample stack buffer
-// in rec is reused across calls — copy it to retain it.
-func (sr *StreamReader) Next(rec *Record) error {
-	if sr.err != nil {
-		return sr.err
-	}
-	if sr.mode == Lenient {
-		return sr.nextLenient(rec)
-	}
-	return sr.nextStrict(rec)
-}
-
-func (sr *StreamReader) nextStrict(rec *Record) error {
-	for sr.left == 0 {
-		if sr.counted {
-			sr.kind++
-			sr.counted = false
-		}
-		if sr.kind >= numKinds {
-			return sr.fail(io.EOF)
-		}
-		if err := sr.beginSection(); err != nil {
-			return sr.fail(err)
-		}
-	}
-	var err error
-	switch sr.kind {
-	case KindEvent:
-		err = sr.readEvent(rec)
-	case KindSample:
-		err = sr.readSample(rec)
-	default:
-		err = sr.readComm(rec)
-	}
-	if err != nil {
-		return sr.fail(err)
-	}
-	sr.idx++
-	sr.left--
-	return nil
-}
-
-// maxLenientResyncs caps how many corrupt records a lenient decode may
-// drop-and-resync past before declaring the rest of the stream unusable.
-// Varints are self-delimiting, so a resync usually realigns within a
-// record or two; a stream that keeps failing past this bound is noise.
-const maxLenientResyncs = 1 << 16
-
-// nextLenient is the salvage decode loop: structurally corrupt records
-// are dropped with the cursor resynchronizing at the next varint
-// boundary, semantically impossible records (rank out of range, time
-// past the trace end, sort-order violations) are dropped in place, and
-// truncation ends the stream gracefully with Stats().Truncated set.
-func (sr *StreamReader) nextLenient(rec *Record) error {
-	for {
-		for sr.left == 0 {
-			if sr.counted {
-				sr.kind++
-				sr.counted = false
-			}
-			if sr.kind >= numKinds {
-				return sr.fail(io.EOF)
-			}
-			if err := sr.beginSection(); err != nil {
-				// A section header that cannot be decoded leaves no way to
-				// locate later sections: salvage what was read so far.
-				sr.truncate()
-				return sr.fail(io.EOF)
-			}
-		}
-		prev0, prevRank0 := sr.prev, sr.prevRank
-		var err error
-		switch sr.kind {
-		case KindEvent:
-			err = sr.readEvent(rec)
-		case KindSample:
-			err = sr.readSample(rec)
-		default:
-			err = sr.readComm(rec)
-		}
-		if err == nil {
-			sr.idx++
-			sr.left--
-			if !sr.plausible(rec, prev0) {
-				// Decoded but semantically impossible — drop it and undo its
-				// effect on the delta base so one corrupt timestamp cannot
-				// poison the rest of the section.
-				sr.prev, sr.prevRank = prev0, prevRank0
-				sr.dropOne(sr.kind)
-				continue
-			}
-			sr.noteAccepted(rec)
-			return nil
-		}
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// The input ends mid-record: everything decoded so far stands.
-			sr.truncate()
-			return sr.fail(io.EOF)
-		}
-		// In-place corruption: drop the record and resume decoding at the
-		// cursor, giving up once the resync budget is spent.
-		sr.stats.Resyncs++
-		sr.dropOne(sr.kind)
-		sr.idx++
-		sr.left--
-		if sr.stats.Resyncs >= maxLenientResyncs {
-			sr.truncate()
-			return sr.fail(io.EOF)
-		}
-	}
-}
-
-// plausible applies the semantic fences of lenient mode: ranks must be
-// inside the metadata's range, timestamps must not pass the declared
-// duration, and the section's (time, rank) sort order must hold — the
-// same invariants Trace.Validate demands, checked record-by-record so a
-// corrupt-but-decodable record is dropped instead of poisoning analysis.
-// prevTime is the delta base before this record was decoded, i.e. the
-// previous accepted record's timestamp.
-func (sr *StreamReader) plausible(rec *Record, prevTime Time) bool {
-	ranks := int32(sr.meta.Ranks)
-	end := sr.meta.Duration
-	switch rec.Kind {
-	case KindEvent:
-		e := &rec.Event
-		if ranks > 0 && (e.Rank < 0 || e.Rank >= ranks) {
-			return false
-		}
-		if end > 0 && e.Time > end {
-			return false
-		}
-		if e.Time == prevTime && sr.idx > 1 && e.Rank < sr.prevRank {
-			return false
-		}
-	case KindSample:
-		s := &rec.Sample
-		if ranks > 0 && (s.Rank < 0 || s.Rank >= ranks) {
-			return false
-		}
-		if end > 0 && s.Time > end {
-			return false
-		}
-		if s.Time == prevTime && sr.idx > 1 && s.Rank < sr.prevRank {
-			return false
-		}
-	case KindComm:
-		c := &rec.Comm
-		if ranks > 0 && (c.Src < 0 || c.Src >= ranks || c.Dst < 0 || c.Dst >= ranks) {
-			return false
-		}
-		if c.RecvTime < c.SendTime || c.Size < 0 {
-			return false
-		}
-		if end > 0 && (c.SendTime > end || c.RecvTime > end) {
-			return false
-		}
-	}
-	return true
-}
-
-// noteAccepted records the sort-fence state of a record that was
-// returned to the caller.
-func (sr *StreamReader) noteAccepted(rec *Record) {
-	switch rec.Kind {
-	case KindEvent:
-		sr.prevRank = rec.Event.Rank
-	case KindSample:
-		sr.prevRank = rec.Sample.Rank
-	default:
-		sr.prevRank = rec.Comm.Src
-	}
 }
 
 // dropOne tallies one dropped record of kind k.
@@ -531,142 +348,16 @@ func (sr *StreamReader) beginSection() error {
 
 // advance delta-decodes the next timestamp of the current section.
 func (sr *StreamReader) advance(dt uint64, what string) (Time, error) {
-	if dt > math.MaxInt64 || sr.prev > math.MaxInt64-Time(dt) {
+	if overflows(sr.prev, dt) {
 		return 0, badf(nil, "%s %d %s delta %d overflows", sr.kind, sr.idx, what, dt)
 	}
 	sr.prev += Time(dt)
 	return sr.prev, nil
 }
 
-func (sr *StreamReader) readEvent(rec *Record) error {
-	i := sr.idx
-	dt, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "event %d time: %v", i, err)
-	}
-	rank, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "event %d rank: %v", i, err)
-	}
-	typ, err := sr.br.ReadByte()
-	if err != nil {
-		return badf(err, "event %d type: %v", i, err)
-	}
-	val, err := binary.ReadVarint(sr.br)
-	if err != nil {
-		return badf(err, "event %d value: %v", i, err)
-	}
-	flag, err := sr.br.ReadByte()
-	if err != nil {
-		return badf(err, "event %d counter flag: %v", i, err)
-	}
-	t, err := sr.advance(dt, "time")
-	if err != nil {
-		return err
-	}
-	e := &rec.Event
-	*e = Event{Rank: int32(rank), Time: t, Type: EventType(typ), Value: val}
-	switch flag {
-	case 0:
-	case 1:
-		e.HasCounters = true
-		for c := 0; c < int(counters.NumCounters); c++ {
-			v, err := binary.ReadVarint(sr.br)
-			if err != nil {
-				return badf(err, "event %d counter %d: %v", i, c, err)
-			}
-			e.Counters[c] = v
-		}
-	default:
-		return badf(nil, "event %d has invalid counter flag %d", i, flag)
-	}
-	rec.Kind = KindEvent
-	return nil
-}
-
-func (sr *StreamReader) readSample(rec *Record) error {
-	i := sr.idx
-	dt, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "sample %d time: %v", i, err)
-	}
-	rank, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "sample %d rank: %v", i, err)
-	}
-	t, err := sr.advance(dt, "time")
-	if err != nil {
-		return err
-	}
-	s := &rec.Sample
-	s.Time = t
-	s.Rank = int32(rank)
-	for c := 0; c < int(counters.NumCounters); c++ {
-		v, err := binary.ReadVarint(sr.br)
-		if err != nil {
-			return badf(err, "sample %d counter %d: %v", i, c, err)
-		}
-		s.Counters[c] = v
-	}
-	depth, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "sample %d stack depth: %v", i, err)
-	}
-	if depth > 1024 {
-		return badf(nil, "sample %d stack depth %d too large", i, depth)
-	}
-	s.Stack = s.Stack[:0]
-	for d := uint64(0); d < depth; d++ {
-		f, err := binary.ReadUvarint(sr.br)
-		if err != nil {
-			return badf(err, "sample %d frame %d: %v", i, d, err)
-		}
-		s.Stack = append(s.Stack, uint32(f))
-	}
-	if depth == 0 {
-		s.Stack = nil
-	}
-	rec.Kind = KindSample
-	return nil
-}
-
-func (sr *StreamReader) readComm(rec *Record) error {
-	i := sr.idx
-	dt, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "comm %d send time: %v", i, err)
-	}
-	lat, err := binary.ReadVarint(sr.br)
-	if err != nil {
-		return badf(err, "comm %d latency: %v", i, err)
-	}
-	src, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "comm %d src: %v", i, err)
-	}
-	dst, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return badf(err, "comm %d dst: %v", i, err)
-	}
-	size, err := binary.ReadVarint(sr.br)
-	if err != nil {
-		return badf(err, "comm %d size: %v", i, err)
-	}
-	tag, err := binary.ReadVarint(sr.br)
-	if err != nil {
-		return badf(err, "comm %d tag: %v", i, err)
-	}
-	t, err := sr.advance(dt, "send time")
-	if err != nil {
-		return err
-	}
-	rec.Comm = Comm{
-		Src: int32(src), Dst: int32(dst),
-		SendTime: t, RecvTime: t + Time(lat),
-		Size: size, Tag: int32(tag),
-	}
-	rec.Kind = KindComm
-	return nil
+// overflows reports whether prev + dt leaves the Time range.
+func overflows(prev Time, dt uint64) bool {
+	return dt > math.MaxInt64 || prev > math.MaxInt64-Time(dt)
 }
 
 // StreamWriter encodes a binary trace record-at-a-time: header first,
@@ -818,22 +509,6 @@ func (sw *StreamWriter) WriteComm(c *Comm) error {
 	sw.buf = binary.AppendVarint(sw.buf, c.Size)
 	sw.buf = binary.AppendVarint(sw.buf, int64(c.Tag))
 	return sw.consumed()
-}
-
-// WriteRecord appends rec's active variant to the matching section.
-func (sw *StreamWriter) WriteRecord(rec *Record) error {
-	switch rec.Kind {
-	case KindEvent:
-		return sw.WriteEvent(&rec.Event)
-	case KindSample:
-		return sw.WriteSample(&rec.Sample)
-	case KindComm:
-		return sw.WriteComm(&rec.Comm)
-	}
-	if sw.err != nil {
-		return sw.err
-	}
-	return sw.fail(fmt.Errorf("trace: unknown record kind %d", rec.Kind))
 }
 
 // Close verifies every declared section is complete and flushes the

@@ -8,17 +8,24 @@ import (
 	"repro/internal/counters"
 )
 
-// NextBlock fills blk with the next run of same-kind records, resetting
-// it first. In Strict mode records are decoded straight into blk's
-// columns — no intermediate Record is built — while Lenient mode routes
-// through the salvage loop so both paths drop exactly the same records.
-// A block ends at the section boundary or at blk.Cap(), whichever comes
-// first, so every block is homogeneous in kind.
+// NextBlock implements Source: it decodes the next run of same-kind
+// records straight into blk's columns, resetting blk first. A block ends
+// at the section boundary or at blk.Cap(), whichever comes first, so
+// every block is homogeneous in kind.
 //
-// NextBlock returns io.EOF only when no rows were produced; a partial
-// block at end of stream comes back with a nil error and the next call
-// reports io.EOF. On a decode error the rows already in blk are valid.
-// Do not interleave Next and NextBlock calls on one reader.
+// Each record is parsed from the bytes the read buffer already holds
+// (bufio.Reader.Peek of at most Buffered(), which never reads, so a read
+// error can never be swallowed). A record that straddles the buffer's
+// end, or that fails any check, is decoded again from its first byte by
+// the byte-at-a-time read*Cols path, which reads the same bytes and so
+// yields the same values, error text and cursor position.
+//
+// In Lenient mode undecodable records are dropped with the cursor
+// resynchronizing where the byte path stopped, implausible rows are
+// dropped in place (see plausibleRow), and truncation ends the stream
+// with a nil error for the rows already in blk. NextBlock returns io.EOF
+// only when no rows were produced; on a decode error the rows already in
+// blk are valid.
 func (sr *StreamReader) NextBlock(blk *ColBlock) error {
 	// Empty the block up front so a recycled block never carries stale
 	// rows out of an EOF or error return.
@@ -26,81 +33,288 @@ func (sr *StreamReader) NextBlock(blk *ColBlock) error {
 	if sr.err != nil {
 		return sr.err
 	}
-	if sr.mode == Lenient {
-		return sr.nextBlockLenient(blk)
-	}
-	for sr.left == 0 {
-		if sr.counted {
-			sr.kind++
-			sr.counted = false
+	for {
+		for sr.left == 0 {
+			if sr.counted {
+				sr.kind++
+				sr.counted = false
+			}
+			if sr.kind >= numKinds {
+				return sr.fail(io.EOF)
+			}
+			if err := sr.beginSection(); err != nil {
+				if sr.mode != Lenient {
+					return sr.fail(err)
+				}
+				// A section header that cannot be decoded leaves no way to
+				// locate later sections: salvage what was read so far.
+				sr.truncate()
+				return sr.fail(io.EOF)
+			}
 		}
-		if sr.kind >= numKinds {
-			return sr.fail(io.EOF)
+		blk.Reset(sr.kind)
+		err := sr.decodeRows(blk)
+		if err == io.EOF && blk.n > 0 {
+			return nil // the partial block stands; the next call reports io.EOF
 		}
-		if err := sr.beginSection(); err != nil {
-			return sr.fail(err)
-		}
-	}
-	blk.Reset(sr.kind)
-	for sr.left > 0 && blk.Len() < blk.Cap() {
-		// A room failure is a caller-side block problem (tampered
-		// columns), not stream corruption: report it without poisoning
-		// the reader.
-		if err := blk.room(sr.kind); err != nil {
+		if err != nil || blk.n > 0 {
 			return err
 		}
-		var err error
-		switch sr.kind {
-		case KindEvent:
-			err = sr.readEventCols(blk)
-		case KindSample:
-			err = sr.readSampleCols(blk)
-		default:
-			err = sr.readCommCols(blk)
+		// Lenient mode dropped the rest of the section: go on to the next.
+	}
+}
+
+// maxLenientResyncs caps how many corrupt records a lenient decode may
+// drop-and-resync past before declaring the rest of the stream unusable.
+// Varints are self-delimiting, so a resync usually realigns within a
+// record or two; a stream that keeps failing past this bound is noise.
+const maxLenientResyncs = 1 << 16
+
+// decodeRows decodes records of the current section into b until the
+// section ends or b is full.
+func (sr *StreamReader) decodeRows(b *ColBlock) error {
+	rows := b.rows(sr.kind) // the columns are checked once per block
+	lenient := sr.mode == Lenient
+	for sr.left > 0 && b.n < b.capacity {
+		if b.n >= rows {
+			// Shortened columns are a caller-side block problem, not
+			// stream corruption: report it without poisoning the reader.
+			return b.room(sr.kind)
 		}
-		if err != nil {
-			return sr.fail(err)
+		prev, prevRank := sr.prev, sr.prevRank
+		if err := sr.decodeRow(b); err != nil {
+			if !lenient {
+				return sr.fail(err)
+			}
+			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				// The input ends mid-record: everything decoded so far stands.
+				sr.truncate()
+				return sr.fail(io.EOF)
+			}
+			// In-place corruption: drop the record and resume decoding at
+			// the cursor, giving up once the resync budget is spent.
+			sr.stats.Resyncs++
+			sr.dropOne(sr.kind)
+			sr.idx++
+			sr.left--
+			if sr.stats.Resyncs >= maxLenientResyncs {
+				sr.truncate()
+				return sr.fail(io.EOF)
+			}
+			continue
 		}
 		sr.idx++
 		sr.left--
+		if !lenient {
+			continue
+		}
+		j := b.n - 1
+		if !sr.plausibleRow(b, j, prev) {
+			// Decoded but semantically impossible: drop the row and undo
+			// its effect on the delta base, so one corrupt timestamp
+			// cannot poison the rest of the section.
+			b.n = j
+			if sr.kind == KindSample {
+				b.Frames = b.Frames[:b.StackOff[j]]
+			}
+			sr.prev, sr.prevRank = prev, prevRank
+			sr.dropOne(sr.kind)
+			continue
+		}
+		sr.prevRank = b.Ranks[j]
 	}
 	return nil
 }
 
-// nextBlockLenient batches the salvage decoder's output: records flow
-// through nextLenient (so drop/resync/truncation behavior — and
-// therefore DecodeStats — is identical to the row path) and are packed
-// into blk until the kind changes or the block fills. The cross-kind
-// record is held as pending and opens the next block.
-func (sr *StreamReader) nextBlockLenient(blk *ColBlock) error {
-	if !sr.hasPending {
-		if err := sr.nextLenient(&sr.pending); err != nil {
-			return err
+// decodeRow decodes one record of the current section as row b.Len(),
+// from the buffered bytes when they hold all of it and byte by byte
+// otherwise.
+func (sr *StreamReader) decodeRow(b *ColBlock) error {
+	// Peek up to Buffered() never reads, so it returns no error.
+	w, _ := sr.br.Peek(sr.br.Buffered())
+	var n int
+	switch sr.kind {
+	case KindEvent:
+		if n = sr.sliceEvent(b, w); n == 0 {
+			return sr.readEventCols(b)
 		}
-		sr.hasPending = true
+	case KindSample:
+		if n = sr.sliceSample(b, w); n == 0 {
+			return sr.readSampleCols(b)
+		}
+	default:
+		if n = sr.sliceComm(b, w); n == 0 {
+			return sr.readCommCols(b)
+		}
 	}
-	blk.Reset(sr.pending.Kind)
-	for {
-		if sr.pending.Kind != blk.Kind() || blk.Len() >= blk.Cap() {
-			return nil // pending record opens the next block
-		}
-		if err := blk.AppendRecord(&sr.pending); err != nil {
-			return err
-		}
-		sr.hasPending = false
-		if err := sr.nextLenient(&sr.pending); err != nil {
-			if errors.Is(err, io.EOF) && blk.Len() > 0 {
-				return nil // partial block stands; next call reports EOF
-			}
-			return err
-		}
-		sr.hasPending = true
-	}
+	sr.br.Discard(n) // n <= Buffered(): no read
+	return nil
 }
 
-// readEventCols decodes one event directly into b's columns, mirroring
-// readEvent field-for-field (same read order, same error messages, same
-// overflow checks) so the two paths accept and reject identical bytes.
+// sliceEvent decodes the event at the start of p as row b.Len() and
+// returns its encoded length. It returns 0, leaving the reader state
+// untouched, when p does not hold the whole record or the record fails a
+// check of readEventCols; the caller then decodes it with readEventCols.
+func (sr *StreamReader) sliceEvent(b *ColBlock, p []byte) int {
+	dt, n := binary.Uvarint(p)
+	if n <= 0 {
+		return 0
+	}
+	rank, m := binary.Uvarint(p[n:])
+	if m <= 0 || n+m >= len(p) {
+		return 0
+	}
+	n += m
+	typ := p[n]
+	val, m := binary.Varint(p[n+1:])
+	if m <= 0 || n+1+m >= len(p) {
+		return 0
+	}
+	n += 1 + m
+	flag := p[n]
+	n++
+	if flag > 1 || overflows(sr.prev, dt) {
+		return 0
+	}
+	j := b.n
+	for c := range b.Ctrs {
+		var v int64
+		if flag == 1 {
+			if v, m = binary.Varint(p[n:]); m <= 0 {
+				return 0
+			}
+			n += m
+		}
+		b.Ctrs[c][j] = v
+	}
+	sr.prev += Time(dt)
+	b.Times[j] = int64(sr.prev)
+	b.Ranks[j] = int32(rank)
+	b.Types[j] = typ
+	b.Values[j] = val
+	b.Flags[j] = flag
+	b.n = j + 1
+	return n
+}
+
+// sliceSample is sliceEvent for a sample; its frames go straight into
+// the frame arena and are rolled back when the record is refused.
+func (sr *StreamReader) sliceSample(b *ColBlock, p []byte) int {
+	dt, n := binary.Uvarint(p)
+	if n <= 0 {
+		return 0
+	}
+	rank, m := binary.Uvarint(p[n:])
+	if m <= 0 || overflows(sr.prev, dt) {
+		return 0
+	}
+	n += m
+	j := b.n
+	for c := range b.Ctrs {
+		v, m := binary.Varint(p[n:])
+		if m <= 0 {
+			return 0
+		}
+		n += m
+		b.Ctrs[c][j] = v
+	}
+	depth, m := binary.Uvarint(p[n:])
+	// Every frame takes at least one byte, so a depth beyond the window
+	// cannot fit.
+	if m <= 0 || depth > 1024 || depth > uint64(len(p)-n-m) {
+		return 0
+	}
+	n += m
+	start := len(b.Frames)
+	b.growFrames(int(depth))
+	for d := uint64(0); d < depth; d++ {
+		f, m := binary.Uvarint(p[n:])
+		if m <= 0 {
+			b.Frames = b.Frames[:start]
+			return 0
+		}
+		n += m
+		b.Frames = append(b.Frames, uint32(f))
+	}
+	sr.prev += Time(dt)
+	b.Times[j] = int64(sr.prev)
+	b.Ranks[j] = int32(rank)
+	b.StackOff[j+1] = int32(len(b.Frames))
+	b.n = j + 1
+	return n
+}
+
+// sliceComm is sliceEvent for a comm record.
+func (sr *StreamReader) sliceComm(b *ColBlock, p []byte) int {
+	var v [6]uint64 // send delta, latency, src, dst, size, tag
+	n := 0
+	for i := range v {
+		x, m := binary.Uvarint(p[n:])
+		if m <= 0 {
+			return 0
+		}
+		n += m
+		v[i] = x
+	}
+	if overflows(sr.prev, v[0]) {
+		return 0
+	}
+	sr.prev += Time(v[0])
+	j := b.n
+	b.Times[j] = int64(sr.prev)
+	b.Recvs[j] = int64(sr.prev + Time(unzigzag(v[1])))
+	b.Ranks[j] = int32(v[2])
+	b.Dsts[j] = int32(v[3])
+	b.Sizes[j] = unzigzag(v[4])
+	b.Tags[j] = int32(unzigzag(v[5]))
+	b.n = j + 1
+	return n
+}
+
+// unzigzag maps a uvarint to the varint it encodes, as binary.Varint
+// does.
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// plausibleRow applies the semantic fences of lenient mode to row j:
+// ranks must be inside the metadata's range, timestamps must not pass
+// the declared duration, and the section's (time, rank) sort order must
+// hold. These are the invariants Trace.Validate demands, checked row by
+// row so a corrupt-but-decodable record is dropped instead of poisoning
+// analysis. prevTime is the delta base before the row was decoded, i.e.
+// the previous accepted row's timestamp.
+func (sr *StreamReader) plausibleRow(b *ColBlock, j int, prevTime Time) bool {
+	ranks := int32(sr.meta.Ranks)
+	end := sr.meta.Duration
+	rank, t := b.Ranks[j], Time(b.Times[j])
+	if sr.kind == KindComm {
+		dst, recv := b.Dsts[j], Time(b.Recvs[j])
+		if ranks > 0 && (rank < 0 || rank >= ranks || dst < 0 || dst >= ranks) {
+			return false
+		}
+		if recv < t || b.Sizes[j] < 0 {
+			return false
+		}
+		return end <= 0 || (t <= end && recv <= end)
+	}
+	if ranks > 0 && (rank < 0 || rank >= ranks) {
+		return false
+	}
+	if end > 0 && t > end {
+		return false
+	}
+	return t != prevTime || sr.idx <= 1 || rank >= sr.prevRank
+}
+
+// readEventCols decodes one event into b's columns byte by byte through
+// the read buffer, which it refills as needed. Its read order, checks and
+// error messages match the record decoder the tests keep as an oracle; a
+// decode error leaves b.Len() unchanged.
 func (sr *StreamReader) readEventCols(b *ColBlock) error {
 	i := sr.idx
 	dt, err := binary.ReadUvarint(sr.br)
@@ -154,7 +368,7 @@ func (sr *StreamReader) readEventCols(b *ColBlock) error {
 	return nil
 }
 
-// readSampleCols decodes one sample directly into b's columns; stack
+// readSampleCols decodes one sample into b's columns byte by byte; stack
 // frames go straight into the block's CSR arena. On a mid-record error
 // the arena is rolled back so the rows already in b stay valid.
 func (sr *StreamReader) readSampleCols(b *ColBlock) error {
@@ -203,8 +417,7 @@ func (sr *StreamReader) readSampleCols(b *ColBlock) error {
 	return nil
 }
 
-// readCommCols decodes one comm record directly into b's columns,
-// mirroring readComm.
+// readCommCols decodes one comm record into b's columns byte by byte.
 func (sr *StreamReader) readCommCols(b *ColBlock) error {
 	i := sr.idx
 	dt, err := binary.ReadUvarint(sr.br)

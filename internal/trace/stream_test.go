@@ -6,34 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
-// collectRecords drains a Source, copying each record (and its stack,
-// which the source may reuse) so the caller can inspect the full stream.
-func collectRecords(t *testing.T, src Source) []Record {
-	t.Helper()
-	var out []Record
-	for {
-		var rec Record
-		err := src.Next(&rec)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if rec.Kind == KindSample && rec.Sample.Stack != nil {
-			rec.Sample.Stack = append([]uint32(nil), rec.Sample.Stack...)
-		}
-		out = append(out, rec)
-	}
-}
-
 // TestStreamReaderMatchesTraceSource is the streaming decoder's core
-// contract: the record sequence it yields from an encoded trace is
-// identical — same kinds, order, and contents — to iterating the
-// in-memory trace through TraceSource.
+// contract: the rows it yields from an encoded trace are identical —
+// same kinds, order, and contents — to the in-memory trace's rows
+// through TraceSource, and it consumes exactly the encoded bytes.
 func TestStreamReaderMatchesTraceSource(t *testing.T) {
 	tr := buildSmallTrace(t)
 	var buf bytes.Buffer
@@ -49,13 +29,13 @@ func TestStreamReaderMatchesTraceSource(t *testing.T) {
 	if sr.Meta().App != tr.Meta.App || sr.Meta().Ranks != tr.Meta.Ranks {
 		t.Fatalf("stream meta %+v does not match trace", sr.Meta())
 	}
-	got := collectRecords(t, sr)
-	want := collectRecords(t, NewTraceSource(tr))
+	got := collectBlocks(t, sr, 4)
+	want := collectBlocks(t, NewTraceSource(tr), 4)
 	if len(got) != len(want) {
 		t.Fatalf("stream yielded %d records, trace source %d", len(got), len(want))
 	}
 	for i := range want {
-		if !recordsEqual(&got[i], &want[i]) {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("record %d differs:\nstream %+v\ntrace  %+v", i, got[i], want[i])
 		}
 	}
@@ -63,32 +43,10 @@ func TestStreamReaderMatchesTraceSource(t *testing.T) {
 		t.Fatalf("BytesRead = %d, encoded size %d", sr.BytesRead(), encoded)
 	}
 	// The terminal state is sticky.
-	var rec Record
-	if err := sr.Next(&rec); err != io.EOF {
-		t.Fatalf("Next after EOF = %v", err)
-	}
-}
-
-func recordsEqual(a, b *Record) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	switch a.Kind {
-	case KindEvent:
-		return a.Event == b.Event
-	case KindSample:
-		if a.Sample.Time != b.Sample.Time || a.Sample.Rank != b.Sample.Rank ||
-			a.Sample.Counters != b.Sample.Counters || len(a.Sample.Stack) != len(b.Sample.Stack) {
-			return false
-		}
-		for i := range a.Sample.Stack {
-			if a.Sample.Stack[i] != b.Sample.Stack[i] {
-				return false
-			}
-		}
-		return true
-	default:
-		return a.Comm == b.Comm
+	blk := NewColBlock(4)
+	defer blk.Release()
+	if err := sr.NextBlock(blk); err != io.EOF {
+		t.Fatalf("NextBlock after EOF = %v", err)
 	}
 }
 
@@ -232,8 +190,9 @@ func TestPreallocHintBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	if err := sr.Next(&rec); err != nil {
+	blk := NewColBlock(1)
+	defer blk.Release()
+	if err := sr.NextBlock(blk); err != nil {
 		t.Fatal(err)
 	}
 	if hint := sr.PreallocHint(KindEvent); hint > buf.Len() {
