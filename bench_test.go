@@ -617,30 +617,39 @@ var benchSizes = []struct {
 	name string
 }{{1000, "1k"}, {10_000, "10k"}, {100_000, "100k"}}
 
-// BenchmarkSilhouette sweeps the silhouette kernel across sizes and
-// exactness: "exact" is the per-cluster sum decomposition (bit-identical
-// to the historical all-pairs scan), "sampled256" caps every cluster at
-// 256 strided members (O(n·K·S)). exact-100k needs BENCH_SCALE=large.
-// Allocations are reported so the gate holds the kernel's pooled
-// coordinate and index buffers to their B/op.
+// BenchmarkSilhouette sweeps the silhouette kernel across sizes,
+// exactness and workers: "exact" scores every point through the
+// triangle kernel, n²/2 distances each added to both points' sums
+// (bit-identical to the historical all-pairs scan), and "sampled256"
+// scores only 256 strided members per cluster against each other,
+// (K·256)²/2 distances whatever n is. The plain names run on one worker;
+// the "-p0" variants on GOMAXPROCS, with the same result bits.
+// exact-100k needs BENCH_SCALE=large. Allocations are reported so the
+// gate holds the kernel's pooled coordinate, sum and index buffers to
+// their B/op.
 func BenchmarkSilhouette(b *testing.B) {
 	for _, sz := range benchSizes {
 		points, assign := benchClusteredPoints(sz.n)
-		b.Run("exact-"+sz.name, func(b *testing.B) {
-			if sz.n >= 100_000 && !benchScaleLarge() {
-				b.Skip("quadratic at n=100k; set BENCH_SCALE=large")
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cluster.SilhouetteSampled(points, assign, 0, 1)
-			}
-		})
-		b.Run("sampled256-"+sz.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cluster.SilhouetteSampled(points, assign, 256, 1)
-			}
-		})
+		for _, par := range []struct {
+			p      int
+			suffix string
+		}{{1, ""}, {0, "-p0"}} {
+			b.Run("exact"+par.suffix+"-"+sz.name, func(b *testing.B) {
+				if sz.n >= 100_000 && !benchScaleLarge() {
+					b.Skip("quadratic at n=100k; set BENCH_SCALE=large")
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cluster.SilhouetteSampled(points, assign, 0, par.p)
+				}
+			})
+			b.Run("sampled256"+par.suffix+"-"+sz.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					cluster.SilhouetteSampled(points, assign, 256, par.p)
+				}
+			})
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func main() {
 		scout  = flag.String("scatter", "", "write burst scatter TSV (duration_us, ipc, cluster)")
 		par    = flag.Int("parallel", 0, "clustering worker count (0 = all cores, 1 = sequential); output is identical either way")
 		knn    = flag.String("knn", "auto", "k-dist neighbor search for automatic eps: auto, kdtree, brute (eps is identical either way)")
-		silN   = flag.Int("sil-sample", 0, "cap per-cluster members in the silhouette kernel (0 = exact; >0 trades exactness for O(n·K·S) cost)")
+		silN   = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact, O(n²); S > 0 = approximate, O((K·S)²))")
 		stream = flag.Bool("stream", false, "consume the trace record-by-record (stdin when -in is empty or \"-\")")
 	)
 	flag.Parse()

@@ -7,8 +7,9 @@
 package burst
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/counters"
 	"repro/internal/trace"
@@ -122,16 +123,56 @@ func (x *Extractor) Add(e *trace.Event) (b Burst, ok bool, err error) {
 	return b, ok, nil
 }
 
+// Key is a burst's place in the canonical order, by Start and then
+// Rank; Seq is the burst's index in arrival order.
+type Key struct {
+	Start trace.Time
+	Rank  int32
+	Seq   int
+}
+
+// SortKeys sorts keys, given in arrival order, into canonical order: a
+// stable sort by (Start, Rank), so ties keep arrival order. Bursts
+// arrive as they close, nearly in Start order, which an insertion-based
+// stable sort passes over quickly.
+func SortKeys(keys []Key) {
+	slices.SortStableFunc(keys, func(a, b Key) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
+		}
+		return cmp.Compare(a.Rank, b.Rank)
+	})
+}
+
 // Sort orders bursts in the global (Start, Rank) order Extract
 // guarantees. The sort is stable, so per-rank sequence order is
-// preserved.
+// preserved. Only the keys are sorted; each burst then moves once, along
+// the cycles of the resulting permutation.
 func Sort(bursts []Burst) {
-	sort.SliceStable(bursts, func(i, j int) bool {
-		if bursts[i].Start != bursts[j].Start {
-			return bursts[i].Start < bursts[j].Start
+	keys := make([]Key, len(bursts))
+	for i := range bursts {
+		keys[i] = Key{Start: bursts[i].Start, Rank: bursts[i].Rank, Seq: i}
+	}
+	SortKeys(keys)
+	// Slot j takes the burst that arrived at keys[j].Seq; a slot is done
+	// once its Seq is set to -1.
+	for i := range keys {
+		if keys[i].Seq < 0 {
+			continue
 		}
-		return bursts[i].Rank < bursts[j].Rank
-	})
+		held := bursts[i]
+		j := i
+		for {
+			src := keys[j].Seq
+			keys[j].Seq = -1
+			if src == i {
+				bursts[j] = held
+				break
+			}
+			bursts[j] = bursts[src]
+			j = src
+		}
+	}
 }
 
 // Extract walks the trace and returns every computation burst, in global

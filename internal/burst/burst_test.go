@@ -1,6 +1,8 @@
 package burst
 
 import (
+	"math/rand/v2"
+	"sort"
 	"testing"
 
 	"repro/internal/counters"
@@ -251,5 +253,45 @@ func (a *burstApp) Run(r *sim.Rank) {
 		r.Barrier()
 		r.Compute(a.ks[1])
 		r.Allreduce(8)
+	}
+}
+
+// TestSortMatchesStableSort pins the key sort to the stable
+// (Start, Rank) sort it replaced: random bursts with many equal
+// (Start, Rank) pairs, already-sorted and reversed inputs, so ties keep
+// arrival order and the permutation's fixed points and long cycles are
+// all exercised.
+func TestSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 1))
+	for trial := 0; trial < 60; trial++ {
+		n := rng.IntN(400)
+		bursts := make([]Burst, n)
+		for i := range bursts {
+			bursts[i] = Burst{
+				Rank:  int32(rng.IntN(1 + trial%4)),
+				Index: i, // arrival order, to tell tied bursts apart
+				Start: trace.Time(rng.IntN(1 + n/3)),
+			}
+		}
+		switch trial % 3 {
+		case 1:
+			sort.SliceStable(bursts, func(i, j int) bool { return bursts[i].Start < bursts[j].Start })
+		case 2:
+			sort.SliceStable(bursts, func(i, j int) bool { return bursts[i].Start > bursts[j].Start })
+		}
+		want := append([]Burst(nil), bursts...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Start != want[j].Start {
+				return want[i].Start < want[j].Start
+			}
+			return want[i].Rank < want[j].Rank
+		})
+		Sort(bursts)
+		for i := range want {
+			if bursts[i] != want[i] {
+				t.Fatalf("trial %d n=%d: position %d holds burst %d (start %d rank %d), stable sort has %d",
+					trial, n, i, bursts[i].Index, bursts[i].Start, bursts[i].Rank, want[i].Index)
+			}
+		}
 	}
 }

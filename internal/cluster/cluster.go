@@ -38,12 +38,13 @@ type Config struct {
 	// bit-identical eps for every input — the tree search is exact — so
 	// this is purely a performance knob.
 	Index IndexMode
-	// SilhouetteSample caps how many members of each cluster contribute
-	// to a point's silhouette distance means. 0 (the default) keeps the
-	// exact all-members computation; a positive value S deterministically
-	// subsamples clusters larger than S (evenly strided member lists),
-	// reducing the kernel from O(n²) to O(n·K·S) at the cost of an
-	// approximate coefficient (see SilhouetteSampled).
+	// SilhouetteSample caps how many members of each cluster the
+	// silhouette scores. 0 (the default) keeps the exact all-members
+	// computation, n²/2 distances; a positive value S deterministically
+	// scores S evenly strided members of every cluster larger than S
+	// against each other, weighted back to a per-point mean, so the
+	// kernel costs O((K·S)²) whatever n is, at the cost of an approximate
+	// coefficient (see SilhouetteSampled).
 	SilhouetteSample int
 	// Logger, when non-nil, receives a structured record per clustering
 	// run (point count, chosen eps, K, silhouette) so long-running
@@ -109,7 +110,8 @@ type Result struct {
 	// Features is the normalized feature matrix used (for plots).
 	Features [][]float64
 	// Silhouette is the mean silhouette coefficient over clustered points
-	// (NaN when fewer than 2 clusters).
+	// (NaN when fewer than 2 clusters): exact by default, estimated from
+	// the scored sample when Config.SilhouetteSample is positive.
 	Silhouette float64
 }
 

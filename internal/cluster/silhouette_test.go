@@ -11,9 +11,10 @@ import (
 	"repro/internal/parallel"
 )
 
-// silhouetteRef is the per-point silhouette kernel the blocked flat
-// kernel replaced, kept verbatim as the oracle: every point scans every
-// evaluated member through dist2 over row slices.
+// silhouetteRef is the oracle of the triangle kernel. Its exact path is
+// the per-point scan the blocked kernels replaced, kept verbatim: every
+// point scans every member through dist2 over row slices. A positive
+// sample takes sampledRef, the sampled mode's definition.
 func silhouetteRef(points [][]float64, assign []int, sample, parallelism int) float64 {
 	// Dense-number the clusters in ascending id order; member lists keep
 	// point-index order so every distance sum accumulates in a fixed
@@ -46,22 +47,10 @@ func silhouetteRef(points [][]float64, assign []int, sample, parallelism int) fl
 		clustered = append(clustered, i)
 	}
 
-	// Optional deterministic subsample: evenly strided member picks.
-	eval := members
 	if sample > 0 {
-		eval = make([][]int, len(members))
-		for c, mem := range members {
-			if len(mem) <= sample {
-				eval[c] = mem
-				continue
-			}
-			sub := make([]int, sample)
-			for t := 0; t < sample; t++ {
-				sub[t] = mem[t*len(mem)/sample]
-			}
-			eval[c] = sub
-		}
+		return sampledRef(points, assign, dense, members, sample)
 	}
+	eval := members
 
 	nc := len(ids)
 	coeff := make([]float64, len(clustered))
@@ -113,6 +102,65 @@ func silhouetteRef(points [][]float64, assign []int, sample, parallelism int) fl
 		sum += s
 	}
 	return sum / float64(len(clustered))
+}
+
+// sampledRef defines the sampled silhouette as a plain per-pair loop:
+// every cluster larger than sample is cut to sample strided members,
+// only those members are scored, each against every other scored
+// member, and each coefficient counts for |C| / |scored members of C|
+// points, summed in point-index order over the clustered point count.
+func sampledRef(points [][]float64, assign []int, dense map[int]int, members [][]int, sample int) float64 {
+	eval := make([][]int, len(members))
+	scored := map[int]bool{}
+	n := 0
+	for c, mem := range members {
+		n += len(mem)
+		eval[c] = mem
+		if len(mem) > sample {
+			eval[c] = make([]int, sample)
+			for t := range eval[c] {
+				eval[c][t] = mem[t*len(mem)/sample]
+			}
+		}
+		for _, i := range eval[c] {
+			scored[i] = true
+		}
+	}
+	var coeffs []float64
+	for i, c := range assign {
+		if c == Noise || !scored[i] {
+			continue
+		}
+		own := dense[c]
+		sums := make([]float64, len(eval))
+		for c2, mem := range eval {
+			for _, j := range mem {
+				if j != i {
+					sums[c2] += math.Sqrt(dist2(points[i], points[j]))
+				}
+			}
+		}
+		var a float64
+		if na := len(eval[own]) - 1; na > 0 {
+			a = sums[own] / float64(na)
+		}
+		b := math.Inf(1)
+		for c2, mem := range eval {
+			if m := sums[c2] / float64(len(mem)); c2 != own && m < b {
+				b = m
+			}
+		}
+		var coeff float64
+		if den := math.Max(a, b); den > 0 {
+			coeff = (b - a) / den
+		}
+		coeffs = append(coeffs, coeff*(float64(len(members[own]))/float64(len(eval[own]))))
+	}
+	var sum float64
+	for _, s := range coeffs {
+		sum += s
+	}
+	return sum / float64(n)
 }
 
 // silhouetteCase is one labelled point set of the property test.
@@ -172,11 +220,13 @@ func largestCluster(assign []int) int {
 	return best
 }
 
-// TestSilhouettePropertyMatchesReference pins the blocked kernel to the
-// per-pair oracle bit for bit: random labelled sets of dimension 1 to 6
-// (the zero-padded flat path and the row path), sizes leaving every
-// remainder modulo the block, degenerate labellings, duplicate rows and
-// non-finite coordinates, at several sample sizes and worker counts.
+// TestSilhouettePropertyMatchesReference pins the triangle kernel to
+// the oracle bit for bit: random labelled sets of dimension 1 to 6 (the
+// zero-padded narrow rows and the wide ones), sizes leaving every
+// remainder modulo the block and straddling the tile, a cluster spanning
+// several tiles and a tile spanning many clusters, degenerate
+// labellings, duplicate rows and non-finite coordinates, at several
+// sample sizes and worker counts.
 func TestSilhouettePropertyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 4))
 	var cases []silhouetteCase
@@ -204,10 +254,31 @@ func TestSilhouettePropertyMatchesReference(t *testing.T) {
 		dupOnly.name = fmt.Sprintf("all-duplicates dim=%d", dim)
 		cases = append(cases, allNoise, oneCluster, dupOnly)
 	}
+	// Every point clustered, so exact mode scores exactly m points.
+	for _, m := range []int{silhouetteTile - 1, silhouetteTile, silhouetteTile + 1, 2*silhouetteTile + 3} {
+		tc := randomSilhouetteCase(rng, m, 3, 3, m%2 == 0, false, m == silhouetteTile)
+		for i, c := range tc.assign {
+			if c == Noise {
+				tc.assign[i] = 1
+			}
+		}
+		tc.name = fmt.Sprintf("tile boundary m=%d", m)
+		cases = append(cases, tc)
+	}
+	span := randomSilhouetteCase(rng, 3*silhouetteTile+5, 2, 4, false, true, false)
+	for i := range span.assign {
+		if rng.IntN(10) < 8 {
+			span.assign[i] = 1
+		}
+	}
+	span.name = "one cluster over several tiles"
+	many := randomSilhouetteCase(rng, silhouetteTile/2, 3, 9, true, true, false)
+	many.name = "one tile over many clusters"
+	cases = append(cases, span, many)
 	for _, tc := range cases {
 		for _, sample := range []int{0, 1, 3, 64, largestCluster(tc.assign)} {
 			want := math.Float64bits(silhouetteRef(tc.pts, tc.assign, sample, 1))
-			for _, par := range []int{1, 2, 3, 8} {
+			for _, par := range []int{1, 2, 3, 8, 0} {
 				got := math.Float64bits(SilhouetteSampled(tc.pts, tc.assign, sample, par))
 				if got != want {
 					t.Fatalf("%s sample=%d par=%d: silhouette %#x (%g), reference %#x (%g)",
@@ -221,36 +292,40 @@ func TestSilhouettePropertyMatchesReference(t *testing.T) {
 // silhouetteDigests pins the silhouette over real burst feature sets as
 // float64 bits, keyed by "<set>/<sample>": the four apps at 8 ranks ×
 // 200 iterations and stencil at 8 × 800 (the live-session input), each
-// labelled by ClusterBursts, exact and at a 256-member sample.
+// labelled by ClusterBursts, exact and at a 256-member sample. The
+// sampled rows were re-recorded when the sampled mode began scoring only
+// its sample.
 var silhouetteDigests = map[string]uint64{
 	"stencil/0":         0x3fef560789470f1c,
-	"stencil/256":       0x3fef55cb2c768bf7,
+	"stencil/256":       0x3fef55b171d8c256,
 	"nbody/0":           0x3fee1e14ad2b5e5b,
-	"nbody/256":         0x3fee212dca9fa909,
+	"nbody/256":         0x3fee23ea80249d63,
 	"cg/0":              0x3fecda248a2b818f,
-	"cg/256":            0x3fecdb41f0f06d1f,
+	"cg/256":            0x3fecdb3d2fcbda2c,
 	"wavefront/0":       0x3febfe0f66ce05cf,
-	"wavefront/256":     0x3febfdbd39cedf37,
+	"wavefront/256":     0x3febfa586938618e,
 	"stencil-8x800/0":   0x3fef5b852f1b6359,
-	"stencil-8x800/256": 0x3fef5d19d081f952,
+	"stencil-8x800/256": 0x3fef5ed99b3af23f,
+}
+
+// digestSets are the burst sets silhouetteDigests is keyed by.
+var digestSets = []struct {
+	name         string
+	app          string
+	ranks, iters int
+}{
+	{"stencil", "stencil", 8, 200},
+	{"nbody", "nbody", 8, 200},
+	{"cg", "cg", 8, 200},
+	{"wavefront", "wavefront", 8, 200},
+	{"stencil-8x800", "stencil", 8, 800},
 }
 
 func TestSilhouetteDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64; other architectures may fuse multiply-adds")
 	}
-	sets := []struct {
-		name         string
-		app          string
-		ranks, iters int
-	}{
-		{"stencil", "stencil", 8, 200},
-		{"nbody", "nbody", 8, 200},
-		{"cg", "cg", 8, 200},
-		{"wavefront", "wavefront", 8, 200},
-		{"stencil-8x800", "stencil", 8, 800},
-	}
-	for _, s := range sets {
+	for _, s := range digestSets {
 		kept := digestBursts(t, s.app, s.ranks, s.iters, 1)
 		res := ClusterBursts(kept, Config{UseIPC: true})
 		if key := s.name + "/0"; math.Float64bits(res.Silhouette) != silhouetteDigests[key] {
@@ -262,6 +337,21 @@ func TestSilhouetteDigest(t *testing.T) {
 			if want := silhouetteDigests[key]; got != want {
 				t.Errorf("%s (n=%d K=%d): silhouette %#x (%.17g), want %#x", key, len(res.Assign), res.K, got, math.Float64frombits(got), want)
 			}
+		}
+	}
+}
+
+// TestSilhouetteSampledAccuracy bounds the sampled mode's error on the
+// digest sets: scoring 256 weighted members per cluster stays within
+// 0.002 of the exact coefficient. An unweighted sample misses it on
+// wavefront.
+func TestSilhouetteSampledAccuracy(t *testing.T) {
+	for _, s := range digestSets {
+		res := ClusterBursts(digestBursts(t, s.app, s.ranks, s.iters, 1), Config{UseIPC: true})
+		sampled := SilhouetteSampled(res.Features, res.Assign, 256, 0)
+		if d := math.Abs(sampled - res.Silhouette); !(d <= 0.002) {
+			t.Errorf("%s (n=%d K=%d): sampled silhouette %.6f is %.6f from exact %.6f",
+				s.name, len(res.Assign), res.K, sampled, d, res.Silhouette)
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 // fingerprintVersion salts every fingerprint so persisted cache entries
 // (the rescache disk tier) are invalidated wholesale whenever the
 // analysis semantics change incompatibly. Bump it when a pipeline
-// change makes old Reports unreproducible from the same options.
-const fingerprintVersion = "v1"
+// change makes old Reports unreproducible from the same options. v2: a
+// positive SilhouetteSample scores only its sampled members.
+const fingerprintVersion = "v2"
 
 // Fingerprint canonicalizes the options into a stable string covering
 // exactly the fields that shape the Report — the options half of a

@@ -238,7 +238,9 @@ type analysis struct {
 	prof       *profile.PartialBuilder
 	marks      map[int32][]trace.Time
 
-	// phase stage
+	// phase stage: bursts collect in arrival order in store until
+	// finalize gathers them, sorted, into kept
+	store      keptStore
 	kept       []burst.Burst
 	clustering cluster.Result
 	classifier *online.Classifier
@@ -485,20 +487,13 @@ func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 	}
 	return Stage(p, name, blockChanBuf, in, func(ctx *StageCtx[*block], blk *block) error {
 		ctx.Metrics.RecordsIn += int64(len(blk.bursts))
-		if need := len(a.kept) + len(blk.bursts); need > cap(a.kept) {
-			// Double instead of letting append grow by ~1.25× at this
-			// size, which re-copies a 100k-burst slice many times over.
-			grown := make([]burst.Burst, len(a.kept), max(need, 2*cap(a.kept)))
-			copy(grown, a.kept)
-			a.kept = grown
-		}
 		for i := range blk.bursts {
 			if a.cfg.Online && a.classifier != nil {
 				a.classifier.Classify(&blk.bursts[i])
 			}
-			a.kept = append(a.kept, blk.bursts[i])
+			a.store.add(&blk.bursts[i])
 			if a.cfg.Online && a.classifier == nil && a.trainErr == nil &&
-				len(a.kept) == a.cfg.TrainBursts {
+				a.store.n == a.cfg.TrainBursts {
 				a.train()
 			}
 		}
@@ -520,8 +515,12 @@ func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 // (no clusters, all noise) degrades the run to zero phases, mirroring a
 // batch run whose clustering finds nothing.
 func (a *analysis) train() {
-	n := min(a.cfg.TrainBursts, len(a.kept))
-	cl, err := online.Train(a.kept[:n], a.cfg.Cluster)
+	n := min(a.cfg.TrainBursts, a.store.n)
+	var cl *online.Classifier
+	var err error
+	a.store.prefix(n, func(training []burst.Burst) {
+		cl, err = online.Train(training, a.cfg.Cluster)
+	})
 	if err != nil {
 		a.trainErr = err
 		if a.cfg.Logger != nil {
@@ -534,20 +533,20 @@ func (a *analysis) train() {
 			"phases", cl.Training.K, "eps", cl.Training.Eps)
 	}
 	a.classifier = cl
-	for i := n; i < len(a.kept); i++ {
-		cl.Classify(&a.kept[i])
+	for i := n; i < a.store.n; i++ {
+		cl.Classify(a.store.at(i))
 	}
 }
 
-// finalize runs once all bursts are known: sort them into canonical
+// finalize runs once all bursts are known: gather them in canonical
 // order, resolve the clustering, and build the per-rank routing index
 // the fold stage walks.
 func (a *analysis) finalize(m *Metrics) {
 	a.finalized = true
-	if a.cfg.Online && a.classifier == nil && len(a.kept) > 0 {
+	if a.cfg.Online && a.classifier == nil && a.store.n > 0 {
 		a.train()
 	}
-	burst.Sort(a.kept)
+	a.kept = a.store.gather()
 	if a.cfg.Partial {
 		// Map half of the sharded algebra: phases are resolved at reduce
 		// time over every shard's bursts, so this run only fixes the
