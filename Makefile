@@ -17,16 +17,18 @@
 #                   both modes) + a build of
 #                   every example the docs reference + the benchmark
 #                   regression gate (benchjson -gate fails on any >10%
-#                   ns/op or B/op regression between the two newest
-#                   BENCH_<date>.json snapshots from the same runner)
+#                   median ns/op or B/op regression between the two
+#                   newest BENCH_<date>.json snapshots from the same
+#                   runner)
 #   make chaos    — the fault-injection suite under the race detector:
 #                   full traces driven through the batch, streaming and
 #                   HTTP analysis paths with truncation, bit-flips, short
 #                   reads, transient errors and stalls injected (also part
 #                   of make check)
-#   make bench    — run the benchmark suite and record a trajectory
-#                   snapshot in BENCH_<date>.json via cmd/benchjson (which
-#                   also diffs against the previous snapshot)
+#   make bench    — run the benchmark suite BENCHCOUNT times (default 3)
+#                   and record the medians as a trajectory snapshot in
+#                   BENCH_<date>.json via cmd/benchjson (which also diffs
+#                   against the previous snapshot)
 #   make benchmem — memory tier: just the streaming-vs-batch allocation
 #                   comparison, recorded in BENCH_MEM_<date>.json
 #   make e2e-dist — distributed end-to-end: an in-process foldsvc
@@ -51,6 +53,9 @@ DATE      := $(shell date +%Y-%m-%d)
 # Narrow or speed up a bench run: make bench BENCH=AnalyzePipeline BENCHTIME=1x
 BENCH     ?= .
 BENCHTIME ?= 1s
+# Runs per benchmark; benchjson records the median of each, so one slow
+# run on a noisy machine does not trip the gate.
+BENCHCOUNT ?= 3
 FUZZTIME  ?= 10s
 # The timing-sensitive packages, run ten times over in make check so a
 # new timing flake fails the gate when it is introduced.
@@ -91,7 +96,7 @@ e2e-session:
 	$(GO) test -race -count 1 -run 'TestSession|TestClientSession|TestSubscriber|TestChunks' ./internal/session/ ./internal/foldsvc/
 
 bench:
-	BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -timeout 60m . \
+	BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout 60m . \
 		| BENCH_SCALE=$(BENCH_SCALE) $(GO) run ./cmd/benchjson -out BENCH_$(DATE).json
 
 e2e-dist:
@@ -101,7 +106,7 @@ e2e-diff:
 	$(GO) test -race -count 1 -run 'TestDiff' ./internal/foldsvc/ ./internal/diff/
 
 bench-diff:
-	BENCH_SCALE=large $(GO) test -run '^$$' -bench BenchmarkDiff -benchmem -benchtime $(BENCHTIME) -timeout 60m . \
+	BENCH_SCALE=large $(GO) test -run '^$$' -bench BenchmarkDiff -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout 60m . \
 		| BENCH_SCALE=large $(GO) run ./cmd/benchjson -merge -out BENCH_$(DATE).json
 
 benchmem:

@@ -8,6 +8,11 @@
 //
 //	go test -run '^$' -bench . -benchmem | benchjson -out BENCH_2026-08-05.json
 //
+// Result lines that share a name and GOMAXPROCS (go test -count N)
+// collapse into one entry holding the median of each column and the run
+// count, so a single slow run on a noisy machine moves nothing; an entry
+// of a snapshot recorded from one run per benchmark is its own median.
+//
 // After writing, it diffs the new entries against the most recent prior
 // BENCH_<date>.json with the same name prefix in the output directory
 // (override with -prev, disable with -prev none) and prints the
@@ -22,10 +27,10 @@
 // -bench` prints, so it reflects the machine the benchmarks actually ran
 // on even when benchjson itself runs elsewhere.
 //
-// With -gate, benchjson is a regression gate: any benchmark whose ns/op
-// or B/op worsened by more than -tol percent against the prior snapshot
-// makes it exit nonzero. Standalone gate mode takes an existing snapshot
-// instead of stdin —
+// With -gate, benchjson is a regression gate: any benchmark whose
+// (median) ns/op or B/op worsened by more than -tol percent against the
+// prior snapshot makes it exit nonzero. Standalone gate mode takes an
+// existing snapshot instead of stdin —
 //
 //	benchjson -gate -tol 10 -cur newest
 //
@@ -61,7 +66,8 @@ import (
 	"time"
 )
 
-// Entry is one benchmark result line.
+// Entry is one benchmark's result: one result line, or the medians of
+// the lines of several runs (see collapse).
 type Entry struct {
 	// Name is the benchmark name without the -P GOMAXPROCS suffix.
 	Name string `json:"name"`
@@ -76,6 +82,74 @@ type Entry struct {
 	MBPerS      *float64 `json:"mb_per_s,omitempty"`
 	BytesPerOp  *int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
+	// Runs is the number of result lines the entry is the median of;
+	// absent for one.
+	Runs int `json:"runs,omitempty"`
+}
+
+// collapse merges the entries that share a name and GOMAXPROCS, in order
+// of first appearance, into one entry each: the median of every column
+// (the mean of the middle two for an even count) and the run count.
+// A column reported by only some of the runs takes the median of those.
+func collapse(entries []Entry) []Entry {
+	entryKey := func(e Entry) string { return fmt.Sprintf("%s@%d", e.Name, e.Procs) }
+	groups := map[string][]Entry{}
+	var order []string
+	for _, e := range entries {
+		k := entryKey(e)
+		if groups[k] == nil {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], e)
+	}
+	out := make([]Entry, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		var iters, ns, mbs, bytes, allocs []float64
+		for _, e := range g {
+			iters = append(iters, float64(e.Iterations))
+			ns = append(ns, e.NsPerOp)
+			if e.MBPerS != nil {
+				mbs = append(mbs, *e.MBPerS)
+			}
+			if e.BytesPerOp != nil {
+				bytes = append(bytes, float64(*e.BytesPerOp))
+			}
+			if e.AllocsPerOp != nil {
+				allocs = append(allocs, float64(*e.AllocsPerOp))
+			}
+		}
+		m := Entry{Name: g[0].Name, Procs: g[0].Procs, Runs: len(g),
+			Iterations: int64(median(iters)), NsPerOp: median(ns)}
+		if len(mbs) > 0 {
+			v := median(mbs)
+			m.MBPerS = &v
+		}
+		if len(bytes) > 0 {
+			v := int64(median(bytes))
+			m.BytesPerOp = &v
+		}
+		if len(allocs) > 0 {
+			v := int64(median(allocs))
+			m.AllocsPerOp = &v
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the median of xs (non-empty), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // Snapshot is the full trajectory record for one benchmark run.
@@ -458,6 +532,7 @@ func main() {
 	if len(snap.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found on stdin (pipe `go test -bench` output in)"))
 	}
+	snap.Benchmarks = collapse(snap.Benchmarks)
 	if *merge {
 		merged, err := mergeInto(*out, &snap)
 		if err != nil {

@@ -360,3 +360,72 @@ func TestParseLineSubBenchmark(t *testing.T) {
 		t.Fatalf("parsed %+v", e)
 	}
 }
+
+func TestCollapseMedians(t *testing.T) {
+	var entries []Entry
+	for _, l := range []string{
+		"BenchmarkA-2 \t 10\t 300 ns/op\t 30 B/op\t 3 allocs/op",
+		"BenchmarkB-2 \t 5\t 7 ns/op",
+		"BenchmarkA-2 \t 12\t 100 ns/op\t 10 B/op\t 1 allocs/op",
+		"BenchmarkA-2 \t 11\t 200 ns/op\t 20 B/op\t 2 allocs/op",
+		"BenchmarkC-2 \t 1\t 10 ns/op\t 1.5 MB/s\t 8 B/op\t 1 allocs/op",
+		"BenchmarkC-2 \t 1\t 40 ns/op\t 4.5 MB/s\t 100 B/op\t 3 allocs/op",
+		"BenchmarkA-4 \t 1\t 9 ns/op",
+	} {
+		e, ok := parseLine(l)
+		if !ok {
+			t.Fatalf("not parsed: %q", l)
+		}
+		entries = append(entries, e)
+	}
+	got := collapse(entries)
+	if len(got) != 4 {
+		t.Fatalf("%d entries, want 4: %+v", len(got), got)
+	}
+	// First-appearance order; GOMAXPROCS keeps runs apart.
+	for i, want := range []string{"BenchmarkA@2", "BenchmarkB@2", "BenchmarkC@2", "BenchmarkA@4"} {
+		if k := got[i].Name + "@" + strconv.Itoa(got[i].Procs); k != want {
+			t.Fatalf("entry %d is %s, want %s", i, k, want)
+		}
+	}
+	a := got[0] // odd count: the middle run of each column
+	if a.Runs != 3 || a.Iterations != 11 || a.NsPerOp != 200 || *a.BytesPerOp != 20 || *a.AllocsPerOp != 2 || a.MBPerS != nil {
+		t.Fatalf("odd-count median %+v", a)
+	}
+	c := got[2] // even count: the mean of the middle two
+	if c.Runs != 2 || c.NsPerOp != 25 || *c.MBPerS != 3 || *c.BytesPerOp != 54 || *c.AllocsPerOp != 2 {
+		t.Fatalf("even-count median %+v", c)
+	}
+	// A single run stays as parsed, with no run count recorded.
+	if b := got[1]; b.Runs != 0 || b.NsPerOp != 7 || b.Iterations != 5 {
+		t.Fatalf("single run %+v", b)
+	}
+}
+
+// TestGateMedianOfRuns: one slow run of three, which failed a gate that
+// compared one run per benchmark, passes on the median; a regression in
+// every run still fails.
+func TestGateMedianOfRuns(t *testing.T) {
+	snap := func(ns ...float64) *Snapshot {
+		var es []Entry
+		for _, v := range ns {
+			b := int64(1000)
+			es = append(es, Entry{Name: "BenchmarkX", Procs: 2, Iterations: 10, NsPerOp: v, BytesPerOp: &b})
+		}
+		return &Snapshot{Benchmarks: collapse(es)}
+	}
+	prev := snap(100, 98, 103)
+	if off := gateCheck(prev, snap(150), 10); len(off) != 1 {
+		t.Fatalf("the slow run alone: %v, want one offender", off)
+	}
+	if off := gateCheck(prev, snap(101, 150, 99), 10); len(off) != 0 {
+		t.Fatalf("one slow run of three failed the gate: %v", off)
+	}
+	if off := gateCheck(prev, snap(121, 125, 119), 10); len(off) != 1 {
+		t.Fatalf("a regression in every run: %v, want one offender", off)
+	}
+	// A one-run snapshot of the past stays comparable with a median.
+	if off := gateCheck(snap(100), snap(101, 150, 99), 10); len(off) != 0 {
+		t.Fatalf("median against a single-run baseline: %v", off)
+	}
+}

@@ -8,8 +8,10 @@
 //
 // Each input is either a trace (.uvt) or an already-analyzed report
 // (the JSON core.Report that fold -json consumers and foldsvc produce);
-// report inputs skip re-analysis entirely. With -stream, trace inputs
-// are analyzed record by record ("-" reads one side from stdin).
+// report inputs skip re-analysis entirely (a report saved before reports
+// carried fold bands gets them from its folded points). With -stream,
+// trace inputs are analyzed record by record ("-" reads one side from
+// stdin).
 //
 // Usage:
 //
@@ -30,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/diff"
+	"repro/internal/fit"
 	"repro/internal/trace"
 )
 
@@ -175,7 +178,43 @@ func loadReport(path string) (*core.Report, bool) {
 	if rep.App == "" && len(rep.Phases) == 0 {
 		fatal(fmt.Errorf("%s decodes as JSON but carries no analysis (not a saved report?)", path))
 	}
+	if err := fillBands(&rep, data); err != nil {
+		fatal(fmt.Errorf("%s: folded points: %w", path, err))
+	}
 	return &rep, true
+}
+
+// fillBands computes the fold bands of a report saved before reports
+// carried them. Such a report has null StdErr and the folded Points,
+// which core.Report no longer decodes, so only the points are decoded
+// here, for the folds that lack bands.
+func fillBands(rep *core.Report, data []byte) error {
+	missing := false
+	for _, ph := range rep.Phases {
+		for _, f := range ph.Folds {
+			missing = missing || f.StdErr == nil
+		}
+	}
+	if !missing {
+		return nil
+	}
+	var saved struct {
+		Phases []struct {
+			Folds map[counters.Counter]struct{ Points []fit.Point }
+		}
+	}
+	if err := json.Unmarshal(data, &saved); err != nil {
+		return err
+	}
+	for i, ph := range rep.Phases {
+		for c, f := range ph.Folds {
+			if pts := saved.Phases[i].Folds[c].Points; f.StdErr == nil && len(pts) > 0 {
+				f.Points = pts
+				f.ComputeBands()
+			}
+		}
+	}
+	return nil
 }
 
 // analyzeWithModel classifies a trace against a shared, pre-trained

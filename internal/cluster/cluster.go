@@ -100,15 +100,18 @@ func ParseIndexMode(s string) (IndexMode, error) {
 // Result is the outcome of clustering a burst set.
 type Result struct {
 	// Assign maps each input burst to a cluster id: 0 = noise, 1..K are
-	// clusters ordered by decreasing total burst time.
-	Assign []int
+	// clusters ordered by decreasing total burst time. Like Features it
+	// is an in-memory handle, one entry per burst, and not serialized:
+	// a report's JSON stays O(clusters) however many bursts it covers.
+	Assign []int `json:"-"`
 	// K is the number of clusters found (excluding noise).
 	K int
 	// Eps and MinPts are the effective DBSCAN parameters.
 	Eps    float64
 	MinPts int
-	// Features is the normalized feature matrix used (for plots).
-	Features [][]float64
+	// Features is the normalized feature matrix used (for plots), one
+	// row per burst; in memory only, like Assign.
+	Features [][]float64 `json:"-"`
 	// Silhouette is the mean silhouette coefficient over clustered points
 	// (NaN when fewer than 2 clusters): exact by default, estimated from
 	// the scored sample when Config.SilhouetteSample is positive.

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/deepeq"
 	"repro/internal/sim"
 )
 
@@ -37,34 +36,24 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 			if len(par.Phases) != len(seq.Phases) {
 				t.Fatalf("%s p=%d: %d phases vs %d sequential", name, p, len(par.Phases), len(seq.Phases))
 			}
-			for i := range seq.Phases {
-				if !reflect.DeepEqual(seq.Phases[i], par.Phases[i]) {
-					t.Fatalf("%s p=%d: phase %d differs from the sequential run", name, p, i)
-				}
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("%s p=%d: parallel Report differs from sequential outside the phases", name, p)
+			if d := deepeq.Diff(seq, par); d != "" {
+				t.Fatalf("%s p=%d: parallel Report differs from sequential at %s", name, p, d)
 			}
 		}
 	}
 }
 
 // normalizeReport clears the fields two equivalent Reports may
-// legitimately disagree on before a reflect.DeepEqual comparison: stage
+// legitimately disagree on before a deepeq.Diff comparison (NaN equal to
+// NaN: fold bands and a degenerate silhouette are NaN by design): stage
 // wall-clock times and byte counts (timing is not part of the analytical
-// contract, and only a decoding source knows its encoded size) and a NaN
-// silhouette (reflect.DeepEqual treats NaN != NaN; the silhouette is
-// the only field that can legitimately be NaN, so it is zeroed when both
-// sides agree it is).
+// contract, and only a decoding source knows its encoded size).
 func normalizeReport(a, b *Report) {
 	for i := range a.Pipeline {
 		a.Pipeline[i].Wall, a.Pipeline[i].Bytes = 0, 0
 	}
 	for i := range b.Pipeline {
 		b.Pipeline[i].Wall, b.Pipeline[i].Bytes = 0, 0
-	}
-	if math.IsNaN(a.Clustering.Silhouette) && math.IsNaN(b.Clustering.Silhouette) {
-		a.Clustering.Silhouette, b.Clustering.Silhouette = 0, 0
 	}
 }
 

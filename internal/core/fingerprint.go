@@ -9,8 +9,10 @@ import (
 // (the rescache disk tier) are invalidated wholesale whenever the
 // analysis semantics change incompatibly. Bump it when a pipeline
 // change makes old Reports unreproducible from the same options. v2: a
-// positive SilhouetteSample scores only its sampled members.
-const fingerprintVersion = "v2"
+// positive SilhouetteSample scores only its sampled members. v3: a
+// Report serializes fold bands (StdErr) and no longer the folded Points
+// or the clustering's Features and Assign.
+const fingerprintVersion = "v3"
 
 // Fingerprint canonicalizes the options into a stable string covering
 // exactly the fields that shape the Report — the options half of a

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/deepeq"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -47,8 +48,8 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Fatalf("%s %v n=%d: %v", name, mode, n, err)
 				}
 				normalizeReport(want, got)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s %v n=%d: sharded Report differs from single-pass", name, mode, n)
+				if d := deepeq.Diff(want, got); d != "" {
+					t.Fatalf("%s %v n=%d: sharded Report differs from single-pass at %s", name, mode, n, d)
 				}
 
 				shards := Split(tr, n, mode)
@@ -77,8 +78,8 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Fatalf("%s %v n=%d: reduce with broadcast model: %v", name, mode, n, err)
 				}
 				normalizeReport(want, got)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s %v n=%d: broadcast-model Report differs from single-pass", name, mode, n)
+				if d := deepeq.Diff(want, got); d != "" {
+					t.Fatalf("%s %v n=%d: broadcast-model Report differs from single-pass at %s", name, mode, n, d)
 				}
 
 				// Flow 3: train per shard independently, merge the models.
@@ -100,8 +101,8 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Fatalf("%s %v n=%d: reduce with merged model: %v", name, mode, n, err)
 				}
 				normalizeReport(want, got)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s %v n=%d: merged-model Report differs from single-pass", name, mode, n)
+				if d := deepeq.Diff(want, got); d != "" {
+					t.Fatalf("%s %v n=%d: merged-model Report differs from single-pass at %s", name, mode, n, d)
 				}
 			}
 		}
@@ -255,11 +256,11 @@ func TestReduceLonePartialIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 		normalizeReport(first, second)
-		if !reflect.DeepEqual(first, second) {
+		if deepeq.Diff(first, second) != "" {
 			t.Fatalf("model=%v: reducing the same lone partial twice gave different reports", m != nil)
 		}
 		normalizeReport(want, first)
-		if !reflect.DeepEqual(want, first) {
+		if deepeq.Diff(want, first) != "" {
 			t.Fatalf("model=%v: lone-partial Report differs from single-pass", m != nil)
 		}
 	}
@@ -278,7 +279,7 @@ func TestReduceLonePartialIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	normalizeReport(got, ref)
-	if got.Degraded || !reflect.DeepEqual(got, ref) {
+	if got.Degraded || deepeq.Diff(got, ref) != "" {
 		t.Fatalf("sample-less lone partial: degraded=%v warnings=%q, or differs from empty sample groups", got.Degraded, got.Warnings)
 	}
 }

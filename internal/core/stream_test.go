@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/cluster"
+	"repro/internal/deepeq"
 	"repro/internal/sim"
 )
 
@@ -50,13 +50,8 @@ func TestAnalyzeStreamEquivalence(t *testing.T) {
 			t.Errorf("%s: %d pipeline stages, want 4", name, len(stream.Pipeline))
 		}
 		normalizeReport(batch, stream)
-		if !reflect.DeepEqual(batch, stream) {
-			for i := range batch.Phases {
-				if i < len(stream.Phases) && !reflect.DeepEqual(batch.Phases[i], stream.Phases[i]) {
-					t.Errorf("%s: phase %d differs between batch and stream", name, i)
-				}
-			}
-			t.Fatalf("%s: streaming Report differs from batch", name)
+		if d := deepeq.Diff(batch, stream); d != "" {
+			t.Fatalf("%s: streaming Report differs from batch at %s", name, d)
 		}
 	}
 }

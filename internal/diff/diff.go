@@ -536,21 +536,10 @@ func diffCounter(c counters.Counter, fa, fb *folding.Result, opts Options) Count
 }
 
 // stderrAt returns the folded cloud's standard error around the fitted
-// curve at normalized time x, computing the bands on a scratch copy
-// when the result still carries its point cloud (the input is never
-// mutated). NaN when no spread information exists (online folds,
-// stripped reports).
+// curve at normalized time x, from the bands every batch fold carries.
+// NaN when no spread information exists (online folds).
 func stderrAt(f *folding.Result, x float64) float64 {
 	se := f.StdErr
-	if se == nil {
-		if len(f.Points) == 0 {
-			return math.NaN()
-		}
-		scratch := *f
-		scratch.StdErr = nil
-		scratch.ComputeBands()
-		se = scratch.StdErr
-	}
 	if len(se) == 0 || len(f.Grid) != len(se) {
 		return math.NaN()
 	}

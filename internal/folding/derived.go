@@ -1,6 +1,7 @@
 package folding
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -41,12 +42,54 @@ func RatioCurve(num, den *Result, scale float64) ([]float64, error) {
 	return out, nil
 }
 
+// Bands is a per-grid-point standard-error band (Result.StdErr). NaN
+// marks a cell with fewer than two folded points; JSON carries it as
+// null, since encoding/json rejects NaN, and null decodes back to NaN.
+type Bands []float64
+
+// MarshalJSON encodes the band as a JSON array of numbers, NaN cells as
+// null.
+func (b Bands) MarshalJSON() ([]byte, error) {
+	if b == nil {
+		return []byte("null"), nil
+	}
+	cells := make([]*float64, len(b))
+	for i := range b {
+		if !math.IsNaN(b[i]) {
+			cells[i] = &b[i]
+		}
+	}
+	return json.Marshal(cells)
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes: null cells become NaN.
+func (b *Bands) UnmarshalJSON(data []byte) error {
+	var cells []*float64
+	if err := json.Unmarshal(data, &cells); err != nil {
+		return err
+	}
+	if cells == nil {
+		*b = nil
+		return nil
+	}
+	out := make(Bands, len(cells))
+	for i, c := range cells {
+		out[i] = math.NaN()
+		if c != nil {
+			out[i] = *c
+		}
+	}
+	*b = out
+	return nil
+}
+
 // ComputeBands fills the result's per-grid-point standard error from the
 // folded point cloud: for each grid cell, the standard deviation of the
-// points' residuals against the fitted curve divided by √n. Cells without
-// points carry NaN. Bands quantify where the reconstruction is well
-// supported — sparse regions of the synthetic instance deserve wider
-// error bars in plots.
+// points' residuals against the fitted curve divided by √n. Cells with
+// fewer than two points carry NaN. Bands quantify where the
+// reconstruction is well supported — sparse regions of the synthetic
+// instance deserve wider error bars in plots. Every batch fold calls it
+// after the fit.
 func (r *Result) ComputeBands() {
 	n := len(r.Grid)
 	if n < 2 {

@@ -1,6 +1,8 @@
 package folding
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -117,7 +119,7 @@ func TestComputeBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.ComputeBands()
+	// The fold fills the bands.
 	if len(res.StdErr) != len(res.Grid) {
 		t.Fatalf("StdErr len = %d", len(res.StdErr))
 	}
@@ -144,5 +146,49 @@ func TestComputeBandsDegenerate(t *testing.T) {
 	r.ComputeBands() // must not panic
 	if r.StdErr != nil {
 		t.Fatal("degenerate bands should stay nil")
+	}
+}
+
+// TestBandsJSON: null stands for NaN both ways, and every other value is
+// encoded as encoding/json encodes a float64.
+func TestBandsJSON(t *testing.T) {
+	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, 0.1, 1.0 / 3, 1e-6, 9.99e-7, 1e-7, -3e-9, 1e20, 1e21, 1.5e300, 5e-324}
+	want, err := json.Marshal(finite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(Bands(finite))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Bands encode %s, float64 slice %s", got, want)
+	}
+
+	in := struct{ A, B, C Bands }{A: Bands{math.NaN(), 0.25, math.NaN()}, B: Bands{}}
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != `{"A":[null,0.25,null],"B":[],"C":null}` {
+		t.Fatalf("encoded %s", data)
+	}
+	var out struct{ A, B, C Bands }
+	out.C = Bands{1} // null must reset it
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.A) != 3 || !math.IsNaN(out.A[0]) || out.A[1] != 0.25 || !math.IsNaN(out.A[2]) ||
+		out.B == nil || len(out.B) != 0 || out.C != nil {
+		t.Fatalf("decoded %v", out)
+	}
+
+	if _, err := json.Marshal(Bands{math.Inf(1)}); err == nil {
+		t.Fatal("an infinite band encoded")
+	}
+	for _, bad := range []string{`{"A":[true]}`, `{"A":["0.5"]}`, `{"A":{}}`} {
+		if err := json.Unmarshal([]byte(bad), &out); err == nil {
+			t.Fatalf("%s decoded", bad)
+		}
 	}
 }

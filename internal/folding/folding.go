@@ -161,8 +161,11 @@ type Result struct {
 	// Instances is the number of instances folded (after pruning);
 	// Pruned counts the discarded outliers.
 	Instances, Pruned int
-	// Points is the folded (x, y) sample cloud the curve was fitted to.
-	Points []fit.Point
+	// Points is the folded (x, y) sample cloud the curve was fitted to,
+	// sorted by x. It is an in-memory handle, not part of the serialized
+	// Result: a report ships the curve and its bands, which are
+	// O(Bins), while the cloud grows with the trace.
+	Points []fit.Point `json:"-"`
 	// Grid is the uniform normalized-time grid (len Bins+1, 0..1).
 	Grid []float64
 	// Cumulative is the fitted normalized cumulative curve on Grid
@@ -177,10 +180,11 @@ type Result struct {
 	MeanDuration, MeanTotal float64
 	// Breakpoints are detected sub-phase boundaries in normalized time.
 	Breakpoints []float64
-	// StdErr, when filled by ComputeBands, holds the per-grid-point
-	// standard error of the folded cloud around the fitted curve (NaN
-	// where fewer than two points support a cell).
-	StdErr []float64
+	// StdErr is the per-grid-point standard error of the folded cloud
+	// around the fitted curve (ComputeBands), filled by every batch fold;
+	// online folds keep no cloud and leave it nil. A cell supported by
+	// fewer than two points is NaN in memory and null in JSON.
+	StdErr Bands
 }
 
 // Errors returned by Fold and FoldCounters.
@@ -397,6 +401,7 @@ func (ph *phaseCloud) fold(c counters.Counter, cfg Config) (*Result, error) {
 	if err := fitCloud(res, cfg); err != nil {
 		return nil, err
 	}
+	res.ComputeBands()
 	return res, nil
 }
 

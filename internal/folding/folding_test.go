@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/burst"
 	"repro/internal/counters"
+	"repro/internal/deepeq"
 	"repro/internal/fit"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -281,6 +282,7 @@ func refFold(instances []Instance, cfg Config) (*Result, error) {
 	if err := fitCloud(res, cfg); err != nil {
 		return nil, err
 	}
+	res.ComputeBands()
 	return res, nil
 }
 
@@ -418,8 +420,8 @@ func TestFoldCountersMatchesPerCounterReference(t *testing.T) {
 						if errs[i] != nil {
 							t.Fatalf("%s: unexpected error %v", where, errs[i])
 						}
-						if !reflect.DeepEqual(got[i], want) {
-							t.Fatalf("%s: FoldCounters result differs from the reference fold", where)
+						if d := deepeq.Diff(got[i], want); d != "" {
+							t.Fatalf("%s: FoldCounters result differs from the reference fold at %s", where, d)
 						}
 						pruned[c] = want.Pruned
 					}

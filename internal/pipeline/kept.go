@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/burst"
+	"repro/internal/trace"
 )
 
 // keptChunk is how many bursts one chunk of the kept store holds
@@ -62,12 +63,12 @@ func (s *keptStore) gather() []burst.Burst {
 	if s.n == 0 {
 		return nil
 	}
-	keys := make([]burst.Key, s.n)
+	keys := make([]trace.Key, s.n)
 	for i := range keys {
 		b := s.at(i)
-		keys[i] = burst.Key{Start: b.Start, Rank: b.Rank, Seq: i}
+		keys[i] = trace.Key{Time: b.Start, Rank: b.Rank, Seq: i}
 	}
-	burst.SortKeys(keys)
+	trace.SortKeys(keys)
 	out := make([]burst.Burst, s.n)
 	for i, k := range keys {
 		out[i] = *s.at(k.Seq)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/deepeq"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -58,16 +58,14 @@ func prefixUnion(chunks []*trace.Trace, k int) *trace.Trace {
 }
 
 // normReports clears the legitimately run-dependent fields (stage wall
-// clock and byte counts, NaN silhouettes) before DeepEqual.
+// clock and byte counts) before a deepeq.Diff comparison, which takes
+// NaN (fold bands, a degenerate silhouette) as equal to NaN.
 func normReports(a, b *core.Report) {
 	for i := range a.Pipeline {
 		a.Pipeline[i].Wall, a.Pipeline[i].Bytes = 0, 0
 	}
 	for i := range b.Pipeline {
 		b.Pipeline[i].Wall, b.Pipeline[i].Bytes = 0, 0
-	}
-	if math.IsNaN(a.Clustering.Silhouette) && math.IsNaN(b.Clustering.Silhouette) {
-		a.Clustering.Silhouette, b.Clustering.Silhouette = 0, 0
 	}
 }
 
@@ -172,8 +170,8 @@ func TestSessionPrefixEquivalence(t *testing.T) {
 					t.Fatalf("batch analyze of %d-chunk prefix: %v", k+1, err)
 				}
 				normReports(snap.Report, want)
-				if !reflect.DeepEqual(snap.Report, want) {
-					t.Fatalf("snapshot after %d chunks differs from batch analysis", k+1)
+				if d := deepeq.Diff(snap.Report, want); d != "" {
+					t.Fatalf("snapshot after %d chunks differs from batch analysis at %s", k+1, d)
 				}
 			}
 		})
@@ -241,8 +239,8 @@ func TestSessionCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	normReports(snap.Report, want)
-	if !reflect.DeepEqual(snap.Report, want) {
-		t.Fatal("post-recovery Report differs from an uninterrupted run")
+	if d := deepeq.Diff(snap.Report, want); d != "" {
+		t.Fatalf("post-recovery Report differs from an uninterrupted run at %s", d)
 	}
 }
 

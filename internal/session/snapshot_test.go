@@ -3,7 +3,6 @@ package session
 import (
 	"bytes"
 	"context"
-	"math"
 	"net/url"
 	"reflect"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/deepeq"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -212,10 +212,7 @@ func TestSessionOutOfOrderAppendKeepsPublishedPrefix(t *testing.T) {
 			r.Pipeline[i].Wall, r.Pipeline[i].Bytes = 0, 0
 		}
 	}
-	if math.IsNaN(got.Clustering.Silhouette) && math.IsNaN(want.Clustering.Silhouette) {
-		got.Clustering.Silhouette, want.Clustering.Silhouette = 0, 0
-	}
-	if !reflect.DeepEqual(&got, want) {
-		t.Fatal("snapshot after the out-of-order append differs from batch analysis of the sorted union")
+	if d := deepeq.Diff(&got, want); d != "" {
+		t.Fatalf("snapshot after the out-of-order append differs from batch analysis of the sorted union at %s", d)
 	}
 }

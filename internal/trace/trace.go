@@ -10,8 +10,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/counters"
 )
@@ -180,28 +181,77 @@ type Trace struct {
 
 // Sort establishes the canonical record order: ascending (Time, Rank) and,
 // for coincident events of one rank, preserving insertion order (stable).
+// Comms order by (SendTime, Src) the same way.
 func (tr *Trace) Sort() {
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		a, b := tr.Events[i], tr.Events[j]
+	SortStable(tr.Events, func(e *Event) (Time, int32) { return e.Time, e.Rank })
+	SortStable(tr.Samples, func(s *Sample) (Time, int32) { return s.Time, s.Rank })
+	SortStable(tr.Comms, func(c *Comm) (Time, int32) { return c.SendTime, c.Src })
+}
+
+// Key is a record's place in the canonical order, by Time and then Rank;
+// Seq is the record's index in arrival order.
+type Key struct {
+	Time Time
+	Rank int32
+	Seq  int
+}
+
+// SortKeys sorts keys, given in arrival order, into canonical order: a
+// stable sort by (Time, Rank), so ties keep arrival order. Records
+// usually arrive nearly in order, which an insertion-based stable sort
+// passes over quickly.
+func SortKeys(keys []Key) {
+	slices.SortStableFunc(keys, func(a, b Key) int {
 		if a.Time != b.Time {
-			return a.Time < b.Time
+			return cmp.Compare(a.Time, b.Time)
 		}
-		return a.Rank < b.Rank
+		return cmp.Compare(a.Rank, b.Rank)
 	})
-	sort.SliceStable(tr.Samples, func(i, j int) bool {
-		a, b := tr.Samples[i], tr.Samples[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+}
+
+// SortStable orders recs stably by the (time, rank) key gives each
+// record. Only the keys are sorted; each record then moves once, along
+// the cycles of the resulting permutation. Records already in order are
+// left as they are, without allocating.
+func SortStable[T any](recs []T, key func(*T) (Time, int32)) {
+	var pt Time
+	var pr int32
+	for i := range recs {
+		t, r := key(&recs[i])
+		if i > 0 && (t < pt || t == pt && r < pr) {
+			sortStable(recs, key)
+			return
 		}
-		return a.Rank < b.Rank
-	})
-	sort.SliceStable(tr.Comms, func(i, j int) bool {
-		a, b := tr.Comms[i], tr.Comms[j]
-		if a.SendTime != b.SendTime {
-			return a.SendTime < b.SendTime
+		pt, pr = t, r
+	}
+}
+
+func sortStable[T any](recs []T, key func(*T) (Time, int32)) {
+	keys := make([]Key, len(recs))
+	for i := range recs {
+		t, r := key(&recs[i])
+		keys[i] = Key{Time: t, Rank: r, Seq: i}
+	}
+	SortKeys(keys)
+	// Slot j takes the record that arrived at keys[j].Seq; a slot is done
+	// once its Seq is set to -1.
+	for i := range keys {
+		if keys[i].Seq < 0 {
+			continue
 		}
-		return a.Src < b.Src
-	})
+		held := recs[i]
+		j := i
+		for {
+			src := keys[j].Seq
+			keys[j].Seq = -1
+			if src == i {
+				recs[j] = held
+				break
+			}
+			recs[j] = recs[src]
+			j = src
+		}
+	}
 }
 
 // EventsOfRank returns the rank's events in time order, allocating a new

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/counters"
@@ -421,5 +423,68 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	}
 	if len(got.Events) != 0 || len(got.Samples) != 0 || len(got.Comms) != 0 {
 		t.Fatal("empty trace decoded non-empty")
+	}
+}
+
+// TestSortMatchesStableSort: Sort puts events, samples and comms in the
+// order sort.SliceStable gives by (Time, Rank) and (SendTime, Src), ties
+// in arrival order, for random, reversed and sorted inputs, and leaves a
+// sorted trace in place without allocating.
+func TestSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	gen := func(n int) *Trace {
+		tr := &Trace{}
+		for i := 0; i < n; i++ {
+			// Few times and three ranks: many equal (Time, Rank) pairs.
+			tm, rk := Time(rng.IntN(n/8+1)), int32(rng.IntN(3))
+			tr.Events = append(tr.Events, Event{Rank: rk, Time: tm, Value: int64(i)})
+			tr.Samples = append(tr.Samples, Sample{Rank: rk, Time: tm, Stack: []uint32{uint32(i)}})
+			tr.Comms = append(tr.Comms, Comm{Src: rk, SendTime: tm, Size: int64(i)})
+		}
+		return tr
+	}
+	stable := func(tr *Trace) *Trace {
+		out := &Trace{
+			Events:  append([]Event(nil), tr.Events...),
+			Samples: append([]Sample(nil), tr.Samples...),
+			Comms:   append([]Comm(nil), tr.Comms...),
+		}
+		sort.SliceStable(out.Events, func(i, j int) bool {
+			a, b := out.Events[i], out.Events[j]
+			return a.Time < b.Time || a.Time == b.Time && a.Rank < b.Rank
+		})
+		sort.SliceStable(out.Samples, func(i, j int) bool {
+			a, b := out.Samples[i], out.Samples[j]
+			return a.Time < b.Time || a.Time == b.Time && a.Rank < b.Rank
+		})
+		sort.SliceStable(out.Comms, func(i, j int) bool {
+			a, b := out.Comms[i], out.Comms[j]
+			return a.SendTime < b.SendTime || a.SendTime == b.SendTime && a.Src < b.Src
+		})
+		return out
+	}
+	for _, n := range []int{0, 1, 2, 17, 1000, 5000} {
+		for _, order := range []string{"random", "reversed", "sorted"} {
+			tr := gen(n)
+			switch order {
+			case "reversed":
+				slices.Reverse(tr.Events)
+				slices.Reverse(tr.Samples)
+				slices.Reverse(tr.Comms)
+			case "sorted":
+				tr = stable(tr)
+			}
+			want := stable(tr)
+			tr.Sort()
+			if !reflect.DeepEqual(tr.Events, want.Events) ||
+				!reflect.DeepEqual(tr.Samples, want.Samples) ||
+				!reflect.DeepEqual(tr.Comms, want.Comms) {
+				t.Fatalf("n=%d %s: Sort differs from sort.SliceStable", n, order)
+			}
+		}
+	}
+	tr := stable(gen(1000))
+	if a := testing.AllocsPerRun(10, tr.Sort); a != 0 {
+		t.Fatalf("sorting a sorted trace allocates %v times", a)
 	}
 }
