@@ -208,7 +208,7 @@ func BenchmarkAnalyzeEndToEnd(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var opts core.Options
 			opts.Cluster.SilhouetteSample = 256
-			if _, err := core.AnalyzeStream(bytes.NewReader(raw), opts); err != nil {
+			if _, err := core.AnalyzeStreamContext(context.Background(), bytes.NewReader(raw), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -318,7 +318,7 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 // Report is identical at every count (TestShardedEquivalence); the
 // benchmark prices the decomposition itself — per-shard pipeline set-up,
 // the joint merge sort, and the reduce-side clustering — against the
-// single-pass baseline (1shards ≙ Analyze). Needs BENCH_SCALE=large;
+// single-pass baseline (1shards ≙ AnalyzeContext). Needs BENCH_SCALE=large;
 // simulation sits outside the timer.
 func BenchmarkAnalyzeSharded(b *testing.B) {
 	if !benchScaleLarge() {
@@ -341,7 +341,7 @@ func BenchmarkAnalyzeSharded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{}
 				opts.Cluster.SilhouetteSample = 256
-				if _, err := core.AnalyzeSharded(tr, n, core.ShardTime, opts); err != nil {
+				if _, err := core.AnalyzeShardedContext(context.Background(), tr, n, core.ShardTime, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,21 +374,7 @@ func BenchmarkDBSCAN(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cluster.DBSCAN(points, 0.05, 4)
-	}
-}
-
-// BenchmarkKMeans measures the baseline clusterer on the same workload.
-func BenchmarkKMeans(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	points := make([][]float64, 10_000)
-	for i := range points {
-		c := float64(i % 5)
-		points[i] = []float64{c/5 + 0.01*rng.NormFloat64(), c/5 + 0.01*rng.NormFloat64()}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cluster.KMeans(points, 5, 1, 50)
+		cluster.DBSCANP(points, 0.05, 4, 0)
 	}
 }
 
@@ -511,7 +497,7 @@ func BenchmarkAnalyzePipeline(b *testing.B) {
 	tr := benchTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(tr, core.Options{Parallelism: 1}); err != nil {
+		if _, err := core.AnalyzeContext(context.Background(), tr, core.Options{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -527,7 +513,7 @@ func BenchmarkAnalyzePipelineParallel(b *testing.B) {
 	opts := core.Options{Parallelism: runtime.GOMAXPROCS(0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Analyze(tr, opts); err != nil {
+		if _, err := core.AnalyzeContext(context.Background(), tr, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -535,9 +521,9 @@ func BenchmarkAnalyzePipelineParallel(b *testing.B) {
 
 // BenchmarkStreamVsBatchMemory compares the allocation footprint of the
 // two analysis paths on the same encoded 200-iteration stencil trace.
-// "batch" decodes the full trace and runs Analyze — allocations scale
-// with the record count. "stream" runs AnalyzeStream over the bytes
-// record by record through pooled blocks; "stream/online" adds
+// "batch" decodes the full trace and runs AnalyzeContext — allocations
+// scale with the record count. "stream" runs AnalyzeStreamContext over
+// the bytes record by record through pooled blocks; "stream/online" adds
 // train-then-classify and incremental folding, so its allocations scale
 // with bursts and bins rather than records. Compare B/op across the
 // three sub-benchmarks in BENCH_MEM_<date>.json.
@@ -560,7 +546,7 @@ func BenchmarkStreamVsBatchMemory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.Analyze(tr, core.Options{}); err != nil {
+			if _, err := core.AnalyzeContext(context.Background(), tr, core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -569,7 +555,7 @@ func BenchmarkStreamVsBatchMemory(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(raw)))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeStream(bytes.NewReader(raw), core.Options{}); err != nil {
+			if _, err := core.AnalyzeStreamContext(context.Background(), bytes.NewReader(raw), core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -579,7 +565,7 @@ func BenchmarkStreamVsBatchMemory(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(raw)))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeStream(bytes.NewReader(raw), opts); err != nil {
+			if _, err := core.AnalyzeStreamContext(context.Background(), bytes.NewReader(raw), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -766,7 +752,7 @@ func BenchmarkDiff(b *testing.B) {
 		}
 		opts := core.Options{}
 		opts.Cluster.SilhouetteSample = 256
-		rep, err := core.Analyze(tr, opts)
+		rep, err := core.AnalyzeContext(context.Background(), tr, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +65,7 @@ func main() {
 		}
 		// The pipeline's burst path is all this tool needs: skip sample
 		// attachment entirely.
-		out, err := pipeline.Run(sr, pipeline.Config{
+		out, err := pipeline.RunContext(context.Background(), sr, pipeline.Config{
 			MinBurstDuration: trace.Time(*minDur * 1e3),
 			Cluster:          ccfg,
 			NoSamples:        true,

@@ -37,6 +37,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -124,7 +125,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep, err = core.AnalyzeStream(r, opts)
+		rep, err = core.AnalyzeStreamContext(context.Background(), r, opts)
 		closeIn()
 		if err != nil {
 			fatal(err)
@@ -154,12 +155,12 @@ func main() {
 			foldIterations(tr, *counter, *bins)
 			return
 		}
-		// AnalyzeSharded with one shard is exactly Analyze — the algebra
+		// One shard is exactly the single-pass analysis — the algebra
 		// guarantees the report is identical for every shard count.
 		if *modelIn != "" || *modelOut != "" {
 			rep, err = analyzeWithModel(tr, *shards, shMode, opts, *modelIn, *modelOut)
 		} else {
-			rep, err = core.AnalyzeSharded(tr, *shards, shMode, opts)
+			rep, err = core.AnalyzeShardedContext(context.Background(), tr, *shards, shMode, opts)
 		}
 		if err != nil {
 			fatal(err)
@@ -264,7 +265,7 @@ func analyzeWithModel(tr *trace.Trace, shards int, mode core.ShardMode, opts cor
 	shs := core.Split(tr, shards, mode)
 	parts := make([]*core.Partial, len(shs))
 	for i := range shs {
-		p, err := core.MapShard(shs[i], opts)
+		p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(shs[i].Trace), shs[i].Spec, opts)
 		if err != nil {
 			return nil, fmt.Errorf("map shard %d: %w", i, err)
 		}

@@ -22,6 +22,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -123,7 +124,7 @@ func analyzeInput(path string, stream bool, shards int, shMode core.ShardMode, m
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := core.AnalyzeStream(r, opts)
+		rep, err := core.AnalyzeStreamContext(context.Background(), r, opts)
 		closeIn()
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name(path), err))
@@ -149,7 +150,7 @@ func analyzeInput(path string, stream bool, shards int, shMode core.ShardMode, m
 	if model != nil {
 		rep, err = analyzeWithModel(tr, shards, shMode, model, opts)
 	} else {
-		rep, err = core.AnalyzeSharded(tr, shards, shMode, opts)
+		rep, err = core.AnalyzeShardedContext(context.Background(), tr, shards, shMode, opts)
 	}
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
@@ -224,7 +225,7 @@ func analyzeWithModel(tr *trace.Trace, shards int, mode core.ShardMode, model *c
 	shs := core.Split(tr, shards, mode)
 	parts := make([]*core.Partial, len(shs))
 	for i := range shs {
-		p, err := core.MapShard(shs[i], opts)
+		p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(shs[i].Trace), shs[i].Spec, opts)
 		if err != nil {
 			return nil, fmt.Errorf("map shard %d: %w", i, err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -50,7 +51,7 @@ func TestOldReportKeepsBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := core.Analyze(tr, core.Options{})
+	fresh, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -106,7 +107,7 @@ func streamReport(in string, online, lenient bool) {
 		r = f
 	}
 	opts := core.Options{Stream: core.StreamOptions{Online: online}, Lenient: lenient}
-	rep, err := core.AnalyzeStream(r, opts)
+	rep, err := core.AnalyzeStreamContext(context.Background(), r, opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -98,7 +99,7 @@ func streamStats(in string, minDur float64, lenient bool) {
 	if err != nil {
 		fatal(err)
 	}
-	out, err := pipeline.Run(sr, pipeline.Config{
+	out, err := pipeline.RunContext(context.Background(), sr, pipeline.Config{
 		MinBurstDuration: trace.Time(minDur * 1e3),
 		Cluster:          cluster.Config{UseIPC: true},
 		NoSamples:        true,

@@ -14,15 +14,15 @@
 //	internal/kernels    computation-kernel models (ground truth)
 //	internal/sim        deterministic message-passing simulator
 //	internal/burst      computation-burst extraction
-//	internal/cluster    DBSCAN burst clustering (+ k-means baseline)
+//	internal/cluster    DBSCAN burst clustering, train-then-classify Model
 //	internal/parallel   bounded fan-out, chunked reduce, buffer pool
 //	internal/fit        PAVA, monotone cubic Hermite, kernel smoothing
 //	internal/folding    the paper's core contribution
 //	internal/profile    flat profiles (compute/MPI split, load balance)
 //	internal/structure  loop detection, SPMD score, iteration stats
 //	internal/spectral   marker-free period detection
-//	internal/online     streaming classifier + incremental folder
-//	internal/core       the analysis pipeline (Analyze, parallel by
+//	internal/online     online training + incremental folder
+//	internal/core       the analysis pipeline (AnalyzeContext, parallel by
 //	                    default with a byte-identical-output guarantee;
 //	                    Options.Parallelism bounds the workers)
 //	internal/apps       the evaluation applications (+ wavefront)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -54,7 +55,7 @@ func main() {
 	}
 	fmt.Printf("trace round-tripped through %s (%d samples)\n\n", path, len(tr.Samples))
 
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	repFine, err := core.Analyze(trFine, core.Options{})
+	repFine, err := core.AnalyzeContext(context.Background(), trFine, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

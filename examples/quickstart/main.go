@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 
 	// 2. Analyze: clustering detects the phases, folding reconstructs
 	//    their internals from the pooled coarse samples.
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

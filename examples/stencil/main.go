@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 	fmt.Printf("%.2f s virtual time, %d samples (%.1f per rank)\n\n",
 		float64(tr.Meta.Duration)/1e9, len(tr.Samples), float64(len(tr.Samples))/float64(ranks))
 
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

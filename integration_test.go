@@ -6,6 +6,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -91,7 +92,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 	}
 
 	// 7. Full analysis on the windowed trace.
-	rep, err := core.Analyze(steady, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), steady, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // Config parameterizes burst clustering.
 type Config struct {
 	// Eps is the DBSCAN neighborhood radius in normalized feature space;
-	// 0 selects it automatically from the k-dist curve (see AutoEps).
+	// 0 selects it automatically from the k-dist curve (see AutoEpsMode).
 	Eps float64
 	// MinPts is the DBSCAN density threshold; 0 defaults to 4 (the usual
 	// choice for 2-3 dimensional spaces).
@@ -27,13 +27,13 @@ type Config struct {
 	// they are measurement debris, not application phases.
 	MinClusterShare float64
 	// Parallelism bounds the workers used by the heavy kernels
-	// (AutoEps, the silhouette) and by DBSCAN's core-point and border-point
-	// passes; 0 selects GOMAXPROCS, 1 forces sequential execution. The
-	// clustering result is identical for every value.
+	// (AutoEpsMode, the silhouette) and by DBSCAN's core-point and
+	// border-point passes; 0 selects GOMAXPROCS, 1 forces sequential
+	// execution. The clustering result is identical for every value.
 	Parallelism int
-	// Index selects the neighbor-search implementation behind AutoEps's
-	// k-dist scan. IndexAuto (the zero value) uses the k-d tree at or
-	// above indexAutoMin points and the brute-force scan below;
+	// Index selects the neighbor-search implementation behind
+	// AutoEpsMode's k-dist scan. IndexAuto (the zero value) uses the k-d
+	// tree at or above indexAutoMin points and the brute-force scan below;
 	// IndexBrute and IndexKDTree force one path. Both produce
 	// bit-identical eps for every input — the tree search is exact — so
 	// this is purely a performance knob.
@@ -174,8 +174,7 @@ func rowsOf(flat []float64, dim int) [][]float64 {
 }
 
 // normalizeFlat min-max scales each column of the row-major matrix to
-// [0,1] in place — the same per-dimension scan order and arithmetic as
-// Normalize, so both layouts produce bit-identical values.
+// [0,1] in place. Constant columns become 0.
 func normalizeFlat(flat []float64, dim int) {
 	if len(flat) == 0 || dim <= 0 {
 		return
@@ -203,62 +202,24 @@ func normalizeFlat(flat []float64, dim int) {
 	}
 }
 
-// Normalize min-max scales each column of the matrix to [0,1] in place.
-// Constant columns become 0.
-func Normalize(m [][]float64) {
-	if len(m) == 0 {
-		return
-	}
-	dim := len(m[0])
-	for d := 0; d < dim; d++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, row := range m {
-			if row[d] < lo {
-				lo = row[d]
-			}
-			if row[d] > hi {
-				hi = row[d]
-			}
-		}
-		span := hi - lo
-		for _, row := range m {
-			if span == 0 {
-				row[d] = 0
-			} else {
-				row[d] = (row[d] - lo) / span
-			}
-		}
-	}
-}
-
-// AutoEps estimates the DBSCAN eps from the k-dist distribution: the
+// AutoEpsMode estimates the DBSCAN eps from the k-dist distribution: the
 // distance of each point to its k-th nearest neighbor is computed and the
 // 99th percentile returned, so that ≥99% of points are core points at the
 // chosen radius. Compared with the classic knee-of-the-sorted-curve rule,
 // the high percentile is robust to the heavy-tailed densities that
 // lognormal duration noise produces — the knee rule lands in the dense
 // bulk and fragments each phase into shards.
-func AutoEps(points [][]float64, k int) float64 {
-	return AutoEpsMode(points, k, 0, IndexAuto)
-}
-
-// AutoEpsP is AutoEps with an explicit worker bound: the k-dist scan is
-// row-partitioned onto at most parallelism workers (0 = GOMAXPROCS).
-// Every row's k-dist is computed independently and written to its own
-// slot, so the returned eps is identical for every worker count.
-func AutoEpsP(points [][]float64, k, parallelism int) float64 {
-	return AutoEpsMode(points, k, parallelism, IndexAuto)
-}
-
-// AutoEpsMode is AutoEpsP with an explicit neighbor-search mode. The
-// indexed path queries a k-d tree with a bounded max-heap per point —
-// O(n log n) total instead of the brute scan's O(n²) — and both paths
-// finish with a quickselect of the 99th percentile rather than a full
-// sort. Because the tree search is exact and sqrt is monotone, every
-// mode returns bit-identical eps on the same input, for every
-// parallelism (the *Property* tests in knn_test.go enforce this). The
-// rows are copied once into a pooled row-major buffer and handed to
-// autoEpsFlat.
+//
+// The k-dist scan is row-partitioned onto at most parallelism workers
+// (0 = GOMAXPROCS), each row written to its own slot. mode selects the
+// neighbor search: the indexed path queries a k-d tree with a bounded
+// max-heap per point — O(n log n) total instead of the brute scan's
+// O(n²) — and both paths finish with a quickselect of the 99th
+// percentile rather than a full sort. Because the tree search is exact
+// and sqrt is monotone, every mode returns bit-identical eps on the same
+// input, for every parallelism (the *Property* tests in knn_test.go
+// enforce this). The rows are copied once into a pooled row-major buffer
+// and handed to autoEpsFlat.
 func AutoEpsMode(points [][]float64, k, parallelism int, mode IndexMode) float64 {
 	if len(points) == 0 {
 		return 0.1

@@ -74,7 +74,7 @@ func TestSilhouetteIgnoresNoisePoints(t *testing.T) {
 
 func TestSilhouetteParallelMatchesSequential(t *testing.T) {
 	pts, labels := blobs(4, 50, 3, 0.05, 11)
-	Normalize(pts)
+	normalizeRows(pts)
 	// Mark a few points noise so the noise-skipping paths run too.
 	assign := append([]int{}, labels...)
 	for i := 0; i < len(assign); i += 17 {
@@ -92,7 +92,7 @@ func TestAutoEpsExactLine(t *testing.T) {
 	// 1-D line {0,1,2,3}, k=2: k-dists are {2,1,1,2}; the 99th-percentile
 	// index is 4*99/100 = 3 → eps = 2 exactly.
 	pts := [][]float64{{0}, {1}, {2}, {3}}
-	if got := AutoEps(pts, 2); got != 2 {
+	if got := AutoEpsMode(pts, 2, 0, IndexAuto); got != 2 {
 		t.Fatalf("AutoEps = %g, want exactly 2", got)
 	}
 }
@@ -101,17 +101,17 @@ func TestAutoEpsDuplicatePointsFloor(t *testing.T) {
 	// All-duplicate points: every k-dist is 0, and the positive floor must
 	// kick in at exactly 1e-3.
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	if got := AutoEps(pts, 3); got != 1e-3 {
+	if got := AutoEpsMode(pts, 3, 0, IndexAuto); got != 1e-3 {
 		t.Fatalf("duplicate-points AutoEps = %g, want exactly 1e-3", got)
 	}
 }
 
 func TestAutoEpsParallelMatchesSequential(t *testing.T) {
 	pts, _ := blobs(3, 60, 3, 0.04, 21)
-	Normalize(pts)
-	seq := AutoEpsP(pts, 4, 1)
+	normalizeRows(pts)
+	seq := AutoEpsMode(pts, 4, 1, IndexAuto)
 	for _, p := range []int{2, 3, 8, 32} {
-		if par := AutoEpsP(pts, 4, p); par != seq {
+		if par := AutoEpsMode(pts, 4, p, IndexAuto); par != seq {
 			t.Fatalf("p=%d: AutoEps %.17g != sequential %.17g", p, par, seq)
 		}
 	}

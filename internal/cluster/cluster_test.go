@@ -55,7 +55,7 @@ func agreement(a, b []int) bool {
 
 func TestDBSCANSeparatesBlobs(t *testing.T) {
 	pts, labels := blobs(3, 60, 2, 0.03, 1)
-	assign := DBSCAN(pts, 0.15, 4)
+	assign := DBSCANP(pts, 0.15, 4, 0)
 	// All points should be clustered (dense blobs, wide separation).
 	for i, c := range assign {
 		if c == Noise {
@@ -71,7 +71,7 @@ func TestDBSCANMarksOutliersNoise(t *testing.T) {
 	pts, _ := blobs(2, 50, 2, 0.02, 2)
 	// Add isolated outliers far away.
 	pts = append(pts, []float64{10, 10}, []float64{-5, 7}, []float64{20, -3})
-	assign := DBSCAN(pts, 0.15, 4)
+	assign := DBSCANP(pts, 0.15, 4, 0)
 	for i := len(pts) - 3; i < len(pts); i++ {
 		if assign[i] != Noise {
 			t.Fatalf("outlier %d assigned to cluster %d", i, assign[i])
@@ -80,13 +80,13 @@ func TestDBSCANMarksOutliersNoise(t *testing.T) {
 }
 
 func TestDBSCANEmptyAndPanics(t *testing.T) {
-	if got := DBSCAN(nil, 0.1, 4); got != nil {
+	if got := DBSCANP(nil, 0.1, 4, 0); got != nil {
 		t.Fatal("empty input should return nil")
 	}
 	for name, f := range map[string]func(){
-		"eps":    func() { DBSCAN([][]float64{{1}}, 0, 4) },
-		"minPts": func() { DBSCAN([][]float64{{1}}, 0.1, 0) },
-		"dim":    func() { DBSCAN([][]float64{{1}, {1, 2}}, 0.1, 2) },
+		"eps":    func() { DBSCANP([][]float64{{1}}, 0, 4, 0) },
+		"minPts": func() { DBSCANP([][]float64{{1}}, 0.1, 0, 0) },
+		"dim":    func() { DBSCANP([][]float64{{1}, {1, 2}}, 0.1, 2, 0) },
 	} {
 		func() {
 			defer func() {
@@ -100,11 +100,11 @@ func TestDBSCANEmptyAndPanics(t *testing.T) {
 }
 
 func TestDBSCANSinglePoint(t *testing.T) {
-	assign := DBSCAN([][]float64{{0.5, 0.5}}, 0.1, 1)
+	assign := DBSCANP([][]float64{{0.5, 0.5}}, 0.1, 1, 0)
 	if assign[0] != 1 {
 		t.Fatalf("single point with minPts=1 should form a cluster, got %d", assign[0])
 	}
-	assign = DBSCAN([][]float64{{0.5, 0.5}}, 0.1, 2)
+	assign = DBSCANP([][]float64{{0.5, 0.5}}, 0.1, 2, 0)
 	if assign[0] != Noise {
 		t.Fatalf("single point with minPts=2 should be noise, got %d", assign[0])
 	}
@@ -117,7 +117,7 @@ func TestDBSCANChainConnectivity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pts = append(pts, []float64{float64(i) * 0.05, 0})
 	}
-	assign := DBSCAN(pts, 0.06, 2)
+	assign := DBSCANP(pts, 0.06, 2, 0)
 	for _, c := range assign {
 		if c != 1 {
 			t.Fatalf("chain split: %v", assign)
@@ -125,27 +125,44 @@ func TestDBSCANChainConnectivity(t *testing.T) {
 	}
 }
 
+// normalizeRows min-max scales a row matrix in place through
+// normalizeFlat, the layout the clustering kernels normalize in.
+func normalizeRows(m [][]float64) {
+	if len(m) == 0 {
+		return
+	}
+	dim := len(m[0])
+	flat := make([]float64, 0, len(m)*dim)
+	for _, row := range m {
+		flat = append(flat, row...)
+	}
+	normalizeFlat(flat, dim)
+	for i, row := range m {
+		copy(row, flat[i*dim:])
+	}
+}
+
 func TestNormalize(t *testing.T) {
-	m := [][]float64{{0, 10}, {5, 10}, {10, 10}}
-	Normalize(m)
-	if m[0][0] != 0 || m[1][0] != 0.5 || m[2][0] != 1 {
-		t.Fatalf("col0 = %v %v %v", m[0][0], m[1][0], m[2][0])
+	m := []float64{0, 10, 5, 10, 10, 10} // rows {0,10} {5,10} {10,10}
+	normalizeFlat(m, 2)
+	if m[0] != 0 || m[2] != 0.5 || m[4] != 1 {
+		t.Fatalf("col0 = %v %v %v", m[0], m[2], m[4])
 	}
 	// Constant column → 0.
-	if m[0][1] != 0 || m[2][1] != 0 {
-		t.Fatalf("constant col = %v %v", m[0][1], m[2][1])
+	if m[1] != 0 || m[5] != 0 {
+		t.Fatalf("constant col = %v %v", m[1], m[5])
 	}
-	Normalize(nil) // must not panic
+	normalizeFlat(nil, 2) // must not panic
 }
 
 func TestAutoEpsFindsUsableValue(t *testing.T) {
 	pts, _ := blobs(3, 50, 2, 0.03, 3)
-	Normalize(pts)
-	eps := AutoEps(pts, 4)
+	normalizeRows(pts)
+	eps := AutoEpsMode(pts, 4, 0, IndexAuto)
 	if eps <= 0 || eps > 0.5 {
 		t.Fatalf("AutoEps = %g outside plausible range", eps)
 	}
-	assign := DBSCAN(pts, eps, 4)
+	assign := DBSCANP(pts, eps, 4, 0)
 	k := 0
 	for _, c := range assign {
 		if c > k {
@@ -158,15 +175,15 @@ func TestAutoEpsFindsUsableValue(t *testing.T) {
 }
 
 func TestAutoEpsDegenerate(t *testing.T) {
-	if eps := AutoEps(nil, 4); eps != 0.1 {
+	if eps := AutoEpsMode(nil, 4, 0, IndexAuto); eps != 0.1 {
 		t.Fatalf("empty AutoEps = %g", eps)
 	}
-	if eps := AutoEps([][]float64{{1, 1}}, 4); eps != 0.1 {
+	if eps := AutoEpsMode([][]float64{{1, 1}}, 4, 0, IndexAuto); eps != 0.1 {
 		t.Fatalf("single-point AutoEps = %g", eps)
 	}
 	// All identical points: k-dist all zero.
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	if eps := AutoEps(pts, 2); eps <= 0 {
+	if eps := AutoEpsMode(pts, 2, 0, IndexAuto); eps <= 0 {
 		t.Fatalf("identical-points AutoEps = %g", eps)
 	}
 }
@@ -269,49 +286,6 @@ func TestClusterTimeCoveragePanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	ClusterTimeCoverage(make([]burst.Burst, 2), []int{1})
-}
-
-func TestKMeansSeparatesBlobs(t *testing.T) {
-	pts, labels := blobs(3, 60, 2, 0.03, 7)
-	assign := KMeans(pts, 3, 42, 100)
-	if !agreement(assign, labels) {
-		t.Fatal("k-means partition does not match ground truth on easy blobs")
-	}
-}
-
-func TestKMeansDeterministic(t *testing.T) {
-	pts, _ := blobs(3, 40, 2, 0.05, 8)
-	a := KMeans(pts, 3, 5, 50)
-	b := KMeans(pts, 3, 5, 50)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("k-means not deterministic for fixed seed")
-		}
-	}
-}
-
-func TestKMeansEdgeCases(t *testing.T) {
-	if got := KMeans(nil, 3, 1, 10); got != nil {
-		t.Fatal("empty input")
-	}
-	// k > n clamps.
-	assign := KMeans([][]float64{{0}, {1}}, 5, 1, 10)
-	if len(assign) != 2 {
-		t.Fatalf("assign len = %d", len(assign))
-	}
-	for _, c := range assign {
-		if c < 1 {
-			t.Fatal("k-means must assign every point")
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for k<1")
-			}
-		}()
-		KMeans([][]float64{{0}}, 0, 1, 10)
-	}()
 }
 
 func TestFeaturesShape(t *testing.T) {

@@ -3,8 +3,8 @@
 // bursts are characterized by aggregate metrics (log duration, log
 // completed instructions, IPC), min-max normalized, and grouped with
 // DBSCAN so that each resulting cluster corresponds to one repeated
-// computation phase of the application. A k-means baseline and cluster
-// quality metrics (silhouette) are provided for comparison and reporting.
+// computation phase of the application. A cluster quality metric (the
+// silhouette) is provided for reporting.
 //
 // DBSCAN itself is the exact grid-cell formulation (Gunawan 2013; Gan &
 // Tao, "DBSCAN Revisited", SIGMOD 2015): cells of side eps/√d make every
@@ -43,9 +43,10 @@ const maxCellCoord = 1 << 40
 // point is spilled.
 const minGridEps = 1e-150
 
-// DBSCAN clusters points (rows of equal dimension) with parameters eps
+// DBSCANP clusters points (rows of equal dimension) with parameters eps
 // (neighborhood radius, Euclidean) and minPts (minimum neighborhood size
-// including the point itself to be a core point). Point j is a neighbor
+// including the point itself to be a core point), on at most
+// parallelism workers (0 = GOMAXPROCS). Point j is a neighbor
 // of point i when dist2(i, j) <= eps². The result assigns cluster ids
 // 1..K in order of each cluster's lowest-index core point, and Noise (0)
 // to noise points; a border point within eps of core points of several
@@ -60,12 +61,8 @@ const minGridEps = 1e-150
 // the nearby cells and stop at minPts; clusters are the connected
 // components of core points, joined cell pair by cell pair at the first
 // core pair within eps.
-func DBSCAN(points [][]float64, eps float64, minPts int) []int {
-	return DBSCANP(points, eps, minPts, 0)
-}
-
-// DBSCANP is DBSCAN with an explicit worker bound (0 = GOMAXPROCS). The
-// core-point pass and the border-point pass run cell-chunk-parallel,
+//
+// The core-point pass and the border-point pass run cell-chunk-parallel,
 // each cell written only by its own worker; the union-find that joins
 // core cells is sequential. The clustering depends on the point set and
 // parameters only, so the assignment is identical for every worker

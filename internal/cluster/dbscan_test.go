@@ -199,7 +199,7 @@ func TestDBSCANBorderTakesFirstCluster(t *testing.T) {
 	}
 	// Check the premise: x is not core, and both clusters reach it.
 	pts := cases[0].pts
-	got := DBSCAN(pts, 1, 6)
+	got := DBSCANP(pts, 1, 6, 0)
 	if got[1] != 1 || got[7] != 2 {
 		t.Fatalf("cluster ids %v, want a=1 b=2", got)
 	}
@@ -209,11 +209,11 @@ func TestDBSCANBorderTakesFirstCluster(t *testing.T) {
 
 	// Pairs exactly eps apart are neighbors; a hair farther are not.
 	pair := [][]float64{{0, 0}, {0.5, 0}, {3, 0}, {math.Nextafter(3.5, 4), 0}}
-	if got := DBSCAN(pair, 0.5, 2); got[0] != 1 || got[1] != 1 || got[2] != Noise || got[3] != Noise {
+	if got := DBSCANP(pair, 0.5, 2, 0); got[0] != 1 || got[1] != 1 || got[2] != Noise || got[3] != Noise {
 		t.Fatalf("exact-eps pair: %v, want [1 1 0 0]", got)
 	}
 	diag := [][]float64{{0, 0}, {3, 4}}
-	if got := DBSCAN(diag, 5, 2); got[0] != 1 || got[1] != 1 {
+	if got := DBSCANP(diag, 5, 2, 0); got[0] != 1 || got[1] != 1 {
 		t.Fatalf("3-4-5 pair at eps 5: %v, want one cluster", got)
 	}
 
@@ -221,7 +221,7 @@ func TestDBSCANBorderTakesFirstCluster(t *testing.T) {
 	// clusters numbered in index order.
 	lone := [][]float64{{5, 5}, {0, 0}, {0.05, 0}, {9, 9}, {5, 5}}
 	want := []int{1, 2, 2, 3, 1}
-	got = DBSCAN(lone, 0.1, 1)
+	got = DBSCANP(lone, 0.1, 1, 0)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("minPts 1: %v, want %v", got, want)
@@ -282,12 +282,13 @@ func assignDigest(assign []int) string {
 // features over its kept bursts.
 func digestFeatures(t *testing.T, app string, ranks, iters int, seed uint64) [][]float64 {
 	t.Helper()
-	return Features(digestBursts(t, app, ranks, iters, seed), true)
+	return Features(digestBursts(t, app, ranks, iters, seed, sim.PerturbConfig{}), true)
 }
 
-// digestBursts simulates app and returns its kept bursts (the engine's
-// default 50 µs minimum duration).
-func digestBursts(t *testing.T, app string, ranks, iters int, seed uint64) []burst.Burst {
+// digestBursts simulates app under the default trace config with the
+// given seed and perturbation and returns its kept bursts (the engine's
+// default 50 µs minimum duration) in (Start, Rank) order.
+func digestBursts(t *testing.T, app string, ranks, iters int, seed uint64, perturb sim.PerturbConfig) []burst.Burst {
 	t.Helper()
 	a, err := apps.ByName(app, iters)
 	if err != nil {
@@ -295,6 +296,7 @@ func digestBursts(t *testing.T, app string, ranks, iters int, seed uint64) []bur
 	}
 	cfg := apps.DefaultTraceConfig(ranks)
 	cfg.Seed = seed
+	cfg.Perturb = perturb
 	tr, err := sim.Run(cfg, a)
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +326,7 @@ func TestDBSCANAssignDigest(t *testing.T) {
 	}
 	for _, s := range sets {
 		feats := digestFeatures(t, s.app, s.ranks, s.iters, uint64(s.seed))
-		eps := AutoEps(feats, 4)
+		eps := AutoEpsMode(feats, 4, 0, IndexAuto)
 		cases := []struct {
 			name   string
 			eps    float64
@@ -337,7 +339,7 @@ func TestDBSCANAssignDigest(t *testing.T) {
 		}
 		for _, c := range cases {
 			key := s.name + "/" + c.name
-			got := assignDigest(DBSCAN(feats, c.eps, c.minPts))
+			got := assignDigest(DBSCANP(feats, c.eps, c.minPts, 0))
 			if want := dbscanDigests[key]; got != want {
 				t.Errorf("%s (n=%d eps=%.17g minPts=%d): digest %s, want %s", key, len(feats), c.eps, c.minPts, got, want)
 			}

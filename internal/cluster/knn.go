@@ -1,6 +1,6 @@
 // k-nearest-neighbor search for the clustering parameter kernels.
 //
-// AutoEps's k-dist scan is the wall-time gatekeeper of the whole
+// AutoEpsMode's k-dist scan is the wall-time gatekeeper of the whole
 // pipeline: brute force it is O(n²) distance evaluations, which PR 1
 // could only spread across cores. The k-d tree here gives the same
 // k-dist values exactly — the bounded max-heap tracks squared distances

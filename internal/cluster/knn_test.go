@@ -176,7 +176,7 @@ func TestAutoEpsPropertyIndexedMatchesBrute(t *testing.T) {
 		n := indexAutoMin + rng.IntN(600)
 		dim := 2 + rng.IntN(2)
 		pts := propPoints(rng, n, dim)
-		Normalize(pts)
+		normalizeRows(pts)
 		k := 2 + rng.IntN(5)
 		want := AutoEpsMode(pts, k, 1, IndexBrute)
 		for _, mode := range []IndexMode{IndexKDTree, IndexAuto} {
@@ -192,7 +192,7 @@ func TestAutoEpsPropertyIndexedMatchesBrute(t *testing.T) {
 
 func TestSilhouettePropertySampled(t *testing.T) {
 	pts, assign := blobs(4, 120, 3, 0.03, 17)
-	Normalize(pts)
+	normalizeRows(pts)
 	exact := SilhouetteSampled(pts, assign, 0, 1)
 
 	// A sample bound at or above every cluster size must take the exact
@@ -290,7 +290,7 @@ func TestDBSCANHighDimFallback(t *testing.T) {
 			pts = append(pts, p)
 		}
 	}
-	assign := DBSCAN(pts, 1, 4)
+	assign := DBSCANP(pts, 1, 4, 0)
 	for i := 1; i < 6; i++ {
 		if assign[i] != assign[0] || assign[i] == Noise {
 			t.Fatalf("group 0 split: %v", assign)

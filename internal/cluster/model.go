@@ -6,18 +6,18 @@ import (
 	"math"
 
 	"repro/internal/burst"
-	"repro/internal/trace"
 )
 
-// Model is a clustering made first-class: the artifact a coordinator
-// trains once and broadcasts so every shard classifies bursts against
-// the same phase definitions. It captures the effective DBSCAN
-// parameters, the trained assignment as an exact raw-feature lookup
-// (classifying a training burst returns its training label, bit for
-// bit), and raw-space centroids as the generalization for bursts the
-// training never saw. A Model serializes to stable JSON (Encode /
-// DecodeModel) and merges with models trained independently on other
-// shards (Merge).
+// Model is a clustering made first-class: the train-then-classify rule
+// behind every classification, whether a coordinator trains once and
+// broadcasts it so every shard classifies against the same phase
+// definitions, a model saved from one trace classifies another, or the
+// online path trains on an early window and classifies each later burst.
+// It captures the effective DBSCAN parameters, the trained assignment as
+// an exact raw-feature lookup (classifying a training burst returns its
+// training label, bit for bit), and raw-space centroids as the
+// generalization for bursts the training never saw. A Model serializes
+// to stable JSON (Encode / DecodeModel).
 type Model struct {
 	// UseIPC records whether the third (IPC) feature dimension is active.
 	UseIPC bool
@@ -27,26 +27,18 @@ type Model struct {
 	Eps        float64
 	MinPts     int
 	Silhouette float64
-	// Training retains the training bursts (with Cluster set) so Merge
-	// can retrain exactly on the pooled set; Compact drops them.
+	// Training retains the training bursts with Cluster set, from which
+	// the exact raw-feature lookup is built; Compact drops them.
 	Training []burst.Burst
 	// Centroids summarize each cluster in raw feature space for
 	// classifying unseen bursts.
 	Centroids []Centroid
 
-	// idIndex recalls training bursts by identity ((Start, Rank) is a
-	// strict total order over a trace's bursts), so classifying a burst
-	// the model was trained on returns its training label bit for bit.
-	// index recalls by raw feature vector for bursts that are numerically
-	// identical to a training burst without being the same burst.
-	idIndex map[burstKey]int
-	index   map[[3]float64]int
-}
-
-// burstKey is a burst's identity within one trace.
-type burstKey struct {
-	start trace.Time
-	rank  int32
+	// index recalls the training label by raw feature vector. DBSCAN
+	// gives equal points equal labels, so it returns every training
+	// burst's label, and it depends on a burst's metrics alone, never on
+	// where in which trace the burst lies.
+	index map[[3]float64]int
 }
 
 // Centroid is one cluster's raw-feature-space summary.
@@ -155,24 +147,18 @@ func (m *Model) buildCentroids() {
 	}
 }
 
-// buildIndex (re)builds the exact-recall lookups from Training. For
-// duplicate feature vectors the first occurrence wins, which is
-// deterministic because training bursts are kept in canonical order;
-// the identity index has no duplicates by construction.
+// buildIndex (re)builds the exact-recall lookup from Training. Equal
+// feature vectors carry equal labels, so which duplicate is recorded
+// does not matter.
 func (m *Model) buildIndex() {
-	m.idIndex, m.index = nil, nil
+	m.index = nil
 	if len(m.Training) == 0 {
 		return
 	}
-	m.idIndex = make(map[burstKey]int, len(m.Training))
 	m.index = make(map[[3]float64]int, len(m.Training))
 	for i := range m.Training {
 		b := &m.Training[i]
-		m.idIndex[burstKey{b.Start, b.Rank}] = b.Cluster
-		f := rawFeature(b, m.UseIPC)
-		if _, ok := m.index[f]; !ok {
-			m.index[f] = b.Cluster
-		}
+		m.index[rawFeature(b, m.UseIPC)] = b.Cluster
 	}
 }
 
@@ -190,8 +176,8 @@ func dist3(a, b [3]float64) float64 {
 func CentroidDist2(a, b Centroid) float64 { return dist3(a.Mean, b.Mean) }
 
 // MatchCentroid finds the nearest centroid in pool whose capture radius
-// (or c's own) contains c's mean — the similarity rule Merge uses to
-// decide that two independently trained clusters are the same phase.
+// (or c's own) contains c's mean — the rule that two independently
+// trained clusters are the same phase.
 // Entries for which skip returns true are ignored (nil skips nothing).
 // It returns the pool index and squared distance, or (-1, +Inf) when no
 // centroid captures c.
@@ -209,15 +195,12 @@ func MatchCentroid(c Centroid, pool []Centroid, skip func(int) bool) (int, float
 	return best, bestD2
 }
 
-// Classify maps a burst to a cluster id: a burst the model was trained
-// on (same (Start, Rank) identity, or failing that the same raw feature
-// vector) returns its training label exactly; otherwise the nearest
-// centroid whose capture radius contains the burst wins; otherwise
-// Noise. It does not mutate the burst.
+// Classify maps a burst to a cluster id by its raw features alone: a
+// burst with the same raw feature vector as a retained training burst
+// returns that burst's training label exactly; otherwise the nearest
+// centroid whose capture radius contains the burst wins (ties go to the
+// lower id); otherwise Noise. It does not mutate the burst.
 func (m *Model) Classify(b *burst.Burst) int {
-	if id, ok := m.idIndex[burstKey{b.Start, b.Rank}]; ok {
-		return id
-	}
 	f := rawFeature(b, m.UseIPC)
 	if id, ok := m.index[f]; ok {
 		return id
@@ -233,12 +216,13 @@ func (m *Model) Classify(b *burst.Burst) int {
 }
 
 // Compact drops the retained training bursts (and with them the exact
-// lookups), leaving only the centroid summary — the form to broadcast
-// when the training set is large. A compacted model classifies
-// approximately and merges via centroid matching only.
+// lookup), leaving only the centroid summary — the form to broadcast
+// when the training set is large, and the online path's classifier. A
+// compacted model classifies by its centroids alone, so a later burst
+// that duplicates a training burst DBSCAN left as noise may still be
+// captured by a centroid.
 func (m *Model) Compact() {
 	m.Training = nil
-	m.idIndex = nil
 	m.index = nil
 }
 
@@ -283,73 +267,4 @@ type modelWire struct {
 	SilhouetteNaN bool          `json:",omitempty"`
 	Training      []burst.Burst `json:",omitempty"`
 	Centroids     []Centroid    `json:",omitempty"`
-}
-
-// Merge combines models trained independently on different shards. When
-// every input retains its training bursts the merge is exact: the pools
-// are concatenated, re-sorted into canonical order and retrained under
-// cfg, which reproduces the single-pass clustering bit for bit (feature
-// normalization runs over the full pooled set). When any input was
-// compacted the merge degrades to centroid matching: centroids whose
-// means fall within each other's capture radii are averaged together
-// (count-weighted), the rest are appended as new clusters, and the
-// silhouette becomes NaN because no pooled feature matrix exists.
-func Merge(models []*Model, cfg Config) (*Model, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("cluster: no models to merge")
-	}
-	exact := true
-	for _, m := range models {
-		if m == nil {
-			return nil, fmt.Errorf("cluster: nil model in merge")
-		}
-		if m.Training == nil {
-			exact = false
-		}
-		if m.UseIPC != models[0].UseIPC {
-			return nil, fmt.Errorf("cluster: merging models with different feature spaces")
-		}
-	}
-	if exact {
-		var pool []burst.Burst
-		for _, m := range models {
-			pool = append(pool, m.Training...)
-		}
-		burst.Sort(pool)
-		return TrainModel(pool, cfg), nil
-	}
-
-	base := models[0]
-	merged := &Model{
-		UseIPC: base.UseIPC, Eps: base.Eps, MinPts: base.MinPts,
-		Silhouette: math.NaN(),
-		Centroids:  append([]Centroid(nil), base.Centroids...),
-	}
-	nextID := 0
-	for _, c := range merged.Centroids {
-		if c.ID > nextID {
-			nextID = c.ID
-		}
-	}
-	for _, m := range models[1:] {
-		for _, c := range m.Centroids {
-			bi, _ := MatchCentroid(c, merged.Centroids, nil)
-			if bi < 0 {
-				nextID++
-				nc := c
-				nc.ID = nextID
-				merged.Centroids = append(merged.Centroids, nc)
-				continue
-			}
-			t := &merged.Centroids[bi]
-			total := float64(t.Count + c.Count)
-			for d := 0; d < 3; d++ {
-				t.Mean[d] = (t.Mean[d]*float64(t.Count) + c.Mean[d]*float64(c.Count)) / total
-			}
-			t.Count += c.Count
-			t.Radius2 = math.Max(t.Radius2, c.Radius2)
-		}
-	}
-	merged.K = len(merged.Centroids)
-	return merged, nil
 }

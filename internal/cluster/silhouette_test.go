@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/sim"
 )
 
 // silhouetteRef is the oracle of the triangle kernel. Its exact path is
@@ -326,7 +327,7 @@ func TestSilhouetteDigest(t *testing.T) {
 		t.Skip("digests recorded on amd64; other architectures may fuse multiply-adds")
 	}
 	for _, s := range digestSets {
-		kept := digestBursts(t, s.app, s.ranks, s.iters, 1)
+		kept := digestBursts(t, s.app, s.ranks, s.iters, 1, sim.PerturbConfig{})
 		res := ClusterBursts(kept, Config{UseIPC: true})
 		if key := s.name + "/0"; math.Float64bits(res.Silhouette) != silhouetteDigests[key] {
 			t.Errorf("%s: ClusterBursts silhouette %#x, want %#x", key, math.Float64bits(res.Silhouette), silhouetteDigests[key])
@@ -347,7 +348,7 @@ func TestSilhouetteDigest(t *testing.T) {
 // wavefront.
 func TestSilhouetteSampledAccuracy(t *testing.T) {
 	for _, s := range digestSets {
-		res := ClusterBursts(digestBursts(t, s.app, s.ranks, s.iters, 1), Config{UseIPC: true})
+		res := ClusterBursts(digestBursts(t, s.app, s.ranks, s.iters, 1, sim.PerturbConfig{}), Config{UseIPC: true})
 		sampled := SilhouetteSampled(res.Features, res.Assign, 256, 0)
 		if d := math.Abs(sampled - res.Silhouette); !(d <= 0.002) {
 			t.Errorf("%s (n=%d K=%d): sampled silhouette %.6f is %.6f from exact %.6f",

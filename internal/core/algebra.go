@@ -1,12 +1,13 @@
-// The mergeable-report algebra: analysis = Reduce(map(MapShard, shards)).
-// MapShard runs the extraction half of the pipeline over one shard of a
-// trace and captures everything mergeable in a Partial; Reduce folds the
-// partials back together, resolves phases (by clustering the pooled
-// bursts or classifying them against a broadcast cluster.Model) and
-// assembles the public Report. Analyze, AnalyzeStream and the online
+// The mergeable-report algebra: analysis =
+// Reduce(map(MapShardContext, shards)). MapShardContext runs the
+// extraction half of the pipeline over one shard of a trace and captures
+// everything mergeable in a Partial; Reduce folds the partials back
+// together, resolves phases (by clustering the pooled bursts or
+// classifying them against a broadcast cluster.Model) and assembles the
+// public Report. AnalyzeContext, AnalyzeStreamContext and the online
 // path are thin compositions over this algebra; TestShardedEquivalence
-// locks Reduce(MapShard...) deep-equal (bit-identical floats) with the
-// single-pass path for any shard count.
+// locks Reduce(MapShardContext...) deep-equal (bit-identical floats)
+// with the single-pass path for any shard count.
 package core
 
 import (
@@ -72,12 +73,6 @@ type Partial struct {
 	OnlineProfile *profile.Profile      `json:"-"`
 	ProfileErr    string                `json:",omitempty"`
 	OnlinePhases  []pipeline.PhaseFolds `json:"-"`
-}
-
-// MapShard extracts one shard's Partial from an in-memory shard (batch
-// convenience over MapShardContext).
-func MapShard(sh Shard, opts Options) (*Partial, error) {
-	return MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts)
 }
 
 // MapShardContext runs the map half of the analysis algebra over one
@@ -468,14 +463,10 @@ func (s *keptByStartRank) Swap(i, j int) {
 	s.a[i], s.a[j] = s.a[j], s.a[i]
 }
 
-// AnalyzeSharded is Analyze decomposed over the algebra: Split the trace
-// into n shards, MapShard each, Reduce with no model. The Report is
-// deep-equal to Analyze's for every n and mode (TestShardedEquivalence).
-func AnalyzeSharded(tr *trace.Trace, n int, mode ShardMode, opts Options) (*Report, error) {
-	return AnalyzeShardedContext(context.Background(), tr, n, mode, opts)
-}
-
-// AnalyzeShardedContext is AnalyzeSharded under a context.
+// AnalyzeShardedContext is AnalyzeContext decomposed over the algebra:
+// Split the trace into n shards, MapShardContext each, Reduce with no
+// model. The Report is deep-equal to AnalyzeContext's for every n and
+// mode (TestShardedEquivalence).
 func AnalyzeShardedContext(ctx context.Context, tr *trace.Trace, n int, mode ShardMode, opts Options) (*Report, error) {
 	opts.setDefaults()
 	var valWarn string

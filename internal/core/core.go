@@ -1,12 +1,12 @@
 // Package core is the analysis front-end — the public entry point a tool
-// user drives. Analyze consumes a trace (and AnalyzeStream an encoded
-// trace stream) and produces, per detected computation phase: the folded
-// internal evolution of each hardware counter, the folded call-stack
-// view, per-rank balance statistics, and heuristic performance advice,
-// mirroring the paper's automated methodology (burst clustering for
-// structure detection + folding for fine-grain insight). Both entry
-// points run the same internal/pipeline stages, so batch and streaming
-// analysis cannot drift apart.
+// user drives. AnalyzeContext consumes a trace (and AnalyzeStreamContext
+// an encoded trace stream) and produces, per detected computation phase:
+// the folded internal evolution of each hardware counter, the folded
+// call-stack view, per-rank balance statistics, and heuristic
+// performance advice, mirroring the paper's automated methodology (burst
+// clustering for structure detection + folding for fine-grain insight).
+// Both entry points run the same internal/pipeline stages, so batch and
+// streaming analysis cannot drift apart.
 package core
 
 import (
@@ -57,9 +57,9 @@ type Options struct {
 	// Stream configures the streaming-specific behavior.
 	Stream StreamOptions
 	// Lenient selects degraded-tolerant analysis for imperfect traces:
-	// AnalyzeStream decodes in salvage mode (undecodable records are
-	// dropped and tallied in Report.Decode instead of aborting), Analyze
-	// tolerates a trace that fails validation, and a clustering that finds
+	// AnalyzeStreamContext decodes in salvage mode (undecodable records
+	// are dropped and tallied in Report.Decode instead of aborting),
+	// AnalyzeContext tolerates a trace that fails validation, and a clustering that finds
 	// no phases falls back to a duration-quantile split. Every concession
 	// is itemized in Report.Warnings and flips Report.Degraded.
 	Lenient bool
@@ -80,11 +80,11 @@ type Options struct {
 // StreamOptions selects how much the analysis may buffer. The zero value
 // is exact mode: kept bursts and their samples are retained until the
 // end of the event section so clustering and folding see exactly what a
-// batch run sees, and the Report is deep-equal to Analyze's.
+// batch run sees, and the Report is deep-equal to AnalyzeContext's.
 type StreamOptions struct {
-	// Online switches to bounded-memory analysis: a centroid classifier
-	// is trained on the first TrainBursts kept bursts and assigns the
-	// rest as they arrive, and samples are folded incrementally per phase
+	// Online switches to bounded-memory analysis: a cluster.Model is
+	// trained on the first TrainBursts kept bursts, compacted to its
+	// centroids, and classifies the rest as they arrive, and samples are folded incrementally per phase
 	// instead of being retained. Memory then scales with bursts + bins
 	// rather than records, at the cost of approximate phase assignments.
 	// Phases in the resulting Report carry no FoldInstances.
@@ -262,18 +262,12 @@ func (r *Report) NoteDecode(st trace.DecodeStats) {
 	}
 }
 
-// Analyze runs the full pipeline on an in-memory trace. It streams the
-// trace through the same stage implementations AnalyzeStream uses, so
-// the two are equivalent by construction (and verified deep-equal by
-// TestAnalyzeStreamEquivalence). It is AnalyzeContext with a background
-// context.
-func Analyze(tr *trace.Trace, opts Options) (*Report, error) {
-	return AnalyzeContext(context.Background(), tr, opts)
-}
-
-// AnalyzeContext is Analyze under a context: cancelling ctx stops the
-// pipeline stages at the next block boundary and returns ctx.Err()
-// (possibly wrapped; test with errors.Is). The analysis daemon uses
+// AnalyzeContext runs the full pipeline on an in-memory trace. It
+// streams the trace through the same stage implementations
+// AnalyzeStreamContext uses, so the two are equivalent by construction
+// (and verified deep-equal by TestAnalyzeStreamEquivalence). Cancelling
+// ctx stops the pipeline stages at the next block boundary and returns
+// ctx.Err() (possibly wrapped; test with errors.Is). The analysis daemon uses
 // this to bound each request by its deadline and to abandon work when
 // the client disconnects.
 func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*Report, error) {

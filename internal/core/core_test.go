@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func analyzeApp(t *testing.T, name string, iters int) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(tr, Options{})
+	rep, err := AnalyzeContext(context.Background(), tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestAnalyzeIncludesProfileAndStructure(t *testing.T) {
 
 func TestAnalyzeInvalidTrace(t *testing.T) {
 	tr := &trace.Trace{} // zero ranks
-	if _, err := Analyze(tr, Options{}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), tr, Options{}); err == nil {
 		t.Fatal("invalid trace accepted")
 	}
 }
@@ -190,7 +191,7 @@ func TestAnalyzeInvalidTrace(t *testing.T) {
 func TestAnalyzeEmptyTrace(t *testing.T) {
 	b := trace.NewBuilder("empty", 2)
 	tr := b.Build()
-	rep, err := Analyze(tr, Options{})
+	rep, err := AnalyzeContext(context.Background(), tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestAnalyzeMaxPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(tr, Options{MaxPhases: 1})
+	rep, err := AnalyzeContext(context.Background(), tr, Options{MaxPhases: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -39,12 +40,12 @@ func TestAnalyzeStreamLenientSalvagesTruncation(t *testing.T) {
 	cut := enc[:len(enc)*3/5]
 
 	// Strict streaming must reject the truncated input.
-	if _, err := AnalyzeStream(bytes.NewReader(cut), Options{}); err == nil {
+	if _, err := AnalyzeStreamContext(context.Background(), bytes.NewReader(cut), Options{}); err == nil {
 		t.Fatal("strict AnalyzeStream accepted a truncated trace")
 	}
 
 	// Lenient streaming salvages the prefix and reports the damage.
-	rep, err := AnalyzeStream(bytes.NewReader(cut), Options{Lenient: true})
+	rep, err := AnalyzeStreamContext(context.Background(), bytes.NewReader(cut), Options{Lenient: true})
 	if err != nil {
 		t.Fatalf("lenient AnalyzeStream: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestAnalyzeStreamLenientCleanInputNotDegraded(t *testing.T) {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeStream(&buf, Options{Lenient: true})
+	rep, err := AnalyzeStreamContext(context.Background(), &buf, Options{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +97,10 @@ func TestAnalyzeLenientToleratesInvalidTrace(t *testing.T) {
 	// fails, while the records themselves stay analyzable.
 	tr.Meta.Duration = tr.Events[len(tr.Events)-1].Time - 1
 
-	if _, err := Analyze(tr, Options{}); err == nil {
+	if _, err := AnalyzeContext(context.Background(), tr, Options{}); err == nil {
 		t.Fatal("strict Analyze accepted an invalid trace")
 	}
-	rep, err := Analyze(tr, Options{Lenient: true})
+	rep, err := AnalyzeContext(context.Background(), tr, Options{Lenient: true})
 	if err != nil {
 		t.Fatalf("lenient Analyze: %v", err)
 	}
@@ -123,7 +124,7 @@ func TestAnalyzeLenientClusteringFallback(t *testing.T) {
 	// clusters; strict mode reports zero phases, lenient mode falls back
 	// to a duration-quantile split.
 	opts := Options{Cluster: cluster.Config{MinPts: 1 << 20}}
-	strict, err := Analyze(tr, opts)
+	strict, err := AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestAnalyzeLenientClusteringFallback(t *testing.T) {
 	}
 
 	opts.Lenient = true
-	rep, err := Analyze(tr, opts)
+	rep, err := AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

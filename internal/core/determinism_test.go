@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -23,12 +24,12 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Analyze(tr, Options{Parallelism: 1})
+		seq, err := AnalyzeContext(context.Background(), tr, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 8} {
-			par, err := Analyze(tr, Options{Parallelism: p})
+			par, err := AnalyzeContext(context.Background(), tr, Options{Parallelism: p})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apps"
@@ -9,16 +10,16 @@ import (
 	"repro/internal/sim"
 )
 
-// ExampleAnalyze runs the full pipeline — simulate, extract bursts,
+// ExampleAnalyzeContext runs the full pipeline — simulate, extract bursts,
 // cluster, fold — on the built-in stencil application and prints what the
 // methodology unveils about its dominant phase.
-func ExampleAnalyze() {
+func ExampleAnalyzeContext() {
 	app := apps.NewStencil(60)
 	tr, err := sim.Run(apps.DefaultTraceConfig(4), app)
 	if err != nil {
 		panic(err)
 	}
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -50,7 +50,7 @@ func TestReportGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Analyze(tr, Options{})
+	rep, err := AnalyzeContext(context.Background(), tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestReportSizeIndependentOfTraceLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Analyze(tr, Options{})
+		rep, err := AnalyzeContext(context.Background(), tr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

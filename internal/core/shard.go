@@ -60,7 +60,7 @@ func WholeSpec() ShardSpec {
 	return ShardSpec{Mode: ShardTime, Index: 0, Count: 1}
 }
 
-// Shard is one piece of a split trace, ready for MapShard.
+// Shard is one piece of a split trace, ready for MapShardContext.
 type Shard struct {
 	Spec  ShardSpec
 	Trace *trace.Trace
@@ -81,7 +81,8 @@ type Shard struct {
 //   - ShardRank gives shard k the contiguous rank group
 //     [k*R/n, (k+1)*R/n); n is clamped to the rank count.
 //
-// A shard with no records is still a valid (identity) input to MapShard.
+// A shard with no records is still a valid (identity) input to
+// MapShardContext.
 // Split does not mutate tr; shard record slices are fresh, metadata maps
 // are shared read-only.
 func Split(tr *trace.Trace, n int, mode ShardMode) []Shard {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,25 +26,24 @@ func shardTestTrace(t *testing.T, name string, iters, ranks int) *trace.Trace {
 	return tr
 }
 
-// TestShardedEquivalence is the algebra's contract: Reduce over MapShard
-// partials must reproduce the single-pass Report deep-equal — bit-identical
-// floats — for 1, 2 and N shards, in both time and rank mode, and in all
-// three phase-resolution flows: pooled clustering at reduce time (nil
-// model), a broadcast model trained once on the pooled partials (including
-// across a serialization round trip), and models trained independently per
-// shard then merged.
+// TestShardedEquivalence is the algebra's contract: Reduce over
+// MapShardContext partials must reproduce the single-pass Report
+// deep-equal — bit-identical floats — for 1, 2 and N shards, in both time
+// and rank mode, and in both phase-resolution flows: pooled clustering at
+// reduce time (nil model), and a broadcast model trained once on the
+// pooled partials (including across a serialization round trip).
 func TestShardedEquivalence(t *testing.T) {
 	for _, name := range []string{"stencil", "cg"} {
 		tr := shardTestTrace(t, name, 60, 4)
 		opts := Options{}
-		want, err := Analyze(tr, opts)
+		want, err := AnalyzeContext(context.Background(), tr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, mode := range []ShardMode{ShardTime, ShardRank} {
 			for _, n := range []int{1, 2, 5} {
 				// Flow 1: pooled clustering at reduce time.
-				got, err := AnalyzeSharded(tr, n, mode, opts)
+				got, err := AnalyzeShardedContext(context.Background(), tr, n, mode, opts)
 				if err != nil {
 					t.Fatalf("%s %v n=%d: %v", name, mode, n, err)
 				}
@@ -55,7 +55,7 @@ func TestShardedEquivalence(t *testing.T) {
 				shards := Split(tr, n, mode)
 				parts := make([]*Partial, len(shards))
 				for i, sh := range shards {
-					if parts[i], err = MapShard(sh, opts); err != nil {
+					if parts[i], err = MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts); err != nil {
 						t.Fatalf("%s %v n=%d shard %d: %v", name, mode, n, i, err)
 					}
 				}
@@ -81,29 +81,6 @@ func TestShardedEquivalence(t *testing.T) {
 				if d := deepeq.Diff(want, got); d != "" {
 					t.Fatalf("%s %v n=%d: broadcast-model Report differs from single-pass at %s", name, mode, n, d)
 				}
-
-				// Flow 3: train per shard independently, merge the models.
-				// Every model retains its training bursts, so the merge is the
-				// exact pooled retrain and classification stays bit-identical.
-				var eff Options
-				eff = opts
-				eff.setDefaults()
-				models := make([]*cluster.Model, len(parts))
-				for i, p := range parts {
-					models[i] = cluster.TrainModel(p.Kept, eff.Cluster)
-				}
-				merged, err := cluster.Merge(models, eff.Cluster)
-				if err != nil {
-					t.Fatalf("%s %v n=%d: merge models: %v", name, mode, n, err)
-				}
-				got, err = Reduce(parts, merged, opts)
-				if err != nil {
-					t.Fatalf("%s %v n=%d: reduce with merged model: %v", name, mode, n, err)
-				}
-				normalizeReport(want, got)
-				if d := deepeq.Diff(want, got); d != "" {
-					t.Fatalf("%s %v n=%d: merged-model Report differs from single-pass at %s", name, mode, n, d)
-				}
 			}
 		}
 	}
@@ -118,7 +95,7 @@ func TestShardBurstInvariance(t *testing.T) {
 	for _, name := range apps.Names() {
 		tr := shardTestTrace(t, name, 40, 4)
 		opts := Options{}
-		whole, err := MapShardContext(t.Context(), trace.NewTraceSource(tr), WholeSpec(), opts)
+		whole, err := MapShardContext(context.Background(), trace.NewTraceSource(tr), WholeSpec(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +105,7 @@ func TestShardBurstInvariance(t *testing.T) {
 				total, kept := 0, 0
 				perRank := make([]int, tr.Meta.Ranks)
 				for i, sh := range shards {
-					p, err := MapShard(sh, opts)
+					p, err := MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts)
 					if err != nil {
 						t.Fatalf("%s %v n=%d shard %d: %v", name, mode, n, i, err)
 					}
@@ -183,7 +160,7 @@ func TestReduceMissingShard(t *testing.T) {
 	parts := make([]*Partial, len(shards))
 	for i, sh := range shards {
 		var err error
-		if parts[i], err = MapShard(sh, opts); err != nil {
+		if parts[i], err = MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +186,7 @@ func TestReduceMissingShard(t *testing.T) {
 func TestReduceOnlineGuards(t *testing.T) {
 	tr := shardTestTrace(t, "stencil", 60, 4)
 	opts := Options{Stream: StreamOptions{Online: true}}
-	p, err := MapShardContext(t.Context(), trace.NewTraceSource(tr), WholeSpec(), opts)
+	p, err := MapShardContext(context.Background(), trace.NewTraceSource(tr), WholeSpec(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +211,12 @@ func TestReduceOnlineGuards(t *testing.T) {
 func TestReduceLonePartialIdempotent(t *testing.T) {
 	tr := shardTestTrace(t, "cg", 60, 4)
 	opts := Options{}
-	want, err := Analyze(tr, opts)
+	want, err := AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := MapShard(Split(tr, 1, ShardTime)[0], opts)
+	sh := Split(tr, 1, ShardTime)[0]
+	p, err := MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

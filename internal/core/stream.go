@@ -10,21 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// AnalyzeStream runs the full pipeline on an encoded trace read from r,
-// block by block, without materializing the trace in memory. With the
-// default (exact) StreamOptions the resulting Report is deep-equal to
-// Analyze on the decoded trace; with Stream.Online set, memory stays
-// bounded by bursts + folding bins regardless of how many samples the
-// stream carries. It is AnalyzeStreamContext with a background context.
-func AnalyzeStream(r io.Reader, opts Options) (*Report, error) {
-	return AnalyzeStreamContext(context.Background(), r, opts)
-}
-
-// AnalyzeStreamContext is AnalyzeStream under a context: reads of r are
-// fenced by ctx and the pipeline stages stop at the next block boundary
-// once ctx is cancelled, so a disconnected client or an expired
-// deadline abandons the analysis promptly instead of draining the
-// stream. The returned error satisfies errors.Is against ctx.Err(); a
+// AnalyzeStreamContext runs the full pipeline on an encoded trace read
+// from r, block by block, without materializing the trace in memory.
+// With the default (exact) StreamOptions the resulting Report is
+// deep-equal to AnalyzeContext on the decoded trace; with Stream.Online
+// set, memory stays bounded by bursts + folding bins regardless of how
+// many samples the stream carries. Reads of r are fenced by ctx and the
+// pipeline stages stop at the next block boundary once ctx is
+// cancelled, so a disconnected client or an expired deadline abandons
+// the analysis promptly instead of draining the stream. The returned error satisfies errors.Is against ctx.Err(); a
 // cancelled run never returns a partial Report.
 func AnalyzeStreamContext(ctx context.Context, r io.Reader, opts Options) (*Report, error) {
 	opts.setDefaults()

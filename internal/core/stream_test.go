@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/apps"
@@ -26,7 +27,7 @@ func TestAnalyzeStreamEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := Analyze(tr, Options{})
+		batch, err := AnalyzeContext(context.Background(), tr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestAnalyzeStreamEquivalence(t *testing.T) {
 		if err := tr.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		stream, err := AnalyzeStream(&buf, Options{})
+		stream, err := AnalyzeStreamContext(context.Background(), &buf, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func TestAnalyzeStreamOnline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := Analyze(tr, Options{})
+	batch, err := AnalyzeContext(context.Background(), tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestAnalyzeStreamOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Stream: StreamOptions{Online: true, TrainBursts: 128}}
-	online, err := AnalyzeStream(&buf, opts)
+	online, err := AnalyzeStreamContext(context.Background(), &buf, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 //
 // Phases are matched by cluster-centroid similarity in the same raw
 // feature space the clustering engine uses (log10 duration, log10
-// instructions, IPC), reusing the capture-radius matching rule from
-// cluster.Model.Merge. When either side is degraded — salvage-decoded,
+// instructions, IPC), with the capture-radius rule of cluster.Model's
+// centroids. When either side is degraded — salvage-decoded,
 // quantile-fallback clustering, or missing instruction folds — matching
 // degrades to pairing phases by duration rank (the same ordering
 // cluster.QuantileFallback splits on) and every affected pair is marked.

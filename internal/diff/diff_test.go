@@ -2,6 +2,7 @@ package diff
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -31,7 +32,7 @@ func simTrace(t *testing.T, name string, ranks, iters int, seed uint64, perturb 
 
 func analyze(t *testing.T, tr *trace.Trace) *core.Report {
 	t.Helper()
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestDiffShardCountInvariance(t *testing.T) {
 	}
 	for _, mode := range []core.ShardMode{core.ShardTime, core.ShardRank} {
 		for _, shards := range []int{1, 2, 3} {
-			repB, err := core.AnalyzeSharded(trB, shards, mode, core.Options{})
+			repB, err := core.AnalyzeShardedContext(context.Background(), trB, shards, mode, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +274,7 @@ func TestDiffDegradedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()*3/5]
-	repB, err := core.AnalyzeStream(bytes.NewReader(cut), core.Options{Lenient: true})
+	repB, err := core.AnalyzeStreamContext(context.Background(), bytes.NewReader(cut), core.Options{Lenient: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package doccheck enforces the documentation contract: every exported
-// identifier in the core analysis packages must carry a doc comment.
-// It runs as an ordinary test so `go test ./internal/doccheck` (wired
-// into `make check`) fails listing each undocumented identifier.
+// identifier in the core analysis packages must carry a doc comment, and
+// every pkg.Name the docs' code names must exist. It runs as an ordinary
+// test so `go test ./internal/doccheck` (wired into `make check`) fails
+// listing each undocumented identifier and each stale mention.
 package doccheck
 
 import (

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,7 +105,7 @@ func analyzeApp(env Env, name string, cfg sim.Config) (*core.Report, apps.App, e
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

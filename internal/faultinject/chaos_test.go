@@ -7,6 +7,7 @@ package faultinject_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -152,7 +153,7 @@ func TestChaosStreamingAnalysis(t *testing.T) {
 			}
 			t.Run(name+"/"+mode, func(t *testing.T) {
 				rep, err := hangGuard(t, func() (*core.Report, error) {
-					return core.AnalyzeStream(mk(), core.Options{Lenient: lenient})
+					return core.AnalyzeStreamContext(context.Background(), mk(), core.Options{Lenient: lenient})
 				})
 				checkContract(t, rep, err)
 			})
@@ -180,7 +181,7 @@ func TestChaosBatchDecode(t *testing.T) {
 			}
 			// Whatever was salvaged must analyze end to end.
 			rep, aerr := hangGuard(t, func() (*core.Report, error) {
-				rep, aerr := core.Analyze(tr, core.Options{Lenient: true})
+				rep, aerr := core.AnalyzeContext(context.Background(), tr, core.Options{Lenient: true})
 				if aerr == nil {
 					rep.NoteDecode(st)
 				}
@@ -270,7 +271,7 @@ func TestChaosSalvageAccuracy(t *testing.T) {
 	}
 	rep, err := hangGuard(t, func() (*core.Report, error) {
 		r := faultinject.Truncate(bytes.NewReader(enc), int64(len(enc))*3/5)
-		return core.AnalyzeStream(r, core.Options{Lenient: true})
+		return core.AnalyzeStreamContext(context.Background(), r, core.Options{Lenient: true})
 	})
 	if err != nil {
 		t.Fatalf("salvage failed: %v", err)
@@ -378,7 +379,7 @@ func TestChaosStallWatchdog(t *testing.T) {
 	sr := faultinject.Stall(bytes.NewReader(enc), int64(len(enc))/2)
 	defer sr.Release()
 	rep, err := hangGuard(t, func() (*core.Report, error) {
-		return core.AnalyzeStream(sr, core.Options{
+		return core.AnalyzeStreamContext(context.Background(), sr, core.Options{
 			Lenient:      true,
 			StallTimeout: 200 * time.Millisecond,
 		})

@@ -105,7 +105,7 @@ func sessionReport(t *testing.T, s *foldsvc.Server, id string) map[string]any {
 // batchReport analyzes the full trace locally, as a generic map.
 func batchReport(t *testing.T, tr *trace.Trace) map[string]any {
 	t.Helper()
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

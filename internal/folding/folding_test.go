@@ -706,3 +706,91 @@ func TestRobustCenterMatchesStats(t *testing.T) {
 		}
 	}
 }
+
+// refFoldStacks is FoldStacks written as one loop over every instance:
+// the reference the incremental StackFolder must reproduce.
+func refFoldStacks(instances []Instance, bins int) *StackResult {
+	if bins < 1 {
+		bins = 50
+	}
+	counts := make([]map[uint32]int, bins)
+	for i := range counts {
+		counts[i] = make(map[uint32]int)
+	}
+	total := 0
+	for i := range instances {
+		in := &instances[i]
+		d := float64(in.Duration())
+		if d <= 0 {
+			continue
+		}
+		for _, s := range in.Samples {
+			if len(s.Stack) == 0 {
+				continue
+			}
+			x := float64(s.Time-in.Start) / d
+			b := int(x * float64(bins))
+			if b < 0 {
+				b = 0
+			}
+			if b >= bins {
+				b = bins - 1
+			}
+			counts[b][s.Stack[0]]++
+			total++
+		}
+	}
+	return newStackResult(counts, total)
+}
+
+// TestStackFolderMatchesFoldStacks checks that the incremental call-stack
+// folder, fed one instance at a time, and FoldStacks both reproduce the
+// single-loop reference exactly on the same instances, including
+// stackless samples and a zero-length instance — the property the
+// streaming pipeline's stack views rest on.
+func TestStackFolderMatchesFoldStacks(t *testing.T) {
+	stream := genInstances(counters.Constant(), 120, 3, 0.05, 17)
+	for i := range stream {
+		for j := range stream[i].Samples {
+			// Alternate two regions with an instance-dependent split.
+			id := uint32(1)
+			if (i+j)%3 == 0 {
+				id = 2
+			}
+			if (i+j)%7 == 0 {
+				continue // stackless
+			}
+			stream[i].Samples[j].Stack = []uint32{id, 7}
+		}
+	}
+	stream[5].End = stream[5].Start
+	want := refFoldStacks(stream, 50)
+	sf := NewStackFolder(50)
+	for i := range stream {
+		sf.Add(&stream[i])
+	}
+	if !reflect.DeepEqual(sf.Snapshot(), want) {
+		t.Fatal("incremental stack fold differs from the reference")
+	}
+	if sf.Samples() != want.Samples {
+		t.Fatalf("folder samples = %d, want %d", sf.Samples(), want.Samples)
+	}
+	if !reflect.DeepEqual(FoldStacks(stream, 50), want) {
+		t.Fatal("FoldStacks differs from the reference")
+	}
+}
+
+// TestEmptyStackFolder pins the empty-phase behavior the streaming
+// pipeline relies on: a phase that never receives an instance yields an
+// empty (but valid) call-stack view, not a panic.
+func TestEmptyStackFolder(t *testing.T) {
+	sf := NewStackFolder(50)
+	if sf.Samples() != 0 {
+		t.Fatalf("empty StackFolder reports %d samples", sf.Samples())
+	}
+	snap := sf.Snapshot()
+	if snap.Samples != 0 || len(snap.Regions) != 0 {
+		t.Fatalf("empty StackFolder snapshot = %d samples, %d regions",
+			snap.Samples, len(snap.Regions))
+	}
+}

@@ -25,45 +25,76 @@ type StackResult struct {
 }
 
 // FoldStacks folds the call stacks of the instances' samples into bins
-// normalized-time bins. Samples without a stack are ignored.
+// normalized-time bins (bins < 1 selects 50). Samples without a stack
+// are ignored.
 func FoldStacks(instances []Instance, bins int) *StackResult {
+	sf := NewStackFolder(bins)
+	for i := range instances {
+		sf.Add(&instances[i])
+	}
+	return sf.Snapshot()
+}
+
+// StackFolder incrementally folds call stacks: each incoming instance's
+// sampled innermost frames are counted into fixed normalized-time bins,
+// so the streaming pipeline can produce the folded call-stack view with
+// O(bins × regions) memory instead of retaining the sample cloud.
+// FoldStacks is one StackFolder fed every instance.
+type StackFolder struct {
+	bins   int
+	counts []map[uint32]int
+	total  int
+}
+
+// NewStackFolder creates an incremental call-stack folder (bins < 1
+// selects 50).
+func NewStackFolder(bins int) *StackFolder {
 	if bins < 1 {
 		bins = 50
 	}
-	counts := make([]map[uint32]int, bins)
-	for i := range counts {
-		counts[i] = make(map[uint32]int)
+	sf := &StackFolder{bins: bins, counts: make([]map[uint32]int, bins)}
+	for i := range sf.counts {
+		sf.counts[i] = make(map[uint32]int)
 	}
-	total := 0
-	for i := range instances {
-		in := &instances[i]
-		d := float64(in.Duration())
-		if d <= 0 {
-			continue
-		}
-		for _, s := range in.Samples {
-			if len(s.Stack) == 0 {
-				continue
-			}
-			x := float64(s.Time-in.Start) / d
-			b := int(x * float64(bins))
-			if b < 0 {
-				b = 0
-			}
-			if b >= bins {
-				b = bins - 1
-			}
-			counts[b][s.Stack[0]]++
-			total++
-		}
-	}
-	return NewStackResult(counts, total)
+	return sf
 }
 
-// NewStackResult assembles a StackResult from per-bin innermost-frame
-// counts — the shared back end of FoldStacks and the streaming
-// online.StackFolder, so both produce identically-shaped views.
-func NewStackResult(counts []map[uint32]int, total int) *StackResult {
+// Add folds one instance's stack samples into the bins. Samples without
+// a stack, and instances of non-positive duration, are ignored.
+func (sf *StackFolder) Add(in *Instance) {
+	d := float64(in.Duration())
+	if d <= 0 {
+		return
+	}
+	for _, s := range in.Samples {
+		if len(s.Stack) == 0 {
+			continue
+		}
+		x := float64(s.Time-in.Start) / d
+		b := int(x * float64(sf.bins))
+		if b < 0 {
+			b = 0
+		}
+		if b >= sf.bins {
+			b = sf.bins - 1
+		}
+		sf.counts[b][s.Stack[0]]++
+		sf.total++
+	}
+}
+
+// Samples returns how many stack samples have been folded.
+func (sf *StackFolder) Samples() int { return sf.total }
+
+// Snapshot assembles the current folded call-stack view. It can be
+// called at any time; the view sharpens as instances accumulate.
+func (sf *StackFolder) Snapshot() *StackResult {
+	return newStackResult(sf.counts, sf.total)
+}
+
+// newStackResult assembles a StackResult from per-bin innermost-frame
+// counts.
+func newStackResult(counts []map[uint32]int, total int) *StackResult {
 	bins := len(counts)
 	totalPerRegion := make(map[uint32]int)
 	for _, c := range counts {

@@ -35,8 +35,8 @@ func newWorkerFarm(t *testing.T, n int) []string {
 
 // TestE2EDist is the distributed end-to-end: an in-process coordinator
 // fanning out to 3 in-process workers must answer with a Report
-// semantically equal to local core.Analyze on the same trace. This is
-// what `make e2e-dist` runs.
+// semantically equal to local core.AnalyzeContext on the same trace. This
+// is what `make e2e-dist` runs.
 func TestE2EDist(t *testing.T) {
 	tr, enc := genTrace(t, 4, 40)
 	workers := newWorkerFarm(t, 3)
@@ -56,7 +56,7 @@ func TestE2EDist(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestAnalyzeMatchesLocalAnalyze(t *testing.T) {
 		t.Fatalf("content-type %q", ct)
 	}
 
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func getEvents(t *testing.T, base, id string, lastID uint64) *http.Response {
 
 // TestSessionLifecycle drives the full HTTP session flow: open, append
 // chunks (with an idempotent retry), observe status, and check the SSE
-// snapshot against a local batch core.Analyze of the whole trace.
+// snapshot against a local batch core.AnalyzeContext of the whole trace.
 func TestSessionLifecycle(t *testing.T) {
 	tr, _ := genTrace(t, 4, 40)
 	chunks := session.Chunks(tr, 4)
@@ -209,7 +209,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if frames[0].Event != "snapshot" || frames[0].ID != sn.ID {
 		t.Fatalf("frame %q id %d, want snapshot id %d", frames[0].Event, frames[0].ID, sn.ID)
 	}
-	rep, err := core.Analyze(tr, core.Options{})
+	rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package online
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -114,44 +113,34 @@ func TestClassifierZeroRadiusCentroid(t *testing.T) {
 
 	repeat := a[0] // identical to phase A's members
 	repeat.Cluster = 0
-	if got := clf.Classify(&repeat); got != training[0].Cluster {
+	if got := clf.Model.Classify(&repeat); got != training[0].Cluster {
 		t.Fatalf("exact repeat classified as %d, want phase %d", got, training[0].Cluster)
 	}
 	// Slightly longer than phase A: outside a zero radius.
 	near := a[0]
 	near.End = near.Start + 1_500_000
-	if got := clf.Classify(&near); got != cluster.Noise {
+	if got := clf.Model.Classify(&near); got != cluster.Noise {
 		t.Fatalf("perturbed burst classified as %d, want noise", got)
 	}
 	// Between the two centroids: within neither zero radius.
 	mid := burst.Burst{Start: 0, End: 3_000_000}
 	mid.Delta[counters.TotIns] = 6_000_000
 	mid.Delta[counters.TotCyc] = 4_000_000
-	if got := clf.Classify(&mid); got != cluster.Noise {
+	if got := clf.Model.Classify(&mid); got != cluster.Noise {
 		t.Fatalf("midway burst classified as %d, want noise", got)
 	}
 }
 
 // TestEmptyPhaseFolders pins the empty-phase behavior the streaming
 // pipeline relies on: a classified phase that never receives an instance
-// must yield a clean Snapshot error from the counter folder and an empty
-// (but valid) call-stack view, not a panic or a bogus curve.
+// must yield a clean Snapshot error from the counter folder, not a panic
+// or a bogus curve.
 func TestEmptyPhaseFolders(t *testing.T) {
 	f := NewFolder(counters.TotIns, 50)
 	if _, err := f.Snapshot(); err == nil {
 		t.Fatal("empty Folder snapshot succeeded")
 	} else if !strings.Contains(err.Error(), "0 folded points") {
 		t.Fatalf("empty snapshot error = %v", err)
-	}
-
-	sf := NewStackFolder(50)
-	if sf.Samples() != 0 {
-		t.Fatalf("empty StackFolder reports %d samples", sf.Samples())
-	}
-	snap := sf.Snapshot()
-	if snap.Samples != 0 || len(snap.Regions) != 0 {
-		t.Fatalf("empty StackFolder snapshot = %d samples, %d regions",
-			snap.Samples, len(snap.Regions))
 	}
 }
 
@@ -166,30 +155,5 @@ func TestNewFolderConfig(t *testing.T) {
 	f = NewFolderConfig(counters.TotIns, folding.Config{})
 	if f.Bins != 100 || f.PruneK != 4 {
 		t.Fatalf("default folder bins/pruneK = %d/%.1f, want 100/4", f.Bins, f.PruneK)
-	}
-}
-
-// TestStackFolderMatchesFoldStacks checks the incremental call-stack
-// folder reproduces the offline FoldStacks result exactly on the same
-// instances — the property AnalyzeStream's batch equivalence rests on.
-func TestStackFolderMatchesFoldStacks(t *testing.T) {
-	stream := genStream(counters.Constant(), 120, 3, 17)
-	for i := range stream {
-		for j := range stream[i].Samples {
-			// Alternate two regions with an instance-dependent split.
-			id := uint32(1)
-			if (i+j)%3 == 0 {
-				id = 2
-			}
-			stream[i].Samples[j].Stack = []uint32{id, 7}
-		}
-	}
-	sf := NewStackFolder(50)
-	for i := range stream {
-		sf.Add(&stream[i])
-	}
-	offline := folding.FoldStacks(stream, 50)
-	if !reflect.DeepEqual(sf.Snapshot(), offline) {
-		t.Fatal("incremental stack fold differs from FoldStacks")
 	}
 }

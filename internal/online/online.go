@@ -1,159 +1,59 @@
 // Package online provides the streaming counterpart of the offline
-// pipeline: a classifier that learns the application's phases from a
-// training prefix and then assigns each new burst as it arrives, and an
-// incremental folder that accumulates folded samples into fixed-size bins
-// so a run of any length needs only O(bins) memory per phase. Together
-// they enable the on-line use of the methodology this research group
-// pursued next — deciding *during* the run which phases matter and how
-// much detail to keep — instead of post-mortem analysis of a full trace.
+// pipeline: Train learns the application's phases from a training
+// prefix as a cluster.Model compacted to its centroids, against which
+// each later burst is classified as it arrives, and Folder accumulates
+// folded samples into fixed-size bins so a run of any length needs only
+// O(bins) memory per phase (folding.StackFolder does the same for call
+// stacks). Together they enable the on-line use of the methodology this
+// research group pursued next — deciding *during* the run which phases
+// matter and how much detail to keep — instead of post-mortem analysis
+// of a full trace.
 package online
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/burst"
 	"repro/internal/cluster"
 )
 
-// Classifier assigns bursts to phases learned from a training set.
+// Classifier is a trained training prefix: the model later bursts are
+// classified against, and the clustering it was trained from.
 type Classifier struct {
 	// Training is the offline clustering of the training prefix the
-	// centroids were compressed from; streaming consumers report its K,
-	// eps and quality metrics since no full-set clustering ever exists.
+	// model was compressed from (Features is not filled); streaming
+	// consumers report its K, eps and quality metrics since no full-set
+	// clustering ever exists.
 	Training cluster.Result
-
-	centroids []centroid
-	// maxDist is the squared acceptance radius in feature space, per
-	// centroid; bursts farther from every centroid classify as noise.
-	useIPC bool
+	// Model classifies each later burst (Model.Classify). It is
+	// compacted, so a burst is labelled by the centroids alone.
+	Model *cluster.Model
 }
 
-type centroid struct {
-	id     int
-	mean   []float64
-	radius float64 // squared acceptance radius
-}
-
-// Train clusters the training bursts offline and compresses the result
-// into per-cluster centroids with acceptance radii (the 99th-percentile
-// member distance, floored at twice the DBSCAN eps). The training slice's
-// Cluster fields are set as a side effect.
+// Train clusters the training bursts offline with cluster.TrainModel and
+// compacts the model to its centroids: per-cluster raw-space means with
+// capture radii (the farthest member's squared distance, widened 2.25×).
+// The training slice's Cluster fields are set as a side effect.
 func Train(training []burst.Burst, cfg cluster.Config) (*Classifier, error) {
 	if len(training) == 0 {
 		return nil, fmt.Errorf("online: empty training set")
 	}
-	res := cluster.ClusterBursts(training, cfg)
-	if res.K == 0 {
+	m := cluster.TrainModel(training, cfg)
+	assign := make([]int, len(training))
+	for i := range training {
+		assign[i] = m.Training[i].Cluster
+		training[i].Cluster = assign[i]
+	}
+	if m.K == 0 {
 		return nil, fmt.Errorf("online: training found no clusters")
 	}
-	c := &Classifier{Training: res, useIPC: cfg.UseIPC || true}
-
-	// Features must be recomputed in *raw* (unnormalized) space so that
-	// classification does not depend on the training min-max: store raw
-	// log-space centroids.
-	raw := rawFeatures(training)
-	dim := len(raw[0])
-	sums := map[int][]float64{}
-	counts := map[int]int{}
-	for i, b := range training {
-		if b.Cluster == cluster.Noise {
-			continue
-		}
-		s := sums[b.Cluster]
-		if s == nil {
-			s = make([]float64, dim)
-			sums[b.Cluster] = s
-		}
-		for d := 0; d < dim; d++ {
-			s[d] += raw[i][d]
-		}
-		counts[b.Cluster]++
+	c := &Classifier{
+		Training: cluster.Result{
+			Assign: assign, K: m.K, Eps: m.Eps, MinPts: m.MinPts,
+			Silhouette: m.Silhouette,
+		},
+		Model: m,
 	}
-	for id := 1; id <= res.K; id++ {
-		if counts[id] == 0 {
-			continue
-		}
-		mean := make([]float64, dim)
-		for d := range mean {
-			mean[d] = sums[id][d] / float64(counts[id])
-		}
-		// Acceptance radius: max member distance × 1.5 (a new burst of the
-		// same phase should land within the training cloud's extent).
-		var maxD float64
-		for i, b := range training {
-			if b.Cluster != id {
-				continue
-			}
-			if d := dist2(raw[i], mean); d > maxD {
-				maxD = d
-			}
-		}
-		c.centroids = append(c.centroids, centroid{
-			id:     id,
-			mean:   mean,
-			radius: maxD * 2.25, // (1.5×)² in squared space
-		})
-	}
-	if len(c.centroids) == 0 {
-		return nil, fmt.Errorf("online: all training bursts were noise")
-	}
+	m.Compact()
 	return c, nil
-}
-
-// Classify assigns a burst to the nearest learned phase, or cluster.Noise
-// when it falls outside every acceptance radius. The burst's Cluster
-// field is set.
-func (c *Classifier) Classify(b *burst.Burst) int {
-	f := rawFeature(b)
-	best, bestD := cluster.Noise, math.Inf(1)
-	for _, ct := range c.centroids {
-		d := dist2(f, ct.mean)
-		if d <= ct.radius && d < bestD {
-			best, bestD = ct.id, d
-		}
-	}
-	b.Cluster = best
-	return best
-}
-
-// Phases returns the learned phase ids.
-func (c *Classifier) Phases() []int {
-	out := make([]int, len(c.centroids))
-	for i, ct := range c.centroids {
-		out[i] = ct.id
-	}
-	return out
-}
-
-// rawFeatures computes log-space features without min-max normalization.
-func rawFeatures(bursts []burst.Burst) [][]float64 {
-	out := make([][]float64, len(bursts))
-	for i := range bursts {
-		out[i] = rawFeature(&bursts[i])
-	}
-	return out
-}
-
-func rawFeature(b *burst.Burst) []float64 {
-	d := float64(b.Duration())
-	if d < 1 {
-		d = 1
-	}
-	ins := float64(b.Instructions())
-	if ins < 1 {
-		ins = 1
-	}
-	// IPC is scaled to be commensurate with the log dimensions (log10 of
-	// a 5 ms burst ≈ 6.7; IPC ∈ [0,4]).
-	return []float64{math.Log10(d), math.Log10(ins), b.IPC()}
-}
-
-func dist2(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }

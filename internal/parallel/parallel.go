@@ -7,8 +7,8 @@
 // index (or contiguous index range) to exactly one worker, so writing
 // results into slot i of a pre-sized slice and reducing sequentially in
 // index order yields byte-identical output whether the loop ran on 1 or
-// 64 workers. That property is what lets core.Analyze guarantee that
-// parallel and sequential runs produce deep-equal Reports.
+// 64 workers. That property is what lets core.AnalyzeContext guarantee
+// that parallel and sequential runs produce deep-equal Reports.
 package parallel
 
 import (

@@ -52,12 +52,13 @@ type Config struct {
 	// that only need bursts, clustering and structure (cmd/burstcluster,
 	// cmd/trstats).
 	NoSamples bool
-	// Online selects the bounded-memory path: train a centroid
-	// classifier on the first TrainBursts kept bursts, classify the rest
-	// as they arrive, and fold samples incrementally per phase
-	// (online.Folder / online.StackFolder), never retaining them. Memory
-	// then scales with bursts + bins instead of total records, at the
-	// cost of approximate (though typically >95%-agreeing) assignments.
+	// Online selects the bounded-memory path: train a cluster.Model on
+	// the first TrainBursts kept bursts and compact it to its centroids
+	// (online.Train), classify the rest against it as they arrive, and
+	// fold samples incrementally per phase (online.Folder /
+	// folding.StackFolder), never retaining them. Memory then scales with
+	// bursts + bins instead of total records, at the cost of approximate
+	// (though typically >95%-agreeing) assignments.
 	// The default exact mode buffers kept bursts and their samples and
 	// defers clustering to the end of the event section, reproducing
 	// batch output bit-for-bit.
@@ -243,7 +244,7 @@ type analysis struct {
 	store      keptStore
 	kept       []burst.Burst
 	clustering cluster.Result
-	classifier *online.Classifier
+	model      *cluster.Model // online mode, once trained
 	trainErr   error
 	finalized  bool
 	warnings   []string
@@ -274,7 +275,7 @@ type analysis struct {
 type phaseFold struct {
 	id        int
 	folders   []*online.Folder // parallel to cfg.Counters
-	stacks    *online.StackFolder
+	stacks    *folding.StackFolder
 	instances int
 }
 
@@ -286,15 +287,10 @@ type instanceBuf struct {
 	leaves  []uint32
 }
 
-// Run drives the full analysis pipeline over a record stream and blocks
-// until it completes. It is RunContext with a background context.
-func Run(src trace.Source, cfg Config) (*Outcome, error) {
-	return RunContext(context.Background(), src, cfg)
-}
-
-// RunContext is Run under a context: when ctx is cancelled the stages
-// stop at the next block boundary, blocked senders are released, and
-// the call returns ctx.Err(). This is what gives the analysis daemon
+// RunContext drives the full analysis pipeline over a record stream
+// and blocks until it completes. When ctx is cancelled the stages stop
+// at the next block boundary, blocked senders are released, and the
+// call returns ctx.Err(). This is what gives the analysis daemon
 // per-request deadlines and client-disconnect cancellation; a cancelled
 // run never returns a partial Outcome.
 func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, error) {
@@ -488,11 +484,11 @@ func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 	return Stage(p, name, blockChanBuf, in, func(ctx *StageCtx[*block], blk *block) error {
 		ctx.Metrics.RecordsIn += int64(len(blk.bursts))
 		for i := range blk.bursts {
-			if a.cfg.Online && a.classifier != nil {
-				a.classifier.Classify(&blk.bursts[i])
+			if a.cfg.Online && a.model != nil {
+				blk.bursts[i].Cluster = a.model.Classify(&blk.bursts[i])
 			}
 			a.store.add(&blk.bursts[i])
-			if a.cfg.Online && a.classifier == nil && a.trainErr == nil &&
+			if a.cfg.Online && a.model == nil && a.trainErr == nil &&
 				a.store.n == a.cfg.TrainBursts {
 				a.train()
 			}
@@ -510,7 +506,7 @@ func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 	})
 }
 
-// train fits the online classifier on the current training prefix and
+// train fits the online model on the current training prefix and
 // classifies any bursts already collected beyond it. A failed training
 // (no clusters, all noise) degrades the run to zero phases, mirroring a
 // batch run whose clustering finds nothing.
@@ -528,13 +524,14 @@ func (a *analysis) train() {
 		}
 		return
 	}
+	a.model = cl.Model
 	if a.cfg.Logger != nil {
 		a.cfg.Logger.Info("online classifier trained", "bursts", n,
-			"phases", cl.Training.K, "eps", cl.Training.Eps)
+			"phases", a.model.K, "eps", a.model.Eps)
 	}
-	a.classifier = cl
 	for i := n; i < a.store.n; i++ {
-		cl.Classify(a.store.at(i))
+		b := a.store.at(i)
+		b.Cluster = a.model.Classify(b)
 	}
 }
 
@@ -543,7 +540,7 @@ func (a *analysis) train() {
 // the fold stage walks.
 func (a *analysis) finalize(m *Metrics) {
 	a.finalized = true
-	if a.cfg.Online && a.classifier == nil && a.store.n > 0 {
+	if a.cfg.Online && a.model == nil && a.store.n > 0 {
 		a.train()
 	}
 	a.kept = a.store.gather()
@@ -558,15 +555,14 @@ func (a *analysis) finalize(m *Metrics) {
 				a.fallbackClustering("clustering found no phases")
 			}
 		}
-	} else if a.classifier != nil {
+	} else if md := a.model; md != nil {
 		assign := make([]int, len(a.kept))
 		for i := range a.kept {
 			assign[i] = a.kept[i].Cluster
 		}
-		t := &a.classifier.Training
 		a.clustering = cluster.Result{
-			Assign: assign, K: t.K, Eps: t.Eps, MinPts: t.MinPts,
-			Silhouette: t.Silhouette,
+			Assign: assign, K: md.K, Eps: md.Eps, MinPts: md.MinPts,
+			Silhouette: md.Silhouette,
 		}
 	} else if a.cfg.Lenient && len(a.kept) > 0 {
 		// Online training failed or never had enough bursts; degrade to
@@ -590,7 +586,7 @@ func (a *analysis) finalize(m *Metrics) {
 	if a.cfg.Online {
 		a.phases = map[int]*phaseFold{}
 		for id := 1; id <= min(a.clustering.K, a.cfg.MaxPhases); id++ {
-			pf := &phaseFold{id: id, stacks: online.NewStackFolder(a.cfg.StackBins)}
+			pf := &phaseFold{id: id, stacks: folding.NewStackFolder(a.cfg.StackBins)}
 			for _, c := range a.cfg.Counters {
 				pf.folders = append(pf.folders, online.NewFolderConfig(c, a.cfg.Fold))
 			}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -123,14 +124,14 @@ func TestKeptOrderMatchesStableSort(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := train; i < len(want); i++ {
-					cl.Classify(&want[i])
+					want[i].Cluster = cl.Model.Classify(&want[i])
 				}
 			}
 			stableByStartRank(want)
 			if train == 0 {
 				cluster.ClusterBursts(want, ccfg)
 			}
-			out, err := Run(trace.NewTraceSource(tr), cfg)
+			out, err := RunContext(context.Background(), trace.NewTraceSource(tr), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -145,7 +146,7 @@ func TestMapHalfMatchesBatchOracle(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{MinBurstDuration: oracleMinBurst, Partial: true, Parallelism: 2}
-			out, err := Run(trace.NewTraceSource(tc.tr), cfg)
+			out, err := RunContext(context.Background(), trace.NewTraceSource(tc.tr), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +161,7 @@ func TestMapHalfMatchesBatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err = Run(sr, cfg)
+			out, err = RunContext(context.Background(), sr, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +201,7 @@ func TestMapHalfLenientMatchesBatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := Run(sr, Config{
+			out, err := RunContext(context.Background(), sr, Config{
 				MinBurstDuration: oracleMinBurst, Partial: true, Lenient: true, Parallelism: 2,
 			})
 			if err != nil {
@@ -236,7 +237,7 @@ func TestClusteringModeMatchesBatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := Run(sr, Config{
+			out, err := RunContext(context.Background(), sr, Config{
 				MinBurstDuration: oracleMinBurst, Cluster: ccfg, NoSamples: true, Parallelism: 2,
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -47,7 +48,7 @@ func TestWatchStallNamesStalledStage(t *testing.T) {
 	start := time.Now()
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(src, Config{StallTimeout: 100 * time.Millisecond})
+		_, err := RunContext(context.Background(), src, Config{StallTimeout: 100 * time.Millisecond})
 		done <- err
 	}()
 	select {
@@ -72,7 +73,7 @@ func TestWatchStallDisabledByDefault(t *testing.T) {
 	tr.Event(0, 0, trace.EvIteration, 1)
 	tr.Event(0, 10, trace.EvMPI, int64(trace.MPIBarrier))
 	tr.Event(0, 20, trace.EvMPI, 0)
-	out, err := Run(trace.NewTraceSource(tr.Build()), Config{})
+	out, err := RunContext(context.Background(), trace.NewTraceSource(tr.Build()), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestWatchStallNotTriggeredByProgress(t *testing.T) {
 		b.Event(0, t0+20, trace.EvMPI, 0)
 	}
 	src := &slowSource{inner: trace.NewTraceSource(b.Build()), delay: 2 * time.Millisecond}
-	out, err := Run(src, Config{StallTimeout: 2 * time.Second, BatchSize: 1})
+	out, err := RunContext(context.Background(), src, Config{StallTimeout: 2 * time.Second, BatchSize: 1})
 	if err != nil {
 		t.Fatalf("watchdog misfired on a progressing run: %v", err)
 	}

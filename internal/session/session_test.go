@@ -165,7 +165,7 @@ func TestSessionPrefixEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("barrier after %d: %v", k+1, err)
 				}
-				want, err := core.Analyze(prefixUnion(chunks, k+1), tc.opts)
+				want, err := core.AnalyzeContext(context.Background(), prefixUnion(chunks, k+1), tc.opts)
 				if err != nil {
 					t.Fatalf("batch analyze of %d-chunk prefix: %v", k+1, err)
 				}
@@ -234,7 +234,7 @@ func TestSessionCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Analyze(tr, opts)
+	want, err := core.AnalyzeContext(context.Background(), tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

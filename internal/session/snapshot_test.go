@@ -171,7 +171,7 @@ func TestSessionOutOfOrderAppendKeepsPublishedPrefix(t *testing.T) {
 		defer close(done)
 		// The prefix may be invalid for a strict analysis; only its reads
 		// of the shared records matter here.
-		_, _ = core.Analyze(view, core.Options{Parallelism: 2, Lenient: true})
+		_, _ = core.AnalyzeContext(context.Background(), view, core.Options{Parallelism: 2, Lenient: true})
 	}()
 	if _, err := s.Append(ctx, encodeChunk(t, chunks[order[2]]), 3); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestSessionOutOfOrderAppendKeepsPublishedPrefix(t *testing.T) {
 		union.Comms = append(union.Comms, chunks[idx].Comms...)
 	}
 	union.Sort()
-	want, err := core.Analyze(union, s.Opts)
+	want, err := core.AnalyzeContext(context.Background(), union, s.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
