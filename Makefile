@@ -3,7 +3,9 @@
 #   make check    — tier-2: gofmt + vet + race-enabled tests (catches data
 #                   races in the parallel analysis engine) + the doc-comment
 #                   gate (internal/doccheck fails on undocumented exported
-#                   API) + the result-cache acceptance tests under -race
+#                   API, stale pkg.Name mentions in the docs, and exported
+#                   internal/ names nothing references) + the result-cache
+#                   acceptance tests under -race
 #                   (cached Reports byte-identical to fresh across
 #                   strict/lenient × single-node/sharded; N concurrent
 #                   identical uploads coalesce onto one pipeline run) + the

@@ -2,8 +2,8 @@
 // clusters them, printing the discovered application structure and
 // optionally writing the scatter data for plotting.
 //
-// With -stream the trace is consumed record by record through the
-// streaming pipeline (stdin when -in is empty), never materializing it:
+// The trace is consumed record by record through the streaming
+// pipeline, never materialized; -stream reads stdin when -in is empty:
 // tracegen -o - | burstcluster -stream.
 //
 // Usage:
@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/burst"
 	"repro/internal/cluster"
 	"repro/internal/pipeline"
 	"repro/internal/report"
@@ -37,65 +36,56 @@ func main() {
 		par    = flag.Int("parallel", 0, "clustering worker count (0 = all cores, 1 = sequential); output is identical either way")
 		knn    = flag.String("knn", "auto", "k-dist neighbor search for automatic eps: auto, kdtree, brute (eps is identical either way)")
 		silN   = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact, O(n²); S > 0 = approximate, O((K·S)²))")
-		stream = flag.Bool("stream", false, "consume the trace record-by-record (stdin when -in is empty or \"-\")")
+		stream = flag.Bool("stream", false, "read the trace from stdin when -in is empty or \"-\" (every input streams record by record)")
 	)
 	flag.Parse()
 	index, err := cluster.ParseIndexMode(*knn)
 	if err != nil {
 		fatal(err)
 	}
+	if *in == "" && !*stream {
+		fatal(fmt.Errorf("missing -in"))
+	}
+	r, closeIn, err := openInput(*in)
+	if err != nil {
+		fatal(err)
+	}
 	ccfg := cluster.Config{Eps: *eps, MinPts: *minPts, UseIPC: !*noIPC,
 		Parallelism: *par, Index: index, SilhouetteSample: *silN}
+	err = run(os.Stdout, r, trace.Time(*minDur*1e3), ccfg, *scout)
+	closeIn()
+	if err != nil {
+		fatal(err)
+	}
+}
 
-	var (
-		app      string
-		nAll     int
-		kept     []burst.Burst
-		coverage float64
-		res      cluster.Result
-	)
-	if *stream {
-		r, closeIn, err := openInput(*in)
-		if err != nil {
-			fatal(err)
-		}
-		sr, err := trace.NewStreamReader(r)
-		if err != nil {
-			fatal(err)
-		}
-		// The pipeline's burst path is all this tool needs: skip sample
-		// attachment entirely.
-		out, err := pipeline.RunContext(context.Background(), sr, pipeline.Config{
-			MinBurstDuration: trace.Time(*minDur * 1e3),
-			Cluster:          ccfg,
-			NoSamples:        true,
-		})
-		closeIn()
-		if err != nil {
-			fatal(err)
-		}
-		app, nAll, kept, coverage, res = out.Meta.App, out.Bursts, out.Kept, out.CoverageKept, out.Clustering
-	} else {
-		if *in == "" {
-			fatal(fmt.Errorf("missing -in"))
-		}
-		tr, err := trace.ReadFile(*in)
-		if err != nil {
-			fatal(err)
-		}
-		all, err := burst.Extract(tr)
-		if err != nil {
-			fatal(err)
-		}
-		kept, _ = burst.Filter{MinDuration: trace.Time(*minDur * 1e3)}.Apply(all)
-		res = cluster.ClusterBursts(kept, ccfg)
-		app, nAll, coverage = tr.Meta.App, len(all), burst.Coverage(kept, all)
+// run streams the trace read from r through the pipeline's map half
+// (no samples: the burst path is all this tool needs), clusters the
+// kept bursts and prints the structure to w; a non-empty scatter names
+// the TSV to write the burst scatter to.
+func run(w io.Writer, r io.Reader, minDur trace.Time, ccfg cluster.Config, scatter string) error {
+	sr, err := trace.NewStreamReader(r)
+	if err != nil {
+		return err
+	}
+	out, err := pipeline.RunContext(context.Background(), sr, pipeline.Config{
+		MinBurstDuration: minDur,
+		NoSamples:        true,
+	})
+	if err != nil {
+		return err
+	}
+	kept := out.Kept
+	res := cluster.ClusterBursts(kept, ccfg)
+	coverage := 0.0
+	if out.AllTime > 0 {
+		coverage = float64(out.KeptTime) / float64(out.AllTime)
 	}
 
-	fmt.Printf("%s: %d bursts (%d filtered, %.1f%% time kept), K=%d, eps=%.4f, silhouette=%.3f\n",
-		app, nAll, nAll-len(kept), 100*coverage,
+	fmt.Fprintf(w, "%s: %d bursts (%d filtered, %.1f%% time kept), K=%d, eps=%.4f, silhouette=%.3f\n",
+		out.Meta.App, out.Bursts, out.Bursts-len(kept), 100*coverage,
 		res.K, res.Eps, res.Silhouette)
-	fmt.Printf("cluster time coverage: %.1f%%\n\n", 100*cluster.ClusterTimeCoverage(kept, res.Assign))
+	fmt.Fprintf(w, "cluster time coverage: %.1f%%\n\n", 100*cluster.ClusterTimeCoverage(kept, res.Assign))
 
 	tb := &report.Table{
 		Title:  "Detected computation phases",
@@ -129,9 +119,9 @@ func main() {
 	if a := byCluster[cluster.Noise]; a != nil {
 		tb.AddRow("noise", a.n, float64(a.tot)/1e9, float64(a.tot)/float64(a.n)/1e6, a.ipc/float64(a.n))
 	}
-	fmt.Print(tb.Format())
+	fmt.Fprint(w, tb.Format())
 
-	if *scout != "" {
+	if scatter != "" {
 		rows := make([][]string, 0, len(kept))
 		for i, b := range kept {
 			rows = append(rows, []string{
@@ -140,15 +130,16 @@ func main() {
 				fmt.Sprintf("%d", res.Assign[i]),
 			})
 		}
-		if err := report.WriteTSV(*scout, []string{"duration_us", "ipc", "cluster"}, rows); err != nil {
-			fatal(err)
+		if err := report.WriteTSV(scatter, []string{"duration_us", "ipc", "cluster"}, rows); err != nil {
+			return err
 		}
-		fmt.Printf("\nwrote %s\n", *scout)
+		fmt.Fprintf(w, "\nwrote %s\n", scatter)
 	}
+	return nil
 }
 
-// openInput resolves the streaming input: stdin when path is empty or
-// "-", the named file otherwise.
+// openInput resolves the input: stdin when path is empty or "-", the
+// named file otherwise.
 func openInput(path string) (io.Reader, func(), error) {
 	if path == "" || path == "-" {
 		return os.Stdin, func() {}, nil

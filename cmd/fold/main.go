@@ -155,8 +155,8 @@ func main() {
 			foldIterations(tr, *counter, *bins)
 			return
 		}
-		// One shard is exactly the single-pass analysis — the algebra
-		// guarantees the report is identical for every shard count.
+		// Every shard count goes through the same map and Reduce, so the
+		// report is identical for any -shards.
 		if *modelIn != "" || *modelOut != "" {
 			rep, err = analyzeWithModel(tr, *shards, shMode, opts, *modelIn, *modelOut)
 		} else {
@@ -229,8 +229,11 @@ func main() {
 				}
 			}
 		}
-		for c, err := range ph.FoldErrors {
-			fmt.Printf("%s: not folded (%v)\n", c, err)
+		// Counter-id order, not map order, so stdout is byte-stable.
+		for c := counters.Counter(0); c < counters.NumCounters; c++ {
+			if err, ok := ph.FoldErrors[c]; ok {
+				fmt.Printf("%s: not folded (%v)\n", c, err)
+			}
 		}
 		if ph.Stacks != nil && len(ph.Stacks.Regions) > 0 {
 			fmt.Printf("\ncall-stack folding (%d samples): regions ", ph.Stacks.Samples)

@@ -175,26 +175,6 @@ func dist3(a, b [3]float64) float64 {
 // two centroid means.
 func CentroidDist2(a, b Centroid) float64 { return dist3(a.Mean, b.Mean) }
 
-// MatchCentroid finds the nearest centroid in pool whose capture radius
-// (or c's own) contains c's mean — the rule that two independently
-// trained clusters are the same phase.
-// Entries for which skip returns true are ignored (nil skips nothing).
-// It returns the pool index and squared distance, or (-1, +Inf) when no
-// centroid captures c.
-func MatchCentroid(c Centroid, pool []Centroid, skip func(int) bool) (int, float64) {
-	best, bestD2 := -1, math.Inf(1)
-	for i := range pool {
-		if skip != nil && skip(i) {
-			continue
-		}
-		d2 := dist3(c.Mean, pool[i].Mean)
-		if d2 <= math.Max(c.Radius2, pool[i].Radius2) && d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	return best, bestD2
-}
-
 // Classify maps a burst to a cluster id by its raw features alone: a
 // burst with the same raw feature vector as a retained training burst
 // returns that burst's training label exactly; otherwise the nearest

@@ -5,8 +5,8 @@
 // call-stack view, per-rank balance statistics, and heuristic
 // performance advice, mirroring the paper's automated methodology (burst
 // clustering for structure detection + folding for fine-grain insight).
-// Both entry points run the same internal/pipeline stages, so batch and
-// streaming analysis cannot drift apart.
+// Both entry points run the same internal/pipeline stages and the same
+// Reduce, so batch and streaming analysis cannot drift apart.
 package core
 
 import (
@@ -66,8 +66,9 @@ type Options struct {
 	// StallTimeout fails an analysis whose pipeline makes no progress for
 	// this long with an error wrapping pipeline.ErrStalled (0 disables
 	// the watchdog). It guards services against uploads that go quiet
-	// without disconnecting; size it well above the longest clustering
-	// pause expected for the trace sizes served.
+	// without disconnecting; size it well above the longest pause
+	// between blocks expected for the trace sizes served (the sort of
+	// the kept bursts at the end of the event section, online training).
 	StallTimeout time.Duration
 	// Logger receives live structured progress from the analysis —
 	// per-stage completions at debug level, clustering and training
@@ -109,6 +110,16 @@ func (o *Options) pipelineConfig() pipeline.Config {
 		StallTimeout:     o.StallTimeout,
 		Logger:           o.Logger,
 	}
+}
+
+// clusterConfig is the configuration Reduce clusters and trains with:
+// opts.Cluster, logging to the analysis logger unless it has its own.
+func (o *Options) clusterConfig() cluster.Config {
+	cl := o.Cluster
+	if cl.Logger == nil {
+		cl.Logger = o.Logger
+	}
+	return cl
 }
 
 func (o *Options) setDefaults() {
@@ -296,96 +307,11 @@ func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*Report
 	return rep, nil
 }
 
-// assemble turns a pipeline outcome into the public Report.
-func assemble(out *pipeline.Outcome, opts Options) *Report {
-	rep := &Report{
-		App:                 out.Meta.App,
-		Ranks:               out.Meta.Ranks,
-		Meta:                out.Meta,
-		Records:             out.Records,
-		Online:              out.Online,
-		TrainErr:            out.TrainErr,
-		Pipeline:            out.Stages,
-		Bursts:              out.Bursts,
-		Filtered:            out.Bursts - len(out.Kept),
-		CoverageKept:        out.CoverageKept,
-		Clustering:          out.Clustering,
-		ClusterTimeCoverage: out.ClusterTimeCoverage,
-		Profile:             out.Profile,
-		ProfileErr:          out.ProfileErr,
-		Iterations:          out.Iterations,
-		Loops:               out.Loops,
-		SPMDScore:           out.SPMDScore,
-	}
-	// Roll the pipeline's degradations up into the report: salvage-decode
-	// stats first, then pipeline-level warnings (clustering fallbacks).
-	if out.Decode != nil {
-		rep.NoteDecode(*out.Decode)
-	}
-	if len(out.Warnings) > 0 {
-		rep.Warnings = append(rep.Warnings, out.Warnings...)
-		rep.Degraded = true
-	}
-	// Silhouette is NaN for degenerate clusterings (<2 clusters, as the
-	// quantile fallback can produce); sanitize so the Report stays JSON-
-	// encodable (encoding/json rejects NaN).
-	if math.IsNaN(rep.Clustering.Silhouette) {
-		rep.Clustering.Silhouette = 0
-	}
-	if out.Online {
-		assembleOnline(rep, out, opts)
-		rep.Warnings = BoundWarnings(rep.Warnings)
-		return rep
-	}
-	kept := out.Kept
-	nPhases := rep.Clustering.K
-	if nPhases > opts.MaxPhases {
-		nPhases = opts.MaxPhases
-	}
-	if nPhases > 0 {
-		// Each phase is analyzed independently against the read-only burst
-		// and sample sets and written to its own pre-sized slot, so the
-		// fan-out preserves ordering and determinism exactly. A panic in
-		// one phase's analysis is contained to its slot: the phase comes
-		// back as a stub carrying the recovered panic, the report is
-		// marked degraded, and every other phase is unaffected.
-		rep.Phases = make([]Phase, nPhases)
-		panics := make([]string, nPhases)
-		parallel.ForEach(nPhases, opts.Parallelism, func(idx int) {
-			cid := idx + 1
-			defer func() {
-				if r := recover(); r != nil {
-					panics[idx] = fmt.Sprintf("%v", r)
-					rep.Phases[idx] = failedPhase(cid, panics[idx])
-				}
-			}()
-			instances := folding.InstancesFromBursts(kept, out.Attached, cid)
-			rep.Phases[idx] = analyzePhase(&out.Meta, kept, instances, cid, opts)
-		})
-		notePhasePanics(rep, panics)
-	}
-	rep.Warnings = BoundWarnings(rep.Warnings)
-	return rep
-}
-
 // failedPhase is the stub slot a panicked phase analysis leaves behind.
 func failedPhase(cid int, msg string) Phase {
 	return Phase{
 		ClusterID: cid,
 		Warnings:  []string{fmt.Sprintf("phase analysis failed: %s", msg)},
-	}
-}
-
-// notePhasePanics folds recovered per-phase panics into the report-level
-// warnings (in phase order, so the report stays deterministic).
-func notePhasePanics(rep *Report, panics []string) {
-	for idx, msg := range panics {
-		if msg == "" {
-			continue
-		}
-		rep.Warnings = append(rep.Warnings, fmt.Sprintf(
-			"phase %d analysis failed and was skipped: %s", idx+1, msg))
-		rep.Degraded = true
 	}
 }
 
@@ -420,10 +346,26 @@ func analyzePhase(meta *trace.Metadata, kept []burst.Burst, instances []folding.
 	return ph
 }
 
+// onlinePhase is the analysis of one phase the online pipeline folded:
+// the burst-derived statistics are those of an exact phase, but the
+// folded views are snapshots of running accumulators instead of offline
+// fits over retained instances, so FoldInstances stays nil.
+func onlinePhase(meta *trace.Metadata, kept []burst.Burst, pf *pipeline.PhaseFolds) Phase {
+	ph := Phase{
+		ClusterID:  pf.ClusterID,
+		Folds:      pf.Folds,
+		FoldErrors: pf.FoldErrors,
+		Stacks:     pf.Stacks,
+	}
+	aggregatePhase(&ph, meta, kept, pf.ClusterID)
+	ph.Advice = advise(meta, &ph)
+	return ph
+}
+
 // aggregatePhase fills the burst-derived statistics of phase cid —
 // instance counts, durations, IPC, per-rank balance, oracle purity. It
-// is shared by the offline assembly and the streaming assembly, which
-// differ only in where the folded views come from.
+// is shared by the exact and the online phase analyses, which differ
+// only in where the folded views come from.
 func aggregatePhase(ph *Phase, meta *trace.Metadata, kept []burst.Burst, cid int) {
 	oracleCount := map[int64]int{}
 	var ipcSum, insSum float64

@@ -160,56 +160,62 @@ func TestAnalyzeLenientClusteringFallback(t *testing.T) {
 	}
 }
 
+// TestAssembleIsolatesPhasePanic runs Reduce's phase fan-out over a
+// pooled partial of each kind whose second cluster holds a burst with a
+// rank outside the metadata's range: aggregatePhase indexes a per-rank
+// slice with it and panics. The panic must stay confined to that
+// phase's slot.
 func TestAssembleIsolatesPhasePanic(t *testing.T) {
-	// A synthetic outcome whose second cluster holds a burst with a rank
-	// outside the metadata's range: aggregatePhase indexes a per-rank
-	// slice with it and panics. The panic must stay confined to that
-	// phase's slot.
 	kept := []burst.Burst{
 		{Rank: 0, Start: 0, End: 1000, Cluster: 1},
 		{Rank: 0, Start: 2000, End: 3000, Cluster: 1},
 		{Rank: 5, Start: 4000, End: 5000, Cluster: 2}, // out of range for Ranks=1
 	}
-	out := &pipeline.Outcome{
-		Meta:       trace.Metadata{App: "synthetic", Ranks: 1, Duration: 10000},
-		Kept:       kept,
-		Bursts:     len(kept),
-		Clustering: cluster.Result{K: 2, Assign: []int{1, 1, 2}},
-		Attached:   make([][]trace.Sample, len(kept)),
-	}
-	opts := Options{}
-	opts.setDefaults()
-
-	rep := assemble(out, opts)
-	if len(rep.Phases) != 2 {
-		t.Fatalf("phases = %d, want 2", len(rep.Phases))
-	}
-	if rep.Phases[0].Instances != 2 {
-		t.Errorf("healthy phase damaged: %+v", rep.Phases[0])
-	}
-	for _, w := range rep.Phases[0].Warnings {
-		if strings.Contains(w, "analysis failed") {
-			t.Errorf("healthy phase marked failed: %v", rep.Phases[0].Warnings)
+	meta := trace.Metadata{App: "synthetic", Ranks: 1, Duration: 10000}
+	for _, all := range []*Partial{
+		{Meta: meta, Kept: kept, Attached: make([][]trace.Sample, len(kept))},
+		{Meta: meta, Kept: kept, Online: true, OnlinePhases: []pipeline.PhaseFolds{{ClusterID: 1}, {ClusterID: 2}}},
+	} {
+		name := "exact"
+		if all.Online {
+			name = "online"
 		}
-	}
-	bad := rep.Phases[1]
-	if bad.ClusterID != 2 {
-		t.Errorf("failed phase ClusterID = %d, want 2", bad.ClusterID)
-	}
-	if len(bad.Warnings) == 0 {
-		t.Error("failed phase carries no warning")
-	}
-	if !rep.Degraded {
-		t.Error("report with a panicked phase not marked Degraded")
-	}
-	found := false
-	for _, w := range rep.Warnings {
-		if strings.Contains(w, "phase 2") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("report warnings do not name the failed phase: %v", rep.Warnings)
+		t.Run(name, func(t *testing.T) {
+			opts := Options{}
+			opts.setDefaults()
+			rep := &Report{Meta: meta, Online: all.Online, Clustering: cluster.Result{K: 2, Assign: []int{1, 1, 2}}}
+			analyzePhases(rep, all, opts)
+			if len(rep.Phases) != 2 {
+				t.Fatalf("phases = %d, want 2", len(rep.Phases))
+			}
+			if rep.Phases[0].Instances != 2 {
+				t.Errorf("healthy phase damaged: %+v", rep.Phases[0])
+			}
+			for _, w := range rep.Phases[0].Warnings {
+				if strings.Contains(w, "analysis failed") {
+					t.Errorf("healthy phase marked failed: %v", rep.Phases[0].Warnings)
+				}
+			}
+			bad := rep.Phases[1]
+			if bad.ClusterID != 2 {
+				t.Errorf("failed phase ClusterID = %d, want 2", bad.ClusterID)
+			}
+			if len(bad.Warnings) == 0 {
+				t.Error("failed phase carries no warning")
+			}
+			if !rep.Degraded {
+				t.Error("report with a panicked phase not marked Degraded")
+			}
+			found := false
+			for _, w := range rep.Warnings {
+				if strings.Contains(w, "phase 2") {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("report warnings do not name the failed phase: %v", rep.Warnings)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/parallel"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -26,9 +24,8 @@ func AnalyzeStreamContext(ctx context.Context, r io.Reader, opts Options) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	// One whole-stream shard through the map/reduce algebra; Reduce of a
-	// single whole partial reproduces the single-pass analysis exactly, and
-	// the fused online path travels through the same composition.
+	// One whole-stream shard through the map/reduce algebra, exact or
+	// fused online: Reduce resolves and summarises both kinds.
 	p, err := MapShardContext(ctx, sr, WholeSpec(), opts)
 	if err != nil {
 		return nil, err
@@ -90,39 +87,4 @@ func (cr *ctxReader) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	return cr.r.Read(p)
-}
-
-// assembleOnline builds the Report's phases from the pipeline's
-// incrementally-folded snapshots. The burst-derived aggregates come from
-// the same code path as the offline assembly; only the folded views
-// differ (snapshots of running accumulators instead of offline fits over
-// retained instances), and FoldInstances stays nil since the stream
-// never kept the samples. Like the offline fan-out, a panic in one
-// phase's assembly is contained to its slot and noted on the report.
-func assembleOnline(rep *Report, out *pipeline.Outcome, opts Options) {
-	if len(out.OnlinePhases) == 0 {
-		return
-	}
-	phases := make([]Phase, len(out.OnlinePhases))
-	panics := make([]string, len(out.OnlinePhases))
-	parallel.ForEach(len(out.OnlinePhases), opts.Parallelism, func(i int) {
-		pf := out.OnlinePhases[i]
-		defer func() {
-			if r := recover(); r != nil {
-				panics[i] = fmt.Sprintf("%v", r)
-				phases[i] = failedPhase(pf.ClusterID, panics[i])
-			}
-		}()
-		ph := Phase{
-			ClusterID:  pf.ClusterID,
-			Folds:      pf.Folds,
-			FoldErrors: pf.FoldErrors,
-			Stacks:     pf.Stacks,
-		}
-		aggregatePhase(&ph, &out.Meta, out.Kept, pf.ClusterID)
-		ph.Advice = advise(&out.Meta, &ph)
-		phases[i] = ph
-	})
-	rep.Phases = phases
-	notePhasePanics(rep, panics)
 }

@@ -11,7 +11,7 @@ const MaxWarnings = 64
 // annotating repeats with a count suffix) and caps the result at
 // MaxWarnings entries, replacing the overflow with a single suppression
 // marker. It is idempotent: applying it to its own output returns the
-// list unchanged, so layered callers (assemble, live sessions) can each
+// list unchanged, so layered callers (Reduce, live sessions) can each
 // bound defensively without perturbing report equivalence.
 func BoundWarnings(ws []string) []string {
 	if len(ws) <= 1 {

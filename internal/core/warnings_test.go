@@ -46,7 +46,7 @@ func TestBoundWarningsCap(t *testing.T) {
 }
 
 // TestBoundWarningsIdempotent: the session snapshot path applies
-// BoundWarnings on top of assemble's application, so a bounded list
+// BoundWarnings on top of Reduce's application, so a bounded list
 // must bound to itself.
 func TestBoundWarningsIdempotent(t *testing.T) {
 	cases := [][]string{

@@ -1,8 +1,10 @@
 // Package doccheck enforces the documentation contract: every exported
-// identifier in the core analysis packages must carry a doc comment, and
-// every pkg.Name the docs' code names must exist. It runs as an ordinary
-// test so `go test ./internal/doccheck` (wired into `make check`) fails
-// listing each undocumented identifier and each stale mention.
+// identifier in the core analysis packages must carry a doc comment,
+// every pkg.Name the docs' code names must exist, and every exported
+// top-level name under internal/ must be named somewhere outside its own
+// declaration. It runs as an ordinary test so `go test
+// ./internal/doccheck` (wired into `make check`) fails listing each
+// undocumented identifier, each stale mention and each dead name.
 package doccheck
 
 import (

@@ -86,9 +86,6 @@ func (s *Server) StartDrain(ctx context.Context) {
 	s.sessions.Close(ctx)
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.drain.Load() }
-
 // rejectIfDraining answers 503 + Retry-After on a draining daemon.
 func (s *Server) rejectIfDraining(w http.ResponseWriter) bool {
 	if !s.drain.Load() {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/online"
 	"repro/internal/parallel"
 	"repro/internal/profile"
-	"repro/internal/structure"
 	"repro/internal/trace"
 )
 
@@ -30,8 +29,8 @@ const blockChanBuf = 4
 type Config struct {
 	// MinBurstDuration filters bursts shorter than this (0 keeps all).
 	MinBurstDuration trace.Time
-	// Cluster configures burst clustering (exact mode) and classifier
-	// training (online mode).
+	// Cluster configures the online classifier's training. Exact runs
+	// resolve no phases: core.Reduce clusters their bursts.
 	Cluster cluster.Config
 	// Fold configures folding; Fold.Counter is ignored (Counters below
 	// selects what is folded).
@@ -45,12 +44,12 @@ type Config struct {
 	// MaxPhases bounds how many clusters get per-phase folding in online
 	// mode (default 5).
 	MaxPhases int
-	// Parallelism bounds fan-out (clustering kernels, snapshot assembly);
-	// 0 selects runtime.GOMAXPROCS(0).
+	// Parallelism bounds fan-out (classifier training, snapshot
+	// assembly); 0 selects runtime.GOMAXPROCS(0).
 	Parallelism int
 	// NoSamples skips sample attachment and folding entirely — for tools
-	// that only need bursts, clustering and structure (cmd/burstcluster,
-	// cmd/trstats).
+	// that only need the bursts, the profile fragment and the iteration
+	// marks (cmd/burstcluster, cmd/trstats).
 	NoSamples bool
 	// Online selects the bounded-memory path: train a cluster.Model on
 	// the first TrainBursts kept bursts and compact it to its centroids
@@ -59,31 +58,22 @@ type Config struct {
 	// folding.StackFolder), never retaining them. Memory then scales with
 	// bursts + bins instead of total records, at the cost of approximate
 	// (though typically >95%-agreeing) assignments.
-	// The default exact mode buffers kept bursts and their samples and
-	// defers clustering to the end of the event section, reproducing
-	// batch output bit-for-bit.
+	// The default exact mode is the map half of core's analysis
+	// algebra: it buffers the kept bursts and their samples, in canonical
+	// order, and resolves no phases; core.Reduce clusters them.
 	Online bool
 	// TrainBursts is the online training-prefix length (default 512).
 	TrainBursts int
 	// BatchSize is the number of records per pipeline block (default 256).
 	BatchSize int
-	// Partial selects the map half of the sharded analysis algebra: the
-	// run extracts, filters, sorts and attaches as usual but resolves no
-	// phases — clustering, classification and fallback splitting are
-	// deferred to the reduce step, which sees every shard's bursts at
-	// once. The Outcome then carries the mergeable state (Kept, Attached,
-	// Marks, RankBursts, ProfilePartial) instead of a clustering. Partial
-	// and Online are mutually exclusive; core enforces that before
-	// building a Config.
-	Partial bool
 	// Resume marks a shard that does not start at the trace origin, so a
 	// rank's first MPI event may legally be an exit (the head of a call
 	// opened by the previous shard). It only affects the flat-profile
 	// fragment; the burst extractor is self-synchronizing at MPI exits.
 	Resume bool
-	// Lenient enables degraded-mode analysis: when the clustering over the
-	// kept bursts degenerates to zero clusters, a duration-quantile
-	// fallback split keeps the run useful (recorded in Outcome.Warnings).
+	// Lenient enables degraded-mode analysis: when an online run's
+	// classifier cannot be trained, a duration-quantile fallback split
+	// keeps the run useful (recorded in Outcome.Warnings).
 	// The decode stage also collects salvage stats from a lenient
 	// trace.StreamReader source into Outcome.Decode. It does not change
 	// how a strict source decodes — pass a Lenient-mode reader for that.
@@ -91,11 +81,11 @@ type Config struct {
 	// StallTimeout arms a watchdog that fails the run with an error
 	// wrapping ErrStalled when no stage makes progress for this long
 	// (0 disables it). Size it well above the longest barrier-stage gap —
-	// clustering a huge trace moves no blocks while it computes.
+	// gathering a huge trace's bursts moves no blocks while it sorts.
 	StallTimeout time.Duration
 	// Logger receives live structured progress (per-stage completions at
-	// debug level, clustering and training outcomes at info level). nil
-	// disables logging.
+	// debug level, online training outcomes and fallbacks at info level).
+	// nil disables logging.
 	Logger *slog.Logger
 }
 
@@ -147,56 +137,46 @@ type PhaseFolds struct {
 	Stacks *folding.StackResult
 }
 
-// Outcome is everything the pipeline learned from one pass over the
-// record stream; core assembles a Report from it.
+// Outcome is what the pipeline measured in one pass over the record
+// stream. It carries no summary: core.Reduce resolves the phases and
+// derives coverage, structure, iterations and the profile from it.
 type Outcome struct {
 	// Meta is the stream's metadata.
 	Meta trace.Metadata
 	// Records counts the records consumed, by kind.
 	Records RecordCounts
 	// Bursts is the number of bursts extracted; Kept those surviving the
-	// duration filter, in global (Start, Rank) order with Cluster set.
+	// duration filter, in global (Start, Rank) order. An online run sets
+	// their Cluster labels; an exact run leaves them unlabelled.
 	Bursts int
 	Kept   []burst.Burst
-	// CoverageKept is the fraction of burst time the filter kept.
-	CoverageKept float64
-	// Clustering is the clustering over the kept bursts. In online mode
-	// Assign reflects the streamed classifications while K, Eps, MinPts
-	// and Silhouette come from the training clustering (Features is nil —
-	// no full feature matrix ever exists).
-	Clustering cluster.Result
-	// ClusterTimeCoverage is the fraction of kept burst time inside
-	// non-noise clusters.
-	ClusterTimeCoverage float64
-	// Loops and SPMDScore describe the phase-sequence structure.
-	Loops     []structure.Loop
-	SPMDScore float64
-	// Profile is the flat MPI/compute profile; ProfileErr records why it
-	// is nil when profiling failed.
-	Profile    *profile.Profile
-	ProfileErr string
-	// Iterations summarizes EvIteration markers.
-	Iterations structure.IterationStats
-	// KeptTime and AllTime are the burst-time sums behind CoverageKept,
-	// exposed so a reduce step can recompute coverage over all shards.
+	// KeptTime and AllTime are the kept and the total burst time, whose
+	// ratio is the filter's coverage; they merge across shards by
+	// addition.
 	KeptTime, AllTime trace.Time
 	// RankBursts counts extracted (pre-filter) bursts per rank; a reduce
 	// step uses the per-shard counts to rebase Burst.Index offsets.
 	RankBursts []int
-	// Marks holds the raw per-rank iteration marker times behind
-	// Iterations, mergeable by per-rank concatenation in shard order.
+	// Marks holds the raw per-rank iteration marker times, mergeable by
+	// per-rank concatenation in shard order.
 	Marks map[int32][]trace.Time
-	// ProfilePartial is the mergeable flat-profile fragment (Partial mode
-	// only; the merged Profile is nil then).
+	// ProfilePartial is the mergeable flat-profile fragment;
+	// profile.Merge turns it into the flat profile.
 	ProfilePartial *profile.Partial
-	// Attached holds, per kept burst, its samples (exact mode only).
+	// Attached holds, per kept burst, its samples (exact mode without
+	// NoSamples only).
 	Attached [][]trace.Sample
+	// Clustering is the online run's labelling of the kept bursts
+	// (online mode only): Assign reflects the streamed classifications
+	// while K, Eps, MinPts and Silhouette come from the training
+	// clustering (Features is nil — no full feature matrix ever exists).
+	Clustering cluster.Result
 	// OnlinePhases holds the per-phase incremental folds (online mode
 	// only), ordered by cluster id.
 	OnlinePhases []PhaseFolds
-	// TrainErr records a failed online classifier training (the run then
-	// degrades to zero phases, mirroring a batch run that finds no
-	// clusters).
+	// TrainErr records a failed online classifier training (online mode
+	// only; the run then degrades to zero phases, mirroring a batch run
+	// that finds no clusters).
 	TrainErr string
 	// Online records which mode produced this outcome.
 	Online bool
@@ -205,9 +185,9 @@ type Outcome struct {
 	// Decode summarizes what a lenient (salvage) decode dropped; nil when
 	// the source was not a lenient trace.StreamReader.
 	Decode *trace.DecodeStats
-	// Warnings itemizes every degraded-mode concession the run made
-	// (clustering fallback, online-training fallback); decode-level
-	// warnings are derived from Decode by the report assembler.
+	// Warnings itemizes every degraded-mode concession the run made (the
+	// online-training fallback); decode-level warnings are derived from
+	// Decode by core.Reduce.
 	Warnings []string
 }
 
@@ -240,10 +220,10 @@ type analysis struct {
 	marks      map[int32][]trace.Time
 
 	// phase stage: bursts collect in arrival order in store until
-	// finalize gathers them, sorted, into kept
+	// finalize gathers them, sorted, into kept; online runs label them
 	store      keptStore
 	kept       []burst.Burst
-	clustering cluster.Result
+	clustering cluster.Result // online mode
 	model      *cluster.Model // online mode, once trained
 	trainErr   error
 	finalized  bool
@@ -469,13 +449,15 @@ func (a *analysis) extractStage(p *Pipeline, in <-chan *block) <-chan *block {
 	}, nil)
 }
 
-// phaseStage collects kept bursts and resolves their phases. In exact
-// mode it is a barrier at the event→sample boundary: all bursts are
-// known there (sections are ordered, and blocks are homogeneous, so the
-// first sample block marks it), so it sorts and clusters them before the
-// first sample flows on. In online mode it trains the classifier on the
-// first TrainBursts bursts mid-stream and classifies the rest as they
-// arrive.
+// phaseStage collects the kept bursts. It is a barrier at the
+// event→sample boundary: all bursts are known there (sections are
+// ordered, and blocks are homogeneous, so the first sample block marks
+// it), so it sorts them before the first sample flows on. In online mode
+// it also labels them: it trains the classifier on the first
+// TrainBursts bursts mid-stream and classifies the rest as they arrive.
+// The exact stage keeps the name "cluster", which reports carry;
+// core.Reduce fills the stage's RecordsOut, the labelled burst count,
+// once the phases are resolved.
 func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 	name := "cluster"
 	if a.cfg.Online {
@@ -494,13 +476,13 @@ func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
 			}
 		}
 		if blk.cols.Kind() == trace.KindSample && !a.finalized {
-			a.finalize(ctx.Metrics)
+			a.finalize()
 		}
 		ctx.Emit(blk)
 		return nil
 	}, func(ctx *StageCtx[*block]) error {
 		if !a.finalized {
-			a.finalize(ctx.Metrics)
+			a.finalize()
 		}
 		return nil
 	})
@@ -536,26 +518,15 @@ func (a *analysis) train() {
 }
 
 // finalize runs once all bursts are known: gather them in canonical
-// order, resolve the clustering, and build the per-rank routing index
-// the fold stage walks.
-func (a *analysis) finalize(m *Metrics) {
+// order, settle an online run's labelling, and build the per-rank
+// routing index the fold stage walks.
+func (a *analysis) finalize() {
 	a.finalized = true
 	if a.cfg.Online && a.model == nil && a.store.n > 0 {
 		a.train()
 	}
 	a.kept = a.store.gather()
-	if a.cfg.Partial {
-		// Map half of the sharded algebra: phases are resolved at reduce
-		// time over every shard's bursts, so this run only fixes the
-		// canonical order and builds the attachment routing below.
-	} else if !a.cfg.Online {
-		if len(a.kept) > 0 {
-			a.clustering = cluster.ClusterBursts(a.kept, a.cfg.Cluster)
-			if a.clustering.K == 0 && a.cfg.Lenient {
-				a.fallbackClustering("clustering found no phases")
-			}
-		}
-	} else if md := a.model; md != nil {
+	if md := a.model; md != nil {
 		assign := make([]int, len(a.kept))
 		for i := range a.kept {
 			assign[i] = a.kept[i].Cluster
@@ -564,17 +535,10 @@ func (a *analysis) finalize(m *Metrics) {
 			Assign: assign, K: md.K, Eps: md.Eps, MinPts: md.MinPts,
 			Silhouette: md.Silhouette,
 		}
-	} else if a.cfg.Lenient && len(a.kept) > 0 {
+	} else if a.cfg.Online && a.cfg.Lenient && len(a.kept) > 0 {
 		// Online training failed or never had enough bursts; degrade to
 		// the quantile split instead of a zero-phase report.
 		a.fallbackClustering("online classifier unavailable")
-	}
-	if !a.cfg.Partial {
-		for i := range a.kept {
-			if a.kept[i].Cluster != cluster.Noise {
-				m.RecordsOut++
-			}
-		}
 	}
 
 	a.byRank = make([][]int, a.meta.Ranks)
@@ -599,7 +563,7 @@ func (a *analysis) finalize(m *Metrics) {
 	}
 }
 
-// fallbackClustering replaces a degenerate clustering with the
+// fallbackClustering labels an online run's bursts by the
 // duration-quantile split (lenient mode only) and records why.
 func (a *analysis) fallbackClustering(why string) {
 	a.clustering = cluster.QuantileFallback(a.kept, 2)
@@ -750,41 +714,23 @@ func (a *analysis) flushInstances(m *Metrics) {
 // outcome assembles the final Outcome after all stages returned.
 func (a *analysis) outcome(p *Pipeline) *Outcome {
 	out := &Outcome{
-		Meta:       *a.meta,
-		Records:    a.records,
-		Bursts:     a.bursts,
-		Kept:       a.kept,
-		Clustering: a.clustering,
-		Attached:   a.attached,
-		Online:     a.cfg.Online,
-		Iterations: structure.IterationsFromMarks(a.marks),
-		Decode:     a.decode,
-		Warnings:   a.warnings,
-		KeptTime:   a.keptTime,
-		AllTime:    a.allTime,
-		RankBursts: a.rankBursts,
-		Marks:      a.marks,
-	}
-	if a.cfg.Partial {
-		out.ProfilePartial = a.prof.Partial()
-	} else if prof, err := profile.Merge([]*profile.Partial{a.prof.Partial()}, a.meta.Duration); err == nil {
-		out.Profile = prof
-	} else {
-		out.ProfileErr = err.Error()
+		Meta:           *a.meta,
+		Records:        a.records,
+		Bursts:         a.bursts,
+		Kept:           a.kept,
+		Clustering:     a.clustering,
+		Attached:       a.attached,
+		Online:         a.cfg.Online,
+		Decode:         a.decode,
+		Warnings:       a.warnings,
+		KeptTime:       a.keptTime,
+		AllTime:        a.allTime,
+		RankBursts:     a.rankBursts,
+		Marks:          a.marks,
+		ProfilePartial: a.prof.Partial(),
 	}
 	if a.trainErr != nil {
 		out.TrainErr = a.trainErr.Error()
-	}
-	if a.allTime > 0 {
-		out.CoverageKept = float64(a.keptTime) / float64(a.allTime)
-	}
-	if len(a.kept) > 0 && !a.cfg.Partial {
-		if len(a.clustering.Assign) == len(a.kept) {
-			out.ClusterTimeCoverage = cluster.ClusterTimeCoverage(a.kept, a.clustering.Assign)
-		}
-		seqs := structure.Sequences(a.kept)
-		out.Loops = structure.DetectLoops(seqs)
-		out.SPMDScore = structure.SPMDScore(seqs)
 	}
 	if a.cfg.Online && len(a.phaseIDs) > 0 {
 		out.OnlinePhases = make([]PhaseFolds, len(a.phaseIDs))

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/burst"
-	"repro/internal/cluster"
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/structure"
@@ -76,11 +74,12 @@ func boundaryTrace() *trace.Trace {
 	return b.Build()
 }
 
-// checkMapHalf compares a Partial-mode outcome with what the batch
+// checkMapHalf compares a run's measured outcome with what the batch
 // functions compute from the whole in-memory trace want. They share none
 // of the stages' block iteration, sample cursor walk or marker
 // collection, so agreement pins the streaming map half to an
-// independent answer.
+// independent answer. An online run is held to the same answer, except
+// that it labels its bursts and attaches no samples.
 func checkMapHalf(t *testing.T, out *Outcome, want *trace.Trace) {
 	t.Helper()
 	all, err := burst.Extract(want)
@@ -111,10 +110,21 @@ func checkMapHalf(t *testing.T, out *Outcome, want *trace.Trace) {
 		t.Errorf("kept/all time %d/%d, want %d/%d",
 			out.KeptTime, out.AllTime, burst.TotalTime(kept), burst.TotalTime(all))
 	}
-	if !reflect.DeepEqual(out.Kept, kept) {
-		t.Errorf("kept bursts differ from Filter(Extract): %d vs %d", len(out.Kept), len(kept))
+	got := out.Kept
+	if out.Online {
+		got = append([]burst.Burst(nil), got...)
+		for i := range got {
+			got[i].Cluster = 0
+		}
 	}
-	if !reflect.DeepEqual(out.Attached, burst.AttachSamples(want, kept)) {
+	if !reflect.DeepEqual(got, kept) {
+		t.Errorf("kept bursts differ from Filter(Extract): %d vs %d", len(got), len(kept))
+	}
+	if out.Online {
+		if out.Attached != nil {
+			t.Error("online run attached samples")
+		}
+	} else if !reflect.DeepEqual(out.Attached, burst.AttachSamples(want, kept)) {
 		t.Error("attached samples differ from burst.AttachSamples")
 	}
 
@@ -126,16 +136,17 @@ func checkMapHalf(t *testing.T, out *Outcome, want *trace.Trace) {
 	if !reflect.DeepEqual(prof, wantProf) {
 		t.Error("merged profile differs from profile.Compute")
 	}
-	if got, want := out.Iterations, structure.Iterations(want); !reflect.DeepEqual(got, want) {
+	if got, want := structure.IterationsFromMarks(out.Marks), structure.Iterations(want); !reflect.DeepEqual(got, want) {
 		t.Errorf("iterations %+v, want %+v", got, want)
 	}
 }
 
-// TestMapHalfMatchesBatchOracle pins the exact-mode map half — the
-// Partial run every analysis path is composed from — to the in-memory
-// batch functions, for every app under coarse and fine sampling and for
-// the boundary trace, fed both from the in-memory trace and from its
-// encoding.
+// TestMapHalfMatchesBatchOracle pins the exact-mode map half — the run
+// every exact analysis path is composed from — to the in-memory batch
+// functions, for every app under coarse and fine sampling and for the
+// boundary trace, fed both from the in-memory trace and from its
+// encoding. The online run over the encoding is held to the same
+// answer, so its profile fragment and marks go through the same merge.
 func TestMapHalfMatchesBatchOracle(t *testing.T) {
 	cases := []oracleCase{{"boundary", boundaryTrace()}}
 	for _, name := range apps.Names() {
@@ -145,7 +156,7 @@ func TestMapHalfMatchesBatchOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{MinBurstDuration: oracleMinBurst, Partial: true, Parallelism: 2}
+			cfg := Config{MinBurstDuration: oracleMinBurst, Parallelism: 2}
 			out, err := RunContext(context.Background(), trace.NewTraceSource(tc.tr), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -169,6 +180,16 @@ func TestMapHalfMatchesBatchOracle(t *testing.T) {
 			if out.Decode != nil {
 				t.Errorf("strict source reported salvage stats %+v", *out.Decode)
 			}
+
+			online := cfg
+			online.Online = true
+			if sr, err = trace.NewStreamReader(bytes.NewReader(enc)); err != nil {
+				t.Fatal(err)
+			}
+			if out, err = RunContext(context.Background(), sr, online); err != nil {
+				t.Fatal(err)
+			}
+			checkMapHalf(t, out, decoded)
 		})
 	}
 }
@@ -202,7 +223,7 @@ func TestMapHalfLenientMatchesBatchOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			out, err := RunContext(context.Background(), sr, Config{
-				MinBurstDuration: oracleMinBurst, Partial: true, Lenient: true, Parallelism: 2,
+				MinBurstDuration: oracleMinBurst, Lenient: true, Parallelism: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -215,13 +236,12 @@ func TestMapHalfLenientMatchesBatchOracle(t *testing.T) {
 	}
 }
 
-// TestClusteringModeMatchesBatchOracle pins the NoSamples, non-Partial
-// mode that the burstcluster and trstats -stream CLIs run: kept bursts,
-// clustering, flat profile and iteration statistics must deep-equal the
-// batch functions over the decoded trace, for every app and the
-// boundary trace.
+// TestClusteringModeMatchesBatchOracle pins the NoSamples map half
+// that the burstcluster and trstats CLIs run before they cluster: kept
+// bursts (sorted, unlabelled), flat profile and iteration statistics
+// must deep-equal the batch functions over the decoded trace, and no
+// sample may be attached, for every app and the boundary trace.
 func TestClusteringModeMatchesBatchOracle(t *testing.T) {
-	ccfg := cluster.Config{UseIPC: true, Parallelism: 2}
 	cases := []oracleCase{{"boundary", boundaryTrace()}}
 	for _, name := range apps.Names() {
 		cases = append(cases, oracleCase{name, simTrace(t, name, apps.DefaultTraceConfig(4))})
@@ -238,7 +258,7 @@ func TestClusteringModeMatchesBatchOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			out, err := RunContext(context.Background(), sr, Config{
-				MinBurstDuration: oracleMinBurst, Cluster: ccfg, NoSamples: true, Parallelism: 2,
+				MinBurstDuration: oracleMinBurst, NoSamples: true, Parallelism: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -250,28 +270,19 @@ func TestClusteringModeMatchesBatchOracle(t *testing.T) {
 			}
 			kept, _ := burst.Filter{MinDuration: oracleMinBurst}.Apply(all)
 			burst.Sort(kept)
-			res := cluster.ClusterBursts(kept, ccfg) // sets kept[i].Cluster
 
 			if !reflect.DeepEqual(out.Kept, kept) {
 				t.Errorf("kept bursts differ from Sort(Filter(Extract)): %d vs %d", len(out.Kept), len(kept))
-			}
-			got := out.Clustering
-			if math.Float64bits(got.Silhouette) != math.Float64bits(res.Silhouette) {
-				t.Errorf("silhouette %v, want %v", got.Silhouette, res.Silhouette)
-			}
-			got.Silhouette, res.Silhouette = 0, 0 // NaN for K < 2 defeats DeepEqual
-			if !reflect.DeepEqual(got, res) {
-				t.Errorf("clustering K=%d eps=%v differs from cluster.ClusterBursts K=%d eps=%v",
-					got.K, got.Eps, res.K, res.Eps)
 			}
 			wantProf, err := profile.Compute(want)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(out.Profile, wantProf) {
-				t.Error("profile differs from profile.Compute")
+			prof, err := profile.Merge([]*profile.Partial{out.ProfilePartial}, out.Meta.Duration)
+			if err != nil || !reflect.DeepEqual(prof, wantProf) {
+				t.Errorf("merged profile differs from profile.Compute (err %v)", err)
 			}
-			if got, want := out.Iterations, structure.Iterations(want); !reflect.DeepEqual(got, want) {
+			if got, want := structure.IterationsFromMarks(out.Marks), structure.Iterations(want); !reflect.DeepEqual(got, want) {
 				t.Errorf("iterations %+v, want %+v", got, want)
 			}
 			if out.Attached != nil {

@@ -1,14 +1,16 @@
 // Package pipeline is the streaming analysis engine: a set of composable
 // stages connected by bounded channels that turn a stream of trace
-// record blocks (trace.Source) into the analysis outcome the core
-// package assembles reports from. Batch and streaming analysis run
-// through the exact same stages — batch feeds an in-memory TraceSource,
-// streaming a decoding StreamReader, both filling the same column
-// blocks — so there is one implementation of extraction,
-// clustering, sample attachment and folding to test and to trust.
+// record blocks (trace.Source) into the measured Outcome that
+// core.Reduce resolves phases over and builds reports from. Batch and
+// streaming analysis run through the exact same stages — batch feeds an
+// in-memory TraceSource, streaming a decoding StreamReader, both filling
+// the same column blocks — so there is one implementation of extraction,
+// sample attachment and incremental folding to test and to trust.
 //
-// The flow is decode → extract → phase (cluster or train-then-classify)
-// → fold (attach samples or fold them incrementally). Stages run
+// The flow is decode → extract → phase (gather the kept bursts; an
+// online run also trains and classifies) → fold (attach samples, or fold
+// them incrementally online). An exact run resolves no phases: it is the
+// map half of core's algebra, and core.Reduce clusters its bursts. Stages run
 // concurrently; the bounded channels give backpressure, so a fast
 // decoder cannot outrun a slow analysis stage by more than a few blocks
 // and the engine's working set stays constant. Record batches travel in

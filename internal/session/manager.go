@@ -395,7 +395,7 @@ func (m *Manager) sweep() {
 	n := len(m.sessions)
 	m.mu.Unlock()
 	for _, s := range evict {
-		m.retire(s, "idle", true)
+		m.retire(s, "idle")
 		incC(m.cfg.Metrics.Evicted)
 		m.cfg.Logger.Info("session evicted", "session", s.ID, "reason", "idle")
 	}
@@ -404,35 +404,17 @@ func (m *Manager) sweep() {
 	}
 }
 
-// Evict ends one session immediately and deletes its journal.
-func (m *Manager) Evict(id, reason string) bool {
-	m.mu.Lock()
-	s, ok := m.sessions[id]
-	if ok {
-		delete(m.sessions, id)
-	}
-	n := len(m.sessions)
-	m.mu.Unlock()
-	if !ok {
-		return false
-	}
-	m.retire(s, reason, true)
-	incC(m.cfg.Metrics.Evicted)
-	setG(m.cfg.Metrics.Active, float64(n))
-	return true
-}
-
-// retire ends a session and settles its accounting. end() waits for
-// any in-flight append (it holds the session lock), so after it
-// returns no further journal writes can happen and the directory is
-// safe to delete.
-func (m *Manager) retire(s *Session, reason string, removeJournal bool) {
+// retire ends a session, settles its accounting and deletes its
+// journal. end() waits for any in-flight append (it holds the session
+// lock), so after it returns no further journal writes can happen and
+// the directory is safe to delete.
+func (m *Manager) retire(s *Session, reason string) {
 	s.end(reason)
 	s.mu.Lock()
 	b, dir := s.bytes, s.dir
 	s.mu.Unlock()
 	m.release(b)
-	if removeJournal && dir != "" {
+	if dir != "" {
 		os.RemoveAll(dir)
 	}
 }
@@ -471,7 +453,3 @@ func (m *Manager) Close(ctx context.Context) {
 	}
 	setG(m.cfg.Metrics.Active, 0)
 }
-
-// TotalBytes reports the appended bytes currently held across live
-// sessions.
-func (m *Manager) TotalBytes() int64 { return m.total.Load() }

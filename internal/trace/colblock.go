@@ -116,9 +116,6 @@ func (b *ColBlock) Kind() Kind { return b.kind }
 // Len returns the number of valid rows.
 func (b *ColBlock) Len() int { return b.n }
 
-// Cap returns the row capacity the block was allocated with.
-func (b *ColBlock) Cap() int { return b.capacity }
-
 // Reset empties the block and re-types it to hold records of kind k.
 // Column memory is retained for reuse.
 func (b *ColBlock) Reset(k Kind) {

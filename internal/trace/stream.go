@@ -47,7 +47,7 @@ type Source interface {
 	// Meta returns the stream's metadata, available before any record.
 	Meta() *Metadata
 	// NextBlock resets blk and fills it with the next run of same-kind
-	// records, at most blk.Cap(). It returns io.EOF only when no rows
+	// records, at most its capacity. It returns io.EOF only when no rows
 	// were produced: a partial block at the end of the stream comes
 	// back with a nil error and the next call reports io.EOF. Any other
 	// error ends the stream; the rows already in blk are valid.

@@ -10,7 +10,7 @@ import (
 
 // NextBlock implements Source: it decodes the next run of same-kind
 // records straight into blk's columns, resetting blk first. A block ends
-// at the section boundary or at blk.Cap(), whichever comes first, so
+// at the section boundary or at its capacity, whichever comes first, so
 // every block is homogeneous in kind.
 //
 // Each record is parsed from the bytes the read buffer already holds
