@@ -4,7 +4,8 @@
 #                   races in the parallel analysis engine) + the doc-comment
 #                   gate (internal/doccheck fails on undocumented exported
 #                   API, stale pkg.Name mentions in the docs, and exported
-#                   internal/ names nothing references) + the result-cache
+#                   internal/ names that no non-test file calls, resolved
+#                   with go/types) + the result-cache
 #                   acceptance tests under -race
 #                   (cached Reports byte-identical to fresh across
 #                   strict/lenient × single-node/sharded; N concurrent
@@ -49,6 +50,15 @@
 #   make bench-diff — run just BenchmarkDiff (needs BENCH_SCALE=large)
 #                   and fold it into today's BENCH snapshot via
 #                   benchjson -merge
+#   make bench-pair PARENT=<rev> — record a parent/change pair: build the
+#                   root test binaries of PARENT (extracted with git
+#                   archive into a temporary directory) and of the
+#                   working tree once, run them in BENCHCOUNT alternating
+#                   rounds of -test.count 1 (which goes first alternates),
+#                   and write the parent's runs to BENCH_<date>.N.json and
+#                   the change's to .N+1, so `benchjson -gate -cur newest`
+#                   compares the change with the parent under one state of
+#                   the machine
 
 GO        ?= go
 DATE      := $(shell date +%Y-%m-%d)
@@ -67,7 +77,7 @@ STRESS_PKGS := ./internal/foldsvc ./internal/session ./internal/pipeline ./inter
 # clustering of a ~100k-burst trace (tracegen -preset bench-large).
 BENCH_SCALE ?=
 
-.PHONY: build test check chaos bench benchmem e2e-dist e2e-diff e2e-session bench-diff
+.PHONY: build test check chaos bench benchmem e2e-dist e2e-diff e2e-session bench-diff bench-pair
 
 build:
 	$(GO) build ./...
@@ -110,6 +120,26 @@ e2e-diff:
 bench-diff:
 	BENCH_SCALE=large $(GO) test -run '^$$' -bench BenchmarkDiff -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout 60m . \
 		| BENCH_SCALE=large $(GO) run ./cmd/benchjson -merge -out BENCH_$(DATE).json
+
+bench-pair:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pair PARENT=<rev>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/parent"; git archive "$(PARENT)" | tar -x -C "$$tmp/parent"; \
+	(cd "$$tmp/parent" && $(GO) test -c -o "$$tmp/parent.test" .); \
+	$(GO) test -c -o "$$tmp/change.test" .; \
+	run() { (cd "$$1" && BENCH_SCALE=$(BENCH_SCALE) "$$2" -test.run '^$$' -test.bench '$(BENCH)' \
+		-test.benchmem -test.benchtime $(BENCHTIME) -test.count 1 -test.timeout 60m); }; \
+	for i in $$(seq 1 $(BENCHCOUNT)); do \
+		if [ $$((i % 2)) -eq 1 ]; then \
+			run "$$tmp/parent" "$$tmp/parent.test" >> "$$tmp/parent.txt"; run . "$$tmp/change.test" >> "$$tmp/change.txt"; \
+		else \
+			run . "$$tmp/change.test" >> "$$tmp/change.txt"; run "$$tmp/parent" "$$tmp/parent.test" >> "$$tmp/parent.txt"; \
+		fi; \
+	done; \
+	snap() { if [ "$$1" -eq 1 ]; then echo BENCH_$(DATE).json; else echo BENCH_$(DATE).$$1.json; fi; }; \
+	n=1; while [ -e "$$(snap $$n)" ]; do n=$$((n + 1)); done; \
+	BENCH_SCALE=$(BENCH_SCALE) $(GO) run ./cmd/benchjson -prev none -out "$$(snap $$n)" < "$$tmp/parent.txt"; \
+	BENCH_SCALE=$(BENCH_SCALE) $(GO) run ./cmd/benchjson -out "$$(snap $$((n + 1)))" < "$$tmp/change.txt"
 
 benchmem:
 	$(GO) test -run '^$$' -bench StreamVsBatchMemory -benchmem -benchtime 3x -timeout 30m . \

@@ -34,15 +34,10 @@ func main() {
 		noIPC  = flag.Bool("no-ipc", false, "cluster in 2-D (duration × instructions) instead of 3-D")
 		scout  = flag.String("scatter", "", "write burst scatter TSV (duration_us, ipc, cluster)")
 		par    = flag.Int("parallel", 0, "clustering worker count (0 = all cores, 1 = sequential); output is identical either way")
-		knn    = flag.String("knn", "auto", "k-dist neighbor search for automatic eps: auto, kdtree, brute (eps is identical either way)")
 		silN   = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact, O(n²); S > 0 = approximate, O((K·S)²))")
 		stream = flag.Bool("stream", false, "read the trace from stdin when -in is empty or \"-\" (every input streams record by record)")
 	)
 	flag.Parse()
-	index, err := cluster.ParseIndexMode(*knn)
-	if err != nil {
-		fatal(err)
-	}
 	if *in == "" && !*stream {
 		fatal(fmt.Errorf("missing -in"))
 	}
@@ -51,7 +46,7 @@ func main() {
 		fatal(err)
 	}
 	ccfg := cluster.Config{Eps: *eps, MinPts: *minPts, UseIPC: !*noIPC,
-		Parallelism: *par, Index: index, SilhouetteSample: *silN}
+		Parallelism: *par, SilhouetteSample: *silN}
 	err = run(os.Stdout, r, trace.Time(*minDur*1e3), ccfg, *scout)
 	closeIn()
 	if err != nil {

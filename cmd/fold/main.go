@@ -64,7 +64,6 @@ func main() {
 		curves     = flag.String("curves", "", "directory to write per-phase folded-curve TSVs")
 		iterations = flag.Bool("iterations", false, "fold whole iterations (EvIteration markers) instead of clustered bursts")
 		par        = flag.Int("parallel", 0, "analysis worker count (0 = all cores, 1 = sequential); output is identical either way")
-		knn        = flag.String("knn", "auto", "k-dist neighbor search for automatic eps: auto, kdtree, brute (output is identical either way)")
 		silN       = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact, O(n²); S > 0 = approximate, O((K·S)²))")
 		stream     = flag.Bool("stream", false, "analyze the trace record-by-record as it is read (stdin when -in is empty or \"-\")")
 		online     = flag.Bool("online", false, "with -stream: bounded-memory analysis (train-then-classify, incremental folding)")
@@ -79,11 +78,6 @@ func main() {
 	flag.Parse()
 
 	opts := core.Options{MaxPhases: *phases, Parallelism: *par, Lenient: *lenient}
-	index, err := cluster.ParseIndexMode(*knn)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Cluster.Index = index
 	opts.Cluster.SilhouetteSample = *silN
 	opts.Fold.Bins = *bins
 	switch *model {

@@ -8,7 +8,7 @@
 //	POST /v1/analyze    analyze an uploaded trace stream; the response is
 //	                    the JSON core.Report. Query parameters map the
 //	                    CLI knobs: online, train, parallel, phases, bins,
-//	                    model, counter, knn, sil_sample, stack_bins,
+//	                    model, counter, sil_sample, stack_bins,
 //	                    min_pts, min_burst_us, lenient. With
 //	                    ?path=rel/trace.uvt (and -path-root set) the
 //	                    trace is read from a local file instead of the

@@ -1,7 +1,7 @@
 package repro
 
 // End-to-end integration test: the complete tool-user workflow across
-// every subsystem — simulate, persist, reload, window, merge, profile,
+// every subsystem — simulate, persist, reload, export, window, profile,
 // analyze, fold, and validate against ground truth — in one pass.
 
 import (
@@ -32,7 +32,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 2. Persist and reload through both formats.
+	// 2. Persist, reload and export to Paraver.
 	path := filepath.Join(t.TempDir(), "run.uvt")
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -45,27 +45,15 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err := paraver.Encode(&prv, tr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := paraver.Decode(bytes.NewReader(prv.Bytes())); err != nil {
-		t.Fatal(err)
-	}
 
-	// 3. Per-rank split + merge must reproduce the trace.
-	merged, err := trace.Merge(tr.SplitByRank())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Events) != len(tr.Events) || len(merged.Samples) != len(tr.Samples) {
-		t.Fatal("split+merge lost records")
-	}
-
-	// 4. Window into the steady state (drop the first and last 10%).
+	// 3. Window into the steady state (drop the first and last 10%).
 	d := tr.Meta.Duration
 	steady := tr.Slice(d/10, d-d/10)
 	if err := steady.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
-	// 5. First look: flat profile and marker statistics.
+	// 4. First look: flat profile and marker statistics.
 	prof, err := profile.Compute(steady)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +65,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatalf("steady-state iterations = %d", its.Count)
 	}
 
-	// 6. Marker-free period detection agrees with the iteration markers.
+	// 5. Marker-free period detection agrees with the iteration markers.
 	bursts, err := burst.Extract(steady)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +79,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatalf("spectral period off by %.1f%%", 100*rel)
 	}
 
-	// 7. Full analysis on the windowed trace.
+	// 6. Full analysis on the windowed trace.
 	rep, err := core.AnalyzeContext(context.Background(), steady, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +99,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatalf("fold failed: %v", ph.FoldErrors)
 	}
 
-	// 8. The reconstruction matches the analytic ground truth within the
+	// 7. The reconstruction matches the analytic ground truth within the
 	// paper's headline bound — through the whole persist/slice pipeline.
 	truth := app.Kernels()[0].ShapeOf(counters.TotIns)
 	if diff := f.MeanAbsDiff(truth); diff > 0.05 {

@@ -49,12 +49,6 @@ func ByName(name string, iters int) (App, error) {
 // workload used by the examples.
 func Names() []string { return []string{"stencil", "nbody", "cg", "wavefront"} }
 
-// All instantiates the three evaluation applications with the same
-// iteration count.
-func All(iters int) []App {
-	return []App{NewStencil(iters), NewNBody(iters), NewCG(iters)}
-}
-
 // ---------------------------------------------------------------------------
 // Stencil
 

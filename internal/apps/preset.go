@@ -12,7 +12,6 @@ const (
 	BenchLargeApp   = "stencil"
 	BenchLargeRanks = 32
 	BenchLargeIters = 1600
-	BenchLargeSeed  = 1
 )
 
 // BenchLargeName is the -preset spelling tracegen accepts.

@@ -168,25 +168,6 @@ func (f Filter) Apply(bursts []Burst) (kept, dropped []Burst) {
 	return kept, dropped
 }
 
-// TotalTime sums the durations of the bursts.
-func TotalTime(bursts []Burst) trace.Time {
-	var t trace.Time
-	for i := range bursts {
-		t += bursts[i].Duration()
-	}
-	return t
-}
-
-// Coverage returns the fraction of total burst time that the kept subset
-// retains; it quantifies how much computation a duration filter preserves.
-func Coverage(kept, all []Burst) float64 {
-	tot := TotalTime(all)
-	if tot == 0 {
-		return 0
-	}
-	return float64(TotalTime(kept)) / float64(tot)
-}
-
 // AttachSamples returns, for each burst, the trace samples falling inside
 // [Start, End), in time order. The i-th result slice corresponds to
 // bursts[i]. Sample slices alias the trace's sample storage.
@@ -225,28 +206,4 @@ func AttachSamples(tr *trace.Trace, bursts []Burst) [][]trace.Sample {
 		}
 	}
 	return out
-}
-
-// Summary aggregates bursts for reports.
-type Summary struct {
-	Count         int
-	TotalDuration trace.Time
-	MeanDuration  float64
-	MeanIPC       float64
-}
-
-// Summarize computes aggregate statistics over a burst set.
-func Summarize(bursts []Burst) Summary {
-	s := Summary{Count: len(bursts)}
-	if len(bursts) == 0 {
-		return s
-	}
-	var ipcSum float64
-	for i := range bursts {
-		s.TotalDuration += bursts[i].Duration()
-		ipcSum += bursts[i].IPC()
-	}
-	s.MeanDuration = float64(s.TotalDuration) / float64(len(bursts))
-	s.MeanIPC = ipcSum / float64(len(bursts))
-	return s
 }

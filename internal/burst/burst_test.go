@@ -139,14 +139,6 @@ func TestFilterApplyAndCoverage(t *testing.T) {
 			t.Fatalf("dropped burst too long: %+v", d)
 		}
 	}
-	cov := Coverage(kept, bursts)
-	want := float64(100+180) / float64(100+50+180+80)
-	if cov != want {
-		t.Fatalf("coverage = %g, want %g", cov, want)
-	}
-	if Coverage(nil, nil) != 0 {
-		t.Fatal("empty coverage should be 0")
-	}
 }
 
 func TestAttachSamples(t *testing.T) {
@@ -178,24 +170,6 @@ func TestAttachSamples(t *testing.T) {
 	}
 	if n0 != 1 || n1 != 1 {
 		t.Fatalf("rank0 burst samples = %d, %d; want 1, 1", n0, n1)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tr := buildTrace(t)
-	bursts, _ := Extract(tr)
-	s := Summarize(bursts)
-	if s.Count != 4 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if s.TotalDuration != 410 {
-		t.Fatalf("total = %d", s.TotalDuration)
-	}
-	if s.MeanDuration != 102.5 {
-		t.Fatalf("mean = %g", s.MeanDuration)
-	}
-	if Summarize(nil).Count != 0 {
-		t.Fatal("empty summary")
 	}
 }
 

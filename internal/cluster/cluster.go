@@ -71,7 +71,7 @@ const (
 // brute-force scan to the k-d tree.
 const indexAutoMin = 512
 
-// String names the mode as the CLIs spell it (-knn flag values).
+// String names the mode.
 func (m IndexMode) String() string {
 	switch m {
 	case IndexAuto:
@@ -82,19 +82,6 @@ func (m IndexMode) String() string {
 		return "kdtree"
 	}
 	return fmt.Sprintf("IndexMode(%d)", int(m))
-}
-
-// ParseIndexMode parses a -knn flag value ("auto", "brute", "kdtree").
-func ParseIndexMode(s string) (IndexMode, error) {
-	switch s {
-	case "auto", "":
-		return IndexAuto, nil
-	case "brute":
-		return IndexBrute, nil
-	case "kdtree", "kd", "tree":
-		return IndexKDTree, nil
-	}
-	return IndexAuto, fmt.Errorf("cluster: unknown index mode %q (want auto, brute or kdtree)", s)
 }
 
 // Result is the outcome of clustering a burst set.
@@ -287,14 +274,24 @@ func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float6
 	return eps
 }
 
+// SetDefaults sets MinPts and MinClusterShare to their defaults when
+// unset. ClusterBursts and the analysis options fingerprint both call
+// it, so each default is written only here.
+func (c *Config) SetDefaults() {
+	if c.MinPts == 0 {
+		c.MinPts = 4
+	}
+	if c.MinClusterShare == 0 {
+		c.MinClusterShare = 0.01
+	}
+}
+
 // ClusterBursts runs the full burst-clustering pipeline: feature
 // extraction, parameter selection, DBSCAN, and renumbering of clusters by
 // decreasing total burst time. The input bursts' Cluster fields are set.
 func ClusterBursts(bursts []burst.Burst, cfg Config) Result {
+	cfg.SetDefaults()
 	res := Result{MinPts: cfg.MinPts, Eps: cfg.Eps}
-	if res.MinPts == 0 {
-		res.MinPts = 4
-	}
 	if len(bursts) == 0 {
 		return res
 	}
@@ -306,11 +303,7 @@ func ClusterBursts(bursts []burst.Burst, cfg Config) Result {
 	raw := DBSCANP(res.Features, res.Eps, res.MinPts, cfg.Parallelism)
 
 	// Demote sub-scale shards to noise.
-	share := cfg.MinClusterShare
-	if share == 0 {
-		share = 0.01
-	}
-	if share > 0 {
+	if share := cfg.MinClusterShare; share > 0 {
 		sizes := map[int]int{}
 		for _, c := range raw {
 			if c != Noise {

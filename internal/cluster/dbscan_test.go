@@ -322,7 +322,7 @@ func TestDBSCANAssignDigest(t *testing.T) {
 		{"nbody", "nbody", 8, 200, 1},
 		{"cg", "cg", 8, 200, 1},
 		{"wavefront", "wavefront", 8, 200, 1},
-		{"bench-large", apps.BenchLargeApp, apps.BenchLargeRanks, apps.BenchLargeIters, apps.BenchLargeSeed},
+		{"bench-large", apps.BenchLargeApp, apps.BenchLargeRanks, apps.BenchLargeIters, 1},
 	}
 	for _, s := range sets {
 		feats := digestFeatures(t, s.app, s.ranks, s.iters, uint64(s.seed))

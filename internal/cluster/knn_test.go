@@ -305,18 +305,3 @@ func TestDBSCANHighDimFallback(t *testing.T) {
 		t.Fatalf("distant groups merged: %v", assign)
 	}
 }
-
-func TestParseIndexMode(t *testing.T) {
-	for s, want := range map[string]IndexMode{
-		"auto": IndexAuto, "": IndexAuto, "brute": IndexBrute,
-		"kdtree": IndexKDTree, "kd": IndexKDTree, "tree": IndexKDTree,
-	} {
-		got, err := ParseIndexMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseIndexMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseIndexMode("bogus"); err == nil {
-		t.Fatal("expected error for unknown mode")
-	}
-}

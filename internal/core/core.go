@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
@@ -126,23 +125,11 @@ func (o *Options) setDefaults() {
 	if o.MinBurstDuration == 0 {
 		o.MinBurstDuration = 50_000
 	}
-	if len(o.Counters) == 0 {
-		o.Counters = []counters.Counter{
-			counters.TotIns, counters.FPOps, counters.L1DCM, counters.L2DCM,
-		}
-	}
-	if o.StackBins == 0 {
-		o.StackBins = 50
-	}
-	if o.MaxPhases == 0 {
-		o.MaxPhases = 5
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Cluster.Parallelism == 0 {
-		o.Cluster.Parallelism = o.Parallelism
-	}
+	cfg := o.pipelineConfig()
+	cfg.SetDefaults()
+	o.Counters, o.StackBins, o.MaxPhases = cfg.Counters, cfg.StackBins, cfg.MaxPhases
+	o.Parallelism, o.Cluster.Parallelism = cfg.Parallelism, cfg.Cluster.Parallelism
+	o.Stream.TrainBursts = cfg.TrainBursts
 	// The pipeline always clusters in the full 3-D space (log duration,
 	// log instructions, IPC); experiments wanting 2-D call the cluster
 	// package directly.

@@ -23,59 +23,28 @@ const fingerprintVersion = "v3"
 //
 // Result-invariant knobs are deliberately excluded so equivalent
 // requests share one cache entry: Parallelism (TestAnalyzeParallelDeterminism),
-// Cluster.Parallelism, Cluster.Index (exact either way), StallTimeout
-// and the loggers. Lenient IS included — salvage decoding changes what
-// a damaged trace analyzes to, so strict and lenient results must never
-// share an entry.
+// Cluster.Parallelism, Cluster.Index (exact either way), StallTimeout,
+// Logger, Cluster.Logger, Fold.Counter (Counters selects what is folded)
+// and Cluster.UseIPC (setDefaults forces it). Lenient IS included —
+// salvage decoding changes what a damaged trace analyzes to, so strict
+// and lenient results must never share an entry.
 //
-// Defaults are applied before rendering, so an unset field and its
-// explicit default fingerprint identically.
+// Defaults are applied before rendering, by the functions the analysis
+// applies them with, so an unset field and its explicit default
+// fingerprint identically.
 func (o Options) Fingerprint() string {
 	o.setDefaults()
-
-	// Folding defaults live in the folding package; mirror them here so
-	// zero values and explicit defaults collapse to one key.
-	bins := o.Fold.Bins
-	if bins == 0 {
-		bins = 100
-	}
-	pruneK := o.Fold.PruneK
-	if pruneK == 0 {
-		pruneK = 3
-	}
-	kbw := o.Fold.KernelBandwidth
-	if kbw == 0 {
-		kbw = 0.02
-	}
-	maxSeg := o.Fold.MaxSegments
-	if maxSeg == 0 {
-		maxSeg = 6
-	}
-	segPen := o.Fold.SegmentPenalty
-	if segPen == 0 {
-		segPen = 0.02
-	}
-	minPts := o.Cluster.MinPts
-	if minPts == 0 {
-		minPts = 4
-	}
-	share := o.Cluster.MinClusterShare
-	if share == 0 {
-		share = 0.01
-	}
-	train := o.Stream.TrainBursts
-	if train <= 0 {
-		train = 512
-	}
+	o.Cluster.SetDefaults()
+	o.Fold.SetDefaults()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|minb=%d|phases=%d|stackbins=%d|lenient=%t",
 		fingerprintVersion, o.MinBurstDuration, o.MaxPhases, o.StackBins, o.Lenient)
-	fmt.Fprintf(&b, "|online=%t|train=%d", o.Stream.Online, train)
+	fmt.Fprintf(&b, "|online=%t|train=%d", o.Stream.Online, o.Stream.TrainBursts)
 	fmt.Fprintf(&b, "|eps=%.17g|minpts=%d|share=%.17g|ipc=%t|sil=%d",
-		o.Cluster.Eps, minPts, share, o.Cluster.UseIPC, o.Cluster.SilhouetteSample)
+		o.Cluster.Eps, o.Cluster.MinPts, o.Cluster.MinClusterShare, o.Cluster.UseIPC, o.Cluster.SilhouetteSample)
 	fmt.Fprintf(&b, "|bins=%d|model=%d|prunek=%.17g|kbw=%.17g|maxseg=%d|segpen=%.17g",
-		bins, int(o.Fold.Model), pruneK, kbw, maxSeg, segPen)
+		o.Fold.Bins, int(o.Fold.Model), o.Fold.PruneK, o.Fold.KernelBandwidth, o.Fold.MaxSegments, o.Fold.SegmentPenalty)
 	b.WriteString("|counters=")
 	for i, c := range o.Counters {
 		if i > 0 {

@@ -65,15 +65,6 @@ func ParseCounter(name string) (Counter, error) {
 	return 0, fmt.Errorf("counters: unknown counter %q", name)
 }
 
-// All returns every defined counter, in order.
-func All() []Counter {
-	cs := make([]Counter, NumCounters)
-	for i := range cs {
-		cs[i] = Counter(i)
-	}
-	return cs
-}
-
 // Values is a snapshot of all counters at one point in time. Counters only
 // ever increase during execution, so differences between two snapshots taken
 // on the same thread are non-negative.
@@ -87,18 +78,6 @@ func (v Values) Sub(w Values) Values {
 	}
 	return r
 }
-
-// Add returns v + w component-wise.
-func (v Values) Add(w Values) Values {
-	var r Values
-	for i := range v {
-		r[i] = v[i] + w[i]
-	}
-	return r
-}
-
-// Get returns the value of counter c.
-func (v Values) Get(c Counter) int64 { return v[c] }
 
 // IPC returns instructions per cycle for the snapshot (or delta), or 0 when
 // no cycles are recorded.

@@ -30,31 +30,12 @@ func TestCounterNames(t *testing.T) {
 	}
 }
 
-func TestAllCounters(t *testing.T) {
-	all := All()
-	if len(all) != int(NumCounters) {
-		t.Fatalf("All() returned %d counters, want %d", len(all), NumCounters)
-	}
-	for i, c := range all {
-		if c != Counter(i) {
-			t.Fatalf("All()[%d] = %v", i, c)
-		}
-	}
-}
-
 func TestValuesArithmetic(t *testing.T) {
 	a := Values{100, 200, 10, 5, 50}
 	b := Values{40, 100, 4, 1, 20}
 	d := a.Sub(b)
 	if d != (Values{60, 100, 6, 4, 30}) {
 		t.Fatalf("Sub = %v", d)
-	}
-	s := d.Add(b)
-	if s != a {
-		t.Fatalf("Add did not invert Sub: %v != %v", s, a)
-	}
-	if d.Get(TotIns) != 60 {
-		t.Fatalf("Get = %d", d.Get(TotIns))
 	}
 }
 

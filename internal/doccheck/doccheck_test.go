@@ -1,10 +1,10 @@
 // Package doccheck enforces the documentation contract: every exported
 // identifier in the core analysis packages must carry a doc comment,
 // every pkg.Name the docs' code names must exist, and every exported
-// top-level name under internal/ must be named somewhere outside its own
-// declaration. It runs as an ordinary test so `go test
-// ./internal/doccheck` (wired into `make check`) fails listing each
-// undocumented identifier, each stale mention and each dead name.
+// top-level name under internal/ must have a caller outside tests. It
+// runs as an ordinary test so `go test ./internal/doccheck` (wired into
+// `make check`) fails listing each undocumented identifier, each stale
+// mention and each name only tests call.
 package doccheck
 
 import (

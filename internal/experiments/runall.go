@@ -48,22 +48,3 @@ func ByID(id string) (Experiment, error) {
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, ids)
 }
-
-// RunAll executes every experiment, saving artifacts under outDir when it
-// is non-empty, and returns the artifacts in order. The first error aborts.
-func RunAll(env Env, outDir string) ([]*Artifact, error) {
-	var out []*Artifact
-	for _, e := range All() {
-		art, err := e.Run(env)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", e.ID, err)
-		}
-		if outDir != "" {
-			if err := art.Save(outDir); err != nil {
-				return out, fmt.Errorf("experiments: saving %s: %w", e.ID, err)
-			}
-		}
-		out = append(out, art)
-	}
-	return out, nil
-}

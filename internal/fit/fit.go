@@ -206,9 +206,6 @@ func (p *PCHIP) Deriv(x float64) float64 {
 	return dh00*p.ys[i] + dh10*p.ms[i] + dh01*p.ys[i+1] + dh11*p.ms[i+1]
 }
 
-// Domain returns the interpolant's knot domain [lo, hi].
-func (p *PCHIP) Domain() (lo, hi float64) { return p.xs[0], p.xs[len(p.xs)-1] }
-
 // ---------------------------------------------------------------------------
 // Kernel smoothing
 
@@ -256,32 +253,21 @@ func KernelSmooth(pts []Point, h float64, grid []float64) []float64 {
 // ---------------------------------------------------------------------------
 // Binning
 
-// Bin averages points into n equal-width bins over [lo, hi], returning the
-// weighted mean X and weighted mean Y of every non-empty bin, in order.
-// Anchoring the knot at the points' mean X (rather than the bin center)
-// keeps the knot on the underlying curve: for points on y = f(x), the pair
-// (E[x], E[y]) is first-order consistent with f, whereas (center, E[y])
-// introduces slope jitter when points cluster inside a bin. Points outside
-// [lo, hi] are clamped into the boundary bins.
-func Bin(pts []Point, n int, lo, hi float64) (xs, ys []float64) {
-	return binCols(pts, nil, n, lo, hi)
-}
-
-// BinIso is Bin with the Y values supplied as a separate column: point i
-// contributes (pts[i].X, yCol[i], pts[i].W). This is the shape the
-// folding pipeline's isotonic stage produces, and taking the column
-// directly avoids materializing a full second point slice just to swap
-// the Y values. Accumulation order and arithmetic match Bin exactly, so
-// both layouts produce bit-identical knots.
+// BinIso averages points into n equal-width bins over [lo, hi], with the
+// Y values supplied as a separate column: point i contributes
+// (pts[i].X, yCol[i], pts[i].W). It returns the weighted mean X and
+// weighted mean Y of every non-empty bin, in order. This is the shape the
+// folding pipeline's isotonic stage produces, so no second point slice
+// is built just to swap the Y values. Anchoring the knot at the points'
+// mean X (rather than the bin center) keeps the knot on the underlying
+// curve: for points on y = f(x), the pair (E[x], E[y]) is first-order
+// consistent with f, whereas (center, E[y]) introduces slope jitter when
+// points cluster inside a bin. Points outside [lo, hi] are clamped into
+// the boundary bins.
 func BinIso(pts []Point, yCol []float64, n int, lo, hi float64) (xs, ys []float64) {
 	if len(yCol) != len(pts) {
 		panic(fmt.Sprintf("fit: BinIso column length %d != %d points", len(yCol), len(pts)))
 	}
-	return binCols(pts, yCol, n, lo, hi)
-}
-
-// binCols is the shared binning kernel; a nil yCol means "use pts[i].Y".
-func binCols(pts []Point, yCol []float64, n int, lo, hi float64) (xs, ys []float64) {
 	if n < 1 || hi <= lo {
 		panic(fmt.Sprintf("fit: invalid binning (n=%d, range [%g,%g])", n, lo, hi))
 	}
@@ -291,10 +277,6 @@ func binCols(pts []Point, yCol []float64, n int, lo, hi float64) (xs, ys []float
 	width := (hi - lo) / float64(n)
 	for i := range pts {
 		p := &pts[i]
-		y := p.Y
-		if yCol != nil {
-			y = yCol[i]
-		}
 		b := int((p.X - lo) / width)
 		if b < 0 {
 			b = 0
@@ -315,7 +297,7 @@ func binCols(pts []Point, yCol []float64, n int, lo, hi float64) (xs, ys []float
 		}
 		sumW[b] += w
 		sumWX[b] += w * cx
-		sumWY[b] += w * y
+		sumWY[b] += w * yCol[i]
 	}
 	prevX := math.Inf(-1)
 	for b := 0; b < n; b++ {

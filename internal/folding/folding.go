@@ -136,7 +136,10 @@ type Config struct {
 	SegmentPenalty float64
 }
 
-func (c *Config) setDefaults() {
+// SetDefaults sets every unset field to its default. The fold, the
+// online folder and the analysis options fingerprint all call it, so
+// each default is written only here.
+func (c *Config) SetDefaults() {
 	if c.Bins == 0 {
 		c.Bins = 100
 	}
@@ -212,7 +215,7 @@ func Fold(instances []Instance, cfg Config) (*Result, error) {
 // on at most parallelism workers (parallel.ForEach semantics); the
 // results do not depend on the worker count.
 func FoldCounters(instances []Instance, cfg Config, cs []counters.Counter, parallelism int) ([]*Result, []error) {
-	cfg.setDefaults()
+	cfg.SetDefaults()
 	results := make([]*Result, len(cs))
 	errs := make([]error, len(cs))
 	if len(instances) == 0 {
@@ -298,8 +301,8 @@ func newPhaseCloud(instances []Instance, k float64) *phaseCloud {
 
 // robustCenter returns the median of xs and its MAD, the MAD floored so
 // that zero-MAD (perfectly regular) data tolerates tiny relative
-// deviations instead of pruning everything unequal. It computes
-// stats.Median and stats.MAD's values from one pooled scratch copy: sort
+// deviations instead of pruning everything unequal. It computes the
+// median and the MAD (scaled by 1.4826) from one pooled scratch copy: sort
 // it for the median, overwrite it with the absolute deviations (their
 // multiset, and so their sorted order, does not depend on the order they
 // are written in) and sort again.
@@ -316,7 +319,7 @@ func robustCenter(xs []float64) (med, scale float64) {
 	return med, math.Max(1.4826*sortedMedian(tmp), 0.001*math.Abs(med))
 }
 
-// sortedMedian is stats.Median of an ascending, non-empty slice.
+// sortedMedian is the median of an ascending, non-empty slice.
 func sortedMedian(s []float64) float64 {
 	n := len(s)
 	if n%2 == 1 {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/counters"
 	"repro/internal/deepeq"
 	"repro/internal/fit"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -233,7 +232,7 @@ func TestPruneInstancesSmallSetsUntouched(t *testing.T) {
 // equivalence oracle: prune by copying the kept instances, append their
 // samples in instance order, stable-sort the cloud by x, then fit.
 func refFold(instances []Instance, cfg Config) (*Result, error) {
-	cfg.setDefaults()
+	cfg.SetDefaults()
 	if len(instances) == 0 {
 		return nil, ErrNoInstances
 	}
@@ -298,8 +297,8 @@ func refPrune(instances []Instance, k float64, c counters.Counter) (kept []Insta
 		durs[i] = float64(instances[i].Duration())
 		tots[i] = float64(instances[i].Totals[c])
 	}
-	dMed, dMAD := stats.Median(durs), stats.MAD(durs)
-	tMed, tMAD := stats.Median(tots), stats.MAD(tots)
+	dMed, dMAD := median(durs), mad(durs)
+	tMed, tMAD := median(tots), mad(tots)
 	dScale := math.Max(dMAD, 0.001*math.Abs(dMed))
 	tScale := math.Max(tMAD, 0.001*math.Abs(tMed))
 	for i := range instances {
@@ -377,7 +376,10 @@ func equivInstances(n int, seed uint64) []Instance {
 // Results, point clouds included, must be deep-equal and the errors
 // identical, for every model, pruning setting and worker count.
 func TestFoldCountersMatchesPerCounterReference(t *testing.T) {
-	cs := counters.All()
+	cs := make([]counters.Counter, counters.NumCounters)
+	for i := range cs {
+		cs[i] = counters.Counter(i)
+	}
 	var ties []Instance // only the equal-duration, equal-offset instances
 	for _, in := range equivInstances(160, 5) {
 		if in.Duration() == 1_000_000 {
@@ -676,7 +678,7 @@ func TestFoldStacksIgnoresStacklessSamples(t *testing.T) {
 }
 
 // TestRobustCenterMatchesStats pins robustCenter's single-buffer median
-// and MAD to stats.Median and stats.MAD bit for bit, on integer-valued
+// and MAD to median and mad bit for bit, on integer-valued
 // data like the durations and counter totals it sees (ties, zero MAD)
 // and on continuous data, at odd and even lengths.
 func TestRobustCenterMatchesStats(t *testing.T) {
@@ -695,8 +697,8 @@ func TestRobustCenterMatchesStats(t *testing.T) {
 		}
 		in := append([]float64(nil), xs...)
 		med, scale := robustCenter(xs)
-		wantMed := stats.Median(xs)
-		wantScale := math.Max(stats.MAD(xs), 0.001*math.Abs(wantMed))
+		wantMed := median(xs)
+		wantScale := math.Max(mad(xs), 0.001*math.Abs(wantMed))
 		if math.Float64bits(med) != math.Float64bits(wantMed) || math.Float64bits(scale) != math.Float64bits(wantScale) {
 			t.Fatalf("trial %d n=%d: robustCenter = (%.17g, %.17g), stats = (%.17g, %.17g)",
 				trial, len(xs), med, scale, wantMed, wantScale)
@@ -705,6 +707,28 @@ func TestRobustCenterMatchesStats(t *testing.T) {
 			t.Fatalf("trial %d: robustCenter modified its input", trial)
 		}
 	}
+}
+
+// median returns the median of xs without modifying it.
+func median(xs []float64) float64 {
+	tmp := append([]float64(nil), xs...)
+	sort.Float64s(tmp)
+	n := len(tmp)
+	if n%2 == 1 {
+		return tmp[n/2]
+	}
+	return (tmp[n/2-1] + tmp[n/2]) / 2
+}
+
+// mad returns the median absolute deviation of xs, scaled by 1.4826 to
+// estimate the standard deviation of normal data.
+func mad(xs []float64) float64 {
+	med := median(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		dev[i] = math.Abs(x - med)
+	}
+	return 1.4826 * median(dev)
 }
 
 // refFoldStacks is FoldStacks written as one loop over every instance:

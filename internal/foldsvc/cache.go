@@ -85,6 +85,59 @@ func (s *Server) spoolBody(ctx context.Context, body io.Reader) (*bytes.Buffer, 
 	}
 }
 
+// spoolUpload spools an upload for analysis and returns its bytes and
+// digest. An upload over the size limit, a cancelled request or a
+// failed read gets its error response written here and ok false —
+// except that with opts.Lenient a failed read salvages the prefix that
+// did arrive, whose digest covers exactly those bytes, so
+// content-addressing stays sound.
+func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, body *limitTrackingReader, src string) (spooled []byte, digest string, ok bool) {
+	buf, sum, err := s.spoolBody(ctx, body)
+	if err != nil {
+		switch {
+		case body.limit != nil:
+			err = body.limit
+		case ctx.Err() != nil:
+			err = ctx.Err()
+		case opts.Lenient && buf != nil && buf.Len() > 0:
+			return buf.Bytes(), sum, true
+		}
+		s.analyzeError(w, r, src, err)
+		return nil, "", false
+	}
+	return buf.Bytes(), sum, true
+}
+
+// analyze runs the analysis of rd, records the report's metrics and
+// logs its outcome.
+func (s *Server) analyze(ctx context.Context, rd io.Reader, opts core.Options, src string) (*core.Report, error) {
+	start := time.Now()
+	rep, err := core.AnalyzeStreamContext(ctx, rd, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.recordReport(rep)
+	s.cfg.Logger.Info("analysis done", "source", src, "app", rep.App,
+		"ranks", rep.Ranks, "bursts", rep.Bursts, "phases", len(rep.Phases),
+		"online", rep.Online, "wall", time.Since(start))
+	return rep, nil
+}
+
+// analyzeJSON is analyze with the report encoded as the response body:
+// JSON with a trailing newline, as the uncached path's json.Encoder
+// writes it, so cached and uncached responses are byte-identical.
+func (s *Server) analyzeJSON(ctx context.Context, rd io.Reader, opts core.Options, src string) (rescache.Result, error) {
+	rep, err := s.analyze(ctx, rd, opts, src)
+	if err != nil {
+		return rescache.Result{}, err
+	}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		return rescache.Result{}, fmt.Errorf("encode report: %w", err)
+	}
+	return rescache.Result{Data: append(out, '\n')}, nil
+}
+
 // analyzeCached is the cache-enabled tail of handleAnalyze: digest the
 // trace, look the (digest, options fingerprint) key up, and only run
 // the pipeline on a miss — with concurrent identical requests
@@ -98,25 +151,10 @@ func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx conte
 		digest     string
 	)
 	if fromUpload {
-		buf, sum, err := s.spoolBody(ctx, body)
-		if err != nil {
-			switch {
-			case body.limit != nil:
-				s.analyzeError(w, r, src, body.limit)
-				return
-			case ctx.Err() != nil:
-				s.analyzeError(w, r, src, ctx.Err())
-				return
-			case opts.Lenient && buf != nil && buf.Len() > 0:
-				// The transport failed mid-upload but salvage decoding is
-				// on: analyze the prefix that did arrive. The digest covers
-				// exactly those bytes, so content-addressing stays sound.
-			default:
-				s.analyzeError(w, r, src, err)
-				return
-			}
+		var ok bool
+		if spooled, digest, ok = s.spoolUpload(w, r, ctx, opts, body, src); !ok {
+			return
 		}
-		spooled, digest = buf.Bytes(), sum
 	} else {
 		// ?path= files arrive as seekable readers: hash in place and
 		// rewind instead of spooling, keeping memory bounded.
@@ -143,20 +181,7 @@ func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx conte
 		if fromUpload {
 			rd = bytes.NewReader(spooled)
 		}
-		start := time.Now()
-		rep, aerr := core.AnalyzeStreamContext(cctx, rd, opts)
-		if aerr != nil {
-			return rescache.Result{}, aerr
-		}
-		s.recordReport(rep)
-		s.cfg.Logger.Info("analysis done", "source", src, "app", rep.App,
-			"ranks", rep.Ranks, "bursts", rep.Bursts, "phases", len(rep.Phases),
-			"online", rep.Online, "wall", time.Since(start))
-		out, merr := json.Marshal(rep)
-		if merr != nil {
-			return rescache.Result{}, fmt.Errorf("encode report: %w", merr)
-		}
-		return rescache.Result{Data: append(out, '\n')}, nil
+		return s.analyzeJSON(cctx, rd, opts, src)
 	})
 	if err != nil {
 		s.analyzeError(w, r, src, err)

@@ -17,7 +17,7 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrBreakerOpen is returned by Client.Analyze while the circuit
+// ErrBreakerOpen is returned by a Client call while the circuit
 // breaker is open: enough consecutive attempts failed that the client
 // stops hammering the daemon until the cooldown elapses. Callers test
 // with errors.Is and either back off themselves or surface the outage.
@@ -27,11 +27,11 @@ var ErrBreakerOpen = errors.New("foldsvc: circuit breaker open")
 // of every field selects a production-reasonable default.
 type ClientConfig struct {
 	// BaseURL is the daemon's root URL (e.g. "http://host:9090"); the
-	// client appends /v1/analyze. Required.
+	// client appends the /v1 paths. Required.
 	BaseURL string
 	// HTTPClient is the transport; nil selects http.DefaultClient.
 	HTTPClient *http.Client
-	// MaxAttempts bounds tries per Analyze call, first attempt included
+	// MaxAttempts bounds tries per call, first attempt included
 	// (default 4). Only retryable failures — transport errors, 429, 5xx —
 	// consume extra attempts; other HTTP errors fail immediately.
 	MaxAttempts int
@@ -133,25 +133,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Analyze posts an encoded trace to the daemon's /v1/analyze and
-// decodes the Report, retrying retryable failures (transport errors,
-// 429 honoring Retry-After, 5xx) with capped jittered backoff. query
-// carries the analysis knobs (lenient=1, online=1, ...) and may be nil.
-// The trace is passed as bytes because a retry must replay the body
-// from the start.
-func (c *Client) Analyze(ctx context.Context, enc []byte, query url.Values) (*core.Report, error) {
-	var rep core.Report
-	if err := c.do(ctx, "/v1/analyze", enc, query, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
 // Partial posts an encoded trace shard to the daemon's /v1/partial and
 // decodes the mergeable core.Partial — the coordinator's worker call.
 // query must carry the shard's place in the split (shard, shards, mode,
-// resume) alongside the analysis knobs; retry, backoff and breaker
-// behavior are identical to Analyze.
+// resume) alongside the analysis knobs. Retryable failures (transport
+// errors, 429 honoring Retry-After, 5xx) are retried with capped
+// jittered backoff. The trace is passed as bytes because a retry must
+// replay the body from the start.
 func (c *Client) Partial(ctx context.Context, enc []byte, query url.Values) (*core.Partial, error) {
 	var p core.Partial
 	if err := c.do(ctx, "/v1/partial", enc, query, &p); err != nil {

@@ -60,16 +60,6 @@ func (c *Client) OpenSession(ctx context.Context, query url.Values) (*ClientSess
 	return &ClientSession{ID: out.ID, Fingerprint: out.Fingerprint, c: c}, nil
 }
 
-// Session adopts an already-open session by id — how a client resumes
-// after its own restart. appended is the number of chunks already
-// acknowledged (the next Append carries appended+1 as its sequence
-// number, so re-sending the last unacknowledged chunk is safe).
-func (c *Client) Session(id string, appended uint64) *ClientSession {
-	s := &ClientSession{ID: id, c: c}
-	s.seq.Store(appended)
-	return s
-}
-
 // Append streams one encoded trace chunk into the session. The chunk
 // carries an automatically incremented sequence number, so the retry
 // loop (and a client resending after a timeout) cannot double-append:

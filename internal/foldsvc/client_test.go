@@ -24,6 +24,16 @@ type fakeClock struct {
 	slept []time.Duration
 }
 
+// analyze posts an encoded trace to /v1/analyze through the client's
+// retry loop and decodes the Report.
+func analyze(ctx context.Context, c *Client, enc []byte, query url.Values) (*core.Report, error) {
+	var rep core.Report
+	if err := c.do(ctx, "/v1/analyze", enc, query, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
+}
+
 func (f *fakeClock) sleep(ctx context.Context, d time.Duration) error {
 	f.slept = append(f.slept, d)
 	return ctx.Err()
@@ -67,7 +77,7 @@ func TestClientRetries429HonoringRetryAfter(t *testing.T) {
 	defer srv.Close()
 
 	c, fc := newTestClient(t, srv.URL, ClientConfig{BaseBackoff: time.Millisecond})
-	got, err := c.Analyze(context.Background(), []byte("trace"), nil)
+	got, err := analyze(context.Background(), c, []byte("trace"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestClientRetries5xxWithBackoff(t *testing.T) {
 	c, fc := newTestClient(t, srv.URL, ClientConfig{
 		BaseBackoff: 100 * time.Millisecond, Registry: reg,
 	})
-	if _, err := c.Analyze(context.Background(), []byte("trace"), nil); err != nil {
+	if _, err := analyze(context.Background(), c, []byte("trace"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(fc.slept) != 1 {
@@ -131,7 +141,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	defer srv.Close()
 
 	c, fc := newTestClient(t, srv.URL, ClientConfig{})
-	_, err := c.Analyze(context.Background(), []byte("junk"), nil)
+	_, err := analyze(context.Background(), c, []byte("junk"), nil)
 	if err == nil || !strings.Contains(err.Error(), "bad trace") {
 		t.Fatalf("err = %v, want the 400 body", err)
 	}
@@ -164,14 +174,14 @@ func TestClientBreakerOpensAndRecovers(t *testing.T) {
 
 	// First call: 2 failed attempts. Second call's first attempt is the
 	// third consecutive failure — the breaker opens mid-call.
-	if _, err := c.Analyze(context.Background(), []byte("x"), nil); err == nil {
+	if _, err := analyze(context.Background(), c, []byte("x"), nil); err == nil {
 		t.Fatal("analyze succeeded against a dead server")
 	}
-	if _, err := c.Analyze(context.Background(), []byte("x"), nil); err == nil {
+	if _, err := analyze(context.Background(), c, []byte("x"), nil); err == nil {
 		t.Fatal("analyze succeeded against a dead server")
 	}
 	before := calls.Load()
-	_, err := c.Analyze(context.Background(), []byte("x"), nil)
+	_, err := analyze(context.Background(), c, []byte("x"), nil)
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
@@ -194,7 +204,7 @@ func TestClientBreakerOpensAndRecovers(t *testing.T) {
 	// server closes the breaker again.
 	healthy.Store(true)
 	time.Sleep(60 * time.Millisecond)
-	if _, err := c.Analyze(context.Background(), []byte("x"), nil); err != nil {
+	if _, err := analyze(context.Background(), c, []byte("x"), nil); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	buf.Reset()
@@ -218,7 +228,7 @@ func TestClientCancelledContextStopsRetrying(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Analyze(ctx, []byte("x"), nil); !errors.Is(err, context.Canceled) {
+	if _, err := analyze(ctx, c, []byte("x"), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -269,7 +279,7 @@ func TestClientWaitsOutServerBackpressure(t *testing.T) {
 		return ctx.Err()
 	}
 
-	rep, err := c.Analyze(context.Background(), enc, url.Values{"phases": {"2"}})
+	rep, err := analyze(context.Background(), c, enc, url.Values{"phases": {"2"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,39 +215,12 @@ func (s *Server) resolveDiffSide(w http.ResponseWriter, r *http.Request, ctx con
 
 	body := &limitTrackingReader{r: http.MaxBytesReader(nil, readCloser{part}, s.cfg.MaxBody)}
 	src := "diff-upload-" + side
-	buf, sum, err := s.spoolBody(ctx, body)
-	if err != nil {
-		switch {
-		case body.limit != nil:
-			s.analyzeError(w, r, src, body.limit)
-			return nil, "", true
-		case ctx.Err() != nil:
-			s.analyzeError(w, r, src, ctx.Err())
-			return nil, "", true
-		case opts.Lenient && buf != nil && buf.Len() > 0:
-			// Salvage the received prefix, exactly like /v1/analyze.
-		default:
-			s.analyzeError(w, r, src, err)
-			return nil, "", true
-		}
+	spooled, sum, ok := s.spoolUpload(w, r, ctx, opts, body, src)
+	if !ok {
+		return nil, "", true
 	}
-	spooled := buf.Bytes()
-
 	analyze := func(cctx context.Context) (rescache.Result, error) {
-		astart := time.Now()
-		rep, aerr := core.AnalyzeStreamContext(cctx, bytes.NewReader(spooled), opts)
-		if aerr != nil {
-			return rescache.Result{}, aerr
-		}
-		s.recordReport(rep)
-		s.cfg.Logger.Info("analysis done", "source", src, "app", rep.App,
-			"ranks", rep.Ranks, "bursts", rep.Bursts, "phases", len(rep.Phases),
-			"online", rep.Online, "wall", time.Since(astart))
-		out, merr := json.Marshal(rep)
-		if merr != nil {
-			return rescache.Result{}, fmt.Errorf("encode report: %w", merr)
-		}
-		return rescache.Result{Data: append(out, '\n')}, nil
+		return s.analyzeJSON(cctx, bytes.NewReader(spooled), opts, src)
 	}
 
 	var data []byte

@@ -290,11 +290,11 @@ func TestClientBreakerSingleProbe(t *testing.T) {
 
 	// Trip the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := c.Analyze(context.Background(), []byte("x"), nil); err == nil {
+		if _, err := analyze(context.Background(), c, []byte("x"), nil); err == nil {
 			t.Fatal("analyze succeeded against a dead server")
 		}
 	}
-	if _, err := c.Analyze(context.Background(), []byte("x"), nil); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := analyze(context.Background(), c, []byte("x"), nil); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen", err)
 	}
 
@@ -302,11 +302,11 @@ func TestClientBreakerSingleProbe(t *testing.T) {
 	// and must re-open the breaker — the next call right after fails fast
 	// without touching the server.
 	time.Sleep(40 * time.Millisecond)
-	if _, err := c.Analyze(context.Background(), []byte("x"), nil); errors.Is(err, ErrBreakerOpen) {
+	if _, err := analyze(context.Background(), c, []byte("x"), nil); errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("probe was not admitted: %v", err)
 	}
 	before := reached.Load()
-	if _, err := c.Analyze(context.Background(), []byte("x"), nil); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := analyze(context.Background(), c, []byte("x"), nil); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("failed probe did not re-open the breaker: %v", err)
 	}
 	if reached.Load() != before {
@@ -320,7 +320,7 @@ func TestClientBreakerSingleProbe(t *testing.T) {
 	before = reached.Load()
 	probeResult := make(chan error, 1)
 	go func() {
-		_, err := c.Analyze(context.Background(), []byte("x"), nil)
+		_, err := analyze(context.Background(), c, []byte("x"), nil)
 		probeResult <- err
 	}()
 	waitFor(t, "the probe to reach the server", func() bool {
@@ -334,7 +334,7 @@ func TestClientBreakerSingleProbe(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.Analyze(context.Background(), []byte("x"), nil)
+			_, errs[i] = analyze(context.Background(), c, []byte("x"), nil)
 		}(i)
 	}
 	wg.Wait()
@@ -352,7 +352,7 @@ func TestClientBreakerSingleProbe(t *testing.T) {
 		t.Fatalf("probe failed: %v", err)
 	}
 	// Breaker closed: calls flow normally again.
-	if _, err := c.Analyze(context.Background(), []byte("x"), nil); err != nil {
+	if _, err := analyze(context.Background(), c, []byte("x"), nil); err != nil {
 		t.Fatalf("call after recovery failed: %v", err)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/counters"
 	"repro/internal/folding"
@@ -361,8 +360,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	start := time.Now()
-	rep, err := core.AnalyzeStreamContext(ctx, input, opts)
+	rep, err := s.analyze(ctx, input, opts, src)
 	if err != nil {
 		// Decode errors wrap the underlying read failure as text only,
 		// so a tripped upload limit must be recovered from the reader.
@@ -372,10 +370,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.analyzeError(w, r, src, err)
 		return
 	}
-	s.recordReport(rep)
-	s.cfg.Logger.Info("analysis done", "source", src, "app", rep.App,
-		"ranks", rep.Ranks, "bursts", rep.Bursts, "phases", len(rep.Phases),
-		"online", rep.Online, "wall", time.Since(start))
 
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -542,11 +536,11 @@ func (s *Server) openLocal(p string) (*os.File, int, error) {
 // core.Options — the same knobs the fold CLI exposes as flags.
 //
 //	online=1 train=N parallel=N phases=N bins=N model=binned+pchip
-//	counter=PAPI_TOT_INS[,...] knn=auto|brute|kdtree sil_sample=N
-//	min_burst_us=N lenient=1
+//	counter=PAPI_TOT_INS[,...] sil_sample=N min_burst_us=N lenient=1
 //
 // Unknown parameters are ignored, so a client still sending the retired
-// columnar= knob gets the one data plane and the same cache entry.
+// columnar= or knn= knobs gets the one data plane and the same cache
+// entry.
 func optionsFromQuery(r *http.Request) (core.Options, error) {
 	return optionsFromValues(r.URL.Query())
 }
@@ -604,13 +598,6 @@ func optionsFromValues(q url.Values) (core.Options, error) {
 			return opts, fmt.Errorf("bad lenient=%q: want a boolean", v)
 		}
 		opts.Lenient = on
-	}
-	if v := q.Get("knn"); v != "" {
-		mode, err := cluster.ParseIndexMode(v)
-		if err != nil {
-			return opts, err
-		}
-		opts.Cluster.Index = mode
 	}
 	switch v := q.Get("model"); v {
 	case "", "binned+pchip":

@@ -100,7 +100,7 @@ func TestAnalyzeOnlineAndQueryKnobs(t *testing.T) {
 	srv := httptest.NewServer(NewServer(Config{}))
 	defer srv.Close()
 
-	url := srv.URL + "/v1/analyze?online=1&train=256&phases=3&counter=PAPI_TOT_INS&knn=kdtree"
+	url := srv.URL + "/v1/analyze?online=1&train=256&phases=3&counter=PAPI_TOT_INS"
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)

@@ -20,11 +20,6 @@ import (
 // strictly positive values.
 type ImbalanceFunc func(rank, ranks int) float64
 
-// Uniform returns the balanced workload: every rank does the same work.
-func Uniform() ImbalanceFunc {
-	return func(rank, ranks int) float64 { return 1 }
-}
-
 // Linear returns a workload ramp: rank 0 does the nominal work and the last
 // rank does (1+excess) times as much, linearly interpolated in between.
 func Linear(excess float64) ImbalanceFunc {
@@ -92,7 +87,8 @@ type Kernel struct {
 	// modelling data-dependent iterations (e.g. varying interaction
 	// counts). Unlike NoiseCV it leaves IPC unchanged.
 	WorkNoiseCV float64
-	// Imbalance distributes work across ranks; nil means Uniform.
+	// Imbalance distributes work across ranks; nil means every rank does
+	// the same work.
 	Imbalance ImbalanceFunc
 	// Counters defines per-counter totals and shapes. TotCyc is ignored:
 	// cycles accrue with wall time at the machine's clock rate.

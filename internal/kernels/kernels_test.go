@@ -97,12 +97,6 @@ func TestRegionAt(t *testing.T) {
 }
 
 func TestImbalanceFuncs(t *testing.T) {
-	u := Uniform()
-	for r := 0; r < 8; r++ {
-		if u(r, 8) != 1 {
-			t.Fatal("Uniform not 1")
-		}
-	}
 	l := Linear(0.5)
 	if l(0, 9) != 1 {
 		t.Fatalf("Linear rank0 = %g", l(0, 9))

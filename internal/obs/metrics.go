@@ -366,14 +366,3 @@ func (r *Registry) Handler() http.Handler {
 		io.WriteString(w, b.String())
 	})
 }
-
-// Names returns the registered family names in registration order —
-// used by the metrics-catalog test and the operations runbook
-// generator to keep documentation honest.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}

@@ -63,15 +63,6 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// Or returns l unless it is nil, in which case it returns the discard
-// logger — the normalization helper every package-level default uses.
-func Or(l *slog.Logger) *slog.Logger {
-	if l == nil {
-		return Discard()
-	}
-	return l
-}
-
 // RegisterPprof mounts the net/http/pprof handlers under /debug/pprof/
 // on mux. The stock pprof package only registers on
 // http.DefaultServeMux; daemons that build their own mux (as foldsvc

@@ -22,8 +22,8 @@ func TestFolderSingleSampleBinMerge(t *testing.T) {
 	for i := range stream {
 		f.Add(&stream[i])
 	}
-	if f.Instances() != 400 || f.Points() != 400 {
-		t.Fatalf("instances/points = %d/%d, want 400/400", f.Instances(), f.Points())
+	if f.instances != 400 || f.points != 400 {
+		t.Fatalf("instances/points = %d/%d, want 400/400", f.instances, f.points)
 	}
 	snap, err := f.Snapshot()
 	if err != nil {
@@ -60,8 +60,8 @@ func TestFolderSingleBinOccupied(t *testing.T) {
 			t.Fatalf("instance %d rejected", i)
 		}
 	}
-	if f.Points() != 10 {
-		t.Fatalf("points = %d, want 10", f.Points())
+	if f.points != 10 {
+		t.Fatalf("points = %d, want 10", f.points)
 	}
 	snap, err := f.Snapshot()
 	if err != nil {

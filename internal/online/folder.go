@@ -47,10 +47,13 @@ func NewFolderConfig(c counters.Counter, cfg folding.Config) *Folder {
 	return f
 }
 
-// NewFolder creates an incremental folder.
+// NewFolder creates an incremental folder; bins <= 0 selects the
+// offline fold's default grid.
 func NewFolder(c counters.Counter, bins int) *Folder {
 	if bins <= 0 {
-		bins = 100
+		def := folding.Config{}
+		def.SetDefaults()
+		bins = def.Bins
 	}
 	return &Folder{
 		Counter: c,
@@ -103,16 +106,6 @@ func (f *Folder) Add(in *folding.Instance) bool {
 	}
 	return true
 }
-
-// Instances returns how many instances were folded; Pruned how many were
-// rejected; Points how many samples were accumulated.
-func (f *Folder) Instances() int { return f.instances }
-
-// Pruned returns the number of rejected instances.
-func (f *Folder) Pruned() int { return f.pruned }
-
-// Points returns the number of accumulated samples.
-func (f *Folder) Points() int { return f.points }
 
 // Snapshot fits the current accumulated bins into a folding.Result. It can
 // be called at any time during the stream; the fold sharpens as instances

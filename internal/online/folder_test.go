@@ -63,8 +63,8 @@ func TestIncrementalFoldMatchesOffline(t *testing.T) {
 	if d := folding.MeanAbsDiffResults(snap, offline); d > 0.01 {
 		t.Fatalf("streaming vs offline diff = %.4f", d)
 	}
-	if f.Instances() != 500 || f.Points() != 1000 {
-		t.Fatalf("instances/points = %d/%d", f.Instances(), f.Points())
+	if f.instances != 500 || f.points != 1000 {
+		t.Fatalf("instances/points = %d/%d", f.instances, f.points)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestFolderPrunesRunningOutliers(t *testing.T) {
 	for i := range stream {
 		f.Add(&stream[i])
 	}
-	if f.Pruned() == 0 {
+	if f.pruned == 0 {
 		t.Fatal("no outliers pruned")
 	}
 	snap, err := f.Snapshot()

@@ -29,12 +29,12 @@ func TestFolderSnapshotPurity(t *testing.T) {
 			}
 		}
 	}
-	if interleaved.Instances() != reference.Instances() ||
-		interleaved.Pruned() != reference.Pruned() ||
-		interleaved.Points() != reference.Points() {
+	if interleaved.instances != reference.instances ||
+		interleaved.pruned != reference.pruned ||
+		interleaved.points != reference.points {
 		t.Fatalf("counters diverged: %d/%d/%d vs %d/%d/%d",
-			interleaved.Instances(), interleaved.Pruned(), interleaved.Points(),
-			reference.Instances(), reference.Pruned(), reference.Points())
+			interleaved.instances, interleaved.pruned, interleaved.points,
+			reference.instances, reference.pruned, reference.points)
 	}
 	a, err := interleaved.Snapshot()
 	if err != nil {

@@ -89,7 +89,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c *Config) setDefaults() {
+// SetDefaults sets every unset field to its default. core.Options
+// applies its own defaults through it, so each is written only here.
+func (c *Config) SetDefaults() {
 	if len(c.Counters) == 0 {
 		c.Counters = []counters.Counter{
 			counters.TotIns, counters.FPOps, counters.L1DCM, counters.L2DCM,
@@ -274,7 +276,7 @@ type instanceBuf struct {
 // per-request deadlines and client-disconnect cancellation; a cancelled
 // run never returns a partial Outcome.
 func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, error) {
-	cfg.setDefaults()
+	cfg.SetDefaults()
 	meta := src.Meta()
 	if err := meta.Validate(); err != nil {
 		return nil, err

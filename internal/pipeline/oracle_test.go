@@ -106,9 +106,9 @@ func checkMapHalf(t *testing.T, out *Outcome, want *trace.Trace) {
 	if !reflect.DeepEqual(out.RankBursts, rankBursts) {
 		t.Errorf("per-rank bursts %v, want %v", out.RankBursts, rankBursts)
 	}
-	if out.KeptTime != burst.TotalTime(kept) || out.AllTime != burst.TotalTime(all) {
+	if out.KeptTime != totalTime(kept) || out.AllTime != totalTime(all) {
 		t.Errorf("kept/all time %d/%d, want %d/%d",
-			out.KeptTime, out.AllTime, burst.TotalTime(kept), burst.TotalTime(all))
+			out.KeptTime, out.AllTime, totalTime(kept), totalTime(all))
 	}
 	got := out.Kept
 	if out.Online {
@@ -290,4 +290,13 @@ func TestClusteringModeMatchesBatchOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// totalTime sums the durations of bursts.
+func totalTime(bursts []burst.Burst) trace.Time {
+	var t trace.Time
+	for i := range bursts {
+		t += bursts[i].Duration()
+	}
+	return t
 }

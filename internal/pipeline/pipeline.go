@@ -65,11 +65,11 @@ type Pipeline struct {
 
 	wg    sync.WaitGroup
 	once  sync.Once
-	quit  chan struct{}
+	quit  chan struct{} // closed when any stage fails; senders select on it
 	errMu sync.Mutex
 	err   error // guarded by errMu: a Watch goroutine can fail the
-	// pipeline (cancelled context) concurrently with Wait reading the
-	// result after the last stage returned.
+	// pipeline (cancelled context) concurrently with waitOrAbandon
+	// reading the result after the last stage returned.
 	metrics []*Metrics
 
 	// progress counts stage work items (blocks moved, records sunk); the
@@ -91,10 +91,10 @@ func New() *Pipeline {
 }
 
 // Watch ties the pipeline to ctx: when ctx is cancelled the pipeline
-// fails with ctx.Err(), which closes Quit and releases every sender
+// fails with ctx.Err(), which closes quit and releases every sender
 // blocked on a full channel, so the stages drain and exit promptly.
 // The returned stop function releases the watcher goroutine; call it
-// once the pipeline is done (typically deferred next to Wait).
+// once the pipeline is done (typically deferred next to waitOrAbandon).
 func (p *Pipeline) Watch(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
@@ -110,10 +110,6 @@ func (p *Pipeline) Watch(ctx context.Context) (stop func()) {
 	}()
 	return func() { close(done) }
 }
-
-// Quit is closed when any stage fails; senders select on it so a dead
-// consumer cannot strand them on a full channel.
-func (p *Pipeline) Quit() <-chan struct{} { return p.quit }
 
 // fail records the first error and releases every blocked sender.
 func (p *Pipeline) fail(err error) {
@@ -133,7 +129,7 @@ func (p *Pipeline) loadErr() error {
 }
 
 // Go runs fn as a named stage. fn owns the returned Metrics for counting
-// and must return promptly once Quit is closed. Stage wall time is
+// and must return promptly once the pipeline fails. Stage wall time is
 // measured around fn.
 func (p *Pipeline) Go(name string, fn func(m *Metrics) error) {
 	m := &Metrics{Stage: name}
@@ -156,13 +152,6 @@ func (p *Pipeline) Go(name string, fn func(m *Metrics) error) {
 				"wall", m.Wall, "err", err)
 		}
 	}()
-}
-
-// Wait blocks until every stage has returned and reports the first
-// error, if any.
-func (p *Pipeline) Wait() error {
-	p.wg.Wait()
-	return p.loadErr()
 }
 
 // beat records one unit of stage progress for the stall watchdog.
@@ -191,7 +180,7 @@ func (p *Pipeline) liveStages() string {
 // between work items — the barrier stages (clustering at the
 // event→sample boundary) do minutes-free stretches of CPU work on huge
 // traces without moving blocks. The returned stop function releases the
-// watchdog goroutine; defer it next to Wait.
+// watchdog goroutine; defer it next to waitOrAbandon.
 func (p *Pipeline) WatchStall(timeout time.Duration) (stop func()) {
 	if timeout <= 0 {
 		return func() {}
@@ -232,7 +221,8 @@ func (p *Pipeline) WatchStall(timeout time.Duration) (stop func()) {
 // to drain before abandoning them.
 const stallGrace = 250 * time.Millisecond
 
-// waitOrAbandon is Wait, except that a pipeline failed by the stall
+// waitOrAbandon blocks until every stage has returned and reports the
+// first error, if any, except that a pipeline failed by the stall
 // watchdog is abandoned after a short grace period instead of being
 // waited on forever: the very condition the watchdog detects — a stage
 // wedged in an uninterruptible read — also prevents that stage from ever
@@ -263,7 +253,7 @@ func (p *Pipeline) waitOrAbandon() error {
 }
 
 // Metrics returns the per-stage counters in spawn order; call it only
-// after Wait.
+// after waitOrAbandon.
 func (p *Pipeline) Metrics() []Metrics {
 	out := make([]Metrics, len(p.metrics))
 	for i, m := range p.metrics {

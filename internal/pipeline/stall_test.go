@@ -15,34 +15,24 @@ import (
 // until released — the shape of an upload that goes quiet without
 // disconnecting.
 type stallSource struct {
-	meta    trace.Metadata
-	served  bool
+	*trace.TraceSource
 	release chan struct{}
 }
 
-func (s *stallSource) Meta() *trace.Metadata { return &s.meta }
-
 func (s *stallSource) NextBlock(blk *trace.ColBlock) error {
-	blk.Reset(trace.KindEvent)
-	if !s.served {
-		s.served = true
-		for i := 1; i <= 3; i++ {
-			ev := trace.Event{Rank: 0, Time: trace.Time(i), Type: trace.EvIteration, Value: int64(i)}
-			if err := blk.AppendEvent(&ev); err != nil {
-				return err
-			}
-		}
-		return nil
+	if err := s.TraceSource.NextBlock(blk); err != io.EOF {
+		return err
 	}
 	<-s.release
 	return io.EOF
 }
 
 func TestWatchStallNamesStalledStage(t *testing.T) {
-	src := &stallSource{
-		meta:    trace.Metadata{App: "stall", Ranks: 1, Duration: 1000},
-		release: make(chan struct{}),
+	b := trace.NewBuilder("stall", 1)
+	for i := 1; i <= 3; i++ {
+		b.Event(0, trace.Time(i), trace.EvIteration, int64(i))
 	}
+	src := &stallSource{TraceSource: trace.NewTraceSource(b.Build()), release: make(chan struct{})}
 	defer close(src.release) // unwedge the abandoned decode goroutine
 
 	start := time.Now()

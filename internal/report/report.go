@@ -103,15 +103,6 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// WriteFile writes the formatted table to a file, creating directories as
-// needed.
-func (t *Table) WriteFile(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(t.Format()), 0o644)
-}
-
 // Series is one named data series of a figure.
 type Series struct {
 	Name string

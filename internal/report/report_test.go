@@ -60,22 +60,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestTableWriteFile(t *testing.T) {
-	tb := &Table{Title: "T", Header: []string{"a"}}
-	tb.AddRow("1")
-	path := filepath.Join(t.TempDir(), "sub", "t.txt")
-	if err := tb.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "T\n=") {
-		t.Fatalf("file content: %s", data)
-	}
-}
-
 func TestWriteSeriesTSV(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fig", "f.tsv")
 	err := WriteSeriesTSV(path, []Series{

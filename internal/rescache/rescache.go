@@ -100,22 +100,6 @@ type Result struct {
 	NoStore bool
 }
 
-// Stats is a point-in-time snapshot of the cache counters, for tests
-// and introspection; the obs metrics expose the same values.
-type Stats struct {
-	// Hits counts lookups served from memory; DiskHits from the disk
-	// tier.
-	Hits, DiskHits int64
-	// Misses counts computations started (including ones that failed).
-	Misses int64
-	// Coalesced counts calls that attached to an in-flight computation.
-	Coalesced int64
-	// Evictions counts entries LRU-evicted under the byte budget.
-	Evictions int64
-	// Bytes and Entries describe the current in-memory tier.
-	Bytes, Entries int64
-}
-
 // Key assembles a cache key from an entry kind ("report", "partial",
 // "model"), the content digest of the trace bytes (trace.DigestBytes),
 // and any extra discriminators — the canonical options fingerprint,
@@ -165,8 +149,6 @@ type Cache struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 
-	stHits, stDiskHits, stMisses       atomic.Int64
-	stCoalesced, stEvictions           atomic.Int64
 	stBytes, stEntries                 atomic.Int64
 	hitsMem, hitsDisk, misses          *obs.Counter
 	coalesced, evictions, diskFailures *obs.Counter
@@ -243,7 +225,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	start := time.Now()
 	sh := c.shardFor(key)
 	if v, ok := sh.get(key); ok {
-		c.stHits.Add(1)
 		c.hitsMem.Inc()
 		c.hitSecs.Observe(time.Since(start).Seconds())
 		return v, true
@@ -252,7 +233,6 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		v, err := os.ReadFile(c.diskPath(key))
 		if err == nil {
 			c.insert(sh, key, v)
-			c.stDiskHits.Add(1)
 			c.hitsDisk.Inc()
 			c.hitSecs.Observe(time.Since(start).Seconds())
 			return v, true
@@ -291,7 +271,6 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(conte
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
-		c.stCoalesced.Add(1)
 		c.coalesced.Inc()
 		select {
 		case <-f.done:
@@ -304,7 +283,6 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(conte
 	c.flights[key] = f
 	c.mu.Unlock()
 
-	c.stMisses.Add(1)
 	c.misses.Inc()
 	res, err := runProtected(ctx, compute)
 	if err == nil && !res.NoStore {
@@ -334,19 +312,6 @@ func runProtected(ctx context.Context, compute func(context.Context) (Result, er
 	return compute(ctx)
 }
 
-// Stats snapshots the counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:      c.stHits.Load(),
-		DiskHits:  c.stDiskHits.Load(),
-		Misses:    c.stMisses.Load(),
-		Coalesced: c.stCoalesced.Load(),
-		Evictions: c.stEvictions.Load(),
-		Bytes:     c.stBytes.Load(),
-		Entries:   c.stEntries.Load(),
-	}
-}
-
 // insert stores into the shard and settles the global gauges and
 // eviction counters from the shard's report.
 func (c *Cache) insert(sh *shard, key string, val []byte) {
@@ -354,7 +319,6 @@ func (c *Cache) insert(sh *shard, key string, val []byte) {
 	c.stBytes.Add(deltaBytes)
 	c.stEntries.Add(deltaEntries)
 	if evicted > 0 {
-		c.stEvictions.Add(int64(evicted))
 		c.evictions.Add(float64(evicted))
 	}
 }

@@ -12,6 +12,34 @@ import (
 	"time"
 )
 
+// Stats is a point-in-time snapshot of the cache's metric families.
+type Stats struct {
+	// Hits counts lookups served from memory; DiskHits from the disk
+	// tier.
+	Hits, DiskHits int64
+	// Misses counts computations started (including ones that failed).
+	Misses int64
+	// Coalesced counts calls that attached to an in-flight computation.
+	Coalesced int64
+	// Evictions counts entries LRU-evicted under the byte budget.
+	Evictions int64
+	// Bytes and Entries describe the current in-memory tier.
+	Bytes, Entries int64
+}
+
+// stats snapshots the cache's counters and gauges.
+func (c *Cache) stats() Stats {
+	return Stats{
+		Hits:      int64(c.hitsMem.Value()),
+		DiskHits:  int64(c.hitsDisk.Value()),
+		Misses:    int64(c.misses.Value()),
+		Coalesced: int64(c.coalesced.Value()),
+		Evictions: int64(c.evictions.Value()),
+		Bytes:     c.stBytes.Load(),
+		Entries:   c.stEntries.Load(),
+	}
+}
+
 func TestGetPutBasic(t *testing.T) {
 	c := New(Config{})
 	if _, ok := c.Get("report|abc|v1"); ok {
@@ -22,7 +50,7 @@ func TestGetPutBasic(t *testing.T) {
 	if !ok || string(v) != "hello" {
 		t.Fatalf("Get = %q, %v; want hello, true", v, ok)
 	}
-	st := c.Stats()
+	st := c.stats()
 	if st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v; want 1 hit, 1 entry", st)
 	}
@@ -45,7 +73,7 @@ func TestLRUEvictionBound(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c.Put(fmt.Sprintf("k%d", i), val)
 	}
-	st := c.Stats()
+	st := c.stats()
 	if st.Bytes > 4*1024 {
 		t.Fatalf("bytes %d exceeds budget", st.Bytes)
 	}
@@ -121,10 +149,10 @@ func TestSingleflightCoalesces(t *testing.T) {
 
 	// Wait until the leader is computing and all 15 followers attached.
 	deadline := time.After(10 * time.Second)
-	for c.Stats().Coalesced < waiters-1 {
+	for c.stats().Coalesced < waiters-1 {
 		select {
 		case <-deadline:
-			t.Fatalf("followers never attached: stats %+v", c.Stats())
+			t.Fatalf("followers never attached: stats %+v", c.stats())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -149,7 +177,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if miss != 1 || coal != waiters-1 {
 		t.Fatalf("statuses: %d miss, %d coalesced; want 1, %d", miss, coal, waiters-1)
 	}
-	st := c.Stats()
+	st := c.stats()
 	if st.Misses != 1 || st.Coalesced != waiters-1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -176,10 +204,10 @@ func TestPanicDoesNotPoison(t *testing.T) {
 		}()
 	}
 	deadline := time.After(10 * time.Second)
-	for c.Stats().Coalesced < waiters-1 {
+	for c.stats().Coalesced < waiters-1 {
 		select {
 		case <-deadline:
-			t.Fatalf("followers never attached: stats %+v", c.Stats())
+			t.Fatalf("followers never attached: stats %+v", c.stats())
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -214,7 +242,7 @@ func TestComputeErrorSharedNotCached(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("error result was cached")
 	}
-	if got := c.Stats().Misses; got != 1 {
+	if got := c.stats().Misses; got != 1 {
 		t.Fatalf("misses = %d; want 1", got)
 	}
 }
@@ -241,7 +269,7 @@ func TestWaiterOwnContextCancel(t *testing.T) {
 		done <- err
 	}()
 	deadline := time.After(10 * time.Second)
-	for c.Stats().Coalesced < 1 {
+	for c.stats().Coalesced < 1 {
 		select {
 		case <-deadline:
 			t.Fatal("waiter never attached")
@@ -293,7 +321,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	if !ok || string(v) != "persisted" {
 		t.Fatalf("disk Get = %q, %v", v, ok)
 	}
-	st := cold.Stats()
+	st := cold.stats()
 	if st.DiskHits != 1 || st.Hits != 0 {
 		t.Fatalf("stats = %+v; want one disk hit", st)
 	}
@@ -301,7 +329,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	if _, ok := cold.Get("report|abc|fp"); !ok {
 		t.Fatal("promoted entry missing")
 	}
-	if st := cold.Stats(); st.Hits != 1 {
+	if st := cold.stats(); st.Hits != 1 {
 		t.Fatalf("stats = %+v; want one memory hit after promotion", st)
 	}
 

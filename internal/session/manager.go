@@ -257,17 +257,6 @@ func (m *Manager) Get(id string) (*Session, bool) {
 	return s, ok
 }
 
-// Sessions snapshots the live session list.
-func (m *Manager) Sessions() []*Session {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		out = append(out, s)
-	}
-	return out
-}
-
 // recoverAll scans the journal root and rebuilds every persisted
 // session, replaying its segments through the normal append path. A
 // session whose journal is damaged recovers the longest clean prefix

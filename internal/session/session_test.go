@@ -16,6 +16,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/deepeq"
+	"repro/internal/obs"
 	"repro/internal/session"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -485,7 +486,8 @@ func TestSessionDrainKeepsJournal(t *testing.T) {
 func TestSubscriberCoalescing(t *testing.T) {
 	tr := genTrace(t, "stencil", 2, 30)
 	chunks := session.Chunks(tr, 8)
-	m := newManager(t, session.Config{Ring: 2})
+	dropped := obs.NewRegistry().Counter("dropped_total", "Snapshots dropped.")
+	m := newManager(t, session.Config{Ring: 2, Metrics: session.Metrics{SnapshotsDropped: dropped}})
 	s, err := m.Open(url.Values{})
 	if err != nil {
 		t.Fatal(err)
@@ -520,8 +522,8 @@ func TestSubscriberCoalescing(t *testing.T) {
 	if seen > 2 {
 		t.Fatalf("slow subscriber accumulated %d pending snapshots, ring is 2", seen)
 	}
-	if int(sub.Dropped())+seen < int(st.Snapshots) {
-		t.Fatalf("drops (%d) + delivered (%d) < published (%d)", sub.Dropped(), seen, st.Snapshots)
+	if int(dropped.Value())+seen < int(st.Snapshots) {
+		t.Fatalf("drops (%v) + delivered (%d) < published (%d)", dropped.Value(), seen, st.Snapshots)
 	}
 }
 

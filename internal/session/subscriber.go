@@ -8,16 +8,16 @@ import (
 // Subscriber is one consumer of a session's snapshot stream. Each
 // subscriber owns a bounded queue: the publisher never blocks on a
 // subscriber — when the queue is full the oldest pending snapshot is
-// dropped (and counted), so a consumer that stops reading degrades to
-// "latest snapshots only" instead of stalling the analysis path.
+// dropped (and counted in Metrics.SnapshotsDropped), so a consumer that
+// stops reading degrades to "latest snapshots only" instead of stalling
+// the analysis path.
 type Subscriber struct {
 	sess *Session
 
-	mu      sync.Mutex
-	queue   []*Snapshot
-	max     int
-	dropped uint64
-	reason  string
+	mu     sync.Mutex
+	queue  []*Snapshot
+	max    int
+	reason string
 
 	notify chan struct{}
 	ended  chan struct{}
@@ -71,7 +71,6 @@ func (sub *Subscriber) push(sn *Snapshot) {
 	if len(sub.queue) >= sub.max {
 		copy(sub.queue, sub.queue[1:])
 		sub.queue[len(sub.queue)-1] = sn
-		sub.dropped++
 		incC(sub.sess.m.cfg.Metrics.SnapshotsDropped)
 	} else {
 		sub.queue = append(sub.queue, sn)
@@ -123,12 +122,4 @@ func (sub *Subscriber) Next(ctx context.Context) (*Snapshot, error) {
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// Dropped reports how many snapshots were coalesced away because this
-// subscriber fell behind.
-func (sub *Subscriber) Dropped() uint64 {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return sub.dropped
 }

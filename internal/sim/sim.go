@@ -277,16 +277,6 @@ func Run(cfg Config, app App) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// GroundTruth exposes the analytic internal evolution of an app's kernels
-// keyed by kernel name, for accuracy evaluation.
-func GroundTruth(app App) map[string]*kernels.Kernel {
-	m := make(map[string]*kernels.Kernel)
-	for _, k := range app.Kernels() {
-		m[k.Name] = k
-	}
-	return m
-}
-
 // sortedKernelNames returns kernel names in deterministic order.
 func sortedKernelNames(ks []*kernels.Kernel) []string {
 	names := make([]string, len(ks))

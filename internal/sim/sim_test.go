@@ -55,7 +55,7 @@ func TestSingleRankComputeCounters(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	samples := tr.SamplesOfRank(0)
+	samples := samplesOfRank(tr, 0)
 	if len(samples) < 5 {
 		t.Fatalf("too few samples: %d", len(samples))
 	}
@@ -278,7 +278,7 @@ func TestRendezvousBlocksSender(t *testing.T) {
 	// time ~0: transfer starts at receiver readiness (100000).
 	want := trace.Time(100_000) + cfg.Network.Latency + trace.Time(float64(1<<20)/cfg.Network.Bandwidth)
 	var sendExit trace.Time
-	ev0 := tr.EventsOfRank(0)
+	ev0 := eventsOfRank(tr, 0)
 	for i, e := range ev0 {
 		if e.Type == trace.EvMPI && e.Value == int64(trace.MPISend) {
 			sendExit = ev0[i+1].Time
@@ -574,16 +574,6 @@ func TestImbalancedKernelDurations(t *testing.T) {
 	}
 }
 
-func TestGroundTruth(t *testing.T) {
-	k1 := simpleKernel("a", 1, 10, 1)
-	k2 := simpleKernel("b", 2, 10, 1)
-	app := &testApp{name: "gt", ks: []*kernels.Kernel{k1, k2}, run: func(r *Rank) {}}
-	gt := GroundTruth(app)
-	if gt["a"] != k1 || gt["b"] != k2 {
-		t.Fatalf("GroundTruth = %v", gt)
-	}
-}
-
 func TestPeerOutOfRangeFails(t *testing.T) {
 	app := &testApp{name: "peer", ks: nil, run: func(r *Rank) {
 		r.Send(5, 10, 0)
@@ -635,4 +625,26 @@ func TestCollectivesRun(t *testing.T) {
 		ops[trace.MPIReduce] != 4 || ops[trace.MPIBarrier] != 4 {
 		t.Fatalf("ops = %v", ops)
 	}
+}
+
+// eventsOfRank returns rank's events in time order.
+func eventsOfRank(tr *trace.Trace, rank int32) []trace.Event {
+	var out []trace.Event
+	for _, e := range tr.Events {
+		if e.Rank == rank {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// samplesOfRank returns rank's samples in time order.
+func samplesOfRank(tr *trace.Trace, rank int32) []trace.Sample {
+	var out []trace.Sample
+	for _, s := range tr.Samples {
+		if s.Rank == rank {
+			out = append(out, s)
+		}
+	}
+	return out
 }

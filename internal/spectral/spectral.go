@@ -24,9 +24,6 @@ type Signal struct {
 	Values []float64
 }
 
-// Duration returns the time span the signal covers.
-func (s *Signal) Duration() trace.Time { return s.Bin * trace.Time(len(s.Values)) }
-
 // ComputeDensity builds the useful-computation-density signal: for each
 // time bin, the fraction of rank-time spent inside computation bursts.
 // bins selects the resolution (default 4096).

@@ -30,8 +30,8 @@ func TestComputeDensityKnownSignal(t *testing.T) {
 			t.Fatalf("bin %d = %g, want %g (all: %v)", i, sig.Values[i], w, sig.Values)
 		}
 	}
-	if sig.Duration() != 1000 {
-		t.Fatalf("duration = %d", sig.Duration())
+	if got := sig.Bin * trace.Time(len(sig.Values)); got != 1000 {
+		t.Fatalf("duration = %d", got)
 	}
 }
 

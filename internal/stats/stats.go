@@ -1,19 +1,10 @@
-// Package stats provides small, allocation-conscious statistical helpers
-// used throughout the analysis pipeline: online moments, order statistics,
-// histograms, robust scale estimates and correlation.
+// Package stats provides the moments the analysis reports: the mean and
+// sample variance of a slice, and the same accumulated online.
 //
-// All functions operate on float64 slices and never modify their inputs
-// unless explicitly documented (functions with a "InPlace" suffix).
+// No function modifies its input.
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
-
-// ErrEmpty is returned by functions that cannot operate on empty input.
-var ErrEmpty = errors.New("stats: empty input")
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -25,15 +16,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Variance returns the unbiased sample variance of xs (denominator n-1).
@@ -57,148 +39,17 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the minimum of xs. It panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Median returns the median of xs without modifying it.
-// It panics on empty input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between closest ranks (the "R-7" definition used by most
-// statistics packages). It panics on empty input and clamps q to [0,1].
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	return quantileSorted(tmp, q)
-}
-
-// QuantileSorted is like Quantile but requires xs to be sorted ascending,
-// avoiding the copy and sort.
-func QuantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	return quantileSorted(xs, q)
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// MAD returns the median absolute deviation of xs scaled by 1.4826 so that
-// it is a consistent estimator of the standard deviation for normal data.
-// It panics on empty input.
-func MAD(xs []float64) float64 {
-	med := Median(xs)
-	dev := make([]float64, len(xs))
-	for i, x := range xs {
-		dev[i] = math.Abs(x - med)
-	}
-	return 1.4826 * Median(dev)
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-// It returns 0 when the slices differ in length, are shorter than 2, or
-// either has zero variance.
-func Correlation(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // Online accumulates count, mean and variance incrementally using
 // Welford's algorithm. The zero value is ready to use.
 type Online struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x into the accumulator.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	delta := x - o.mean
 	o.mean += delta / float64(o.n)
 	o.m2 += delta * (x - o.mean)
@@ -220,43 +71,3 @@ func (o *Online) Variance() float64 {
 
 // StdDev returns the running sample standard deviation.
 func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the minimum observation, or 0 before any observation.
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the maximum observation, or 0 before any observation.
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
-}
-
-// Merge folds the observations of other into o, as if every observation
-// added to other had been added to o. The Chan et al. parallel update is
-// used so no individual samples are required.
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n := o.n + other.n
-	delta := other.mean - o.mean
-	o.m2 += other.m2 + delta*delta*float64(o.n)*float64(other.n)/float64(n)
-	o.mean += delta * float64(other.n) / float64(n)
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-	o.n = n
-}

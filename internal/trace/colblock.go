@@ -8,14 +8,14 @@ import (
 	"repro/internal/parallel"
 )
 
-// ErrBlockFull reports an append to a ColBlock that already holds Cap()
-// rows. Callers drain the block (send it downstream, or iterate it) and
-// Reset before appending more.
+// ErrBlockFull reports a row added to a ColBlock already at its
+// capacity. Callers drain the block (send it downstream, or iterate it)
+// and Reset before filling it again.
 var ErrBlockFull = errors.New("trace: column block full")
 
 // ErrColumnMismatch reports a ColBlock whose parallel columns do not all
 // cover the rows an operation needs — the result of tampering with the
-// exported column slices. Appends and row reads validate against it and
+// exported column slices. Row writes and reads validate against it and
 // return the error instead of indexing out of range.
 var ErrColumnMismatch = errors.New("trace: column block length mismatch")
 
@@ -66,7 +66,7 @@ type ColBlock struct {
 	Tags []int32
 	// StackOff is the CSR offset column for sample stacks: row i's
 	// frames span Frames[StackOff[i]:StackOff[i+1]]. len(StackOff) is
-	// Cap()+1 and StackOff[Len()] is always len(Frames).
+	// the capacity + 1 and StackOff[Len()] is always len(Frames).
 	StackOff []int32
 	// Frames is the shared frame arena all sample stacks index into.
 	Frames []uint32
@@ -147,8 +147,8 @@ func (b *ColBlock) Release() {
 }
 
 // rows returns how many rows the columns that kind k uses can all hold,
-// at most Cap(). It is below Cap() only when the exported column slices
-// were shortened.
+// at most its capacity. It is below the capacity only when the exported
+// column slices were shortened.
 func (b *ColBlock) rows(k Kind) int {
 	n := min(b.capacity, len(b.Times), len(b.Ranks))
 	switch k {
@@ -181,36 +181,6 @@ func (b *ColBlock) room(k Kind) error {
 	if b.rows(k) <= b.n {
 		return fmt.Errorf("%w: %v columns shorter than %d rows", ErrColumnMismatch, k, b.n+1)
 	}
-	return nil
-}
-
-// AppendEvent appends an event row. It returns ErrBlockFull when the
-// block is at capacity and ErrColumnMismatch when the columns have been
-// shortened below what the row needs.
-func (b *ColBlock) AppendEvent(e *Event) error {
-	if err := b.room(KindEvent); err != nil {
-		return err
-	}
-	b.putEvent(e)
-	return nil
-}
-
-// AppendSample appends a sample row, copying its stack frames into the
-// block's frame arena. Errors are as for AppendEvent.
-func (b *ColBlock) AppendSample(s *Sample) error {
-	if err := b.room(KindSample); err != nil {
-		return err
-	}
-	b.putSample(s)
-	return nil
-}
-
-// AppendComm appends a communication row. Errors are as for AppendEvent.
-func (b *ColBlock) AppendComm(c *Comm) error {
-	if err := b.room(KindComm); err != nil {
-		return err
-	}
-	b.putComm(c)
 	return nil
 }
 
@@ -305,40 +275,6 @@ func (b *ColBlock) commAt(i int) Comm {
 		Size:     b.Sizes[i],
 		Tag:      b.Tags[i],
 	}
-}
-
-// checkCols validates that every column the block's kind uses covers all
-// n valid rows.
-func (b *ColBlock) checkCols() error {
-	if b.rows(b.kind) < b.n {
-		return fmt.Errorf("%w: %v columns shorter than %d rows", ErrColumnMismatch, b.kind, b.n)
-	}
-	return nil
-}
-
-// Validate checks the block's structural invariants: all used columns
-// cover Len() rows, and for sample blocks the CSR stack offsets are
-// monotone and within the frame arena.
-func (b *ColBlock) Validate() error {
-	if b.n < 0 || b.n > b.capacity {
-		return fmt.Errorf("trace: block length %d outside [0, %d]", b.n, b.capacity)
-	}
-	if err := b.checkCols(); err != nil {
-		return err
-	}
-	if b.kind == KindSample && b.n > 0 {
-		if b.StackOff[0] != 0 {
-			return fmt.Errorf("%w: StackOff[0] = %d, want 0", ErrColumnMismatch, b.StackOff[0])
-		}
-		for i := 0; i < b.n; i++ {
-			lo, hi := b.StackOff[i], b.StackOff[i+1]
-			if lo > hi || int(hi) > len(b.Frames) {
-				return fmt.Errorf("%w: StackOff[%d:%d] = [%d, %d] outside frame arena of %d",
-					ErrColumnMismatch, i, i+1, lo, hi, len(b.Frames))
-			}
-		}
-	}
-	return nil
 }
 
 // growFrames ensures the frame arena has room for need more frames,

@@ -3,10 +3,72 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
 )
+
+// appendEvent, appendSample and appendComm add one row to b the way the
+// block sources do: room guards the row, put writes it.
+func appendEvent(b *ColBlock, e *Event) error {
+	if err := b.room(KindEvent); err != nil {
+		return err
+	}
+	b.putEvent(e)
+	return nil
+}
+
+func appendSample(b *ColBlock, s *Sample) error {
+	if err := b.room(KindSample); err != nil {
+		return err
+	}
+	b.putSample(s)
+	return nil
+}
+
+func appendComm(b *ColBlock, c *Comm) error {
+	if err := b.room(KindComm); err != nil {
+		return err
+	}
+	b.putComm(c)
+	return nil
+}
+
+// checkCols validates that every column the block's kind uses covers all
+// n valid rows.
+func (b *ColBlock) checkCols() error {
+	if b.rows(b.kind) < b.n {
+		return fmt.Errorf("%w: %v columns shorter than %d rows", ErrColumnMismatch, b.kind, b.n)
+	}
+	return nil
+}
+
+// Validate checks the block's structural invariants: all used columns
+// cover Len() rows, and for sample blocks the CSR stack offsets are
+// monotone and within the frame arena. The block tests and
+// FuzzReadIntoBlock check every block they see with it.
+func (b *ColBlock) Validate() error {
+	if b.n < 0 || b.n > b.capacity {
+		return fmt.Errorf("trace: block length %d outside [0, %d]", b.n, b.capacity)
+	}
+	if err := b.checkCols(); err != nil {
+		return err
+	}
+	if b.kind == KindSample && b.n > 0 {
+		if b.StackOff[0] != 0 {
+			return fmt.Errorf("%w: StackOff[0] = %d, want 0", ErrColumnMismatch, b.StackOff[0])
+		}
+		for i := 0; i < b.n; i++ {
+			lo, hi := b.StackOff[i], b.StackOff[i+1]
+			if lo > hi || int(hi) > len(b.Frames) {
+				return fmt.Errorf("%w: StackOff[%d:%d] = [%d, %d] outside frame arena of %d",
+					ErrColumnMismatch, i, i+1, lo, hi, len(b.Frames))
+			}
+		}
+	}
+	return nil
+}
 
 // colFeaturedTrace builds a small trace exercising every record shape:
 // events with and without counters, samples with and without stacks,
@@ -176,11 +238,11 @@ func TestColBlockColumnMismatch(t *testing.T) {
 			appendOne := func() error {
 				switch tc.kind {
 				case KindEvent:
-					return b.AppendEvent(&ev)
+					return appendEvent(b, &ev)
 				case KindSample:
-					return b.AppendSample(&sm)
+					return appendSample(b, &sm)
 				default:
-					return b.AppendComm(&cm)
+					return appendComm(b, &cm)
 				}
 			}
 			if err := appendOne(); err != nil {
@@ -208,17 +270,17 @@ func TestColBlockFullAndKind(t *testing.T) {
 	b := NewColBlock(2)
 	defer b.Release()
 	ev := Event{Rank: 0, Time: 1}
-	if err := b.AppendEvent(&ev); err != nil {
+	if err := appendEvent(b, &ev); err != nil {
 		t.Fatal(err)
 	}
 	sm := Sample{Rank: 0, Time: 2}
-	if err := b.AppendSample(&sm); err == nil {
+	if err := appendSample(b, &sm); err == nil {
 		t.Fatal("appending a sample to an event block succeeded")
 	}
-	if err := b.AppendEvent(&ev); err != nil {
+	if err := appendEvent(b, &ev); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AppendEvent(&ev); !errors.Is(err, ErrBlockFull) {
+	if err := appendEvent(b, &ev); !errors.Is(err, ErrBlockFull) {
 		t.Fatalf("append past capacity: got %v, want ErrBlockFull", err)
 	}
 	if got := b.Len(); got != 2 {
@@ -228,7 +290,7 @@ func TestColBlockFullAndKind(t *testing.T) {
 	if b.Len() != 0 || b.Kind() != KindSample {
 		t.Fatalf("Reset left Len=%d Kind=%v", b.Len(), b.Kind())
 	}
-	if err := b.AppendSample(&sm); err != nil {
+	if err := appendSample(b, &sm); err != nil {
 		t.Fatalf("append after Reset: %v", err)
 	}
 	var rec Record
@@ -252,7 +314,7 @@ func TestColBlockFrameArenaGrowth(t *testing.T) {
 	}
 	for i, st := range stacks {
 		s := Sample{Rank: int32(i), Time: Time(i * 10), Stack: st}
-		if err := b.AppendSample(&s); err != nil {
+		if err := appendSample(b, &s); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}

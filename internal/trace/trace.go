@@ -20,13 +20,6 @@ import (
 // Time is a virtual timestamp in nanoseconds since the start of the run.
 type Time int64
 
-// Microseconds returns the time as a float64 microsecond count, the unit
-// most reports use.
-func (t Time) Microseconds() float64 { return float64(t) / 1e3 }
-
-// Milliseconds returns the time as float64 milliseconds.
-func (t Time) Milliseconds() float64 { return float64(t) / 1e6 }
-
 // EventType classifies instrumentation events.
 type EventType uint8
 
@@ -252,30 +245,6 @@ func sortStable[T any](recs []T, key func(*T) (Time, int32)) {
 			j = src
 		}
 	}
-}
-
-// EventsOfRank returns the rank's events in time order, allocating a new
-// slice. The trace must be sorted.
-func (tr *Trace) EventsOfRank(rank int32) []Event {
-	var out []Event
-	for _, e := range tr.Events {
-		if e.Rank == rank {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// SamplesOfRank returns the rank's samples in time order, allocating a new
-// slice. The trace must be sorted.
-func (tr *Trace) SamplesOfRank(rank int32) []Sample {
-	var out []Sample
-	for _, s := range tr.Samples {
-		if s.Rank == rank {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Stats summarizes a trace for reports and sanity checks.

@@ -365,33 +365,6 @@ func TestValidateCountersMonotone(t *testing.T) {
 	}
 }
 
-func TestEventsSamplesOfRank(t *testing.T) {
-	tr := buildSmallTrace(t)
-	ev0 := tr.EventsOfRank(0)
-	for _, e := range ev0 {
-		if e.Rank != 0 {
-			t.Fatalf("EventsOfRank returned rank %d", e.Rank)
-		}
-	}
-	if len(ev0)+len(tr.EventsOfRank(1)) != len(tr.Events) {
-		t.Fatal("per-rank events do not partition the stream")
-	}
-	s1 := tr.SamplesOfRank(1)
-	if len(s1) != 1 || s1[0].Rank != 1 {
-		t.Fatalf("SamplesOfRank(1) = %+v", s1)
-	}
-}
-
-func TestTimeUnits(t *testing.T) {
-	tt := Time(2_500_000)
-	if tt.Microseconds() != 2500 {
-		t.Fatalf("Microseconds = %v", tt.Microseconds())
-	}
-	if tt.Milliseconds() != 2.5 {
-		t.Fatalf("Milliseconds = %v", tt.Milliseconds())
-	}
-}
-
 func TestEventTypeAndMPIOpStrings(t *testing.T) {
 	if EvMPI.String() != "MPI" || EvOracle.String() != "ORACLE" {
 		t.Fatal("event type names wrong")
