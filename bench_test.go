@@ -314,12 +314,14 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 }
 
 // BenchmarkAnalyzeSharded runs the batch analysis through the map/reduce
-// algebra at increasing shard counts over the bench-large trace. The
-// Report is identical at every count (TestShardedEquivalence); the
-// benchmark prices the decomposition itself — per-shard pipeline set-up,
-// the joint merge sort, and the reduce-side clustering — against the
-// single-pass baseline (1shards ≙ AnalyzeContext). Needs BENCH_SCALE=large;
-// simulation sits outside the timer.
+// algebra at increasing time-shard counts over the bench-large trace, as
+// a foldsvc coordinator does in one process: validate, Split,
+// MapShardContext each shard, Reduce. The Report is identical at every
+// count (TestShardedEquivalence); the benchmark prices the decomposition
+// itself — per-shard pipeline set-up, the joint merge sort, and the
+// reduce-side clustering — against the single-pass baseline (1shards ≙
+// AnalyzeContext). Needs BENCH_SCALE=large; simulation sits outside the
+// timer.
 func BenchmarkAnalyzeSharded(b *testing.B) {
 	if !benchScaleLarge() {
 		b.Skip("set BENCH_SCALE=large to analyze the bench-large trace sharded")
@@ -341,7 +343,19 @@ func BenchmarkAnalyzeSharded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{}
 				opts.Cluster.SilhouetteSample = 256
-				if _, err := core.AnalyzeShardedContext(context.Background(), tr, n, core.ShardTime, opts); err != nil {
+				if err := tr.Validate(); err != nil {
+					b.Fatal(err)
+				}
+				shards := core.Split(tr, n)
+				parts := make([]*core.Partial, len(shards))
+				for j, sh := range shards {
+					p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					parts[j] = p
+				}
+				if _, err := core.Reduce(parts, nil, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

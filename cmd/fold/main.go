@@ -16,15 +16,9 @@
 // Usage:
 //
 //	fold -in stencil.uvt [-counter PAPI_TOT_INS] [-bins 100] [-model binned+pchip]
-//	     [-phases 5] [-curves out_dir] [-iterations] [-lenient]
-//	     [-shards 4] [-shard-mode time|rank]
+//	     [-phases 5] [-curves out_dir] [-iterations] [-stages] [-lenient]
 //	     [-model-out phases.model | -model-in phases.model]
 //	fold -stream [-in stencil.uvt] [-online] [-train 512] [-stages] [-lenient]
-//
-// -shards runs the batch analysis through the sharded map/reduce
-// algebra (split, map each shard to a mergeable partial, reduce); the
-// report is identical for every shard count and mode — the flag exists
-// to exercise and benchmark the distributed decomposition locally.
 //
 // -model-out saves the cluster model trained on this trace so later
 // runs can classify against it with -model-in, skipping training
@@ -68,10 +62,8 @@ func main() {
 		stream     = flag.Bool("stream", false, "analyze the trace record-by-record as it is read (stdin when -in is empty or \"-\")")
 		online     = flag.Bool("online", false, "with -stream: bounded-memory analysis (train-then-classify, incremental folding)")
 		train      = flag.Int("train", 0, "with -online: training-prefix length in bursts (0 = default 512)")
-		stages     = flag.Bool("stages", false, "with -stream: print per-stage pipeline metrics")
+		stages     = flag.Bool("stages", false, "print per-stage pipeline metrics")
 		lenient    = flag.Bool("lenient", false, "salvage damaged traces: skip undecodable records, tolerate validation failures, and report the degradation instead of aborting")
-		shards     = flag.Int("shards", 1, "analyze through the map/reduce algebra over this many shards (output is identical for any count)")
-		shardMode  = flag.String("shard-mode", "time", "how -shards splits the trace: time (window slices) or rank (rank groups)")
 		modelOut   = flag.String("model-out", "", "write the trained cluster model to this file after analyzing")
 		modelIn    = flag.String("model-in", "", "classify against a previously saved cluster model instead of training one")
 	)
@@ -98,10 +90,6 @@ func main() {
 		opts.Counters = []counters.Counter{c}
 	}
 
-	shMode, err := core.ParseShardMode(*shardMode)
-	if err != nil {
-		fatal(err)
-	}
 	if (*modelIn != "" || *modelOut != "") && (*stream || *iterations) {
 		fatal(fmt.Errorf("-model-in/-model-out need the batch clustering pipeline and cannot be combined with -stream or -iterations"))
 	}
@@ -110,9 +98,6 @@ func main() {
 	if *stream {
 		if *iterations {
 			fatal(fmt.Errorf("-iterations needs the full trace and cannot be combined with -stream"))
-		}
-		if *shards > 1 {
-			fatal(fmt.Errorf("-shards needs the full trace and cannot be combined with -stream"))
 		}
 		opts.Stream = core.StreamOptions{Online: *online, TrainBursts: *train}
 		r, closeIn, err := openInput(*in)
@@ -143,18 +128,13 @@ func main() {
 			fatal(err)
 		}
 		if *iterations {
-			if *shards > 1 {
-				fatal(fmt.Errorf("-iterations folds the whole trace and cannot be combined with -shards"))
-			}
 			foldIterations(tr, *counter, *bins)
 			return
 		}
-		// Every shard count goes through the same map and Reduce, so the
-		// report is identical for any -shards.
 		if *modelIn != "" || *modelOut != "" {
-			rep, err = analyzeWithModel(tr, *shards, shMode, opts, *modelIn, *modelOut)
+			rep, err = analyzeWithModel(tr, opts, *modelIn, *modelOut)
 		} else {
-			rep, err = core.AnalyzeShardedContext(context.Background(), tr, *shards, shMode, opts)
+			rep, err = core.AnalyzeContext(context.Background(), tr, opts)
 		}
 		if err != nil {
 			fatal(err)
@@ -255,19 +235,15 @@ func main() {
 // analyzeWithModel runs the batch analysis through the map/reduce
 // algebra with an explicit cluster model: either classify against a
 // model saved earlier (-model-in, skipping training entirely) or train
-// one from this trace's partials and optionally persist it
+// one from this trace's whole-trace partial and optionally persist it
 // (-model-out) for later runs — the memoized-intermediate path the
 // service-side result cache exercises.
-func analyzeWithModel(tr *trace.Trace, shards int, mode core.ShardMode, opts core.Options, inPath, outPath string) (*core.Report, error) {
-	shs := core.Split(tr, shards, mode)
-	parts := make([]*core.Partial, len(shs))
-	for i := range shs {
-		p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(shs[i].Trace), shs[i].Spec, opts)
-		if err != nil {
-			return nil, fmt.Errorf("map shard %d: %w", i, err)
-		}
-		parts[i] = p
+func analyzeWithModel(tr *trace.Trace, opts core.Options, inPath, outPath string) (*core.Report, error) {
+	p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(tr), core.WholeSpec(), opts)
+	if err != nil {
+		return nil, err
 	}
+	parts := []*core.Partial{p}
 	var model *cluster.Model
 	if inPath != "" {
 		data, err := os.ReadFile(inPath)
@@ -278,12 +254,8 @@ func analyzeWithModel(tr *trace.Trace, shards int, mode core.ShardMode, opts cor
 		if err != nil {
 			return nil, fmt.Errorf("decode model %s: %w", inPath, err)
 		}
-	} else {
-		var err error
-		model, err = core.TrainModelFromPartials(parts, opts)
-		if err != nil {
-			return nil, fmt.Errorf("train model: %w", err)
-		}
+	} else if model, err = core.TrainModelFromPartials(parts, opts); err != nil {
+		return nil, fmt.Errorf("train model: %w", err)
 	}
 	if outPath != "" {
 		data, err := model.Encode()

@@ -39,19 +39,17 @@ import (
 
 func main() {
 	var (
-		stream    = flag.Bool("stream", false, "analyze trace inputs record-by-record (\"-\" reads that side from stdin)")
-		lenient   = flag.Bool("lenient", false, "salvage damaged traces: analyze whatever decodes and mark the diff degraded")
-		shards    = flag.Int("shards", 1, "analyze trace inputs through the map/reduce algebra over this many shards (output is identical for any count)")
-		shardMode = flag.String("shard-mode", "time", "how -shards splits the traces: time (window slices) or rank (rank groups)")
-		modelIn   = flag.String("model-in", "", "classify both traces against a previously saved cluster model instead of training per run")
-		phases    = flag.Int("phases", 5, "maximum phases to analyze per run")
-		counter   = flag.String("counter", "", "restrict folding to one PAPI counter name (default: all)")
-		par       = flag.Int("parallel", 0, "analysis worker count (0 = all cores, 1 = sequential); output is identical either way")
-		bins      = flag.Int("bins", 100, "common normalized-time grid resolution for the delta curves")
-		radius    = flag.Float64("match-radius", 0, "centroid capture radius for cross-run phase matching (0 = default 0.75)")
-		sigma     = flag.Float64("sigma", 0, "significance multiplier over the folded clouds' standard error (0 = default 3)")
-		noise     = flag.Float64("noise-floor", 0, "minimum shape divergence (fraction of phase total) ever considered significant (0 = default 0.02)")
-		jsonOut   = flag.Bool("json", false, "emit the diff report as JSON instead of the human tables")
+		stream  = flag.Bool("stream", false, "analyze trace inputs record-by-record (\"-\" reads that side from stdin)")
+		lenient = flag.Bool("lenient", false, "salvage damaged traces: analyze whatever decodes and mark the diff degraded")
+		modelIn = flag.String("model-in", "", "classify both traces against a previously saved cluster model instead of training per run")
+		phases  = flag.Int("phases", 5, "maximum phases to analyze per run")
+		counter = flag.String("counter", "", "restrict folding to one PAPI counter name (default: all)")
+		par     = flag.Int("parallel", 0, "analysis worker count (0 = all cores, 1 = sequential); output is identical either way")
+		bins    = flag.Int("bins", 100, "common normalized-time grid resolution for the delta curves")
+		radius  = flag.Float64("match-radius", 0, "centroid capture radius for cross-run phase matching (0 = default 0.75)")
+		sigma   = flag.Float64("sigma", 0, "significance multiplier over the folded clouds' standard error (0 = default 3)")
+		noise   = flag.Float64("noise-floor", 0, "minimum shape divergence (fraction of phase total) ever considered significant (0 = default 0.02)")
+		jsonOut = flag.Bool("json", false, "emit the diff report as JSON instead of the human tables")
 	)
 	flag.Parse()
 	if flag.NArg() != 2 {
@@ -65,10 +63,6 @@ func main() {
 			fatal(err)
 		}
 		opts.Counters = []counters.Counter{c}
-	}
-	shMode, err := core.ParseShardMode(*shardMode)
-	if err != nil {
-		fatal(err)
 	}
 	var model *cluster.Model
 	if *modelIn != "" {
@@ -85,8 +79,8 @@ func main() {
 		}
 	}
 
-	repA := analyzeInput(flag.Arg(0), *stream, *shards, shMode, model, opts)
-	repB := analyzeInput(flag.Arg(1), *stream, *shards, shMode, model, opts)
+	repA := analyzeInput(flag.Arg(0), *stream, model, opts)
+	repB := analyzeInput(flag.Arg(1), *stream, model, opts)
 
 	d, err := diff.Compare(repA, repB, diff.Options{
 		Bins:        *bins,
@@ -112,7 +106,7 @@ func main() {
 // analyzeInput turns one CLI argument into a Report: a saved JSON
 // report is loaded as-is; a trace is analyzed through the selected
 // pipeline ("-" streams from stdin).
-func analyzeInput(path string, stream bool, shards int, shMode core.ShardMode, model *cluster.Model, opts core.Options) *core.Report {
+func analyzeInput(path string, stream bool, model *cluster.Model, opts core.Options) *core.Report {
 	if path != "-" {
 		if rep, ok := loadReport(path); ok {
 			return rep
@@ -148,9 +142,9 @@ func analyzeInput(path string, stream bool, shards int, shMode core.ShardMode, m
 	}
 	var rep *core.Report
 	if model != nil {
-		rep, err = analyzeWithModel(tr, shards, shMode, model, opts)
+		rep, err = analyzeWithModel(tr, model, opts)
 	} else {
-		rep, err = core.AnalyzeShardedContext(context.Background(), tr, shards, shMode, opts)
+		rep, err = core.AnalyzeContext(context.Background(), tr, opts)
 	}
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
@@ -219,19 +213,15 @@ func fillBands(rep *core.Report, data []byte) error {
 }
 
 // analyzeWithModel classifies a trace against a shared, pre-trained
-// cluster model through the map/reduce algebra — both runs see the
-// same phase definitions, which pins cross-run cluster ids.
-func analyzeWithModel(tr *trace.Trace, shards int, mode core.ShardMode, model *cluster.Model, opts core.Options) (*core.Report, error) {
-	shs := core.Split(tr, shards, mode)
-	parts := make([]*core.Partial, len(shs))
-	for i := range shs {
-		p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(shs[i].Trace), shs[i].Spec, opts)
-		if err != nil {
-			return nil, fmt.Errorf("map shard %d: %w", i, err)
-		}
-		parts[i] = p
+// cluster model through the map/reduce algebra — one whole-trace
+// partial reduced against the model, so both runs see the same phase
+// definitions, which pins cross-run cluster ids.
+func analyzeWithModel(tr *trace.Trace, model *cluster.Model, opts core.Options) (*core.Report, error) {
+	p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(tr), core.WholeSpec(), opts)
+	if err != nil {
+		return nil, err
 	}
-	return core.Reduce(parts, model, opts)
+	return core.Reduce([]*core.Partial{p}, model, opts)
 }
 
 // openInput resolves a streaming input: stdin for "-", the named file

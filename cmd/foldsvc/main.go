@@ -19,8 +19,8 @@
 //	                    response header says hit, miss or coalesced, and
 //	                    ?nocache=1 bypasses the cache for one request.
 //	POST /v1/partial    worker half of a distributed analysis: map one
-//	                    shard (?shard=i&shards=n&mode=time|rank) of the
-//	                    uploaded trace to a mergeable JSON core.Partial.
+//	                    time shard (?shard=i&shards=n) of the uploaded
+//	                    trace to a mergeable JSON core.Partial.
 //	POST /v1/session    open a live analysis session (same query knobs as
 //	                    /v1/analyze, fixed for the session's life); the
 //	                    response carries the session id. With -session-dir
@@ -82,7 +82,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/foldsvc"
 	"repro/internal/obs"
 )
@@ -102,8 +101,7 @@ func main() {
 		logLevel = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		logJSON  = flag.Bool("log-json", false, "log JSON instead of text")
 		workers  = flag.String("workers", "", "comma-separated worker base URLs; non-empty switches /v1/analyze into coordinator mode (fan out shards, reduce locally)")
-		shards   = flag.Int("shards", 0, "shards per coordinated analysis (0 = one per worker)")
-		shardMd  = flag.String("shard-mode", "time", "how the coordinator splits uploads: time (window slices) or rank (rank groups)")
+		shards   = flag.Int("shards", 0, "time shards per coordinated analysis (0 = one per worker)")
 		sessDir  = flag.String("session-dir", "", "directory for live-session write-ahead journals (empty = sessions are memory-only and die with the process)")
 		sessTTL  = flag.Duration("session-ttl", 15*time.Minute, "evict live sessions with no appends for this long")
 		sessMax  = flag.Int64("session-max-bytes", 64<<20, "per-session appended-byte budget (429 beyond)")
@@ -112,10 +110,6 @@ func main() {
 	)
 	flag.Parse()
 
-	mode, err := core.ParseShardMode(*shardMd)
-	if err != nil {
-		fatal(err)
-	}
 	var workerURLs []string
 	if *workers != "" {
 		for _, w := range strings.Split(*workers, ",") {
@@ -145,7 +139,6 @@ func main() {
 		Logger:        logger,
 		Workers:       workerURLs,
 		Shards:        *shards,
-		ShardMode:     mode,
 
 		SessionDir:       *sessDir,
 		SessionTTL:       *sessTTL,

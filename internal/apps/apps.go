@@ -23,14 +23,9 @@ import (
 	"repro/internal/sim"
 )
 
-// App extends sim.App with the iteration count used by the run loops.
-type App interface {
-	sim.App
-	Iterations() int
-}
-
-// ByName returns the named application ("stencil", "nbody" or "cg").
-func ByName(name string, iters int) (App, error) {
+// ByName returns the named application ("stencil", "nbody", "cg" or
+// "wavefront") running iters iterations.
+func ByName(name string, iters int) (sim.App, error) {
 	switch name {
 	case "stencil":
 		return NewStencil(iters), nil
@@ -115,9 +110,6 @@ func NewStencil(iters int) *Stencil {
 // Name implements sim.App.
 func (a *Stencil) Name() string { return "stencil" }
 
-// Iterations returns the configured iteration count.
-func (a *Stencil) Iterations() int { return a.iters }
-
 // Kernels implements sim.App.
 func (a *Stencil) Kernels() []*kernels.Kernel { return []*kernels.Kernel{a.sweep, a.pack} }
 
@@ -200,9 +192,6 @@ func NewNBody(iters int) *NBody {
 
 // Name implements sim.App.
 func (a *NBody) Name() string { return "nbody" }
-
-// Iterations returns the configured iteration count.
-func (a *NBody) Iterations() int { return a.iters }
 
 // Kernels implements sim.App.
 func (a *NBody) Kernels() []*kernels.Kernel { return []*kernels.Kernel{a.forces, a.integrate} }
@@ -287,9 +276,6 @@ func NewCG(iters int) *CG {
 
 // Name implements sim.App.
 func (a *CG) Name() string { return "cg" }
-
-// Iterations returns the configured iteration count.
-func (a *CG) Iterations() int { return a.iters }
 
 // Kernels implements sim.App.
 func (a *CG) Kernels() []*kernels.Kernel {

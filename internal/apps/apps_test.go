@@ -17,9 +17,6 @@ func TestByName(t *testing.T) {
 		if app.Name() != name {
 			t.Fatalf("app name = %q, want %q", app.Name(), name)
 		}
-		if app.Iterations() != 3 {
-			t.Fatalf("%s iterations = %d", name, app.Iterations())
-		}
 		for _, k := range app.Kernels() {
 			if err := k.Validate(); err != nil {
 				t.Fatalf("%s kernel: %v", name, err)
@@ -42,7 +39,7 @@ func TestAppsRunAndProduceExpectedBursts(t *testing.T) {
 		"cg": 2,
 	}
 
-	for _, app := range []App{NewStencil(iters), NewNBody(iters), NewCG(iters)} {
+	for _, app := range []sim.App{NewStencil(iters), NewNBody(iters), NewCG(iters)} {
 		cfg := DefaultTraceConfig(ranks)
 		tr, err := sim.Run(cfg, app)
 		if err != nil {

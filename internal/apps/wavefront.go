@@ -53,9 +53,6 @@ func NewWavefront(iters int) *Wavefront {
 // Name implements sim.App.
 func (a *Wavefront) Name() string { return "wavefront" }
 
-// Iterations returns the configured iteration count.
-func (a *Wavefront) Iterations() int { return a.iters }
-
 // Kernels implements sim.App.
 func (a *Wavefront) Kernels() []*kernels.Kernel { return []*kernels.Kernel{a.block} }
 

@@ -92,7 +92,7 @@ func MapShardContext(ctx context.Context, src trace.Source, spec ShardSpec, opts
 			return nil, fmt.Errorf("core: online analysis cannot be sharded")
 		}
 	} else {
-		cfg.Resume = spec.Resume
+		cfg.Resume = spec.Index > 0
 	}
 	out, err := pipeline.RunContext(ctx, src, cfg)
 	if err != nil {
@@ -526,37 +526,4 @@ func mergeStages(parts []*Partial) []pipeline.Metrics {
 		}
 	}
 	return merged
-}
-
-// AnalyzeShardedContext is AnalyzeContext decomposed over the algebra:
-// Split the trace into n shards, MapShardContext each, Reduce with no
-// model. The Report is deep-equal to AnalyzeContext's for every n and
-// mode (TestShardedEquivalence).
-func AnalyzeShardedContext(ctx context.Context, tr *trace.Trace, n int, mode ShardMode, opts Options) (*Report, error) {
-	opts.setDefaults()
-	var valWarn string
-	if err := tr.Validate(); err != nil {
-		if !opts.Lenient {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		valWarn = fmt.Sprintf("trace failed validation (%v); analyzing anyway", err)
-	}
-	shards := Split(tr, n, mode)
-	parts := make([]*Partial, len(shards))
-	for i, sh := range shards {
-		p, err := MapShardContext(ctx, trace.NewTraceSource(sh.Trace), sh.Spec, opts)
-		if err != nil {
-			return nil, err
-		}
-		parts[i] = p
-	}
-	rep, err := Reduce(parts, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	if valWarn != "" {
-		rep.Warnings = append([]string{valWarn}, rep.Warnings...)
-		rep.Degraded = true
-	}
-	return rep, nil
 }

@@ -26,12 +26,27 @@ func shardTestTrace(t *testing.T, name string, iters, ranks int) *trace.Trace {
 	return tr
 }
 
+// mapShards maps each of tr's n time shards to its partial, as a
+// foldsvc coordinator's workers do.
+func mapShards(t *testing.T, tr *trace.Trace, n int, opts Options) []*Partial {
+	t.Helper()
+	shards := Split(tr, n)
+	parts := make([]*Partial, len(shards))
+	for i, sh := range shards {
+		var err error
+		if parts[i], err = MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts); err != nil {
+			t.Fatalf("%s n=%d shard %d: %v", tr.Meta.App, n, i, err)
+		}
+	}
+	return parts
+}
+
 // TestShardedEquivalence is the algebra's contract: Reduce over
 // MapShardContext partials must reproduce the single-pass Report
-// deep-equal — bit-identical floats — for 1, 2 and N shards, in both time
-// and rank mode, and in both phase-resolution flows: pooled clustering at
-// reduce time (nil model), and a broadcast model trained once on the
-// pooled partials (including across a serialization round trip).
+// deep-equal — bit-identical floats — for 1, 2 and N time shards, in
+// both phase-resolution flows: pooled clustering at reduce time (nil
+// model), and a broadcast model trained once on the pooled partials
+// (including across a serialization round trip).
 func TestShardedEquivalence(t *testing.T) {
 	for _, name := range []string{"stencil", "cg"} {
 		tr := shardTestTrace(t, name, 60, 4)
@@ -40,47 +55,38 @@ func TestShardedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []ShardMode{ShardTime, ShardRank} {
-			for _, n := range []int{1, 2, 5} {
-				// Flow 1: pooled clustering at reduce time.
-				got, err := AnalyzeShardedContext(context.Background(), tr, n, mode, opts)
-				if err != nil {
-					t.Fatalf("%s %v n=%d: %v", name, mode, n, err)
-				}
-				normalizeReport(want, got)
-				if d := deepeq.Diff(want, got); d != "" {
-					t.Fatalf("%s %v n=%d: sharded Report differs from single-pass at %s", name, mode, n, d)
-				}
+		for _, n := range []int{1, 2, 5} {
+			// Flow 1: pooled clustering at reduce time.
+			got, err := Reduce(mapShards(t, tr, n, opts), nil, opts)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			normalizeReport(want, got)
+			if d := deepeq.Diff(want, got); d != "" {
+				t.Fatalf("%s n=%d: sharded Report differs from single-pass at %s", name, n, d)
+			}
 
-				shards := Split(tr, n, mode)
-				parts := make([]*Partial, len(shards))
-				for i, sh := range shards {
-					if parts[i], err = MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts); err != nil {
-						t.Fatalf("%s %v n=%d shard %d: %v", name, mode, n, i, err)
-					}
-				}
-
-				// Flow 2: train once on the pooled partials, broadcast, classify.
-				model, err := TrainModelFromPartials(parts, opts)
-				if err != nil {
-					t.Fatalf("%s %v n=%d: train: %v", name, mode, n, err)
-				}
-				enc, err := model.Encode()
-				if err != nil {
-					t.Fatalf("%s %v n=%d: encode model: %v", name, mode, n, err)
-				}
-				wire, err := cluster.DecodeModel(enc)
-				if err != nil {
-					t.Fatalf("%s %v n=%d: decode model: %v", name, mode, n, err)
-				}
-				got, err = Reduce(parts, wire, opts)
-				if err != nil {
-					t.Fatalf("%s %v n=%d: reduce with broadcast model: %v", name, mode, n, err)
-				}
-				normalizeReport(want, got)
-				if d := deepeq.Diff(want, got); d != "" {
-					t.Fatalf("%s %v n=%d: broadcast-model Report differs from single-pass at %s", name, mode, n, d)
-				}
+			// Flow 2: train once on the pooled partials, broadcast, classify.
+			parts := mapShards(t, tr, n, opts)
+			model, err := TrainModelFromPartials(parts, opts)
+			if err != nil {
+				t.Fatalf("%s n=%d: train: %v", name, n, err)
+			}
+			enc, err := model.Encode()
+			if err != nil {
+				t.Fatalf("%s n=%d: encode model: %v", name, n, err)
+			}
+			wire, err := cluster.DecodeModel(enc)
+			if err != nil {
+				t.Fatalf("%s n=%d: decode model: %v", name, n, err)
+			}
+			got, err = Reduce(parts, wire, opts)
+			if err != nil {
+				t.Fatalf("%s n=%d: reduce with broadcast model: %v", name, n, err)
+			}
+			normalizeReport(want, got)
+			if d := deepeq.Diff(want, got); d != "" {
+				t.Fatalf("%s n=%d: broadcast-model Report differs from single-pass at %s", name, n, d)
 			}
 		}
 	}
@@ -90,7 +96,7 @@ func TestShardedEquivalence(t *testing.T) {
 // straddling a time-window cut must land in exactly one partial, so
 // permuting the shard count never changes the total (or per-rank, or
 // kept) burst counts. Exercised across every app and a sweep of shard
-// counts in both modes.
+// counts.
 func TestShardBurstInvariance(t *testing.T) {
 	for _, name := range apps.Names() {
 		tr := shardTestTrace(t, name, 40, 4)
@@ -99,31 +105,24 @@ func TestShardBurstInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []ShardMode{ShardTime, ShardRank} {
-			for n := 1; n <= 7; n++ {
-				shards := Split(tr, n, mode)
-				total, kept := 0, 0
-				perRank := make([]int, tr.Meta.Ranks)
-				for i, sh := range shards {
-					p, err := MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts)
-					if err != nil {
-						t.Fatalf("%s %v n=%d shard %d: %v", name, mode, n, i, err)
-					}
-					total += p.Bursts
-					kept += len(p.Kept)
-					for r := 0; r < tr.Meta.Ranks; r++ {
-						perRank[r] += p.RankBursts[r]
-					}
+		for n := 1; n <= 7; n++ {
+			total, kept := 0, 0
+			perRank := make([]int, tr.Meta.Ranks)
+			for _, p := range mapShards(t, tr, n, opts) {
+				total += p.Bursts
+				kept += len(p.Kept)
+				for r := 0; r < tr.Meta.Ranks; r++ {
+					perRank[r] += p.RankBursts[r]
 				}
-				if total != whole.Bursts {
-					t.Fatalf("%s %v n=%d: %d bursts across shards, want %d", name, mode, n, total, whole.Bursts)
-				}
-				if kept != len(whole.Kept) {
-					t.Fatalf("%s %v n=%d: %d kept across shards, want %d", name, mode, n, kept, len(whole.Kept))
-				}
-				if !reflect.DeepEqual(perRank, whole.RankBursts) {
-					t.Fatalf("%s %v n=%d: per-rank bursts %v, want %v", name, mode, n, perRank, whole.RankBursts)
-				}
+			}
+			if total != whole.Bursts {
+				t.Fatalf("%s n=%d: %d bursts across shards, want %d", name, n, total, whole.Bursts)
+			}
+			if kept != len(whole.Kept) {
+				t.Fatalf("%s n=%d: %d kept across shards, want %d", name, n, kept, len(whole.Kept))
+			}
+			if !reflect.DeepEqual(perRank, whole.RankBursts) {
+				t.Fatalf("%s n=%d: per-rank bursts %v, want %v", name, n, perRank, whole.RankBursts)
 			}
 		}
 	}
@@ -133,17 +132,37 @@ func TestShardBurstInvariance(t *testing.T) {
 // event, sample and comm lands in exactly one shard.
 func TestShardRecordConservation(t *testing.T) {
 	tr := shardTestTrace(t, "stencil", 40, 4)
-	for _, mode := range []ShardMode{ShardTime, ShardRank} {
-		for _, n := range []int{2, 3, 6} {
-			ev, sm, cm := 0, 0, 0
-			for _, sh := range Split(tr, n, mode) {
-				ev += len(sh.Trace.Events)
-				sm += len(sh.Trace.Samples)
-				cm += len(sh.Trace.Comms)
-			}
-			if ev != len(tr.Events) || sm != len(tr.Samples) || cm != len(tr.Comms) {
-				t.Fatalf("%v n=%d: %d/%d/%d records across shards, want %d/%d/%d",
-					mode, n, ev, sm, cm, len(tr.Events), len(tr.Samples), len(tr.Comms))
+	for _, n := range []int{2, 3, 6} {
+		ev, sm, cm := 0, 0, 0
+		for _, sh := range Split(tr, n) {
+			ev += len(sh.Trace.Events)
+			sm += len(sh.Trace.Samples)
+			cm += len(sh.Trace.Comms)
+		}
+		if ev != len(tr.Events) || sm != len(tr.Samples) || cm != len(tr.Comms) {
+			t.Fatalf("n=%d: %d/%d/%d records across shards, want %d/%d/%d",
+				n, ev, sm, cm, len(tr.Events), len(tr.Samples), len(tr.Comms))
+		}
+	}
+}
+
+// TestSplitOutOfRangeRanks: a lenient decode lets through records whose
+// rank is outside the metadata's range, and metadata whose rank count is
+// below 1; Split keeps every such record in shard 0 instead of indexing
+// per-rank state with it.
+func TestSplitOutOfRangeRanks(t *testing.T) {
+	for _, ranks := range []int{-1, 0, 2} {
+		tr := &trace.Trace{Meta: trace.Metadata{App: "x", Ranks: ranks, Duration: 100}}
+		for _, r := range []int32{-1, 2} {
+			tr.Events = append(tr.Events, trace.Event{Time: 60, Rank: r, Type: trace.EvMPI, Value: 0})
+			tr.Samples = append(tr.Samples, trace.Sample{Time: 60, Rank: r})
+			tr.Comms = append(tr.Comms, trace.Comm{SendTime: 60, RecvTime: 70, Src: r})
+		}
+		for _, n := range []int{1, 2} {
+			sh := Split(tr, n)[0].Trace
+			if len(sh.Events) != 2 || len(sh.Samples) != 2 || len(sh.Comms) != 2 {
+				t.Errorf("ranks=%d n=%d: shard 0 holds %d/%d/%d records, want 2/2/2",
+					ranks, n, len(sh.Events), len(sh.Samples), len(sh.Comms))
 			}
 		}
 	}
@@ -156,14 +175,7 @@ func TestShardRecordConservation(t *testing.T) {
 func TestReduceMissingShard(t *testing.T) {
 	tr := shardTestTrace(t, "stencil", 60, 4)
 	opts := Options{}
-	shards := Split(tr, 3, ShardTime)
-	parts := make([]*Partial, len(shards))
-	for i, sh := range shards {
-		var err error
-		if parts[i], err = MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	parts := mapShards(t, tr, 3, opts)
 	parts[1] = nil // shard lost
 	rep, err := Reduce(parts, nil, opts)
 	if err != nil {
@@ -215,7 +227,7 @@ func TestReduceLonePartialIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := Split(tr, 1, ShardTime)[0]
+	sh := Split(tr, 1)[0]
 	p, err := MapShardContext(context.Background(), trace.NewTraceSource(sh.Trace), sh.Spec, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -81,12 +81,6 @@ var testOnly = map[string]string{
 	"sim.Rank.RegionEnter": "the simulator's programming model",
 	"sim.Rank.RegionExit":  "the simulator's programming model",
 	"sim.Rank.Reduce":      "the simulator's programming model",
-	// Methods that satisfy apps.App: the app tests read back the
-	// iteration count ByName was given.
-	"apps.Stencil.Iterations":   "satisfies apps.App",
-	"apps.NBody.Iterations":     "satisfies apps.App",
-	"apps.CG.Iterations":        "satisfies apps.App",
-	"apps.Wavefront.Iterations": "satisfies apps.App",
 	// Test oracles.
 	"profile.Compute": "the in-memory flat profile the pipeline's merged profile is tested against",
 	// Deleting these would copy session logic into the tests of more

@@ -13,7 +13,7 @@ import (
 
 // foldPair runs one app under the coarse and fine configurations and
 // returns the main-kernel phase of each analysis plus the app handle.
-func foldPair(env Env, name string) (coarse, fine *core.Phase, app apps.App, err error) {
+func foldPair(env Env, name string) (coarse, fine *core.Phase, app sim.App, err error) {
 	repC, app, err := analyzeApp(env, name, apps.DefaultTraceConfig(env.Ranks))
 	if err != nil {
 		return nil, nil, nil, err

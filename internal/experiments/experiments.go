@@ -85,7 +85,7 @@ func (a *Artifact) Save(dir string) error {
 // Shared helpers
 
 // runApp simulates the named app under cfg (with the env seed applied).
-func runApp(env Env, name string, cfg sim.Config) (*trace.Trace, apps.App, error) {
+func runApp(env Env, name string, cfg sim.Config) (*trace.Trace, sim.App, error) {
 	app, err := apps.ByName(name, env.Iters)
 	if err != nil {
 		return nil, nil, err
@@ -100,7 +100,7 @@ func runApp(env Env, name string, cfg sim.Config) (*trace.Trace, apps.App, error
 }
 
 // analyzeApp simulates and analyzes the named app.
-func analyzeApp(env Env, name string, cfg sim.Config) (*core.Report, apps.App, error) {
+func analyzeApp(env Env, name string, cfg sim.Config) (*core.Report, sim.App, error) {
 	tr, app, err := runApp(env, name, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -113,7 +113,7 @@ func analyzeApp(env Env, name string, cfg sim.Config) (*core.Report, apps.App, e
 }
 
 // kernelByID indexes an app's kernels by oracle id.
-func kernelByID(app apps.App) map[int64]*kernels.Kernel {
+func kernelByID(app sim.App) map[int64]*kernels.Kernel {
 	m := make(map[int64]*kernels.Kernel)
 	for _, k := range app.Kernels() {
 		m[k.ID] = k

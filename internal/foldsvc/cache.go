@@ -208,8 +208,7 @@ func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx conte
 // must not poison the key).
 func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, spec core.ShardSpec, body *limitTrackingReader, declared string) {
 	key := rescache.Key("partial", declared,
-		spec.Mode.String(), strconv.Itoa(spec.Count), strconv.Itoa(spec.Index),
-		strconv.FormatBool(spec.Resume), opts.Fingerprint())
+		strconv.Itoa(spec.Count), strconv.Itoa(spec.Index), opts.Fingerprint())
 	data, status, err := s.cache.GetOrCompute(ctx, key, func(cctx context.Context) (rescache.Result, error) {
 		dr := trace.NewDigestReader(body)
 		start := time.Now()

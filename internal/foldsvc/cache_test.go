@@ -231,7 +231,7 @@ func TestCachePartialWorker(t *testing.T) {
 	defer srv.Close()
 
 	digest := trace.DigestBytes(enc)
-	query := "?shard=0&shards=1&mode=time&digest=" + digest
+	query := "?shard=0&shards=1&digest=" + digest
 
 	post := func(q string) (int, string, []byte) {
 		t.Helper()
@@ -262,7 +262,7 @@ func TestCachePartialWorker(t *testing.T) {
 	// A mislabeled upload: the declared digest does not match the body.
 	// The partial is still computed and served, but poisoning the key is
 	// refused — the same declaration misses again and re-maps.
-	wrong := "?shard=0&shards=1&mode=time&digest=" + trace.DigestBytes([]byte("not the shard"))
+	wrong := "?shard=0&shards=1&digest=" + trace.DigestBytes([]byte("not the shard"))
 	if code, cs, _ := post(wrong); code != http.StatusOK || cs != "miss" {
 		t.Fatalf("mismatched digest: status %d, Cache-Status %q", code, cs)
 	}
@@ -274,7 +274,7 @@ func TestCachePartialWorker(t *testing.T) {
 	}
 
 	// Without a declared digest the cache is bypassed entirely.
-	if code, cs, _ := post("?shard=0&shards=1&mode=time"); code != http.StatusOK || cs != "" {
+	if code, cs, _ := post("?shard=0&shards=1"); code != http.StatusOK || cs != "" {
 		t.Fatalf("undeclared digest: status %d, Cache-Status %q; want no header", code, cs)
 	}
 }

@@ -33,7 +33,6 @@ type coordinator struct {
 	clients []*Client
 	ring    hashRing
 	shards  int
-	mode    core.ShardMode
 
 	shardOK       *obs.Counter
 	shardFailover *obs.Counter
@@ -49,7 +48,6 @@ func newCoordinator(s *Server) *coordinator {
 	co := &coordinator{
 		workers: cfg.Workers,
 		shards:  cfg.Shards,
-		mode:    cfg.ShardMode,
 		ring:    buildRing(cfg.Workers),
 	}
 	if co.shards <= 0 {
@@ -152,15 +150,10 @@ func (r hashRing) next(key string, exclude int) int {
 }
 
 // shardSpecFromQuery reads a /v1/partial request's place in its split
-// (shard, shards, mode, resume); absent parameters mean the whole-trace
-// identity shard.
+// (shard, shards); absent parameters mean the whole-trace identity
+// shard.
 func shardSpecFromQuery(q url.Values) (core.ShardSpec, error) {
 	spec := core.WholeSpec()
-	mode, err := core.ParseShardMode(q.Get("mode"))
-	if err != nil {
-		return spec, err
-	}
-	spec.Mode = mode
 	if v := q.Get("shards"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
@@ -178,13 +171,6 @@ func shardSpecFromQuery(q url.Values) (core.ShardSpec, error) {
 	if spec.Index >= spec.Count {
 		return spec, fmt.Errorf("shard %d out of range for %d shards", spec.Index, spec.Count)
 	}
-	if v := q.Get("resume"); v != "" {
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			return spec, fmt.Errorf("bad resume=%q: want a boolean", v)
-		}
-		spec.Resume = on
-	}
 	return spec, nil
 }
 
@@ -196,20 +182,12 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use POST (shard upload)", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	w, release, ok := s.acquireJob(w)
+	w, ctx, opts, done, ok := s.admit(w, r, nil)
 	if !ok {
 		return
 	}
-	defer release()
+	defer done()
 
-	opts, err := optionsFromQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	if opts.Stream.Online {
 		http.Error(w, "online analysis cannot produce a mergeable partial",
 			http.StatusBadRequest)
@@ -219,18 +197,6 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
-	opts.StallTimeout = s.cfg.Stall
-	opts.Logger = s.cfg.Logger
-
-	ctx := r.Context()
-	if s.cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-		defer cancel()
 	}
 	body := &limitTrackingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)}
 
@@ -274,35 +240,16 @@ func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
 			http.StatusMethodNotAllowed)
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-	w, release, ok := s.acquireJob(w)
+	w, ctx, opts, done, ok := s.admit(w, r, nil)
 	if !ok {
 		return
 	}
-	defer release()
+	defer done()
 
-	opts, err := optionsFromQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	if opts.Stream.Online {
 		http.Error(w, "online analysis cannot be distributed; send it to a worker's /v1/analyze",
 			http.StatusBadRequest)
 		return
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
-	opts.Logger = s.cfg.Logger
-
-	ctx := r.Context()
-	if s.cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-		defer cancel()
 	}
 
 	body := &limitTrackingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)}
@@ -419,7 +366,7 @@ func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDiges
 	}
 
 	co := s.coord
-	shards := core.Split(tr, co.shards, co.mode)
+	shards := core.Split(tr, co.shards)
 	parts := make([]*core.Partial, len(shards))
 	shardWarns := make([]string, len(shards))
 
@@ -501,8 +448,6 @@ func (co *coordinator) mapShard(ctx context.Context, base url.Values, traceDiges
 	}
 	q.Set("shard", strconv.Itoa(sh.Spec.Index))
 	q.Set("shards", strconv.Itoa(sh.Spec.Count))
-	q.Set("mode", sh.Spec.Mode.String())
-	q.Set("resume", map[bool]string{false: "0", true: "1"}[sh.Spec.Resume])
 	q.Set("digest", trace.DigestBytes(buf.Bytes()))
 
 	ringKey := traceDigest + ":" + strconv.Itoa(sh.Spec.Index)

@@ -41,42 +41,21 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			http.StatusMethodNotAllowed)
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-
-	// Same backpressure as /v1/analyze: one slot covers the whole diff.
-	w, release, ok := s.acquireJob(w)
+	// Same admission as /v1/analyze: one slot covers the whole diff. A
+	// refused slot or bad options count as a failed diff; a draining
+	// refusal does not.
+	w, ctx, opts, done, ok := s.admit(w, r, func() { s.diffOutcome("error") })
 	if !ok {
-		s.diffOutcome("error")
 		return
 	}
-	defer release()
+	defer done()
 
 	start := time.Now()
-	opts, err := optionsFromQuery(r)
-	if err != nil {
-		s.diffOutcome("error")
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
-	opts.StallTimeout = s.cfg.Stall
-	opts.Logger = s.cfg.Logger
 	dopts, err := diffOptionsFromQuery(r)
 	if err != nil {
 		s.diffOutcome("error")
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-
-	ctx := r.Context()
-	if s.cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-		defer cancel()
 	}
 
 	digests := [2]string{q.Get("digest_a"), q.Get("digest_b")}

@@ -238,8 +238,10 @@ func TestPartialRouteRejects(t *testing.T) {
 	}{
 		{"online", "/v1/partial?online=1", http.StatusBadRequest},
 		{"bad shard", "/v1/partial?shard=2&shards=2", http.StatusBadRequest},
-		{"bad mode", "/v1/partial?mode=zigzag", http.StatusBadRequest},
-		{"ok", "/v1/partial?shard=0&shards=1&mode=time&resume=0", http.StatusOK},
+		{"ok", "/v1/partial?shard=0&shards=1", http.StatusOK},
+		// The retired mode= and resume= are ignored like any unknown
+		// parameter.
+		{"retired params", "/v1/partial?shard=0&shards=1&mode=zigzag&resume=maybe", http.StatusOK},
 	} {
 		resp, err := http.Post(srv.URL+tc.url, "application/octet-stream", bytes.NewReader(enc))
 		if err != nil {

@@ -104,12 +104,9 @@ type Config struct {
 	// degrades the Report with per-shard warnings instead of failing the
 	// request; only all shards failing is an error.
 	Workers []string
-	// Shards is the shard count for coordinated analyses; 0 defaults to
-	// len(Workers).
+	// Shards is the number of time shards a coordinated analysis splits
+	// an upload into; 0 defaults to len(Workers).
 	Shards int
-	// ShardMode selects how coordinated uploads are split (default
-	// core.ShardTime).
-	ShardMode core.ShardMode
 	// WorkerClient seeds the per-backend client configuration (BaseURL is
 	// overridden per worker; Registry defaults to the server's own).
 	WorkerClient ClientConfig
@@ -310,33 +307,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use POST (trace upload) or GET with ?path=", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.rejectIfDraining(w) {
-		return
-	}
-
-	w, release, ok := s.acquireJob(w)
+	w, ctx, opts, done, ok := s.admit(w, r, nil)
 	if !ok {
 		return
 	}
-	defer release()
-
-	opts, err := optionsFromQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
-	opts.StallTimeout = s.cfg.Stall
-	opts.Logger = s.cfg.Logger
-
-	ctx := r.Context()
-	if s.cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-		defer cancel()
-	}
+	defer done()
 
 	body := &limitTrackingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)}
 	input := io.Reader(body)
@@ -377,6 +352,48 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// The report was computed; a failed write means the client left.
 		s.cfg.Logger.Debug("response write failed", "err", err)
 	}
+}
+
+// admit is the admission path the analysis routes share: it refuses a
+// draining daemon (503), takes a job slot (429 when none is free),
+// parses the query's analysis options (400 when they do not parse)
+// with the server's Parallelism, Stall and Logger defaults, and bounds
+// the request's context by Config.Deadline. It returns the writer to
+// answer through (it gives the slot back when the response starts),
+// that context and the options, and done, which releases the slot and
+// the deadline; callers defer it. When admission refuses, the response
+// is written and ok is false; refused, when non-nil, is called on every
+// refusal but a draining one.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, refused func()) (http.ResponseWriter, context.Context, core.Options, func(), bool) {
+	if s.rejectIfDraining(w) {
+		return w, nil, core.Options{}, nil, false
+	}
+	if refused == nil {
+		refused = func() {}
+	}
+	jw, release, ok := s.acquireJob(w)
+	if !ok {
+		refused()
+		return w, nil, core.Options{}, nil, false
+	}
+	opts, err := optionsFromQuery(r)
+	if err != nil {
+		refused()
+		http.Error(jw, err.Error(), http.StatusBadRequest)
+		release()
+		return w, nil, core.Options{}, nil, false
+	}
+	if opts.Parallelism == 0 {
+		opts.Parallelism = s.cfg.Parallelism
+	}
+	opts.StallTimeout = s.cfg.Stall
+	opts.Logger = s.cfg.Logger
+
+	ctx, cancel := r.Context(), context.CancelFunc(func() {})
+	if s.cfg.Deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
+	}
+	return jw, ctx, opts, func() { cancel(); release() }, true
 }
 
 // acquireJob takes one of the Config.Jobs analysis slots for a request.

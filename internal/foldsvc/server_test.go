@@ -295,6 +295,58 @@ func TestJobSlotFreedBeforeResponse(t *testing.T) {
 	}
 }
 
+// TestAdmissionRefusals pins what each analysis route answers and
+// counts when admission turns a request away: options that do not
+// parse (400), no free job slot (429, foldsvc_rejected_total
+// {reason="capacity"}) and a draining daemon (503,
+// foldsvc_rejected_total{reason="draining"}). /v1/diff also counts the
+// first two, never a draining refusal, under
+// foldsvc_diff_total{outcome="error"}.
+func TestAdmissionRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name, route string
+		cfg         Config
+		diffErrors  float64
+	}{
+		{"analyze", "/v1/analyze", Config{Jobs: 1}, 0},
+		{"partial", "/v1/partial", Config{Jobs: 1}, 0},
+		{"coordinate", "/v1/analyze", Config{Jobs: 1, Workers: []string{"http://127.0.0.1:1"}}, 0},
+		{"diff", "/v1/diff", Config{Jobs: 1}, 2},
+	} {
+		s := NewServer(tc.cfg)
+		post := func(query string) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.route+query, nil))
+			return rec
+		}
+		if rec := post("?bins=many"); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: bad options: status %d, want 400", tc.name, rec.Code)
+		}
+		_, release, _ := s.acquireJob(httptest.NewRecorder())
+		if rec := post(""); rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s: no free slot: status %d, Retry-After %q; want 429 with Retry-After",
+				tc.name, rec.Code, rec.Header().Get("Retry-After"))
+		}
+		release()
+		s.StartDrain(context.Background())
+		if rec := post(""); rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s: draining: status %d, Retry-After %q; want 503 with Retry-After",
+				tc.name, rec.Code, rec.Header().Get("Retry-After"))
+		}
+		srv := httptest.NewServer(s)
+		for series, want := range map[string]float64{
+			`foldsvc_rejected_total{reason="capacity"}`: 1,
+			`foldsvc_rejected_total{reason="draining"}`: 1,
+			`foldsvc_diff_total{outcome="error"}`:       tc.diffErrors,
+		} {
+			if got := metricValue(t, srv.URL, series); got != want {
+				t.Errorf("%s: %s = %g, want %g", tc.name, series, got, want)
+			}
+		}
+		srv.Close()
+	}
+}
+
 func TestClientDisconnectCancelsPipeline(t *testing.T) {
 	_, enc := genTrace(t, 2, 20)
 	srv := httptest.NewServer(NewServer(Config{}))

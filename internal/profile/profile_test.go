@@ -91,7 +91,7 @@ func TestComputeErrors(t *testing.T) {
 }
 
 func TestProfileOnSimulatedApps(t *testing.T) {
-	for _, app := range []apps.App{apps.NewStencil(20), apps.NewNBody(20), apps.NewCG(20)} {
+	for _, app := range []sim.App{apps.NewStencil(20), apps.NewNBody(20), apps.NewCG(20)} {
 		cfg := apps.DefaultTraceConfig(8)
 		tr, err := sim.Run(cfg, app)
 		if err != nil {

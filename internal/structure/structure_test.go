@@ -171,7 +171,7 @@ func TestStructureOnSimulatedApps(t *testing.T) {
 		"nbody":   2, // forces, integrate
 		"cg":      2, // spmv, axpy+precond
 	}
-	for _, app := range []apps.App{apps.NewStencil(40), apps.NewNBody(40), apps.NewCG(40)} {
+	for _, app := range []sim.App{apps.NewStencil(40), apps.NewNBody(40), apps.NewCG(40)} {
 		tr, err := sim.Run(apps.DefaultTraceConfig(4), app)
 		if err != nil {
 			t.Fatal(err)
