@@ -176,8 +176,9 @@ func BenchmarkDecodeStream(b *testing.B) {
 
 // BenchmarkAnalyzeEndToEnd runs the full streaming analysis (decode →
 // extract → cluster → attach) over the encoded bench-large trace: the
-// headline end-to-end number. The silhouette is sampled (it would
-// otherwise be >90% of the run and has its own benchmarks) so the
+// headline end-to-end number. The default options sample the
+// silhouette above 4,096 bursts (the exact kernel would otherwise be
+// >90% of the run and has its own benchmarks), so the
 // decode/extract/attach path carries the time. The sub-benchmark keeps
 // the "columnar" name it has in earlier BENCH snapshots, so the
 // trajectory stays comparable. Needs BENCH_SCALE=large; simulation and
@@ -206,9 +207,7 @@ func BenchmarkAnalyzeEndToEnd(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var opts core.Options
-			opts.Cluster.SilhouetteSample = 256
-			if _, err := core.AnalyzeStreamContext(context.Background(), bytes.NewReader(raw), opts); err != nil {
+			if _, err := core.AnalyzeStreamContext(context.Background(), bytes.NewReader(raw), core.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -250,7 +249,6 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 	raw := buf.Bytes()
 
 	opts := core.Options{}
-	opts.Cluster.SilhouetteSample = 256
 	fp := opts.Fingerprint()
 	analyze := func(ctx context.Context) (rescache.Result, error) {
 		rep, err := core.AnalyzeStreamContext(ctx, bytes.NewReader(raw), opts)
@@ -342,7 +340,6 @@ func BenchmarkAnalyzeSharded(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opts := core.Options{}
-				opts.Cluster.SilhouetteSample = 256
 				if err := tr.Validate(); err != nil {
 					b.Fatal(err)
 				}
@@ -733,7 +730,7 @@ func BenchmarkClusterTraceLarge(b *testing.B) {
 	}
 	kept, _ := burst.Filter{MinDuration: 50_000}.Apply(all)
 	b.Logf("clustering %d kept bursts", len(kept))
-	ccfg := cluster.Config{UseIPC: true, Parallelism: 1, SilhouetteSample: 256}
+	ccfg := cluster.Config{UseIPC: true, Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cluster.ClusterBursts(kept, ccfg)
@@ -764,9 +761,7 @@ func BenchmarkDiff(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := core.Options{}
-		opts.Cluster.SilhouetteSample = 256
-		rep, err := core.AnalyzeContext(context.Background(), tr, opts)
+		rep, err := core.AnalyzeContext(context.Background(), tr, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func main() {
 		noIPC  = flag.Bool("no-ipc", false, "cluster in 2-D (duration × instructions) instead of 3-D")
 		scout  = flag.String("scatter", "", "write burst scatter TSV (duration_us, ipc, cluster)")
 		par    = flag.Int("parallel", 0, "clustering worker count (0 = all cores, 1 = sequential); output is identical either way")
-		silN   = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact, O(n²); S > 0 = approximate, O((K·S)²))")
+		silN   = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact up to 4,096 bursts, 256 per cluster above; S at or above the largest cluster is exact)")
 		stream = flag.Bool("stream", false, "read the trace from stdin when -in is empty or \"-\" (every input streams record by record)")
 	)
 	flag.Parse()

@@ -58,7 +58,7 @@ func main() {
 		curves     = flag.String("curves", "", "directory to write per-phase folded-curve TSVs")
 		iterations = flag.Bool("iterations", false, "fold whole iterations (EvIteration markers) instead of clustered bursts")
 		par        = flag.Int("parallel", 0, "analysis worker count (0 = all cores, 1 = sequential); output is identical either way")
-		silN       = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact, O(n²); S > 0 = approximate, O((K·S)²))")
+		silN       = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact up to 4,096 bursts, 256 per cluster above; S at or above the largest cluster is exact)")
 		stream     = flag.Bool("stream", false, "analyze the trace record-by-record as it is read (stdin when -in is empty or \"-\")")
 		online     = flag.Bool("online", false, "with -stream: bounded-memory analysis (train-then-classify, incremental folding)")
 		train      = flag.Int("train", 0, "with -online: training-prefix length in bursts (0 = default 512)")

@@ -39,12 +39,15 @@ type Config struct {
 	// this is purely a performance knob.
 	Index IndexMode
 	// SilhouetteSample caps how many members of each cluster the
-	// silhouette scores. 0 (the default) keeps the exact all-members
-	// computation, n²/2 distances; a positive value S deterministically
-	// scores S evenly strided members of every cluster larger than S
-	// against each other, weighted back to a per-point mean, so the
-	// kernel costs O((K·S)²) whatever n is, at the cost of an approximate
-	// coefficient (see SilhouetteSampled).
+	// silhouette scores. A positive value S deterministically scores S
+	// evenly strided members of every cluster larger than S against each
+	// other, weighted back to a per-point mean, so the kernel costs
+	// O((K·S)²) whatever n is, at the cost of an approximate coefficient
+	// (see SilhouetteSampled); an S at or above the largest cluster
+	// scores every member and is exact. 0 (the default) is chosen from
+	// the input size, as IndexAuto is: the exact all-members computation,
+	// n²/2 distances, up to 4,096 bursts, and a 256-member sample above.
+	// Result.SilhouetteSample records which kernel ran.
 	SilhouetteSample int
 	// Logger, when non-nil, receives a structured record per clustering
 	// run (point count, chosen eps, K, silhouette) so long-running
@@ -70,6 +73,15 @@ const (
 // indexAutoMin is the point count at which IndexAuto switches from the
 // brute-force scan to the k-d tree.
 const indexAutoMin = 512
+
+// silhouetteAutoMax is the largest burst count whose default silhouette
+// (Config.SilhouetteSample = 0) is exact; above it the default scores
+// silhouetteAutoSample members per cluster, whose cost does not grow
+// with the burst count.
+const (
+	silhouetteAutoMax    = 4096
+	silhouetteAutoSample = 256
+)
 
 // String names the mode.
 func (m IndexMode) String() string {
@@ -100,9 +112,14 @@ type Result struct {
 	// row per burst; in memory only, like Assign.
 	Features [][]float64 `json:"-"`
 	// Silhouette is the mean silhouette coefficient over clustered points
-	// (NaN when fewer than 2 clusters): exact by default, estimated from
-	// the scored sample when Config.SilhouetteSample is positive.
+	// (NaN when fewer than 2 clusters): exact when SilhouetteSample is 0,
+	// else estimated from the scored sample. With the default config it
+	// is exact up to 4,096 bursts and sampled above.
 	Silhouette float64
+	// SilhouetteSample is the per-cluster sample the silhouette kernel
+	// scored: 0 when it scored every member (the exact bits), else the S
+	// that cut at least one cluster.
+	SilhouetteSample int `json:",omitempty"`
 }
 
 // Features computes the clustering feature matrix for bursts: log10
@@ -345,7 +362,11 @@ func ClusterBursts(bursts []burst.Burst, cfg Config) Result {
 		bursts[i].Cluster = remap[c]
 	}
 	res.K = len(ids)
-	res.Silhouette = silhouetteFlat(flat, dim, res.Assign, cfg.SilhouetteSample, cfg.Parallelism)
+	sample := cfg.SilhouetteSample
+	if sample == 0 && len(bursts) > silhouetteAutoMax {
+		sample = silhouetteAutoSample
+	}
+	res.Silhouette, res.SilhouetteSample = silhouetteFlat(flat, dim, res.Assign, sample, cfg.Parallelism)
 	if cfg.Logger != nil {
 		cfg.Logger.Info("clustered bursts", "bursts", len(bursts),
 			"eps", res.Eps, "min_pts", res.MinPts, "clusters", res.K,

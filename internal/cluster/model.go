@@ -21,12 +21,13 @@ import (
 type Model struct {
 	// UseIPC records whether the third (IPC) feature dimension is active.
 	UseIPC bool
-	// K, Eps, MinPts and Silhouette mirror the training clustering's
-	// Result fields.
-	K          int
-	Eps        float64
-	MinPts     int
-	Silhouette float64
+	// K, Eps, MinPts, Silhouette and SilhouetteSample mirror the
+	// training clustering's Result fields.
+	K                int
+	Eps              float64
+	MinPts           int
+	Silhouette       float64
+	SilhouetteSample int
 	// Training retains the training bursts with Cluster set, from which
 	// the exact raw-feature lookup is built; Compact drops them.
 	Training []burst.Burst
@@ -86,12 +87,13 @@ func TrainModel(bursts []burst.Burst, cfg Config) *Model {
 	train := append([]burst.Burst(nil), bursts...)
 	res := ClusterBursts(train, cfg)
 	m := &Model{
-		UseIPC:     cfg.UseIPC,
-		K:          res.K,
-		Eps:        res.Eps,
-		MinPts:     res.MinPts,
-		Silhouette: res.Silhouette,
-		Training:   train,
+		UseIPC:           cfg.UseIPC,
+		K:                res.K,
+		Eps:              res.Eps,
+		MinPts:           res.MinPts,
+		Silhouette:       res.Silhouette,
+		SilhouetteSample: res.SilhouetteSample,
+		Training:         train,
 	}
 	m.buildCentroids()
 	m.buildIndex()
@@ -211,7 +213,8 @@ func (m *Model) Compact() {
 func (m *Model) Encode() ([]byte, error) {
 	w := modelWire{
 		UseIPC: m.UseIPC, K: m.K, Eps: m.Eps, MinPts: m.MinPts,
-		Silhouette: m.Silhouette, Training: m.Training, Centroids: m.Centroids,
+		Silhouette: m.Silhouette, SilhouetteSample: m.SilhouetteSample,
+		Training: m.Training, Centroids: m.Centroids,
 	}
 	if math.IsNaN(w.Silhouette) {
 		w.Silhouette, w.SilhouetteNaN = 0, true
@@ -228,7 +231,8 @@ func DecodeModel(data []byte) (*Model, error) {
 	}
 	m := &Model{
 		UseIPC: w.UseIPC, K: w.K, Eps: w.Eps, MinPts: w.MinPts,
-		Silhouette: w.Silhouette, Training: w.Training, Centroids: w.Centroids,
+		Silhouette: w.Silhouette, SilhouetteSample: w.SilhouetteSample,
+		Training: w.Training, Centroids: w.Centroids,
 	}
 	if w.SilhouetteNaN {
 		m.Silhouette = math.NaN()
@@ -239,12 +243,13 @@ func DecodeModel(data []byte) (*Model, error) {
 
 // modelWire is the stable serialized form of a Model.
 type modelWire struct {
-	UseIPC        bool
-	K             int
-	Eps           float64
-	MinPts        int
-	Silhouette    float64
-	SilhouetteNaN bool          `json:",omitempty"`
-	Training      []burst.Burst `json:",omitempty"`
-	Centroids     []Centroid    `json:",omitempty"`
+	UseIPC           bool
+	K                int
+	Eps              float64
+	MinPts           int
+	Silhouette       float64
+	SilhouetteNaN    bool          `json:",omitempty"`
+	SilhouetteSample int           `json:",omitempty"`
+	Training         []burst.Burst `json:",omitempty"`
+	Centroids        []Centroid    `json:",omitempty"`
 }

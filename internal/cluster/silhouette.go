@@ -38,11 +38,12 @@ const silhouetteNarrow = 3
 // whatever n is. Each scored coefficient is weighted by |C| over the
 // number of scored members of C and the weighted sum divided by the
 // clustered point count, so the result is still a per-point mean. It is
-// an approximation of the exact one: on the engine's burst features at
-// S = 256 it stays within 0.002 of the exact coefficient, but it is NOT
-// exact, and callers that report silhouette as a locked quality metric
-// must keep sample at 0. A sample at or above every cluster size scores
-// everything and returns the exact bits.
+// an approximation of the exact one: on the four apps' burst features at
+// S = 256 it stays within 0.002 of the exact coefficient at 3,200 bursts
+// and within 0.004 up to 12,800, but it is NOT exact, and callers that
+// report silhouette as a locked quality metric must keep sample at 0
+// (ClusterBursts' default samples above 4,096 bursts). A sample at or
+// above every cluster size scores everything and returns the exact bits.
 //
 // Every row must have the same length. Rows of up to three values are
 // zero-padded to three; wider rows are measured in dist2's
@@ -53,20 +54,23 @@ func SilhouetteSampled(points [][]float64, assign []int, sample, parallelism int
 	if len(points) > 0 {
 		dim = len(points[0])
 	}
-	return silhouette(dim, func(i int) []float64 { return points[i] }, assign, sample, parallelism)
+	v, _ := silhouette(dim, func(i int) []float64 { return points[i] }, assign, sample, parallelism)
+	return v
 }
 
 // silhouetteFlat is SilhouetteSampled over a row-major matrix of dim
 // columns (featuresFlat's layout).
-func silhouetteFlat(flat []float64, dim int, assign []int, sample, parallelism int) float64 {
+func silhouetteFlat(flat []float64, dim int, assign []int, sample, parallelism int) (float64, int) {
 	return silhouette(dim, func(i int) []float64 { return flat[i*dim : (i+1)*dim] }, assign, sample, parallelism)
 }
 
-// silhouette scores the points row(i) labelled by assign.
-func silhouette(dim int, row func(i int) []float64, assign []int, sample, parallelism int) float64 {
+// silhouette scores the points row(i) labelled by assign. It also
+// returns the sample that cut at least one cluster, 0 when every member
+// was scored and the coefficient is exact.
+func silhouette(dim int, row func(i int) []float64, assign []int, sample, parallelism int) (float64, int) {
 	s, ok := newSilhouetteSets(assign, sample)
 	if !ok {
-		return math.NaN()
+		return math.NaN(), 0
 	}
 	defer s.put()
 	k := newTriangle(&s, dim, row)
@@ -86,7 +90,7 @@ func silhouette(dim int, row func(i int) []float64, assign []int, sample, parall
 	for _, v := range coeff {
 		sum += v
 	}
-	return sum / float64(s.n)
+	return sum / float64(s.n), s.sample
 }
 
 // silhouetteSets is the kernel's bookkeeping: clusters are dense-numbered
@@ -100,6 +104,7 @@ type silhouetteSets struct {
 	off    []int     // eval[off[c]:off[c+1]] are cluster c's scored members
 	rank   []int     // rank[t] is eval[t]'s place among the scored points in index order
 	weight []float64 // weight[c] = |C| / (off[c+1]−off[c]); exactly 1 unsampled
+	sample int       // the sample when it cut at least one cluster, else 0
 	buf    []int     // the pooled buffer eval and rank share
 }
 
@@ -139,7 +144,7 @@ func newSilhouetteSets(assign []int, sample int) (s silhouetteSets, ok bool) {
 	for c, m := range size {
 		scored := m
 		if sample > 0 && m > sample {
-			scored = sample
+			scored, s.sample = sample, sample
 		}
 		s.off[c+1] = s.off[c] + scored
 		s.weight[c] = float64(m) / float64(scored)

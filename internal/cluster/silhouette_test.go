@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/burst"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 )
@@ -309,17 +310,20 @@ var silhouetteDigests = map[string]uint64{
 	"stencil-8x800/256": 0x3fef5ed99b3af23f,
 }
 
-// digestSets are the burst sets silhouetteDigests is keyed by.
+// digestSets are the burst sets silhouetteDigests is keyed by. auto is
+// the sample ClusterBursts' default config scores: the 8 × 200 sets
+// hold 3,200 kept bursts and stay exact, stencil 8 × 800 holds 12,800.
 var digestSets = []struct {
 	name         string
 	app          string
 	ranks, iters int
+	auto         int
 }{
-	{"stencil", "stencil", 8, 200},
-	{"nbody", "nbody", 8, 200},
-	{"cg", "cg", 8, 200},
-	{"wavefront", "wavefront", 8, 200},
-	{"stencil-8x800", "stencil", 8, 800},
+	{"stencil", "stencil", 8, 200, 0},
+	{"nbody", "nbody", 8, 200, 0},
+	{"cg", "cg", 8, 200, 0},
+	{"wavefront", "wavefront", 8, 200, 0},
+	{"stencil-8x800", "stencil", 8, 800, 256},
 }
 
 func TestSilhouetteDigest(t *testing.T) {
@@ -329,8 +333,15 @@ func TestSilhouetteDigest(t *testing.T) {
 	for _, s := range digestSets {
 		kept := digestBursts(t, s.app, s.ranks, s.iters, 1, sim.PerturbConfig{})
 		res := ClusterBursts(kept, Config{UseIPC: true})
-		if key := s.name + "/0"; math.Float64bits(res.Silhouette) != silhouetteDigests[key] {
-			t.Errorf("%s: ClusterBursts silhouette %#x, want %#x", key, math.Float64bits(res.Silhouette), silhouetteDigests[key])
+		if key := fmt.Sprintf("%s/%d", s.name, s.auto); math.Float64bits(res.Silhouette) != silhouetteDigests[key] || res.SilhouetteSample != s.auto {
+			t.Errorf("%s: ClusterBursts silhouette %#x (sample %d), want %#x (sample %d)",
+				key, math.Float64bits(res.Silhouette), res.SilhouetteSample, silhouetteDigests[key], s.auto)
+		}
+		// A sample at or above the largest cluster scores every member.
+		all := ClusterBursts(kept, Config{UseIPC: true, SilhouetteSample: len(kept)})
+		if key := s.name + "/0"; math.Float64bits(all.Silhouette) != silhouetteDigests[key] || all.SilhouetteSample != 0 {
+			t.Errorf("%s: ClusterBursts at sample %d: silhouette %#x (sample %d), want %#x (sample 0)",
+				key, len(kept), math.Float64bits(all.Silhouette), all.SilhouetteSample, silhouetteDigests[key])
 		}
 		for _, sample := range []int{0, 256} {
 			key := fmt.Sprintf("%s/%d", s.name, sample)
@@ -349,10 +360,38 @@ func TestSilhouetteDigest(t *testing.T) {
 func TestSilhouetteSampledAccuracy(t *testing.T) {
 	for _, s := range digestSets {
 		res := ClusterBursts(digestBursts(t, s.app, s.ranks, s.iters, 1, sim.PerturbConfig{}), Config{UseIPC: true})
+		exact := SilhouetteSampled(res.Features, res.Assign, 0, 0)
 		sampled := SilhouetteSampled(res.Features, res.Assign, 256, 0)
-		if d := math.Abs(sampled - res.Silhouette); !(d <= 0.002) {
+		if d := math.Abs(sampled - exact); !(d <= 0.002) {
 			t.Errorf("%s (n=%d K=%d): sampled silhouette %.6f is %.6f from exact %.6f",
-				s.name, len(res.Assign), res.K, sampled, d, res.Silhouette)
+				s.name, len(res.Assign), res.K, sampled, d, exact)
+		}
+	}
+}
+
+// TestSilhouetteAutoSample pins the default's threshold: ClusterBursts
+// scores every member of up to 4,096 bursts and 256 members per cluster
+// above, with the bits of the kernel called directly at that sample,
+// while an explicit sample is honoured on both sides.
+// Result.SilhouetteSample records the sample that ran.
+func TestSilhouetteAutoSample(t *testing.T) {
+	kept := digestBursts(t, "stencil", 8, 800, 1, sim.PerturbConfig{})
+	for _, tc := range []struct {
+		n, sample, want int
+	}{
+		{4096, 0, 0},
+		{4097, 0, 256},
+		{4096, 100, 100},
+		{4097, 100, 100},
+	} {
+		res := ClusterBursts(append([]burst.Burst(nil), kept[:tc.n]...), Config{UseIPC: true, SilhouetteSample: tc.sample})
+		if largestCluster(res.Assign) <= 256 {
+			t.Fatalf("n=%d: largest cluster %d does not exceed the sample", tc.n, largestCluster(res.Assign))
+		}
+		want := SilhouetteSampled(res.Features, res.Assign, tc.want, 1)
+		if res.SilhouetteSample != tc.want || math.Float64bits(res.Silhouette) != math.Float64bits(want) {
+			t.Errorf("n=%d sample=%d: silhouette %#x (sample %d), want %#x (sample %d)", tc.n, tc.sample,
+				math.Float64bits(res.Silhouette), res.SilhouetteSample, math.Float64bits(want), tc.want)
 		}
 	}
 }

@@ -374,8 +374,8 @@ func resolve(rep *Report, all *Partial, model *cluster.Model, opts Options) {
 			kept[i].Cluster = assign[i]
 		}
 		rep.Clustering = cluster.Result{
-			Assign: assign, K: model.K, Eps: model.Eps,
-			MinPts: model.MinPts, Silhouette: model.Silhouette,
+			Assign: assign, K: model.K, Eps: model.Eps, MinPts: model.MinPts,
+			Silhouette: model.Silhouette, SilhouetteSample: model.SilhouetteSample,
 			Features: cluster.Features(kept, model.UseIPC),
 		}
 		why = "model classification found no phases"

@@ -11,8 +11,10 @@ import (
 // change makes old Reports unreproducible from the same options. v2: a
 // positive SilhouetteSample scores only its sampled members. v3: a
 // Report serializes fold bands (StdErr) and no longer the folded Points
-// or the clustering's Features and Assign.
-const fingerprintVersion = "v3"
+// or the clustering's Features and Assign. v4: SilhouetteSample 0 samples
+// 256 members per cluster above 4,096 kept bursts, and the clustering
+// records the sample it scored.
+const fingerprintVersion = "v4"
 
 // Fingerprint canonicalizes the options into a stable string covering
 // exactly the fields that shape the Report — the options half of a

@@ -500,7 +500,7 @@ func (s *Server) analyzeError(w http.ResponseWriter, r *http.Request, src string
 	case errors.Is(err, pipeline.ErrStalled):
 		s.cancelled.Inc()
 		s.reject(w, "stalled", err.Error(), http.StatusRequestTimeout)
-	case errors.Is(err, trace.ErrBadFormat):
+	case errors.Is(err, trace.ErrBadFormat), errors.Is(err, trace.ErrInvalid):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		s.cfg.Logger.Error("analysis failed", "source", src, "err", err)

@@ -148,6 +148,32 @@ func TestAnalyzeBadQueryAndBadFormat(t *testing.T) {
 	}
 }
 
+// TestAnalyzeInvalidTrace400 posts a trace whose metadata declares no
+// ranks. It decodes, but the analysis rejects it as structurally
+// invalid, which is the client's fault: 400, strict or lenient, on the
+// analyze and partial routes alike.
+func TestAnalyzeInvalidTrace400(t *testing.T) {
+	tr, _ := genTrace(t, 2, 20)
+	tr.Meta.Ranks = 0
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(Config{})
+	for _, url := range []string{
+		"/v1/analyze?nocache=1",
+		"/v1/analyze?nocache=1&lenient=1",
+		"/v1/partial?shard=0&shards=1",
+		"/v1/partial?shard=0&shards=1&lenient=1",
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(buf.Bytes())))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", url, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}
+
 func TestAnalyzeOversizedUpload413(t *testing.T) {
 	_, enc := genTrace(t, 2, 20)
 	srv := httptest.NewServer(NewServer(Config{MaxBody: 1024}))

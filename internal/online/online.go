@@ -50,7 +50,7 @@ func Train(training []burst.Burst, cfg cluster.Config) (*Classifier, error) {
 	c := &Classifier{
 		Training: cluster.Result{
 			Assign: assign, K: m.K, Eps: m.Eps, MinPts: m.MinPts,
-			Silhouette: m.Silhouette,
+			Silhouette: m.Silhouette, SilhouetteSample: m.SilhouetteSample,
 		},
 		Model: m,
 	}

@@ -535,7 +535,7 @@ func (a *analysis) finalize() {
 		}
 		a.clustering = cluster.Result{
 			Assign: assign, K: md.K, Eps: md.Eps, MinPts: md.MinPts,
-			Silhouette: md.Silhouette,
+			Silhouette: md.Silhouette, SilhouetteSample: md.SilhouetteSample,
 		}
 	} else if a.cfg.Online && a.cfg.Lenient && len(a.kept) > 0 {
 		// Online training failed or never had enough bursts; degrade to
@@ -543,7 +543,17 @@ func (a *analysis) finalize() {
 		a.fallbackClustering("online classifier unavailable")
 	}
 
+	// Count per rank first, then cut every rank's list out of one array
+	// sized to the kept bursts.
+	count := make([]int, a.meta.Ranks)
+	for i := range a.kept {
+		count[a.kept[i].Rank]++
+	}
 	a.byRank = make([][]int, a.meta.Ranks)
+	idx := make([]int, len(a.kept))
+	for r, c := range count {
+		a.byRank[r], idx = idx[:0:c], idx[c:]
+	}
 	for i := range a.kept {
 		r := a.kept[i].Rank
 		a.byRank[r] = append(a.byRank[r], i)

@@ -121,30 +121,32 @@ func TestChunksPartition(t *testing.T) {
 // TestSessionPrefixEquivalence is the live-session contract: after K
 // appended chunks, the session's snapshot Report deep-equals a batch
 // Analyze over the union of those chunks — for every prefix, strict and
-// lenient, and with the online folder.
+// lenient, with the online folder, and with default options on a trace
+// whose later prefixes keep more than 4,096 bursts, so their silhouette
+// is sampled.
 func TestSessionPrefixEquivalence(t *testing.T) {
-	tr := genTrace(t, "stencil", 4, 40)
-	chunks := session.Chunks(tr, 4)
-	if len(chunks) < 2 {
-		t.Fatalf("trace yielded only %d chunks", len(chunks))
-	}
-	cases := []struct {
-		name string
-		opts core.Options
-	}{
-		{"strict-columnar", core.Options{Parallelism: 2}},
-		{"lenient-columnar", core.Options{Parallelism: 2, Lenient: true}},
+	small := session.Chunks(genTrace(t, "stencil", 4, 40), 4)
+	large := session.Chunks(genTrace(t, "stencil", 8, 400), 4)
+	if len(small) < 2 || len(large) < 2 {
+		t.Fatalf("traces yielded only %d and %d chunks", len(small), len(large))
 	}
 	online := core.Options{Parallelism: 2}
 	online.Stream.Online = true
 	online.Stream.TrainBursts = 64
-	cases = append(cases, struct {
-		name string
-		opts core.Options
-	}{"online", online})
+	cases := []struct {
+		name   string
+		chunks []*trace.Trace
+		opts   core.Options
+		sample int // the last snapshot's Clustering.SilhouetteSample
+	}{
+		{"strict-columnar", small, core.Options{Parallelism: 2}, 0},
+		{"lenient-columnar", small, core.Options{Parallelism: 2, Lenient: true}, 0},
+		{"online", small, online, 0},
+		{"default-sampled-silhouette", large, core.Options{}, 256},
+	}
 
 	for _, tc := range cases {
-		tc := tc
+		chunks := tc.chunks
 		t.Run(tc.name, func(t *testing.T) {
 			m := newManager(t, session.Config{
 				Dir: t.TempDir(),
@@ -173,6 +175,9 @@ func TestSessionPrefixEquivalence(t *testing.T) {
 				normReports(snap.Report, want)
 				if d := deepeq.Diff(snap.Report, want); d != "" {
 					t.Fatalf("snapshot after %d chunks differs from batch analysis at %s", k+1, d)
+				}
+				if got := snap.Report.Clustering.SilhouetteSample; k == len(chunks)-1 && got != tc.sample {
+					t.Fatalf("last snapshot scored a %d-member silhouette sample, want %d", got, tc.sample)
 				}
 			}
 		})

@@ -28,26 +28,39 @@ type Sequence struct {
 // Sequences groups clustered bursts into per-rank sequences. Noise bursts
 // (cluster 0) are skipped: they are debris, not structure.
 func Sequences(bursts []burst.Burst) []Sequence {
-	byRank := map[int32][]int{}
+	// Count each rank's bursts first, so every per-rank slice is
+	// allocated once at its final size.
+	count := map[int32]int{}
+	n := 0
 	for i := range bursts {
-		if bursts[i].Cluster == 0 {
-			continue
+		if bursts[i].Cluster != 0 {
+			count[bursts[i].Rank]++
+			n++
 		}
-		byRank[bursts[i].Rank] = append(byRank[bursts[i].Rank], i)
 	}
-	ranks := make([]int32, 0, len(byRank))
-	for r := range byRank {
+	ranks := make([]int32, 0, len(count))
+	for r := range count {
 		ranks = append(ranks, r)
 	}
 	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+	byRank := make(map[int32][]int, len(ranks))
+	idx := make([]int, n)
+	for _, r := range ranks {
+		byRank[r], idx = idx[:0:count[r]], idx[count[r]:]
+	}
+	for i := range bursts {
+		if bursts[i].Cluster != 0 {
+			r := bursts[i].Rank
+			byRank[r] = append(byRank[r], i)
+		}
+	}
 	out := make([]Sequence, 0, len(ranks))
 	for _, r := range ranks {
 		idx := byRank[r]
 		sort.Slice(idx, func(a, b int) bool { return bursts[idx[a]].Start < bursts[idx[b]].Start })
-		s := Sequence{Rank: r}
-		for _, i := range idx {
-			s.Clusters = append(s.Clusters, bursts[i].Cluster)
-			s.Starts = append(s.Starts, bursts[i].Start)
+		s := Sequence{Rank: r, Clusters: make([]int, len(idx)), Starts: make([]trace.Time, len(idx))}
+		for k, i := range idx {
+			s.Clusters[k], s.Starts[k] = bursts[i].Cluster, bursts[i].Start
 		}
 		out = append(out, s)
 	}
