@@ -44,10 +44,11 @@ type Config struct {
 	// other, weighted back to a per-point mean, so the kernel costs
 	// O((K·S)²) whatever n is, at the cost of an approximate coefficient
 	// (see SilhouetteSampled); an S at or above the largest cluster
-	// scores every member and is exact. 0 (the default) is chosen from
-	// the input size, as IndexAuto is: the exact all-members computation,
-	// n²/2 distances, up to 4,096 bursts, and a 256-member sample above.
-	// Result.SilhouetteSample records which kernel ran.
+	// scores every member and is exact. 0 (the default), like any
+	// negative value, is chosen from the input size, as IndexAuto is: the
+	// exact all-members computation, n²/2 distances, up to 4,096 bursts,
+	// and a 256-member sample above. Result.SilhouetteSample records which
+	// kernel ran.
 	SilhouetteSample int
 	// Logger, when non-nil, receives a structured record per clustering
 	// run (point count, chosen eps, K, silhouette) so long-running
@@ -292,7 +293,8 @@ func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float6
 }
 
 // SetDefaults sets MinPts and MinClusterShare to their defaults when
-// unset. ClusterBursts and the analysis options fingerprint both call
+// unset, and a negative SilhouetteSample to 0, the default it scores
+// like. ClusterBursts and the analysis options fingerprint both call
 // it, so each default is written only here.
 func (c *Config) SetDefaults() {
 	if c.MinPts == 0 {
@@ -300,6 +302,9 @@ func (c *Config) SetDefaults() {
 	}
 	if c.MinClusterShare == 0 {
 		c.MinClusterShare = 0.01
+	}
+	if c.SilhouetteSample < 0 {
+		c.SilhouetteSample = 0
 	}
 }
 

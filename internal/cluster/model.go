@@ -197,6 +197,15 @@ func (m *Model) Classify(b *burst.Burst) int {
 	return best
 }
 
+// Result is the clustering the model stands for, labelled by assign:
+// every other field mirrors the training clustering's Result.
+func (m *Model) Result(assign []int) Result {
+	return Result{
+		Assign: assign, K: m.K, Eps: m.Eps, MinPts: m.MinPts,
+		Silhouette: m.Silhouette, SilhouetteSample: m.SilhouetteSample,
+	}
+}
+
 // Compact drops the retained training bursts (and with them the exact
 // lookup), leaving only the centroid summary — the form to broadcast
 // when the training set is large, and the online path's classifier. A

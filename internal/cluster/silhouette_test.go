@@ -354,17 +354,25 @@ func TestSilhouetteDigest(t *testing.T) {
 }
 
 // TestSilhouetteSampledAccuracy bounds the sampled mode's error on the
-// digest sets: scoring 256 weighted members per cluster stays within
-// 0.002 of the exact coefficient. An unweighted sample misses it on
-// wavefront.
+// four apps, as documented on SilhouetteSampled: scoring 256 weighted
+// members per cluster stays within 0.002 of the exact coefficient at
+// 3,200 bursts (8 ranks × 200 iterations) and within 0.004 up to
+// 12,800 (16 × 200 and 8 × 800; wavefront 8 × 800 is the widest). An
+// unweighted sample misses it on wavefront.
 func TestSilhouetteSampledAccuracy(t *testing.T) {
-	for _, s := range digestSets {
-		res := ClusterBursts(digestBursts(t, s.app, s.ranks, s.iters, 1, sim.PerturbConfig{}), Config{UseIPC: true})
-		exact := SilhouetteSampled(res.Features, res.Assign, 0, 0)
-		sampled := SilhouetteSampled(res.Features, res.Assign, 256, 0)
-		if d := math.Abs(sampled - exact); !(d <= 0.002) {
-			t.Errorf("%s (n=%d K=%d): sampled silhouette %.6f is %.6f from exact %.6f",
-				s.name, len(res.Assign), res.K, sampled, d, exact)
+	for _, app := range []string{"stencil", "nbody", "cg", "wavefront"} {
+		for _, size := range []struct{ ranks, iters int }{{8, 200}, {16, 200}, {8, 800}} {
+			res := ClusterBursts(digestBursts(t, app, size.ranks, size.iters, 1, sim.PerturbConfig{}), Config{UseIPC: true})
+			exact := SilhouetteSampled(res.Features, res.Assign, 0, 0)
+			sampled := SilhouetteSampled(res.Features, res.Assign, 256, 0)
+			bound := 0.004
+			if len(res.Assign) <= 3200 {
+				bound = 0.002
+			}
+			if d := math.Abs(sampled - exact); !(d <= bound) {
+				t.Errorf("%s %dx%d (n=%d K=%d): sampled silhouette %.6f is %.6f from exact %.6f, bound %g",
+					app, size.ranks, size.iters, len(res.Assign), res.K, sampled, d, exact, bound)
+			}
 		}
 	}
 }
@@ -372,8 +380,9 @@ func TestSilhouetteSampledAccuracy(t *testing.T) {
 // TestSilhouetteAutoSample pins the default's threshold: ClusterBursts
 // scores every member of up to 4,096 bursts and 256 members per cluster
 // above, with the bits of the kernel called directly at that sample,
-// while an explicit sample is honoured on both sides.
-// Result.SilhouetteSample records the sample that ran.
+// while an explicit sample is honoured on both sides and a negative one
+// scores like the default. Result.SilhouetteSample records the sample
+// that ran.
 func TestSilhouetteAutoSample(t *testing.T) {
 	kept := digestBursts(t, "stencil", 8, 800, 1, sim.PerturbConfig{})
 	for _, tc := range []struct {
@@ -383,6 +392,8 @@ func TestSilhouetteAutoSample(t *testing.T) {
 		{4097, 0, 256},
 		{4096, 100, 100},
 		{4097, 100, 100},
+		{4096, -1, 0},
+		{4097, -1, 256},
 	} {
 		res := ClusterBursts(append([]burst.Burst(nil), kept[:tc.n]...), Config{UseIPC: true, SilhouetteSample: tc.sample})
 		if largestCluster(res.Assign) <= 256 {

@@ -373,11 +373,8 @@ func resolve(rep *Report, all *Partial, model *cluster.Model, opts Options) {
 			assign[i] = model.Classify(&kept[i])
 			kept[i].Cluster = assign[i]
 		}
-		rep.Clustering = cluster.Result{
-			Assign: assign, K: model.K, Eps: model.Eps, MinPts: model.MinPts,
-			Silhouette: model.Silhouette, SilhouetteSample: model.SilhouetteSample,
-			Features: cluster.Features(kept, model.UseIPC),
-		}
+		rep.Clustering = model.Result(assign)
+		rep.Clustering.Features = cluster.Features(kept, model.UseIPC)
 		why = "model classification found no phases"
 	default:
 		rep.Clustering = cluster.ClusterBursts(kept, opts.clusterConfig())

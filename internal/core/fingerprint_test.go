@@ -98,8 +98,9 @@ func TestFingerprintCoversOptions(t *testing.T) {
 	}
 }
 
-// TestFingerprintDefaults requires zero options and options set to every
-// documented default to fingerprint alike.
+// TestFingerprintDefaults requires zero options, options set to every
+// documented default, and a negative silhouette sample (which scores
+// like the default) to fingerprint alike.
 func TestFingerprintDefaults(t *testing.T) {
 	explicit := Options{
 		MinBurstDuration: 50_000,
@@ -112,5 +113,9 @@ func TestFingerprintDefaults(t *testing.T) {
 	}
 	if got, want := explicit.Fingerprint(), (Options{}).Fingerprint(); got != want {
 		t.Fatalf("explicit defaults fingerprint\n  %s\nzero options\n  %s", got, want)
+	}
+	negative := Options{Cluster: cluster.Config{SilhouetteSample: -1}}
+	if got, want := negative.Fingerprint(), (Options{}).Fingerprint(); got != want {
+		t.Fatalf("negative silhouette sample fingerprint\n  %s\nzero options\n  %s", got, want)
 	}
 }

@@ -48,11 +48,8 @@ func Train(training []burst.Burst, cfg cluster.Config) (*Classifier, error) {
 		return nil, fmt.Errorf("online: training found no clusters")
 	}
 	c := &Classifier{
-		Training: cluster.Result{
-			Assign: assign, K: m.K, Eps: m.Eps, MinPts: m.MinPts,
-			Silhouette: m.Silhouette, SilhouetteSample: m.SilhouetteSample,
-		},
-		Model: m,
+		Training: m.Result(assign),
+		Model:    m,
 	}
 	m.Compact()
 	return c, nil

@@ -533,10 +533,7 @@ func (a *analysis) finalize() {
 		for i := range a.kept {
 			assign[i] = a.kept[i].Cluster
 		}
-		a.clustering = cluster.Result{
-			Assign: assign, K: md.K, Eps: md.Eps, MinPts: md.MinPts,
-			Silhouette: md.Silhouette, SilhouetteSample: md.SilhouetteSample,
-		}
+		a.clustering = md.Result(assign)
 	} else if a.cfg.Online && a.cfg.Lenient && len(a.kept) > 0 {
 		// Online training failed or never had enough bursts; degrade to
 		// the quantile split instead of a zero-phase report.

@@ -29,7 +29,9 @@ type Sequence struct {
 // (cluster 0) are skipped: they are debris, not structure.
 func Sequences(bursts []burst.Burst) []Sequence {
 	// Count each rank's bursts first, so every per-rank slice is
-	// allocated once at its final size.
+	// allocated once at its final size. The analysis passes its bursts
+	// in time order, so each rank's run is already sorted and its sort
+	// below is linear; one (Rank, Start) sort of all of them would not be.
 	count := map[int32]int{}
 	n := 0
 	for i := range bursts {
