@@ -17,7 +17,9 @@
 #                   flakes surface when introduced + a short fuzz run over
 #                   the trace decoder (whole-trace reads, salvage reads,
 #                   and block reads against the record-decoder oracle in
-#                   both modes) + a build of
+#                   both modes) and over the validity check (Validate on
+#                   a decoded trace against the check streamed over its
+#                   bytes) + a build of
 #                   every example the docs reference + the benchmark
 #                   regression gate (benchjson -gate fails on any >10%
 #                   median ns/op or B/op regression between the two
@@ -96,6 +98,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrom$$ -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadFromLenient -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadIntoBlock -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzCheckedMatchesValidate -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) build ./examples/...
 	$(GO) run ./cmd/benchjson -gate -tol 10 -cur newest
 	$(MAKE) chaos

@@ -3,13 +3,12 @@
 // optionally writing the scatter data for plotting.
 //
 // The trace is consumed record by record through the streaming
-// pipeline, never materialized; -stream reads stdin when -in is empty:
-// tracegen -o - | burstcluster -stream.
+// pipeline, never materialized; -in - reads stdin:
+// tracegen -o - | burstcluster -in -.
 //
 // Usage:
 //
 //	burstcluster -in stencil.uvt [-min-duration 50] [-eps 0] [-minpts 4] [-scatter scatter.tsv]
-//	burstcluster -stream [-in stencil.uvt] [...]
 package main
 
 import (
@@ -27,7 +26,7 @@ import (
 
 func main() {
 	var (
-		in     = flag.String("in", "", "input trace file (required unless -stream, which defaults to stdin)")
+		in     = flag.String("in", "", "input trace file, - for stdin (required)")
 		minDur = flag.Float64("min-duration", 50, "burst duration filter in µs")
 		eps    = flag.Float64("eps", 0, "DBSCAN eps in normalized space (0 = automatic)")
 		minPts = flag.Int("minpts", 4, "DBSCAN minPts")
@@ -35,21 +34,23 @@ func main() {
 		scout  = flag.String("scatter", "", "write burst scatter TSV (duration_us, ipc, cluster)")
 		par    = flag.Int("parallel", 0, "clustering worker count (0 = all cores, 1 = sequential); output is identical either way")
 		silN   = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact up to 4,096 bursts, 256 per cluster above; S at or above the largest cluster is exact)")
-		stream = flag.Bool("stream", false, "read the trace from stdin when -in is empty or \"-\" (every input streams record by record)")
 	)
 	flag.Parse()
-	if *in == "" && !*stream {
+	if *in == "" {
 		fatal(fmt.Errorf("missing -in"))
 	}
-	r, closeIn, err := openInput(*in)
-	if err != nil {
-		fatal(err)
+	r := io.Reader(os.Stdin)
+	if *in != "-" {
+		f, err := os.Open(*in)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		r = f
 	}
 	ccfg := cluster.Config{Eps: *eps, MinPts: *minPts, UseIPC: !*noIPC,
 		Parallelism: *par, SilhouetteSample: *silN}
-	err = run(os.Stdout, r, trace.Time(*minDur*1e3), ccfg, *scout)
-	closeIn()
-	if err != nil {
+	if err := run(os.Stdout, r, trace.Time(*minDur*1e3), ccfg, *scout); err != nil {
 		fatal(err)
 	}
 }
@@ -131,19 +132,6 @@ func run(w io.Writer, r io.Reader, minDur trace.Time, ccfg cluster.Config, scatt
 		fmt.Fprintf(w, "\nwrote %s\n", scatter)
 	}
 	return nil
-}
-
-// openInput resolves the input: stdin when path is empty or "-", the
-// named file otherwise.
-func openInput(path string) (io.Reader, func(), error) {
-	if path == "" || path == "-" {
-		return os.Stdin, func() {}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
 }
 
 func fatal(err error) {

@@ -3,11 +3,11 @@
 // detected phase's internal evolution, with ASCII curve previews and the
 // heuristic advice the methodology derives.
 //
-// With -stream the trace is analyzed record by record as it is read —
-// from stdin by default, so tracegen output can be piped straight in
-// without ever materializing the trace:
+// The trace is analyzed record by record as it is read, never
+// materialized, and checked for validity on the way. -in - reads stdin,
+// so tracegen output can be piped straight in:
 //
-//	tracegen -app stencil -o - | fold -stream
+//	tracegen -app stencil -o - | fold -in -
 //
 // Adding -online bounds memory regardless of trace length: phases are
 // classified on the fly from a training prefix and samples are folded
@@ -17,8 +17,7 @@
 //
 //	fold -in stencil.uvt [-counter PAPI_TOT_INS] [-bins 100] [-model binned+pchip]
 //	     [-phases 5] [-curves out_dir] [-iterations] [-stages] [-lenient]
-//	     [-model-out phases.model | -model-in phases.model]
-//	fold -stream [-in stencil.uvt] [-online] [-train 512] [-stages] [-lenient]
+//	     [-online [-train 512] | -model-out phases.model | -model-in phases.model]
 //
 // -model-out saves the cluster model trained on this trace so later
 // runs can classify against it with -model-in, skipping training
@@ -50,7 +49,7 @@ import (
 
 func main() {
 	var (
-		in         = flag.String("in", "", "input trace file (required unless -stream, which defaults to stdin)")
+		in         = flag.String("in", "", "input trace file, - for stdin (required)")
 		counter    = flag.String("counter", "", "restrict folding to one PAPI counter name (default: all)")
 		bins       = flag.Int("bins", 100, "folded-curve grid resolution")
 		model      = flag.String("model", "binned+pchip", "fit model: binned+pchip, kernel, binned")
@@ -59,8 +58,7 @@ func main() {
 		iterations = flag.Bool("iterations", false, "fold whole iterations (EvIteration markers) instead of clustered bursts")
 		par        = flag.Int("parallel", 0, "analysis worker count (0 = all cores, 1 = sequential); output is identical either way")
 		silN       = flag.Int("sil-sample", 0, "score at most S members per cluster in the silhouette (0 = exact up to 4,096 bursts, 256 per cluster above; S at or above the largest cluster is exact)")
-		stream     = flag.Bool("stream", false, "analyze the trace record-by-record as it is read (stdin when -in is empty or \"-\")")
-		online     = flag.Bool("online", false, "with -stream: bounded-memory analysis (train-then-classify, incremental folding)")
+		online     = flag.Bool("online", false, "bounded-memory analysis (train-then-classify, incremental folding)")
 		train      = flag.Int("train", 0, "with -online: training-prefix length in bursts (0 = default 512)")
 		stages     = flag.Bool("stages", false, "print per-stage pipeline metrics")
 		lenient    = flag.Bool("lenient", false, "salvage damaged traces: skip undecodable records, tolerate validation failures, and report the degradation instead of aborting")
@@ -90,58 +88,49 @@ func main() {
 		opts.Counters = []counters.Counter{c}
 	}
 
-	if (*modelIn != "" || *modelOut != "") && (*stream || *iterations) {
-		fatal(fmt.Errorf("-model-in/-model-out need the batch clustering pipeline and cannot be combined with -stream or -iterations"))
+	if (*modelIn != "" || *modelOut != "") && (*online || *iterations) {
+		fatal(fmt.Errorf("-model-in/-model-out need the exact clustering pipeline and cannot be combined with -online or -iterations"))
 	}
-
-	var rep *core.Report
-	if *stream {
-		if *iterations {
-			fatal(fmt.Errorf("-iterations needs the full trace and cannot be combined with -stream"))
-		}
-		opts.Stream = core.StreamOptions{Online: *online, TrainBursts: *train}
-		r, closeIn, err := openInput(*in)
+	if *online && *iterations {
+		fatal(fmt.Errorf("-iterations folds whole iterations and cannot be combined with -online"))
+	}
+	if *in == "" {
+		fatal(fmt.Errorf("missing -in"))
+	}
+	r := io.Reader(os.Stdin)
+	if *in != "-" {
+		f, err := os.Open(*in)
 		if err != nil {
 			fatal(err)
 		}
-		rep, err = core.AnalyzeStreamContext(context.Background(), r, opts)
-		closeIn()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		if *online {
-			fatal(fmt.Errorf("-online requires -stream"))
-		}
-		if *in == "" {
-			fatal(fmt.Errorf("missing -in"))
-		}
+		defer f.Close()
+		r = f
+	}
+	if *iterations {
 		var tr *trace.Trace
-		var decodeStats trace.DecodeStats
 		var err error
 		if *lenient {
-			tr, decodeStats, err = trace.ReadFileLenient(*in)
+			tr, _, err = trace.ReadFromLenient(r)
 		} else {
-			tr, err = trace.ReadFile(*in)
+			tr, err = trace.ReadFrom(r)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		if *iterations {
-			foldIterations(tr, *counter, *bins)
-			return
-		}
-		if *modelIn != "" || *modelOut != "" {
-			rep, err = analyzeWithModel(tr, opts, *modelIn, *modelOut)
-		} else {
-			rep, err = core.AnalyzeContext(context.Background(), tr, opts)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if *lenient {
-			rep.NoteDecode(decodeStats)
-		}
+		foldIterations(tr, *counter, *bins)
+		return
+	}
+
+	opts.Stream = core.StreamOptions{Online: *online, TrainBursts: *train}
+	var rep *core.Report
+	var err error
+	if *modelIn != "" || *modelOut != "" {
+		rep, err = analyzeWithModel(r, opts, *modelIn, *modelOut)
+	} else {
+		rep, err = core.AnalyzeStreamContext(context.Background(), r, opts)
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	mode := ""
@@ -232,14 +221,14 @@ func main() {
 	}
 }
 
-// analyzeWithModel runs the batch analysis through the map/reduce
-// algebra with an explicit cluster model: either classify against a
-// model saved earlier (-model-in, skipping training entirely) or train
-// one from this trace's whole-trace partial and optionally persist it
-// (-model-out) for later runs — the memoized-intermediate path the
-// service-side result cache exercises.
-func analyzeWithModel(tr *trace.Trace, opts core.Options, inPath, outPath string) (*core.Report, error) {
-	p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(tr), core.WholeSpec(), opts)
+// analyzeWithModel runs the analysis through the map/reduce algebra
+// with an explicit cluster model: either classify against a model saved
+// earlier (-model-in, skipping training entirely) or train one from this
+// trace's whole-trace partial and optionally persist it (-model-out) for
+// later runs — the memoized-intermediate path the service-side result
+// cache exercises.
+func analyzeWithModel(r io.Reader, opts core.Options, inPath, outPath string) (*core.Report, error) {
+	p, err := core.MapShardStreamContext(context.Background(), r, core.WholeSpec(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -267,19 +256,6 @@ func analyzeWithModel(tr *trace.Trace, opts core.Options, inPath, outPath string
 		}
 	}
 	return core.Reduce(parts, model, opts)
-}
-
-// openInput resolves the streaming input: stdin when path is empty or
-// "-", the named file otherwise.
-func openInput(path string) (io.Reader, func(), error) {
-	if path == "" || path == "-" {
-		return os.Stdin, func() {}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
 }
 
 // printStages renders the pipeline's per-stage metrics.

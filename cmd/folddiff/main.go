@@ -9,15 +9,15 @@
 // Each input is either a trace (.uvt) or an already-analyzed report
 // (the JSON core.Report that fold -json consumers and foldsvc produce);
 // report inputs skip re-analysis entirely (a report saved before reports
-// carried fold bands gets them from its folded points). With -stream,
-// trace inputs are analyzed record by record ("-" reads one side from
-// stdin).
+// carried fold bands gets them from its folded points). Trace inputs are
+// analyzed record by record as they are read; "-" reads one side from
+// stdin.
 //
 // Usage:
 //
 //	folddiff [flags] runA.uvt runB.uvt
 //	folddiff -json baseline.report.json regression.uvt
-//	tracegen -o - -perturb 1.2 | folddiff runA.uvt -stream -
+//	tracegen -o - -perturb 1.2 | folddiff runA.uvt -
 package main
 
 import (
@@ -34,12 +34,10 @@ import (
 	"repro/internal/counters"
 	"repro/internal/diff"
 	"repro/internal/fit"
-	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		stream  = flag.Bool("stream", false, "analyze trace inputs record-by-record (\"-\" reads that side from stdin)")
 		lenient = flag.Bool("lenient", false, "salvage damaged traces: analyze whatever decodes and mark the diff degraded")
 		modelIn = flag.String("model-in", "", "classify both traces against a previously saved cluster model instead of training per run")
 		phases  = flag.Int("phases", 5, "maximum phases to analyze per run")
@@ -66,9 +64,6 @@ func main() {
 	}
 	var model *cluster.Model
 	if *modelIn != "" {
-		if *stream {
-			fatal(fmt.Errorf("-model-in needs the batch clustering pipeline and cannot be combined with -stream"))
-		}
 		data, err := os.ReadFile(*modelIn)
 		if err != nil {
 			fatal(err)
@@ -79,8 +74,8 @@ func main() {
 		}
 	}
 
-	repA := analyzeInput(flag.Arg(0), *stream, model, opts)
-	repB := analyzeInput(flag.Arg(1), *stream, model, opts)
+	repA := analyzeInput(flag.Arg(0), model, opts)
+	repB := analyzeInput(flag.Arg(1), model, opts)
 
 	d, err := diff.Compare(repA, repB, diff.Options{
 		Bins:        *bins,
@@ -104,53 +99,30 @@ func main() {
 }
 
 // analyzeInput turns one CLI argument into a Report: a saved JSON
-// report is loaded as-is; a trace is analyzed through the selected
-// pipeline ("-" streams from stdin).
-func analyzeInput(path string, stream bool, model *cluster.Model, opts core.Options) *core.Report {
+// report is loaded as-is; a trace ("-" for stdin) is analyzed as it
+// streams, against model when one is given.
+func analyzeInput(path string, model *cluster.Model, opts core.Options) *core.Report {
+	r := io.Reader(os.Stdin)
 	if path != "-" {
 		if rep, ok := loadReport(path); ok {
 			return rep
 		}
-	}
-
-	if stream {
-		r, closeIn, err := openInput(path)
+		f, err := os.Open(path)
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := core.AnalyzeStreamContext(context.Background(), r, opts)
-		closeIn()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name(path), err))
-		}
-		return rep
-	}
-	if path == "-" {
-		fatal(fmt.Errorf("stdin input needs -stream"))
-	}
-
-	var tr *trace.Trace
-	var decodeStats trace.DecodeStats
-	var err error
-	if opts.Lenient {
-		tr, decodeStats, err = trace.ReadFileLenient(path)
-	} else {
-		tr, err = trace.ReadFile(path)
-	}
-	if err != nil {
-		fatal(err)
+		defer f.Close()
+		r = f
 	}
 	var rep *core.Report
+	var err error
 	if model != nil {
-		rep, err = analyzeWithModel(tr, model, opts)
+		rep, err = analyzeWithModel(r, model, opts)
 	} else {
-		rep, err = core.AnalyzeContext(context.Background(), tr, opts)
+		rep, err = core.AnalyzeStreamContext(context.Background(), r, opts)
 	}
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	if opts.Lenient {
-		rep.NoteDecode(decodeStats)
 	}
 	return rep
 }
@@ -216,32 +188,12 @@ func fillBands(rep *core.Report, data []byte) error {
 // cluster model through the map/reduce algebra — one whole-trace
 // partial reduced against the model, so both runs see the same phase
 // definitions, which pins cross-run cluster ids.
-func analyzeWithModel(tr *trace.Trace, model *cluster.Model, opts core.Options) (*core.Report, error) {
-	p, err := core.MapShardContext(context.Background(), trace.NewTraceSource(tr), core.WholeSpec(), opts)
+func analyzeWithModel(r io.Reader, model *cluster.Model, opts core.Options) (*core.Report, error) {
+	p, err := core.MapShardStreamContext(context.Background(), r, core.WholeSpec(), opts)
 	if err != nil {
 		return nil, err
 	}
 	return core.Reduce([]*core.Partial{p}, model, opts)
-}
-
-// openInput resolves a streaming input: stdin for "-", the named file
-// otherwise.
-func openInput(path string) (io.Reader, func(), error) {
-	if path == "" || path == "-" {
-		return os.Stdin, func() {}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
-}
-
-func name(path string) string {
-	if path == "" || path == "-" {
-		return "stdin"
-	}
-	return path
 }
 
 func fatal(err error) {

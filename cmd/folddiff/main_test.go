@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -94,5 +95,66 @@ func TestOldReportKeepsBands(t *testing.T) {
 				t.Errorf("against %s: %s noise %v, want %v", name, k, got[k], want)
 			}
 		}
+	}
+}
+
+// TestStdinSideMatchesFile: a "-" side, read from a pipe whose size the
+// decoder cannot know, gives the diff that the same trace read from its
+// file gives.
+func TestStdinSideMatchesFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, seed uint64) (string, []byte) {
+		app, err := apps.ByName("stencil", 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := apps.DefaultTraceConfig(4)
+		cfg.Seed = seed
+		tr, err := sim.Run(cfg, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, enc
+	}
+	pathA, _ := write("a.uvt", 1)
+	pathB, encB := write("b.uvt", 2)
+
+	opts := core.Options{}
+	repA := analyzeInput(pathA, nil, opts)
+	fromFile := analyzeInput(pathB, nil, opts)
+
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		pw.Write(encB)
+		pw.Close()
+	}()
+	stdin := os.Stdin
+	os.Stdin = pr
+	defer func() { os.Stdin = stdin; pr.Close() }()
+	fromStdin := analyzeInput("-", nil, opts)
+
+	var out [2][]byte
+	for i, b := range []*core.Report{fromFile, fromStdin} {
+		d, err := diff.Compare(repA, b, diff.Options{Bins: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = json.Marshal(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Fatalf("a - side diffs differently from its file:\n%s\n%s", out[0], out[1])
 	}
 }

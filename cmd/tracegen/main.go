@@ -2,7 +2,7 @@
 // the simulator and writes the resulting trace, optionally also in the
 // Paraver-style text format. With -o - the encoded trace goes to stdout
 // (status to stderr), so it can be piped straight into a streaming
-// consumer: tracegen -app stencil -o - | fold -stream. Adding
+// consumer: tracegen -app stencil -o - | fold -in -. Adding
 // -pace 50000 paces the stdout stream to about that many records per
 // second of wall-clock time, emulating a live application feeding a
 // consumer in real time.
@@ -127,7 +127,7 @@ func main() {
 
 // writePaced emits the encoded trace in wall-clock-paced slices so the
 // whole stream lasts about records/rate seconds — a cheap stand-in for
-// a live application when exercising streaming consumers (fold -stream,
+// a live application when exercising streaming consumers (fold -in -,
 // live analysis sessions). Pacing is byte-proportional over the encoded
 // form; the receiving decoder sees the same bytes either way.
 func writePaced(tr *trace.Trace, w io.Writer, rate float64) error {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,10 +11,10 @@ import (
 	"repro/internal/sim"
 )
 
-// TestStreamMatchesBatch locks the -stream flag's contract: slicing a
-// trace decoded record-by-record writes the exact bytes the whole-file
-// batch path writes.
-func TestStreamMatchesBatch(t *testing.T) {
+// TestStdinMatchesFile locks -in -: slicing a trace read from stdin (a
+// pipe, whose size the decoder cannot know) writes the exact bytes that
+// slicing the same trace read from a file writes.
+func TestStdinMatchesFile(t *testing.T) {
 	app, err := apps.ByName("stencil", 30)
 	if err != nil {
 		t.Fatal(err)
@@ -22,39 +23,54 @@ func TestStreamMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "in.uvt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "in.uvt")
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-
-	batch, _, err := readInput(path, false, false)
+	enc, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, stats, err := readInput(path, true, false)
+
+	from := fmt.Sprintf("%dns", tr.Meta.Duration/4)
+	to := fmt.Sprintf("%dns", tr.Meta.Duration*3/4)
+	fromFile := filepath.Join(dir, "file.uvt")
+	if err := run(path, from, to, fromFile, false); err != nil {
+		t.Fatal(err)
+	}
+
+	pr, pw, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Degraded() {
-		t.Fatalf("clean input reported salvage: %+v", stats)
+	go func() {
+		pw.Write(enc)
+		pw.Close()
+	}()
+	stdin := os.Stdin
+	os.Stdin = pr
+	defer func() { os.Stdin = stdin; pr.Close() }()
+	fromStdin := filepath.Join(dir, "stdin.uvt")
+	if err := run("-", from, to, fromStdin, false); err != nil {
+		t.Fatal(err)
 	}
 
-	from, to := tr.Meta.Duration/4, tr.Meta.Duration*3/4
-	var bb, sb bytes.Buffer
-	if err := batch.Slice(from, to).Write(&bb); err != nil {
+	a, err := os.ReadFile(fromFile)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := streamed.Slice(from, to).Write(&sb); err != nil {
+	b, err := os.ReadFile(fromStdin)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(bb.Bytes(), sb.Bytes()) {
-		t.Fatalf("stream path wrote %d bytes differing from the batch path's %d",
-			sb.Len(), bb.Len())
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("-in - wrote %d bytes differing from -in file's %d", len(b), len(a))
 	}
 }
 
-// TestStreamLenientSalvages checks that -stream -lenient survives a
-// truncated input and reports the damage.
+// TestStreamLenientSalvages checks that -lenient survives a truncated
+// input and reports the damage.
 func TestStreamLenientSalvages(t *testing.T) {
 	app, err := apps.ByName("stencil", 30)
 	if err != nil {
@@ -73,10 +89,10 @@ func TestStreamLenientSalvages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := readInput(path, true, false); err == nil {
+	if _, _, err := readInput(path, false); err == nil {
 		t.Fatal("strict stream decoded a truncated trace")
 	}
-	got, stats, err := readInput(path, true, true)
+	got, stats, err := readInput(path, true)
 	if err != nil {
 		t.Fatalf("lenient stream failed: %v", err)
 	}

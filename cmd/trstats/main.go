@@ -2,13 +2,12 @@
 // structure — the quick first look an analyst takes before folding.
 //
 // The trace is consumed record by record through the streaming
-// pipeline, never materialized; -stream reads stdin when -in is empty:
-// tracegen -o - | trstats -stream.
+// pipeline, never materialized; -in - reads stdin:
+// tracegen -o - | trstats -in -.
 //
 // Usage:
 //
-//	trstats -in stencil.uvt [-lenient]
-//	trstats -stream [-in stencil.uvt] [-lenient]
+//	trstats -in stencil.uvt [-min-duration 50] [-lenient]
 //
 // -lenient salvages damaged traces: undecodable records are skipped
 // and the dropped-record summary is printed, instead of aborting. A
@@ -33,17 +32,16 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "input trace file (required unless -stream, which defaults to stdin)")
+		in      = flag.String("in", "", "input trace file, - for stdin (required)")
 		minDur  = flag.Float64("min-duration", 50, "burst duration filter in µs")
-		stream  = flag.Bool("stream", false, "read the trace from stdin when -in is empty or \"-\" (every input streams record by record)")
 		lenient = flag.Bool("lenient", false, "salvage damaged traces: skip undecodable records and report what was dropped instead of aborting")
 	)
 	flag.Parse()
-	if *in == "" && !*stream {
+	if *in == "" {
 		fatal(fmt.Errorf("missing -in"))
 	}
 	r := io.Reader(os.Stdin)
-	if *in != "" && *in != "-" {
+	if *in != "-" {
 		f, err := os.Open(*in)
 		if err != nil {
 			fatal(err)

@@ -84,6 +84,14 @@ type Partial struct {
 // the pipeline runs fused: it labels each burst on arrival to route its
 // samples to phase folders, and the returned Partial carries those
 // labels and folds for Reduce to assemble.
+//
+// A whole-trace run (spec.Count 1) checks Trace.Validate's rules as the
+// records stream past (trace.Checked). A strict run fails on the first
+// violation with Validate's error for it, wrapping trace.ErrInvalid; a
+// lenient run analyzes on and its Partial carries the violation as its
+// first warning. A shard of a split is not checked: its ranks may start
+// or end inside an MPI call, so a coordinator validates the trace it
+// splits.
 func MapShardContext(ctx context.Context, src trace.Source, spec ShardSpec, opts Options) (*Partial, error) {
 	opts.setDefaults()
 	cfg := opts.pipelineConfig()
@@ -94,9 +102,17 @@ func MapShardContext(ctx context.Context, src trace.Source, spec ShardSpec, opts
 	} else {
 		cfg.Resume = spec.Index > 0
 	}
+	var chk *trace.CheckedSource
+	if spec.Count == 1 {
+		chk = trace.Checked(src, opts.decodeMode())
+		src = chk
+	}
 	out, err := pipeline.RunContext(ctx, src, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	if chk != nil && chk.Err() != nil {
+		out.Warnings = append([]string{ValidationWarning(chk.Err())}, out.Warnings...)
 	}
 	p := &Partial{
 		Spec:       spec,

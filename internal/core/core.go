@@ -57,10 +57,11 @@ type Options struct {
 	Stream StreamOptions
 	// Lenient selects degraded-tolerant analysis for imperfect traces:
 	// AnalyzeStreamContext decodes in salvage mode (undecodable records
-	// are dropped and tallied in Report.Decode instead of aborting),
-	// AnalyzeContext tolerates a trace that fails validation, and a clustering that finds
-	// no phases falls back to a duration-quantile split. Every concession
-	// is itemized in Report.Warnings and flips Report.Degraded.
+	// are dropped and tallied in Report.Decode instead of aborting), a
+	// whole-trace analysis tolerates a trace that fails validation, and
+	// a clustering that finds no phases falls back to a duration-quantile
+	// split. Every concession is itemized in Report.Warnings and flips
+	// Report.Degraded.
 	Lenient bool
 	// StallTimeout fails an analysis whose pipeline makes no progress for
 	// this long with an error wrapping pipeline.ErrStalled (0 disables
@@ -109,6 +110,15 @@ func (o *Options) pipelineConfig() pipeline.Config {
 		StallTimeout:     o.StallTimeout,
 		Logger:           o.Logger,
 	}
+}
+
+// decodeMode is the trace.Mode opts.Lenient selects, for the decoder
+// and for the whole-trace check.
+func (o *Options) decodeMode() trace.Mode {
+	if o.Lenient {
+		return trace.Lenient
+	}
+	return trace.Strict
 }
 
 // clusterConfig is the configuration Reduce clusters and trains with:
@@ -249,9 +259,10 @@ type Report struct {
 	Decode *trace.DecodeStats `json:",omitempty"`
 }
 
-// NoteDecode folds a lenient decode's salvage summary into the report —
-// for batch tools that decoded the trace themselves (ReadFileLenient)
-// before calling Analyze; the streaming path records this automatically.
+// NoteDecode folds a lenient decode's salvage summary into the report,
+// its warnings first. Reduce notes the partials' decodes; a caller that
+// decoded the trace itself (a coordinator splitting an upload, a live
+// session) notes its own.
 func (r *Report) NoteDecode(st trace.DecodeStats) {
 	r.Decode = &st
 	if st.Degraded() {
@@ -270,28 +281,13 @@ func (r *Report) NoteDecode(st trace.DecodeStats) {
 // the client disconnects.
 func AnalyzeContext(ctx context.Context, tr *trace.Trace, opts Options) (*Report, error) {
 	opts.setDefaults()
-	var valWarn string
-	if err := tr.Validate(); err != nil {
-		if !opts.Lenient {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		valWarn = fmt.Sprintf("trace failed validation (%v); analyzing anyway", err)
-	}
 	// One whole-trace shard through the map/reduce algebra — the identity
 	// split, so batch analysis and sharded analysis cannot drift apart.
 	p, err := MapShardContext(ctx, trace.NewTraceSource(tr), WholeSpec(), opts)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := Reduce([]*Partial{p}, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	if valWarn != "" {
-		rep.Warnings = append([]string{valWarn}, rep.Warnings...)
-		rep.Degraded = true
-	}
-	return rep, nil
+	return Reduce([]*Partial{p}, nil, opts)
 }
 
 // failedPhase is the stub slot a panicked phase analysis leaves behind.

@@ -13,8 +13,10 @@ import (
 // Report serializes fold bands (StdErr) and no longer the folded Points
 // or the clustering's Features and Assign. v4: SilhouetteSample 0 samples
 // 256 members per cluster above 4,096 kept bursts, and the clustering
-// records the sample it scored.
-const fingerprintVersion = "v4"
+// records the sample it scored. v5: every whole-trace analysis checks
+// the trace's validity, so a strict invalid trace fails and a lenient
+// one carries the validation warning.
+const fingerprintVersion = "v5"
 
 // Fingerprint canonicalizes the options into a stable string covering
 // exactly the fields that shape the Report — the options half of a

@@ -60,8 +60,10 @@ func TestReportGoldenDigest(t *testing.T) {
 // goldenDigests pins whole Reports for the engine's main paths, keyed
 // by case: exact analysis per app (batch and streaming hash equal),
 // online streaming per app, and salvage of a truncated and a bit-flipped
-// stencil encoding. The cloud digests were recorded when the clouds were
-// still part of the JSON and have not changed since.
+// stencil encoding (streamed, and decoded first then analyzed; the
+// bit-flipped one fails validation). The cloud digests were recorded
+// when the clouds were still part of the JSON and have not changed
+// since.
 var goldenDigests = map[string]golden{
 	"exact/stencil":     {"4c44715366cca2c96f96e2674dd2e15a234c885109d83ea443a569785a0eda50", "acc35ee009e5d4d5dbdf27bea13fa148ded355daf1422e9413779ae9046e8c73"},
 	"exact/nbody":       {"e10f8b44612d8f1705771fc8f14ca098eb3538157eb4cf212cb76e453deddb8d", "a18ac25a71c7de2cb60631afc1bd11e128e2e7ea5db3841951d77ebe0648c2ad"},
@@ -72,7 +74,7 @@ var goldenDigests = map[string]golden{
 	"online/cg":         {"0a97b8ca8b4d596ce21f92376dd744ed6be19dbb79879027d13daaf9e803f1d1", "fe2379c15a85a2859c090a8abd497be596620f8150ee030188fa546170e833fa"},
 	"online/wavefront":  {"1003a102bd763bcaf68061e26f65abd5758e8716c34970dcc000e337d9cb5d85", "564efe922f3c4e78acd55cf0843ef55accac905aee8fb55e50d362d1cd90fd40"},
 	"lenient/truncated": {"4525fdd79face8c6bc9ff006dbd78cd81b7329c08b4361af9a6c50824e5fd86c", "c884cba9386b58b9825b7e0b46961b2ff5906ce287f3168bd74d79bd3bc8dfcc"},
-	"lenient/bitflip":   {"8c80c4de39cec21a32796a90c7bc029a2c6c298b100bf6ce1f3fc14b60b04858", "acc35ee009e5d4d5dbdf27bea13fa148ded355daf1422e9413779ae9046e8c73"},
+	"lenient/bitflip":   {"dd5055ddb2a231e73d8c39af27a49514556c2c5862af7a543ea822534ecd2ef7", "acc35ee009e5d4d5dbdf27bea13fa148ded355daf1422e9413779ae9046e8c73"},
 }
 
 // checkGolden checks rep against want, and that its JSON decodes back to
@@ -191,6 +193,15 @@ func TestReportGoldenDigestTable(t *testing.T) {
 		"lenient/bitflip":   flip,
 	} {
 		rep, err := AnalyzeStreamContext(ctx, bytes.NewReader(data), Options{Lenient: true})
+		check(t, name, rep, err)
+		tr, st, err := trace.ReadFromLenient(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err = AnalyzeContext(ctx, tr, Options{Lenient: true})
+		if err == nil {
+			rep.NoteDecode(st)
+		}
 		check(t, name, rep, err)
 	}
 }

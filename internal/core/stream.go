@@ -58,11 +58,7 @@ func openStream(ctx context.Context, r io.Reader, opts Options) (*trace.StreamRe
 	if ctx.Done() != nil {
 		r = &ctxReader{ctx: ctx, r: r}
 	}
-	mode := trace.Strict
-	if opts.Lenient {
-		mode = trace.Lenient
-	}
-	sr, err := trace.NewStreamReaderSize(r, size, mode)
+	sr, err := trace.NewStreamReaderSize(r, size, opts.decodeMode())
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("core: %w", cerr)

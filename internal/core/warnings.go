@@ -41,3 +41,10 @@ func BoundWarnings(ws []string) []string {
 	}
 	return out
 }
+
+// ValidationWarning is the warning a lenient whole-trace analysis
+// carries for a trace that fails validation, err being the first
+// violation; it follows the decode-salvage warnings.
+func ValidationWarning(err error) string {
+	return fmt.Sprintf("trace failed validation (%v); analyzing anyway", err)
+}

@@ -357,15 +357,22 @@ func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDiges
 	if err != nil {
 		return nil, false, err
 	}
+	// No shard of a split sees the whole trace, so the coordinator checks
+	// the decoded upload, as a single daemon's whole-trace run would. A
+	// trace without a rank cannot be analyzed even leniently. A one-shard
+	// split is a whole-trace run on its worker, whose partial carries
+	// the lenient warning itself.
+	co := s.coord
 	var valWarn string
 	if err := tr.Validate(); err != nil {
-		if !opts.Lenient {
+		if !opts.Lenient || tr.Meta.Validate() != nil {
 			return nil, false, &statusError{code: http.StatusBadRequest, msg: err.Error()}
 		}
-		valWarn = fmt.Sprintf("trace failed validation (%v); analyzing anyway", err)
+		if co.shards > 1 {
+			valWarn = core.ValidationWarning(err)
+		}
 	}
 
-	co := s.coord
 	shards := core.Split(tr, co.shards)
 	parts := make([]*core.Partial, len(shards))
 	shardWarns := make([]string, len(shards))
@@ -408,12 +415,14 @@ func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDiges
 			rep.Degraded = true
 		}
 	}
-	if opts.Lenient {
-		rep.NoteDecode(st)
-	}
+	// The validation warning goes first, and the decode warnings NoteDecode
+	// puts ahead of it, in the order of a single daemon's report.
 	if valWarn != "" {
 		rep.Warnings = append([]string{valWarn}, rep.Warnings...)
 		rep.Degraded = true
+	}
+	if opts.Lenient {
+		rep.NoteDecode(st)
 	}
 	s.recordReport(rep)
 	s.cfg.Logger.Info("coordinated analysis done", "app", rep.App,

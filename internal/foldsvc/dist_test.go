@@ -226,6 +226,105 @@ func TestDistDegradedShard(t *testing.T) {
 	}
 }
 
+// shortTrace is a stencil trace whose declared duration ends 1 ns
+// before its last event: it breaks Trace.Validate, and its records
+// still analyze.
+func shortTrace(t *testing.T) []byte {
+	t.Helper()
+	tr, _ := genTrace(t, 4, 40)
+	tr.Meta.Duration = tr.Events[len(tr.Events)-1].Time - 1
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// postStatus posts enc to url and returns the status and body.
+func postStatus(t *testing.T, url string, enc []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestDistInvalidTraceLikeSingleDaemon: a coordinator answers an upload
+// that fails validation as a single daemon does, with one shard or
+// several. Strict, all answer 400; lenient, all give the same report,
+// carrying the validation warning once, after the salvage lines.
+func TestDistInvalidTraceLikeSingleDaemon(t *testing.T) {
+	enc := shortTrace(t)
+	workers := newWorkerFarm(t, 2)
+	daemons := map[string]*httptest.Server{
+		"single":   httptest.NewServer(NewServer(Config{})),
+		"1 shard":  httptest.NewServer(NewServer(Config{Workers: workers, Shards: 1})),
+		"2 shards": httptest.NewServer(NewServer(Config{Workers: workers, Shards: 2})),
+	}
+	for _, d := range daemons {
+		defer d.Close()
+	}
+
+	var single map[string]any
+	for _, name := range []string{"single", "1 shard", "2 shards"} {
+		url := daemons[name].URL + "/v1/analyze?nocache=1"
+		if code, body := postStatus(t, url, enc); code != http.StatusBadRequest {
+			t.Errorf("%s strict: status %d (%s), want 400", name, code, bytes.TrimSpace(body))
+		}
+		code, body := postStatus(t, url+"&lenient=1", enc)
+		if code != http.StatusOK {
+			t.Fatalf("%s lenient: status %d: %s", name, code, body)
+		}
+		var rep core.Report
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		n, at := 0, -1
+		for i, w := range rep.Warnings {
+			if strings.HasPrefix(w, "trace failed validation") {
+				n, at = n+1, i
+			}
+		}
+		if salvage := len(rep.Decode.Warnings()); n != 1 || at != salvage {
+			t.Errorf("%s lenient: warnings %q; want one validation warning after %d salvage lines", name, rep.Warnings, salvage)
+		}
+		if name == "single" {
+			single = asGeneric(t, body)
+		} else if got := asGeneric(t, body); !reflect.DeepEqual(got, single) {
+			for k := range single {
+				if !reflect.DeepEqual(got[k], single[k]) {
+					t.Errorf("%s lenient: report field %s differs from the single daemon's", name, k)
+				}
+			}
+		}
+	}
+}
+
+// TestDistRanklessUpload400: nothing analyzes without a rank, so a
+// coordinator refuses an upload whose metadata declares none with 400,
+// strict or lenient, as a single daemon does.
+func TestDistRanklessUpload400(t *testing.T) {
+	tr, _ := genTrace(t, 2, 20)
+	tr.Meta.Ranks = 0
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(NewServer(Config{Workers: newWorkerFarm(t, 2), Shards: 2}))
+	defer coord.Close()
+	for _, q := range []string{"?nocache=1", "?nocache=1&lenient=1"} {
+		if code, body := postStatus(t, coord.URL+"/v1/analyze"+q, buf.Bytes()); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", q, code, bytes.TrimSpace(body))
+		}
+	}
+}
+
 // TestPartialRouteRejects locks the /v1/partial input contract.
 func TestPartialRouteRejects(t *testing.T) {
 	_, enc := genTrace(t, 2, 20)

@@ -174,6 +174,22 @@ func TestAnalyzeInvalidTrace400(t *testing.T) {
 	}
 }
 
+// TestAnalyzeValidatesTrace: a strict single daemon checks a whole
+// trace's validity as it streams, and answers 400 to one whose last
+// event is past its declared duration.
+func TestAnalyzeValidatesTrace(t *testing.T) {
+	enc := shortTrace(t)
+	s := NewServer(Config{})
+	for _, url := range []string{"/v1/analyze?nocache=1", "/v1/partial"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(enc)))
+		if body := strings.TrimSpace(rec.Body.String()); rec.Code != http.StatusBadRequest ||
+			!strings.Contains(body, "after duration") {
+			t.Errorf("%s: status %d (%s), want 400 naming the late event", url, rec.Code, body)
+		}
+	}
+}
+
 func TestAnalyzeOversizedUpload413(t *testing.T) {
 	_, enc := genTrace(t, 2, 20)
 	srv := httptest.NewServer(NewServer(Config{MaxBody: 1024}))

@@ -73,10 +73,10 @@ type Config struct {
 	Resume bool
 	// Lenient enables degraded-mode analysis: when an online run's
 	// classifier cannot be trained, a duration-quantile fallback split
-	// keeps the run useful (recorded in Outcome.Warnings).
-	// The decode stage also collects salvage stats from a lenient
-	// trace.StreamReader source into Outcome.Decode. It does not change
-	// how a strict source decodes — pass a Lenient-mode reader for that.
+	// keeps the run useful (recorded in Outcome.Warnings). It does not
+	// change how the source decodes — pass a Lenient-mode reader for
+	// that; the decode stage collects a lenient reader's salvage stats
+	// into Outcome.Decode either way.
 	Lenient bool
 	// StallTimeout arms a watchdog that fails the run with an error
 	// wrapping ErrStalled when no stage makes progress for this long
@@ -185,7 +185,7 @@ type Outcome struct {
 	// Stages carries the per-stage metrics of the run.
 	Stages []Metrics
 	// Decode summarizes what a lenient (salvage) decode dropped; nil when
-	// the source was not a lenient trace.StreamReader.
+	// the source was not a lenient trace.StreamReader (bare or checked).
 	Decode *trace.DecodeStats
 	// Warnings itemizes every degraded-mode concession the run made (the
 	// online-training fallback); decode-level warnings are derived from
@@ -344,6 +344,13 @@ func (a *analysis) putBlock(blk *block) {
 	}
 }
 
+// decoder is a source that decodes an encoding (a trace.StreamReader,
+// bare or checked): it reports the bytes it read and a lenient decode's
+// salvage.
+type decoder interface {
+	Decoded() (int64, *trace.DecodeStats)
+}
+
 // decodeStage pumps the source into pooled column blocks: a
 // StreamReader decodes straight into the columns, a TraceSource copies
 // its slices into them.
@@ -367,12 +374,8 @@ func (a *analysis) decodeStage(p *Pipeline, src trace.Source) <-chan *block {
 			// io.EOF cause (truncation inside a record) and must still abort
 			// a strict run.
 			if err == io.EOF {
-				if sr, ok := src.(*trace.StreamReader); ok {
-					m.Bytes = sr.BytesRead()
-					if sr.Mode() == trace.Lenient {
-						st := sr.Stats()
-						a.decode = &st
-					}
+				if d, ok := src.(decoder); ok {
+					m.Bytes, a.decode = d.Decoded()
 				}
 				return nil
 			}

@@ -16,10 +16,38 @@ import (
 // input that decodes successfully re-encodes and re-decodes to the same
 // trace — the decoder accepts nothing the encoder cannot reproduce.
 //
-// The seed corpus is built from the same Builder the example generators
-// use: a fully featured small trace (all three record kinds, counters,
-// stacks), an empty trace, and a corrupt-count header.
+// The seed corpus is the decoder corpus (addDecoderSeeds).
 func FuzzReadFrom(f *testing.F) {
+	addDecoderSeeds(f)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadFrom(bytes.NewReader(data))
+		if err != nil {
+			return // malformed input rejected cleanly
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatalf("decoded trace failed to re-encode: %v", err)
+		}
+		tr2, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(tr.Meta, tr2.Meta) ||
+			!reflect.DeepEqual(tr.Events, tr2.Events) ||
+			!reflect.DeepEqual(tr.Samples, tr2.Samples) ||
+			!reflect.DeepEqual(tr.Comms, tr2.Comms) {
+			t.Fatal("decode → encode → decode is not a fixed point")
+		}
+	})
+}
+
+// addDecoderSeeds seeds f with the decoder corpus, built from the same
+// Builder the example generators use: a fully featured small trace (all
+// three record kinds, counters, stacks), an empty trace, a corrupt-count
+// header and the damaged shapes of addDamagedSeeds. It returns the
+// featured trace.
+func addDecoderSeeds(f *testing.F) *Trace {
 	seed := func(tr *Trace) {
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
@@ -56,27 +84,77 @@ func FuzzReadFrom(f *testing.F) {
 	f.Add(append(raw[:len(raw)-3], 0xff, 0xff, 0xff, 0xff, 0x0f))
 
 	addDamagedSeeds(f, featured)
+	return featured
+}
+
+// FuzzCheckedMatchesValidate fuzzes the two drivers of Validate's
+// checker against each other. For every input that strict ReadFrom
+// decodes, Trace.Validate on the decoded trace and Checked over a
+// StreamReader of the same bytes, read to the end in blocks of several
+// capacities, must give the same error text, or both none: a strict
+// check ends the stream with it, a lenient one reports it from Err once
+// the stream has ended. The corpus is the decoder corpus plus the
+// featured trace broken by several of Validate's rules.
+func FuzzCheckedMatchesValidate(f *testing.F) {
+	featured := addDecoderSeeds(f)
+	for _, edit := range []func(tr *Trace){
+		func(tr *Trace) { tr.Meta.Duration-- },
+		func(tr *Trace) { tr.Events[1].Value = 0 },
+		func(tr *Trace) { tr.Events[3].Counters[1] = 99 },
+		func(tr *Trace) { tr.Samples[1].Rank = 0 },
+		func(tr *Trace) { tr.Comms[0].Size = -1 },
+	} {
+		tr := *featured
+		tr.Events = append([]Event(nil), featured.Events...)
+		tr.Samples = append([]Sample(nil), featured.Samples...)
+		tr.Comms = append([]Comm(nil), featured.Comms...)
+		edit(&tr)
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadFrom(bytes.NewReader(data))
 		if err != nil {
-			return // malformed input rejected cleanly
+			return
 		}
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Fatalf("decoded trace failed to re-encode: %v", err)
-		}
-		tr2, err := ReadFrom(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded trace failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(tr.Meta, tr2.Meta) ||
-			!reflect.DeepEqual(tr.Events, tr2.Events) ||
-			!reflect.DeepEqual(tr.Samples, tr2.Samples) ||
-			!reflect.DeepEqual(tr.Comms, tr2.Comms) {
-			t.Fatal("decode → encode → decode is not a fixed point")
+		want := errText(tr.Validate())
+		for _, mode := range []Mode{Strict, Lenient} {
+			for _, capacity := range []int{1, 7, 256} {
+				sr, err := NewStreamReader(bytes.NewReader(data))
+				if err != nil {
+					t.Fatalf("ReadFrom decoded what NewStreamReader refuses: %v", err)
+				}
+				src := Checked(sr, mode)
+				blk := NewColBlock(capacity)
+				var end error
+				for end == nil {
+					end = src.NextBlock(blk)
+				}
+				blk.Release()
+				got := src.Err()
+				if mode == Strict && end != io.EOF && end != got {
+					t.Fatalf("strict check ended the stream with %v, not its violation %v", end, got)
+				}
+				if mode == Lenient && end != io.EOF {
+					t.Fatalf("lenient check ended the stream with %v", end)
+				}
+				if errText(got) != want {
+					t.Fatalf("%v check, capacity %d: %q; Validate: %q", mode, capacity, errText(got), want)
+				}
+			}
 		}
 	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // addDamagedSeeds seeds the corpus with realistic fault shapes: the
@@ -195,7 +273,7 @@ func oracleDecode(r io.Reader, mode Mode) decodeOutcome {
 		}
 		out.records = append(out.records, normRecord(&rec))
 	}
-	out.read, out.stats = sr.BytesRead(), sr.Stats()
+	out.read, out.stats = sr.BytesRead(), sr.stats
 	return out
 }
 
@@ -239,7 +317,7 @@ func blockDecode(t *testing.T, r io.Reader, mode Mode, capacity int) decodeOutco
 			t.Fatal("NextBlock returned an empty block without an error")
 		}
 	}
-	out.read, out.stats = sr.BytesRead(), sr.Stats()
+	out.read, out.stats = sr.BytesRead(), sr.stats
 	return out
 }
 

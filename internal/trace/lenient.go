@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"os"
 )
 
 // Mode selects how a StreamReader reacts to malformed input. The
@@ -96,13 +95,6 @@ func (st DecodeStats) Warnings() []string {
 	return w
 }
 
-// Mode returns the reader's decode mode.
-func (sr *StreamReader) Mode() Mode { return sr.mode }
-
-// Stats returns the salvage tally so far. It is complete once Next has
-// returned io.EOF; a Strict reader always reports a zero value.
-func (sr *StreamReader) Stats() DecodeStats { return sr.stats }
-
 // badRecord is a record-level decode failure. Its message is identical
 // to the historical fmt.Errorf("%w: ...", ErrBadFormat, ...) wrapping,
 // but it additionally exposes the underlying I/O cause so the lenient
@@ -146,17 +138,7 @@ func ReadFromLenient(r io.Reader) (*Trace, DecodeStats, error) {
 	}
 	tr, err := readAll(sr)
 	if err != nil {
-		return nil, sr.Stats(), err
+		return nil, sr.stats, err
 	}
-	return tr, sr.Stats(), nil
-}
-
-// ReadFileLenient is ReadFromLenient over a file.
-func ReadFileLenient(path string) (*Trace, DecodeStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, DecodeStats{}, err
-	}
-	defer f.Close()
-	return ReadFromLenient(f)
+	return tr, sr.stats, nil
 }

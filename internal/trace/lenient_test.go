@@ -206,8 +206,8 @@ func TestLenientStreamReaderEOFSticky(t *testing.T) {
 	if err := sr.NextBlock(blk); err != io.EOF {
 		t.Fatalf("EOF not sticky: %v", err)
 	}
-	if !sr.Stats().Truncated {
-		t.Fatalf("stats %+v missing Truncated", sr.Stats())
+	if !sr.stats.Truncated {
+		t.Fatalf("stats %+v missing Truncated", sr.stats)
 	}
 }
 

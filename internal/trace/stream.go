@@ -42,7 +42,8 @@ func (k Kind) String() string {
 // (events, then samples, then comms, each time-sorted). It is the
 // record-stream interface the analysis pipeline consumes, implemented by
 // both the in-memory TraceSource and the decoding StreamReader, so batch
-// and streaming analysis share one input contract.
+// and streaming analysis share one input contract; Checked wraps either
+// in Trace.Validate's rules.
 type Source interface {
 	// Meta returns the stream's metadata, available before any record.
 	Meta() *Metadata
@@ -243,6 +244,17 @@ func (sr *StreamReader) Meta() *Metadata { return &sr.meta }
 // (excluding readahead still buffered).
 func (sr *StreamReader) BytesRead() int64 {
 	return sr.cr.n - int64(sr.br.Buffered())
+}
+
+// Decoded reports, once NextBlock has returned io.EOF, how many input
+// bytes the decode consumed and, in Lenient mode, what it salvaged (nil
+// in Strict mode, which salvages nothing).
+func (sr *StreamReader) Decoded() (int64, *DecodeStats) {
+	if sr.mode != Lenient {
+		return sr.BytesRead(), nil
+	}
+	st := sr.stats
+	return sr.BytesRead(), &st
 }
 
 // remaining returns how many input bytes are left, or -1 when the total

@@ -284,17 +284,19 @@ func unzigzag(ux uint64) int64 {
 // plausibleRow applies the semantic fences of lenient mode to row j:
 // ranks must be inside the metadata's range, timestamps must not pass
 // the declared duration, and the section's (time, rank) sort order must
-// hold. These are the invariants Trace.Validate demands, checked row by
-// row so a corrupt-but-decodable record is dropped instead of poisoning
-// analysis. prevTime is the delta base before the row was decoded, i.e.
-// the previous accepted row's timestamp.
+// hold. These are the row-local rules of Trace.Validate (sharing its
+// predicates), checked row by row so a corrupt-but-decodable record is
+// dropped instead of poisoning analysis; a metadata rank count or
+// duration that is not positive fences nothing. prevTime is the delta
+// base before the row was decoded, i.e. the previous accepted row's
+// timestamp.
 func (sr *StreamReader) plausibleRow(b *ColBlock, j int, prevTime Time) bool {
 	ranks := int32(sr.meta.Ranks)
 	end := sr.meta.Duration
 	rank, t := b.Ranks[j], Time(b.Times[j])
 	if sr.kind == KindComm {
 		dst, recv := b.Dsts[j], Time(b.Recvs[j])
-		if ranks > 0 && (rank < 0 || rank >= ranks || dst < 0 || dst >= ranks) {
+		if ranks > 0 && !(rankOK(rank, ranks) && rankOK(dst, ranks)) {
 			return false
 		}
 		if recv < t || b.Sizes[j] < 0 {
@@ -302,13 +304,13 @@ func (sr *StreamReader) plausibleRow(b *ColBlock, j int, prevTime Time) bool {
 		}
 		return end <= 0 || (t <= end && recv <= end)
 	}
-	if ranks > 0 && (rank < 0 || rank >= ranks) {
+	if ranks > 0 && !rankOK(rank, ranks) {
 		return false
 	}
 	if end > 0 && t > end {
 		return false
 	}
-	return t != prevTime || sr.idx <= 1 || rank >= sr.prevRank
+	return sr.idx <= 1 || !sortsBefore(t, rank, prevTime, sr.prevRank)
 }
 
 // readEventCols decodes one event into b's columns byte by byte through
