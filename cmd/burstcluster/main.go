@@ -56,15 +56,16 @@ func main() {
 }
 
 // run streams the trace read from r through the pipeline's map half
-// (no samples: the burst path is all this tool needs), clusters the
-// kept bursts and prints the structure to w; a non-empty scatter names
-// the TSV to write the burst scatter to.
+// (no samples: the burst path is all this tool needs), checking it as
+// every whole-trace analysis does, clusters the kept bursts and prints
+// the structure to w; a non-empty scatter names the TSV to write the
+// burst scatter to.
 func run(w io.Writer, r io.Reader, minDur trace.Time, ccfg cluster.Config, scatter string) error {
 	sr, err := trace.NewStreamReader(r)
 	if err != nil {
 		return err
 	}
-	out, err := pipeline.RunContext(context.Background(), sr, pipeline.Config{
+	out, err := pipeline.RunContext(context.Background(), trace.Checked(sr, trace.Strict), pipeline.Config{
 		MinBurstDuration: minDur,
 		NoSamples:        true,
 	})

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -69,5 +70,32 @@ func TestRunMatchesBatchClustering(t *testing.T) {
 	head := fmt.Sprintf("stencil: %d bursts (%d filtered,", len(all), len(all)-len(kept))
 	if out := fromFile.String(); !strings.HasPrefix(out, head) || !strings.Contains(out, fmt.Sprintf(", K=%d,", res.K)) {
 		t.Errorf("output does not report %q and K=%d:\n%s", head, res.K, out)
+	}
+}
+
+// TestRunRejectsInvalidTrace runs the tool on stencil 4×30 whose
+// declared duration ends 1 ns before its last event. Like every
+// whole-trace analysis it must fail with Validate's error.
+func TestRunRejectsInvalidTrace(t *testing.T) {
+	app, err := apps.ByName("stencil", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.Run(apps.DefaultTraceConfig(4), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Meta.Duration = tr.Events[len(tr.Events)-1].Time - 1
+	want := tr.Validate()
+	if want == nil {
+		t.Fatal("the shortened trace validates")
+	}
+	var enc bytes.Buffer
+	if err := tr.Write(&enc); err != nil {
+		t.Fatal(err)
+	}
+	err = run(io.Discard, &enc, 50_000, cluster.Config{MinPts: 4, UseIPC: true}, "")
+	if !errors.Is(err, trace.ErrInvalid) || err.Error() != want.Error() {
+		t.Fatalf("run = %v, want %v", err, want)
 	}
 }

@@ -64,10 +64,12 @@
 //
 // Robustness: uploads beyond -max-body get 413; more than -jobs
 // concurrent analyses get 429 with Retry-After; every request is
-// panic-recovered; a cancelled client or an expired -deadline stops the
-// analysis pipeline mid-stream; an upload that goes quiet for -stall
-// without disconnecting gets 408; SIGINT/SIGTERM drain in-flight
-// requests for up to -drain before the process exits.
+// panic-recovered; a cancelled client stops the analysis pipeline
+// mid-stream; a request past -deadline, upload included, gets 504; an
+// upload that sends nothing for -stall without disconnecting gets 408
+// (its blocked read times out, so analysis time never counts);
+// SIGINT/SIGTERM drain in-flight requests for up to -drain before the
+// process exits.
 package main
 
 import (
@@ -92,8 +94,8 @@ func main() {
 		jobs     = flag.Int("jobs", 0, "max concurrent analyses before 429 backpressure (0 = GOMAXPROCS)")
 		par      = flag.Int("parallel", 0, "default per-analysis worker count (0 = all cores); requests override with ?parallel=")
 		maxBody  = flag.Int64("max-body", 256<<20, "max uploaded trace size in bytes (413 beyond)")
-		deadline = flag.Duration("deadline", 0, "per-request analysis deadline (0 = none)")
-		stall    = flag.Duration("stall", 0, "fail an analysis whose pipeline makes no progress for this long (408; 0 disables the watchdog)")
+		deadline = flag.Duration("deadline", 0, "per-request deadline, upload included (504; 0 = none)")
+		stall    = flag.Duration("stall", 0, "answer 408 to an upload that sends nothing for this long (0 = no limit)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget for in-flight requests")
 		pathRoot = flag.String("path-root", "", "directory ?path= trace references resolve under (empty disables local-path analysis)")
 		cacheMax = flag.Int64("cache-max-bytes", 256<<20, "in-memory result-cache budget in bytes (0 disables caching)")

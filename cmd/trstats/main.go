@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/burst"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/structure"
@@ -56,7 +57,9 @@ func main() {
 
 // run streams the trace read from r through the pipeline's map half,
 // skipping sample attachment (this tool never needs the samples), and
-// prints the first look to w.
+// prints the first look to w. The trace is checked as it streams, like
+// every whole-trace analysis: strict fails on the first violation, and
+// lenient reports it after the salvage warnings.
 func run(w io.Writer, r io.Reader, minDur trace.Time, lenient bool) error {
 	mode := trace.Strict
 	if lenient {
@@ -66,16 +69,22 @@ func run(w io.Writer, r io.Reader, minDur trace.Time, lenient bool) error {
 	if err != nil {
 		return err
 	}
-	out, err := pipeline.RunContext(context.Background(), sr, pipeline.Config{
+	chk := trace.Checked(sr, mode)
+	out, err := pipeline.RunContext(context.Background(), chk, pipeline.Config{
 		MinBurstDuration: minDur,
 		NoSamples:        true,
 	})
 	if err != nil {
 		return err
 	}
+	var warns []string
 	if out.Decode != nil {
-		printSalvage(w, *out.Decode)
+		warns = out.Decode.Warnings()
 	}
+	if err := chk.Err(); err != nil {
+		warns = append(warns, core.ValidationWarning(err))
+	}
+	printDegraded(w, warns)
 	fmt.Fprintf(w, "%s: %d ranks, %.3f s, %d events, %d samples, %d comms\n\n",
 		out.Meta.App, out.Meta.Ranks, float64(out.Meta.Duration)/1e9,
 		out.Records.Events, out.Records.Samples, out.Records.Comms)
@@ -103,13 +112,14 @@ func run(w io.Writer, r io.Reader, minDur trace.Time, lenient bool) error {
 	return nil
 }
 
-// printSalvage reports what a lenient decode had to drop.
-func printSalvage(w io.Writer, st trace.DecodeStats) {
-	if !st.Degraded() {
+// printDegraded reports a lenient run's concessions, the decode
+// salvage's first and then a failed validation, as fold does.
+func printDegraded(w io.Writer, warns []string) {
+	if len(warns) == 0 {
 		return
 	}
-	fmt.Fprintln(w, "DEGRADED trace — salvage decoding made concessions:")
-	for _, warn := range st.Warnings() {
+	fmt.Fprintln(w, "DEGRADED trace — results carry concessions:")
+	for _, warn := range warns {
 		fmt.Fprintln(w, "  !", warn)
 	}
 	fmt.Fprintln(w)

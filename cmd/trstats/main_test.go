@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/burst"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -68,5 +70,57 @@ func TestRunMatchesBatchStructure(t *testing.T) {
 	want := fmt.Sprintf("\n%d bursts in %d phases; repetition structure:\n", len(kept), res.K)
 	if out := fromFile.String(); !strings.Contains(out, want) {
 		t.Errorf("output does not report %q:\n%s", strings.TrimSpace(want), out)
+	}
+}
+
+// TestRunChecksTrace runs the tool on stencil 4×30 whose declared
+// duration ends 1 ns before its last event. Like every whole-trace
+// analysis, a strict run must fail with Validate's error, and a lenient
+// one must print the validation warning after the salvage warnings.
+func TestRunChecksTrace(t *testing.T) {
+	app, err := apps.ByName("stencil", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sim.Run(apps.DefaultTraceConfig(4), app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Meta.Duration = tr.Events[len(tr.Events)-1].Time - 1
+	want := tr.Validate()
+	if want == nil {
+		t.Fatal("the shortened trace validates")
+	}
+	var enc bytes.Buffer
+	if err := tr.Write(&enc); err != nil {
+		t.Fatal(err)
+	}
+
+	err = run(io.Discard, bytes.NewReader(enc.Bytes()), 50_000, false)
+	if !errors.Is(err, trace.ErrInvalid) || err.Error() != want.Error() {
+		t.Fatalf("strict run = %v, want %v", err, want)
+	}
+
+	var out bytes.Buffer
+	if err := run(&out, bytes.NewReader(enc.Bytes()), 50_000, true); err != nil {
+		t.Fatal(err)
+	}
+	// Lenient decoding drops the event past the duration, so the check
+	// sees the salvaged records, as fold -lenient's does.
+	salvaged, st, err := trace.ReadFromLenient(bytes.NewReader(enc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verr := salvaged.Validate()
+	if verr == nil {
+		t.Fatal("the salvaged trace validates")
+	}
+	var head strings.Builder
+	head.WriteString("DEGRADED trace — results carry concessions:\n")
+	for _, w := range append(st.Warnings(), core.ValidationWarning(verr)) {
+		head.WriteString("  ! " + w + "\n")
+	}
+	if got := out.String(); !strings.HasPrefix(got, head.String()) {
+		t.Fatalf("lenient output does not open with\n%s\ngot:\n%s", head.String(), got)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"log/slog"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/burst"
 	"repro/internal/cluster"
@@ -63,13 +62,6 @@ type Options struct {
 	// split. Every concession is itemized in Report.Warnings and flips
 	// Report.Degraded.
 	Lenient bool
-	// StallTimeout fails an analysis whose pipeline makes no progress for
-	// this long with an error wrapping pipeline.ErrStalled (0 disables
-	// the watchdog). It guards services against uploads that go quiet
-	// without disconnecting; size it well above the longest pause
-	// between blocks expected for the trace sizes served (the sort of
-	// the kept bursts at the end of the event section, online training).
-	StallTimeout time.Duration
 	// Logger receives live structured progress from the analysis —
 	// per-stage completions at debug level, clustering and training
 	// outcomes at info level — so a service can observe a run before the
@@ -107,7 +99,6 @@ func (o *Options) pipelineConfig() pipeline.Config {
 		Online:           o.Stream.Online,
 		TrainBursts:      o.Stream.TrainBursts,
 		Lenient:          o.Lenient,
-		StallTimeout:     o.StallTimeout,
 		Logger:           o.Logger,
 	}
 }

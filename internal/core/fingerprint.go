@@ -27,9 +27,9 @@ const fingerprintVersion = "v5"
 //
 // Result-invariant knobs are deliberately excluded so equivalent
 // requests share one cache entry: Parallelism (TestAnalyzeParallelDeterminism),
-// Cluster.Parallelism, Cluster.Index (exact either way), StallTimeout,
-// Logger, Cluster.Logger, Fold.Counter (Counters selects what is folded)
-// and Cluster.UseIPC (setDefaults forces it). Lenient IS included —
+// Cluster.Parallelism, Cluster.Index (exact either way), Logger,
+// Cluster.Logger, Fold.Counter (Counters selects what is folded) and
+// Cluster.UseIPC (setDefaults forces it). Lenient IS included —
 // salvage decoding changes what a damaged trace analyzes to, so strict
 // and lenient results must never share an entry.
 //

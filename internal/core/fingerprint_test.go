@@ -17,7 +17,6 @@ var resultInvariant = map[string]bool{
 	"Cluster.Parallelism": true,
 	"Cluster.Index":       true,
 	"Cluster.Logger":      true,
-	"StallTimeout":        true,
 	"Logger":              true,
 	"Fold.Counter":        true,
 	"Cluster.UseIPC":      true,

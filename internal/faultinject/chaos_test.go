@@ -15,6 +15,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/diff"
 	"repro/internal/faultinject"
 	"repro/internal/foldsvc"
-	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -374,21 +374,61 @@ func TestChaosCoordinatorWorkerFaults(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestChaosStallWatchdog(t *testing.T) {
+// TestChaosUploadStall sends a single daemon and a coordinator, both
+// with Config.Stall set, an upload that goes quiet halfway without
+// disconnecting. Each must answer 408 and stay healthy, holding no job
+// slot.
+func TestChaosUploadStall(t *testing.T) {
 	enc := encodedTrace(t)
-	sr := faultinject.Stall(bytes.NewReader(enc), int64(len(enc))/2)
-	defer sr.Release()
-	rep, err := hangGuard(t, func() (*core.Report, error) {
-		return core.AnalyzeStreamContext(context.Background(), sr, core.Options{
-			Lenient:      true,
-			StallTimeout: 200 * time.Millisecond,
+	worker := httptest.NewServer(foldsvc.NewServer(foldsvc.Config{Jobs: 4}))
+	defer worker.Close()
+
+	const stall = 200 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		cfg  foldsvc.Config
+	}{
+		{"daemon", foldsvc.Config{Stall: stall}},
+		{"coordinator", foldsvc.Config{Stall: stall, Workers: []string{worker.URL}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(foldsvc.NewServer(tc.cfg))
+			defer srv.Close()
+			sr := faultinject.Stall(bytes.NewReader(enc), int64(len(enc))/2)
+			defer sr.Release()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			// The transport returns only once its body read ends.
+			defer context.AfterFunc(ctx, sr.Release)()
+
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/analyze", sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("stalled upload got no answer: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestTimeout {
+				t.Fatalf("stalled upload: status %d, want 408", resp.StatusCode)
+			}
+
+			resp, err = http.Get(srv.URL + "/healthz")
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("daemon unhealthy after a stalled upload: %v", err)
+			}
+			resp.Body.Close()
+			resp, err = http.Get(srv.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			metrics, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if !strings.Contains(string(metrics), "\nfoldsvc_inflight_jobs 0\n") {
+				t.Errorf("a job slot is still held after the 408:\n%s", metrics)
+			}
 		})
-	})
-	if err == nil {
-		t.Fatalf("stalled stream produced a report: %+v", rep.Records)
-	}
-	if !errors.Is(err, pipeline.ErrStalled) {
-		t.Fatalf("err = %v, want pipeline.ErrStalled", err)
 	}
 }
 

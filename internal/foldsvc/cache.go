@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/rescache"
 	"repro/internal/trace"
 )
@@ -37,75 +36,29 @@ func nocacheRequested(r *http.Request) bool {
 	return err == nil && on
 }
 
-// spoolBody reads the request body to EOF into memory, hashing it on
-// the way — the one buffering pass a cached upload needs (the digest
-// comes for free from the same bytes). The copy runs in a pump
-// goroutine so the handler keeps observing its context (a client that
-// disconnects mid-upload is noticed immediately, preserving the
-// cancellation metrics contract) and the Config.Stall watchdog (an
-// upload that goes quiet without disconnecting still times out to 408,
-// which the pipeline watchdog cannot cover here because it only starts
-// after the spool completes).
-//
-// On the context and stall paths the returned buffer is nil and MUST
-// NOT be reconstructed from closure state: the pump still owns it and
-// only lets go when the server closes the request body. On the
-// read-error path the pump has exited, so the partial buffer and its
-// digest are returned alongside the error for lenient-mode salvage.
-func (s *Server) spoolBody(ctx context.Context, body io.Reader) (*bytes.Buffer, string, error) {
-	dr := trace.NewDigestReader(body)
-	buf := &bytes.Buffer{}
-	done := make(chan error, 1)
-	go func() {
-		_, err := io.Copy(buf, dr)
-		done <- err
-	}()
-
-	var stallC <-chan time.Time
-	if s.cfg.Stall > 0 {
-		t := time.NewTicker(s.cfg.Stall)
-		defer t.Stop()
-		stallC = t.C
-	}
-	var lastN int64
-	for {
-		select {
-		case err := <-done:
-			return buf, dr.Sum(), err
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
-		case <-stallC:
-			n := dr.BytesRead()
-			if n == lastN {
-				return nil, "", fmt.Errorf("upload made no progress for %v: %w",
-					s.cfg.Stall, pipeline.ErrStalled)
-			}
-			lastN = n
-		}
-	}
-}
-
-// spoolUpload spools an upload for analysis and returns its bytes and
-// digest. An upload over the size limit, a cancelled request or a
-// failed read gets its error response written here and ok false —
-// except that with opts.Lenient a failed read salvages the prefix that
-// did arrive, whose digest covers exactly those bytes, so
-// content-addressing stays sound.
-func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, body *limitTrackingReader, src string) (spooled []byte, digest string, ok bool) {
-	buf, sum, err := s.spoolBody(ctx, body)
-	if err != nil {
+// spoolUpload reads an upload to EOF into memory, hashing it on the
+// way — the one buffering pass a cached upload needs — and returns its
+// bytes and digest. An upload over the size limit, a timed-out or
+// cancelled request or a failed read gets its error response written
+// here and ok false — except that with opts.Lenient a read that failed
+// for none of those salvages the prefix that did arrive, whose digest
+// covers exactly those bytes, so content-addressing stays sound.
+func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, up *uploadReader, src string) (spooled []byte, digest string, ok bool) {
+	dr := trace.NewDigestReader(up)
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, dr); err != nil {
 		switch {
-		case body.limit != nil:
-			err = body.limit
+		case up.cause != nil:
+			err = up.cause
 		case ctx.Err() != nil:
 			err = ctx.Err()
-		case opts.Lenient && buf != nil && buf.Len() > 0:
-			return buf.Bytes(), sum, true
+		case opts.Lenient && buf.Len() > 0:
+			return buf.Bytes(), dr.Sum(), true
 		}
 		s.analyzeError(w, r, src, err)
 		return nil, "", false
 	}
-	return buf.Bytes(), sum, true
+	return buf.Bytes(), dr.Sum(), true
 }
 
 // analyze runs the analysis of rd, records the report's metrics and
@@ -144,7 +97,7 @@ func (s *Server) analyzeJSON(ctx context.Context, rd io.Reader, opts core.Option
 // coalesced onto that one run. The cached value is the exact JSON body
 // the streaming path would have written, so hits and misses are
 // byte-identical.
-func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, body *limitTrackingReader, input io.Reader, src string) {
+func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, body *uploadReader, input io.Reader, src string) {
 	var (
 		spooled    []byte
 		fromUpload = src == "upload"
@@ -206,7 +159,7 @@ func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx conte
 // being hashed; if the received bytes do not match the declared
 // digest, the partial is served but never stored (a mislabeled upload
 // must not poison the key).
-func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, spec core.ShardSpec, body *limitTrackingReader, declared string) {
+func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, spec core.ShardSpec, body *uploadReader, declared string) {
 	key := rescache.Key("partial", declared,
 		strconv.Itoa(spec.Count), strconv.Itoa(spec.Index), opts.Fingerprint())
 	data, status, err := s.cache.GetOrCompute(ctx, key, func(cctx context.Context) (rescache.Result, error) {
@@ -233,10 +186,7 @@ func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx conte
 		return rescache.Result{Data: append(out, '\n'), NoStore: dr.Sum() != declared}, nil
 	})
 	if err != nil {
-		if body.limit != nil {
-			err = body.limit
-		}
-		s.analyzeError(w, r, "partial-upload", err)
+		s.analyzeError(w, r, "partial-upload", body.failure(err))
 		return
 	}
 	w.Header().Set("Cache-Status", status.String())

@@ -198,7 +198,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body := &limitTrackingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)}
+	body := s.upload(w, ctx, http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 
 	// When the coordinator declared the shard's content digest, the
 	// result is cacheable; a hit answers without reading the upload.
@@ -211,12 +211,10 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	p, err := core.MapShardStreamContext(ctx, body, spec, opts)
 	if err != nil {
-		if body.limit != nil {
-			err = body.limit
-		}
-		s.analyzeError(w, r, "partial-upload", err)
+		s.analyzeError(w, r, "partial-upload", body.failure(err))
 		return
 	}
+	body.drain()
 	s.reg.Counter("foldsvc_partials_total",
 		"Shard map requests that ran to completion.").Inc()
 	s.cfg.Logger.Info("partial done", "app", p.Meta.App, "shard", spec.Index,
@@ -252,13 +250,10 @@ func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body := &limitTrackingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)}
+	body := s.upload(w, ctx, http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	enc, err := io.ReadAll(body)
 	if err != nil {
-		if body.limit != nil {
-			err = body.limit
-		}
-		s.analyzeError(w, r, "coordinate-upload", err)
+		s.analyzeError(w, r, "coordinate-upload", body.failure(err))
 		return
 	}
 	// Full sha256, shared with rescache keys and disk-tier names — ring

@@ -24,8 +24,8 @@ import (
 // previously analyzed traces costs zero re-analysis. Upload sides share
 // the /v1/analyze cache keys: an upload that was analyzed before
 // resolves as a hit, and a diff upload warms the cache for later
-// /v1/analyze calls. Admission control, body limits, deadlines, stall
-// watchdog and error mapping are identical to /v1/analyze.
+// /v1/analyze calls. Admission control, body limits (one per side),
+// upload timeouts and error mapping are identical to /v1/analyze.
 
 // handleDiff serves POST /v1/diff.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -60,8 +60,15 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 
 	digests := [2]string{q.Get("digest_a"), q.Get("digest_b")}
 	sessRefs := [2]string{q.Get("session_a"), q.Get("session_b")}
-	var parts *multipart.Reader
+	var (
+		body  *uploadReader
+		parts *multipart.Reader
+	)
 	if !(refd("a") && refd("b")) {
+		// Every read of the multipart body, part headers included, goes
+		// through one upload reader.
+		body = s.upload(w, ctx, r.Body)
+		r.Body = io.NopCloser(body)
 		parts, err = r.MultipartReader()
 		if err != nil {
 			s.diffOutcome("error")
@@ -86,7 +93,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		if sessRefs[i] != "" {
 			rep, status, failed = s.resolveDiffSession(w, side, sessRefs[i])
 		} else {
-			rep, status, failed = s.resolveDiffSide(w, r, ctx, opts, side, digests[i], parts)
+			rep, status, failed = s.resolveDiffSide(w, r, ctx, opts, side, digests[i], body, parts)
 		}
 		if failed {
 			s.diffOutcome("error")
@@ -153,11 +160,11 @@ func (s *Server) resolveDiffSession(w http.ResponseWriter, side, id string) (*co
 
 // resolveDiffSide produces one side's Report, either from the result
 // cache (digest reference — zero re-analysis, hard 404 on a cold
-// cache) or by analyzing the next multipart trace upload (sharing
-// /v1/analyze's cache keys). On failure the response has been written
-// and failed is true. status is the Cache-Status header value for the
-// side.
-func (s *Server) resolveDiffSide(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, side, digest string, parts *multipart.Reader) (rep *core.Report, status string, failed bool) {
+// cache) or by analyzing the next multipart trace upload of parts,
+// which reads body (sharing /v1/analyze's cache keys). On failure the
+// response has been written and failed is true. status is the
+// Cache-Status header value for the side.
+func (s *Server) resolveDiffSide(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, side, digest string, body *uploadReader, parts *multipart.Reader) (rep *core.Report, status string, failed bool) {
 	if digest != "" {
 		if s.cache == nil {
 			http.Error(w, "digest references need the result cache (start foldsvc without a negative cache size)",
@@ -180,9 +187,14 @@ func (s *Server) resolveDiffSide(w http.ResponseWriter, r *http.Request, ctx con
 		return rep, rescache.Hit.String(), false
 	}
 
+	src := "diff-upload-" + side
 	part, err := parts.NextPart()
 	if err != nil {
-		http.Error(w, fmt.Sprintf(`missing multipart trace field %q: %v`, side, err), http.StatusBadRequest)
+		if body.cause != nil {
+			s.analyzeError(w, r, src, body.cause)
+		} else {
+			http.Error(w, fmt.Sprintf(`missing multipart trace field %q: %v`, side, err), http.StatusBadRequest)
+		}
 		return nil, "", true
 	}
 	defer part.Close()
@@ -192,9 +204,8 @@ func (s *Server) resolveDiffSide(w http.ResponseWriter, r *http.Request, ctx con
 		return nil, "", true
 	}
 
-	body := &limitTrackingReader{r: http.MaxBytesReader(nil, readCloser{part}, s.cfg.MaxBody)}
-	src := "diff-upload-" + side
-	spooled, sum, ok := s.spoolUpload(w, r, ctx, opts, body, src)
+	upload := s.upload(nil, ctx, http.MaxBytesReader(nil, readCloser{part}, s.cfg.MaxBody))
+	spooled, sum, ok := s.spoolUpload(w, r, ctx, opts, upload, src)
 	if !ok {
 		return nil, "", true
 	}

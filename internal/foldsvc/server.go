@@ -35,7 +35,6 @@ import (
 	"repro/internal/folding"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/pipeline"
 	"repro/internal/rescache"
 	"repro/internal/session"
 	"repro/internal/trace"
@@ -51,12 +50,16 @@ type Config struct {
 	// Parallelism is the per-analysis worker bound (core.Options
 	// Parallelism default for requests that do not set ?parallel=).
 	Parallelism int
-	// Deadline bounds each analysis; 0 means no server-side deadline.
+	// Deadline bounds each analysis request, its upload included: a
+	// request past it is answered 504 and counted under
+	// foldsvc_rejected_total{reason="deadline"}. 0 means no server-side
+	// deadline.
 	Deadline time.Duration
-	// Stall fails an analysis whose pipeline makes no progress for this
-	// long (an upload that went quiet without disconnecting); 0 disables
-	// the watchdog. Stalled requests are answered 408 and counted under
-	// foldsvc_rejected_total{reason="stalled"}.
+	// Stall ends an upload that sends nothing for this long, without
+	// disconnecting: the blocked body read times out, and the request is
+	// answered 408 and counted under
+	// foldsvc_rejected_total{reason="stalled"}. Analysis time does not
+	// count. 0 leaves body reads unbounded.
 	Stall time.Duration
 	// PathRoot, when non-empty, enables ?path= requests for trace files
 	// under this directory; "" disables local-path analysis entirely.
@@ -313,7 +316,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 
-	body := &limitTrackingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)}
+	body := s.upload(w, ctx, http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	input := io.Reader(body)
 	src := "upload"
 	if p := r.URL.Query().Get("path"); p != "" {
@@ -337,14 +340,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	rep, err := s.analyze(ctx, input, opts, src)
 	if err != nil {
-		// Decode errors wrap the underlying read failure as text only,
-		// so a tripped upload limit must be recovered from the reader.
-		if body.limit != nil {
-			err = body.limit
-		}
-		s.analyzeError(w, r, src, err)
+		s.analyzeError(w, r, src, body.failure(err))
 		return
 	}
+	body.drain()
 
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -357,11 +356,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // admit is the admission path the analysis routes share: it refuses a
 // draining daemon (503), takes a job slot (429 when none is free),
 // parses the query's analysis options (400 when they do not parse)
-// with the server's Parallelism, Stall and Logger defaults, and bounds
-// the request's context by Config.Deadline. It returns the writer to
-// answer through (it gives the slot back when the response starts),
-// that context and the options, and done, which releases the slot and
-// the deadline; callers defer it. When admission refuses, the response
+// with the server's Parallelism and Logger defaults, and bounds the
+// request's context, upload included, by Config.Deadline. It returns
+// the writer to answer through (it gives the slot back when the
+// response starts), that context and the options, and done, which
+// releases the slot and the deadline; callers defer it. When admission refuses, the response
 // is written and ok is false; refused, when non-nil, is called on every
 // refusal but a draining one.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, refused func()) (http.ResponseWriter, context.Context, core.Options, func(), bool) {
@@ -386,7 +385,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, refused func()) (
 	if opts.Parallelism == 0 {
 		opts.Parallelism = s.cfg.Parallelism
 	}
-	opts.StallTimeout = s.cfg.Stall
 	opts.Logger = s.cfg.Logger
 
 	ctx, cancel := r.Context(), context.CancelFunc(func() {})
@@ -453,22 +451,94 @@ func (jw *jobWriter) Unwrap() http.ResponseWriter {
 	return jw.ResponseWriter
 }
 
-// limitTrackingReader remembers whether the wrapped http.MaxBytesReader
-// tripped its limit, since decode layers may flatten the error chain.
-type limitTrackingReader struct {
+// errStalled is the cause an upload read records when the client sent
+// nothing for Config.Stall; the route answers 408.
+var errStalled = errors.New("upload stalled")
+
+// uploadReader is how the daemon reads a request body. Before each read
+// it sets the connection's read deadline to whichever comes first of
+// now + Config.Stall and the request's deadline, so an upload that goes
+// quiet ends at the blocked read itself, and the clock runs only while
+// a read waits. A failed read records its cause: the size limit
+// (*http.MaxBytesError), errStalled or context.DeadlineExceeded. That
+// cause outranks the error chain, which decode layers may flatten, and
+// the request context, which net/http cancels when a body read fails.
+type uploadReader struct {
 	r     io.Reader
-	limit *http.MaxBytesError
+	rc    *http.ResponseController // nil: the reads set no deadline
+	stall time.Duration
+	until time.Time // the request's deadline; zero for none
+	// err is the first read error, which every later read returns
+	// without touching the connection: once the body is at EOF, net/http
+	// reads the connection in the background to notice a disconnect, and
+	// a deadline set then would end that read and cancel the request.
+	err   error
+	cause error
 }
 
-func (lt *limitTrackingReader) Read(p []byte) (int, error) {
-	n, err := lt.r.Read(p)
-	if err != nil && lt.limit == nil {
+// upload returns the reader of body, a request body bounded by ctx.
+// With a nil w it sets no deadline, which suits a reader layered over
+// one that does, such as a multipart field's; it still records the
+// causes that reach it. Reads through a writer whose connection cannot
+// take a deadline stay unbounded.
+func (s *Server) upload(w http.ResponseWriter, ctx context.Context, body io.Reader) *uploadReader {
+	u := &uploadReader{r: body, stall: s.cfg.Stall}
+	u.until, _ = ctx.Deadline()
+	if w != nil && (u.stall > 0 || !u.until.IsZero()) {
+		u.rc = http.NewResponseController(w)
+	}
+	return u
+}
+
+func (u *uploadReader) Read(p []byte) (int, error) {
+	if u.err != nil {
+		return 0, u.err
+	}
+	if u.rc != nil {
+		at := u.until
+		if u.stall > 0 {
+			if t := time.Now().Add(u.stall); at.IsZero() || t.Before(at) {
+				at = t
+			}
+		}
+		if u.rc.SetReadDeadline(at) != nil {
+			u.rc = nil // http.ErrNotSupported
+		}
+	}
+	n, err := u.r.Read(p)
+	if err != nil {
+		u.err = err
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			lt.limit = tooBig
+		timedOut := errors.Is(err, os.ErrDeadlineExceeded)
+		switch {
+		case errors.As(err, &tooBig):
+			u.cause = tooBig
+		case timedOut && !u.until.IsZero() && !time.Now().Before(u.until):
+			u.cause = context.DeadlineExceeded
+		case timedOut && u.stall > 0:
+			u.cause = fmt.Errorf("%w: no bytes for %v", errStalled, u.stall)
 		}
 	}
 	return n, err
+}
+
+// drain reads what is left of a body read under deadlines. A decoder
+// stops at the trace's last section, and net/http reads any unread rest
+// before it writes the response, under the deadline the last read set;
+// once that has passed, the connection closes instead of serving the
+// client's next request.
+func (u *uploadReader) drain() {
+	if u.rc != nil {
+		_, _ = io.Copy(io.Discard, u) // a failed read only costs the connection
+	}
+}
+
+// failure is err, or the recorded cause when a read failed for one.
+func (u *uploadReader) failure(err error) error {
+	if u.cause != nil {
+		return u.cause
+	}
+	return err
 }
 
 // reject writes an error response and counts it under
@@ -497,7 +567,7 @@ func (s *Server) analyzeError(w http.ResponseWriter, r *http.Request, src string
 	case errors.Is(err, context.DeadlineExceeded):
 		s.cancelled.Inc()
 		s.reject(w, "deadline", "analysis deadline exceeded", http.StatusGatewayTimeout)
-	case errors.Is(err, pipeline.ErrStalled):
+	case errors.Is(err, errStalled):
 		s.cancelled.Inc()
 		s.reject(w, "stalled", err.Error(), http.StatusRequestTimeout)
 	case errors.Is(err, trace.ErrBadFormat), errors.Is(err, trace.ErrInvalid):

@@ -63,7 +63,6 @@ func (s *Server) newSessionManager() (*session.Manager, error) {
 			if opts.Parallelism == 0 {
 				opts.Parallelism = cfg.Parallelism
 			}
-			opts.StallTimeout = cfg.Stall
 			opts.Logger = cfg.Logger
 			return opts, nil
 		},
@@ -174,16 +173,15 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request, ses
 		}
 		seq = n
 	}
-	chunk, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	// An append has no analysis deadline; only Config.Stall bounds it.
+	body := s.upload(w, r.Context(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	chunk, err := io.ReadAll(body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.reject(w, "body_too_large",
-				fmt.Sprintf("chunk exceeds the %d-byte upload limit", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
+		if body.cause != nil {
+			s.analyzeError(w, r, "session-append", body.cause)
+		} else {
+			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	res, err := sess.Append(r.Context(), chunk, seq)
@@ -196,7 +194,7 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request, ses
 	case errors.Is(err, session.ErrEnded):
 		http.Error(w, err.Error(), http.StatusGone)
 		return
-	case errors.Is(err, session.ErrMismatch), errors.Is(err, trace.ErrBadFormat):
+	case errors.Is(err, session.ErrMismatch), errors.Is(err, trace.ErrBadFormat), errors.Is(err, trace.ErrInvalid):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	case errors.Is(err, context.Canceled):

@@ -236,6 +236,32 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionRanklessAppend400: a chunk whose metadata declares no rank
+// gets 400, like the same upload to /v1/analyze, and the session still
+// takes the valid chunk after it.
+func TestSessionRanklessAppend400(t *testing.T) {
+	tr, enc := genTrace(t, 2, 20)
+	rankless := *tr
+	rankless.Meta.Ranks = 0
+	srv := httptest.NewServer(NewServer(Config{}))
+	defer srv.Close()
+
+	id := openSession(t, srv.URL, "")
+	resp, err := http.Post(srv.URL+"/v1/session/"+id+"/append?seq=1",
+		"application/octet-stream", bytes.NewReader(encodeTrace(t, &rankless)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("rankless append: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if res := appendChunk(t, srv.URL, id, 2, enc); res.Events != len(tr.Events) {
+		t.Fatalf("valid append after the rankless one holds %d events, want %d", res.Events, len(tr.Events))
+	}
+}
+
 // TestSessionSSEResume checks the exactly-once resume contract at the
 // wire level: for every possible Last-Event-ID, the reconnecting
 // consumer receives exactly the snapshots after it — none duplicated,

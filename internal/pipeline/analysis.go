@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
-	"time"
 
 	"repro/internal/burst"
 	"repro/internal/cluster"
@@ -78,11 +77,6 @@ type Config struct {
 	// that; the decode stage collects a lenient reader's salvage stats
 	// into Outcome.Decode either way.
 	Lenient bool
-	// StallTimeout arms a watchdog that fails the run with an error
-	// wrapping ErrStalled when no stage makes progress for this long
-	// (0 disables it). Size it well above the longest barrier-stage gap —
-	// gathering a huge trace's bursts moves no blocks while it sorts.
-	StallTimeout time.Duration
 	// Logger receives live structured progress (per-stage completions at
 	// debug level, online training outcomes and fallbacks at info level).
 	// nil disables logging.
@@ -296,11 +290,7 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, er
 	extracted := a.extractStage(p, blocks)
 	phased := a.phaseStage(p, extracted)
 	a.foldStage(p, phased)
-	// Armed only now: the watchdog reads the stage list, which must be
-	// complete before another goroutine looks at it.
-	stopStall := p.WatchStall(cfg.StallTimeout)
-	defer stopStall()
-	if err := p.waitOrAbandon(); err != nil {
+	if err := p.wait(); err != nil {
 		// A cancelled context outranks whatever secondary error the
 		// cancellation provoked inside a stage (e.g. a read error wrapped
 		// as ErrBadFormat), so callers can rely on errors.Is(err,
@@ -312,8 +302,8 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, er
 	}
 	out := a.outcome(p)
 	// All stages have returned, so no goroutine can still touch a block:
-	// hand the column arenas back to the pools. Failed runs skip this
-	// (abandoned stages may still hold blocks) and let the GC collect.
+	// hand the column arenas back to the pools. Failed runs skip this and
+	// let the GC collect.
 	for _, blk := range a.all {
 		blk.cols.Release()
 	}

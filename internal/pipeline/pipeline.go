@@ -20,20 +20,10 @@ package pipeline
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// ErrStalled is the failure a stall watchdog injects when no stage has
-// made progress for the configured timeout — typically an upload that
-// went quiet without disconnecting. Errors returned by a watched
-// pipeline wrap it and name the stages that were still running.
-var ErrStalled = errors.New("pipeline stalled")
 
 // Metrics records one stage's observability counters, carried into the
 // Report so users can see where records and time went.
@@ -68,21 +58,9 @@ type Pipeline struct {
 	quit  chan struct{} // closed when any stage fails; senders select on it
 	errMu sync.Mutex
 	err   error // guarded by errMu: a Watch goroutine can fail the
-	// pipeline (cancelled context) concurrently with waitOrAbandon
-	// reading the result after the last stage returned.
+	// pipeline (cancelled context) concurrently with wait reading the
+	// result after the last stage returned.
 	metrics []*Metrics
-
-	// progress counts stage work items (blocks moved, records sunk); the
-	// stall watchdog watches it tick. stages tracks which stages are
-	// still running so a stall error can name the culprits.
-	progress atomic.Int64
-	stages   []*stageState
-}
-
-// stageState is one stage's liveness flag for the stall watchdog.
-type stageState struct {
-	name string
-	done atomic.Bool
 }
 
 // New creates an empty pipeline.
@@ -94,7 +72,7 @@ func New() *Pipeline {
 // fails with ctx.Err(), which closes quit and releases every sender
 // blocked on a full channel, so the stages drain and exit promptly.
 // The returned stop function releases the watcher goroutine; call it
-// once the pipeline is done (typically deferred next to waitOrAbandon).
+// once the pipeline is done (typically deferred next to wait).
 func (p *Pipeline) Watch(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
@@ -134,12 +112,9 @@ func (p *Pipeline) loadErr() error {
 func (p *Pipeline) Go(name string, fn func(m *Metrics) error) {
 	m := &Metrics{Stage: name}
 	p.metrics = append(p.metrics, m)
-	st := &stageState{name: name}
-	p.stages = append(p.stages, st)
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		defer st.done.Store(true)
 		start := time.Now()
 		err := fn(m)
 		m.Wall = time.Since(start)
@@ -154,106 +129,15 @@ func (p *Pipeline) Go(name string, fn func(m *Metrics) error) {
 	}()
 }
 
-// beat records one unit of stage progress for the stall watchdog.
-func (p *Pipeline) beat() { p.progress.Add(1) }
-
-// liveStages names the stages that have not yet returned.
-func (p *Pipeline) liveStages() string {
-	var names []string
-	for _, st := range p.stages {
-		if !st.done.Load() {
-			names = append(names, st.name)
-		}
-	}
-	if len(names) == 0 {
-		return "unknown"
-	}
-	return strings.Join(names, ", ")
-}
-
-// WatchStall arms a progress watchdog: if no stage moves any work for
-// timeout, the pipeline fails with an error wrapping ErrStalled that
-// names the stages still running — turning a silently wedged input into
-// a diagnosable failure. A timeout of 0 disables the watchdog. Arm it
-// only after the last stage has been spawned (the stage list must be
-// complete), and pick a timeout comfortably above the longest gap
-// between work items — the barrier stages (clustering at the
-// event→sample boundary) do minutes-free stretches of CPU work on huge
-// traces without moving blocks. The returned stop function releases the
-// watchdog goroutine; defer it next to waitOrAbandon.
-func (p *Pipeline) WatchStall(timeout time.Duration) (stop func()) {
-	if timeout <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		period := timeout / 4
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		last := p.progress.Load()
-		lastChange := time.Now()
-		for {
-			select {
-			case <-done:
-				return
-			case <-p.quit:
-				return
-			case <-tick.C:
-				if cur := p.progress.Load(); cur != last {
-					last, lastChange = cur, time.Now()
-					continue
-				}
-				if time.Since(lastChange) >= timeout {
-					p.fail(fmt.Errorf("%w: no progress for %v in stage(s): %s",
-						ErrStalled, timeout, p.liveStages()))
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
-// stallGrace is how long waitOrAbandon gives a stalled pipeline's stages
-// to drain before abandoning them.
-const stallGrace = 250 * time.Millisecond
-
-// waitOrAbandon blocks until every stage has returned and reports the
-// first error, if any, except that a pipeline failed by the stall
-// watchdog is abandoned after a short grace period instead of being
-// waited on forever: the very condition the watchdog detects — a stage
-// wedged in an uninterruptible read — also prevents that stage from ever
-// returning. Abandoning leaks the wedged goroutine until its read
-// unblocks; the alternative is hanging the caller with it.
-func (p *Pipeline) waitOrAbandon() error {
-	done := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return p.loadErr()
-	case <-p.quit:
-	}
-	// An error is latched; the stages normally drain in microseconds.
-	select {
-	case <-done:
-		return p.loadErr()
-	case <-time.After(stallGrace):
-	}
-	if err := p.loadErr(); errors.Is(err, ErrStalled) {
-		return err
-	}
-	<-done
+// wait blocks until every stage has returned and reports the first
+// error, if any.
+func (p *Pipeline) wait() error {
+	p.wg.Wait()
 	return p.loadErr()
 }
 
 // Metrics returns the per-stage counters in spawn order; call it only
-// after waitOrAbandon.
+// after wait.
 func (p *Pipeline) Metrics() []Metrics {
 	out := make([]Metrics, len(p.metrics))
 	for i, m := range p.metrics {
@@ -299,7 +183,6 @@ func Sink[In any](p *Pipeline, name string, in <-chan In,
 
 	p.Go(name, func(m *Metrics) error {
 		for v := range in {
-			p.beat()
 			if err := fn(m, v); err != nil {
 				return err
 			}
@@ -327,7 +210,6 @@ type StageCtx[Out any] struct {
 func (c *StageCtx[Out]) Emit(v Out) bool {
 	select {
 	case c.out <- v:
-		c.p.beat()
 		return true
 	case <-c.p.quit:
 		c.stopped = true

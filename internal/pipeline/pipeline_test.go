@@ -45,7 +45,7 @@ func TestStageChain(t *testing.T) {
 	Sink(p, "sum", doubled,
 		func(m *Metrics, v int) error { m.RecordsIn++; sum += v; return nil },
 		nil)
-	if err := p.waitOrAbandon(); err != nil {
+	if err := p.wait(); err != nil {
 		t.Fatal(err)
 	}
 	if want := 100 * 99; sum != want {
@@ -92,7 +92,7 @@ func TestSinkErrorUnblocksUpstream(t *testing.T) {
 		nil)
 
 	done := make(chan error, 1)
-	go func() { done <- p.waitOrAbandon() }()
+	go func() { done <- p.wait() }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, boom) {
@@ -119,7 +119,7 @@ func TestMidStageError(t *testing.T) {
 		},
 		nil)
 	Sink(p, "drain", mid, func(m *Metrics, v int) error { return nil }, nil)
-	err := p.waitOrAbandon()
+	err := p.wait()
 	if err == nil || !strings.Contains(err.Error(), "explode") {
 		t.Fatalf("Wait = %v", err)
 	}
@@ -135,7 +135,7 @@ func TestFlushErrorPropagates(t *testing.T) {
 		func(ctx *StageCtx[int], v int) error { return nil },
 		func(ctx *StageCtx[int]) error { return errors.New("flush failed") })
 	Sink(p, "drain", out, func(m *Metrics, v int) error { return nil }, nil)
-	if err := p.waitOrAbandon(); err == nil || !strings.Contains(err.Error(), "flush failed") {
+	if err := p.wait(); err == nil || !strings.Contains(err.Error(), "flush failed") {
 		t.Fatalf("Wait = %v", err)
 	}
 }
@@ -147,7 +147,7 @@ func TestFirstErrorWins(t *testing.T) {
 	p := New()
 	p.fail(first)
 	p.fail(errors.New("second"))
-	if err := p.waitOrAbandon(); !errors.Is(err, first) {
+	if err := p.wait(); !errors.Is(err, first) {
 		t.Fatalf("Wait = %v, want first", err)
 	}
 }

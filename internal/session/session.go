@@ -140,20 +140,33 @@ type AppendResult struct {
 
 // decodeChunk decodes one append body — a complete UVT1 chunk — in the
 // session's mode. Lenient salvages what it can and tallies the damage;
-// a header-level failure is an error in both modes.
+// a header-level failure is an error in both modes, and so is metadata
+// that no analysis accepts (no rank), since the first chunk's metadata
+// is the session's for good.
 func decodeChunk(data []byte, lenient bool) (*trace.Trace, trace.DecodeStats, error) {
+	var (
+		tr  *trace.Trace
+		st  trace.DecodeStats
+		err error
+	)
 	if lenient {
-		return trace.ReadFromLenient(bytes.NewReader(data))
+		tr, st, err = trace.ReadFromLenient(bytes.NewReader(data))
+	} else {
+		tr, err = trace.ReadFrom(bytes.NewReader(data))
 	}
-	tr, err := trace.ReadFrom(bytes.NewReader(data))
-	return tr, trace.DecodeStats{}, err
+	if err == nil {
+		err = tr.Meta.Validate()
+	}
+	return tr, st, err
 }
 
 // Append decodes chunk (strict or lenient per the session options),
 // journals it, folds its records into the session state and marks the
 // session dirty so the snapshot loop publishes an updated Report. The
 // chunk must be a complete UVT1 trace sharing the session's timeline;
-// record sets accumulate, metadata must agree on app and rank count.
+// record sets accumulate, metadata must agree on app and rank count. A
+// chunk whose metadata fails Metadata.Validate is refused with an error
+// wrapping trace.ErrInvalid, and nothing is journaled.
 //
 // clientSeq, when non-zero, makes the append idempotent: a sequence
 // number at or below the last applied one is acknowledged as a

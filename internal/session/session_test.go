@@ -403,6 +403,73 @@ func TestSessionMetaMismatch(t *testing.T) {
 	}
 }
 
+// TestSessionRanklessChunk: a chunk whose metadata declares no rank is
+// refused with trace.ErrInvalid and journals nothing, so the session
+// still takes valid chunks and publishes their snapshot.
+func TestSessionRanklessChunk(t *testing.T) {
+	tr := genTrace(t, "stencil", 2, 20)
+	rankless := *tr
+	rankless.Meta.Ranks = 0
+	dir := t.TempDir()
+	m := newManager(t, session.Config{Dir: dir, TTL: time.Hour})
+	s, err := m.Open(url.Values{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := s.Append(ctx, encode(t, &rankless), 1); !errors.Is(err, trace.ErrInvalid) {
+		t.Fatalf("rankless chunk: err = %v, want trace.ErrInvalid", err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, s.ID, "seg-*")); len(segs) != 0 {
+		t.Fatalf("the refused chunk was journaled: %v", segs)
+	}
+	if _, err := s.Append(ctx, encode(t, tr), 2); err != nil {
+		t.Fatalf("valid chunk after the refused one: %v", err)
+	}
+	if _, err := s.Barrier(ctx); err != nil {
+		t.Fatalf("no snapshot after the refused chunk: %v", err)
+	}
+}
+
+// TestSessionRecoveryRanklessSegment: replay stops with a warning at a
+// journaled chunk whose metadata declares no rank, as an earlier daemon
+// journaled them, so the session recovers empty and serviceable.
+func TestSessionRecoveryRanklessSegment(t *testing.T) {
+	tr := genTrace(t, "stencil", 2, 20)
+	rankless := *tr
+	rankless.Meta.Ranks = 0
+	dir := t.TempDir()
+	m1 := newManager(t, session.Config{Dir: dir, TTL: time.Hour})
+	s1, err := m1.Open(url.Values{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, s1.ID, "seg-00000000-1.uvt")
+	if err := os.WriteFile(seg, encode(t, &rankless), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := newManager(t, session.Config{Dir: dir, TTL: time.Hour})
+	s2, ok := m2.Get(s1.ID)
+	if !ok {
+		t.Fatal("session with a rankless segment not recovered")
+	}
+	st := s2.Status()
+	if st.Segments != 0 || len(st.Warnings) != 1 || !strings.Contains(st.Warnings[0], "metadata rank count 0") {
+		t.Fatalf("recovered %d segment(s) with warnings %q, want 0 and the rank-count warning",
+			st.Segments, st.Warnings)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := s2.Append(ctx, encode(t, tr), 2); err != nil {
+		t.Fatalf("append after recovery: %v", err)
+	}
+	if _, err := s2.Barrier(ctx); err != nil {
+		t.Fatalf("no snapshot after recovery: %v", err)
+	}
+}
+
 // TestSessionTTLEviction: an idle session is evicted, its subscribers
 // get the "idle" end reason, and its journal is deleted.
 func TestSessionTTLEviction(t *testing.T) {

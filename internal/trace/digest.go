@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"hash"
 	"io"
-	"sync/atomic"
 )
 
 // DigestBytes returns the full hex-encoded sha256 of an encoded trace —
@@ -27,7 +26,6 @@ func DigestBytes(b []byte) string {
 type DigestReader struct {
 	r io.Reader
 	h hash.Hash
-	n atomic.Int64
 }
 
 // NewDigestReader returns a DigestReader hashing everything read
@@ -41,7 +39,6 @@ func (d *DigestReader) Read(p []byte) (int, error) {
 	n, err := d.r.Read(p)
 	if n > 0 {
 		d.h.Write(p[:n])
-		d.n.Add(int64(n))
 	}
 	return n, err
 }
@@ -51,8 +48,3 @@ func (d *DigestReader) Read(p []byte) (int, error) {
 func (d *DigestReader) Sum() string {
 	return hex.EncodeToString(d.h.Sum(nil))
 }
-
-// BytesRead reports how many bytes have passed through the reader. It
-// is safe to call while another goroutine is mid-Read, which lets a
-// watchdog observe upload progress.
-func (d *DigestReader) BytesRead() int64 { return d.n.Load() }
