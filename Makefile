@@ -14,7 +14,10 @@
 #                   to their brute-force references + a -count 10 stress
 #                   run of the timing-sensitive packages (foldsvc,
 #                   session, pipeline, faultinject, rescache) so timing
-#                   flakes surface when introduced + a short fuzz run over
+#                   flakes surface when introduced + the RunContext tests
+#                   under -race -count 20 (the read-ahead decoder's
+#                   hand-off is the pipeline's only concurrent code, and
+#                   they drive every way a run ends) + a short fuzz run over
 #                   the trace decoder (whole-trace reads, salvage reads,
 #                   and block reads against the record-decoder oracle in
 #                   both modes) and over the validity check (Validate on
@@ -93,6 +96,7 @@ check:
 	$(GO) test -count 1 ./internal/doccheck
 	$(GO) test -race ./...
 	$(GO) test -count 10 $(STRESS_PKGS)
+	$(GO) test -race -count 20 -run '^TestRunContext' ./internal/pipeline
 	$(GO) test -race -count 1 -run 'TestCacheEquivalence|TestCacheSingleflight' ./internal/foldsvc/
 	$(GO) test -run 'Property' -count 1 ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzReadFrom$$ -fuzztime $(FUZZTIME) ./internal/trace

@@ -220,7 +220,7 @@ func BenchmarkAnalyzeEndToEnd(b *testing.B) {
 //   - cold: empty cache, so GetOrCompute digests the bytes and runs the
 //     full streaming analysis + JSON encode — the miss path.
 //   - warm: the same lookup against a warm cache — digest, key build,
-//     sharded-LRU hit. The ≥100× ns/op and allocs/op gap versus cold is
+//     LRU hit. The ≥100× ns/op and allocs/op gap versus cold is
 //     the headline win the cache exists for.
 //   - coalesced-8: 8 concurrent identical requests against an empty
 //     cache; singleflight runs ONE analysis and the other 7 share it,

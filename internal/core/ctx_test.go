@@ -114,10 +114,9 @@ func TestAnalyzeStreamContextCompletesUncancelled(t *testing.T) {
 }
 
 // TestStreamDecodeIndependentOfContext pins that a cancellable context
-// does not change how an encoded trace decodes. The input's size is
-// taken before its reads are fenced by the context, so a corrupt
-// section count is judged against it either way: strict decoding fails
-// with the same error and lenient decoding salvages with the same
+// does not change how an encoded trace decodes: a corrupt section count
+// is judged against the input's size either way, so strict decoding
+// fails with the same error and lenient decoding salvages with the same
 // warnings under context.Background and under context.WithCancel.
 func TestStreamDecodeIndependentOfContext(t *testing.T) {
 	tr := simTrace(t, "stencil", 4, 20)

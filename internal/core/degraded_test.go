@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,6 +71,35 @@ func TestAnalyzeStreamLenientSalvagesTruncation(t *testing.T) {
 	// The degraded report must still serialize (the daemon ships JSON).
 	if _, err := json.Marshal(rep); err != nil {
 		t.Fatalf("degraded report does not marshal: %v", err)
+	}
+}
+
+// TestAnalyzeStreamTrailingBytes appends random bytes to a clean trace:
+// a strict analysis fails on them, and a lenient one analyzes the trace
+// and reports the skipped tail.
+func TestAnalyzeStreamTrailingBytes(t *testing.T) {
+	tr := simTrace(t, "stencil", 4, 40)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	clean := len(buf.Bytes())
+	tail := make([]byte, 5000)
+	rand.New(rand.NewSource(1)).Read(tail)
+	enc := append(buf.Bytes(), tail...)
+
+	_, err := AnalyzeStreamContext(context.Background(), bytes.NewReader(enc), Options{})
+	if !errors.Is(err, trace.ErrBadFormat) || !strings.Contains(err.Error(), fmt.Sprintf("at byte %d", clean)) {
+		t.Fatalf("strict analysis with a tail: error %v, want ErrBadFormat at byte %d", err, clean)
+	}
+	rep, err := AnalyzeStreamContext(context.Background(), bytes.NewReader(enc), Options{Lenient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Degraded || rep.Decode == nil || rep.Decode.TrailingBytes != 5000 ||
+		!slices.Contains(rep.Warnings, "salvage decode: skipped 5000 trailing bytes after the comm section") {
+		t.Fatalf("lenient analysis with a tail: degraded %v, decode %+v, warnings %q",
+			rep.Degraded, rep.Decode, rep.Warnings)
 	}
 }
 

@@ -13,11 +13,13 @@ import (
 // With the default (exact) StreamOptions the resulting Report is
 // deep-equal to AnalyzeContext on the decoded trace; with Stream.Online
 // set, memory stays bounded by bursts + folding bins regardless of how
-// many samples the stream carries. Reads of r are fenced by ctx and the
-// pipeline stages stop at the next block boundary once ctx is
-// cancelled, so a disconnected client or an expired deadline abandons
-// the analysis promptly instead of draining the stream. The returned error satisfies errors.Is against ctx.Err(); a
-// cancelled run never returns a partial Report.
+// many samples the stream carries. The pipeline checks ctx before each
+// block and stops decoding once it is cancelled, so a disconnected
+// client or an expired deadline abandons the analysis at the next block
+// instead of draining the stream; a read already blocked in r returns
+// first, as a request body's does when its client goes. The returned
+// error satisfies errors.Is against ctx.Err(); a cancelled run never
+// returns a partial Report.
 func AnalyzeStreamContext(ctx context.Context, r io.Reader, opts Options) (*Report, error) {
 	opts.setDefaults()
 	sr, err := openStream(ctx, r, opts)
@@ -35,7 +37,7 @@ func AnalyzeStreamContext(ctx context.Context, r io.Reader, opts Options) (*Repo
 
 // MapShardStreamContext is the worker half of a distributed analysis:
 // it decodes one encoded shard from r (strict or salvage mode per
-// opts.Lenient, reads fenced by ctx like AnalyzeStreamContext) and runs
+// opts.Lenient, cancelled through ctx like AnalyzeStreamContext) and runs
 // the map half of the algebra over it, returning the mergeable Partial
 // for a coordinator to Reduce. spec must carry the shard's place in the
 // split — Reduce uses it to detect missing shards.
@@ -49,16 +51,9 @@ func MapShardStreamContext(ctx context.Context, r io.Reader, spec ShardSpec, opt
 }
 
 // openStream opens the decoder of AnalyzeStreamContext and
-// MapShardStreamContext, in the mode opts.Lenient selects. r's size is
-// taken before its reads are fenced by ctx, so the decoder checks
-// declared section counts against it with or without a cancellable
-// context.
+// MapShardStreamContext, in the mode opts.Lenient selects.
 func openStream(ctx context.Context, r io.Reader, opts Options) (*trace.StreamReader, error) {
-	size := trace.InputSize(r)
-	if ctx.Done() != nil {
-		r = &ctxReader{ctx: ctx, r: r}
-	}
-	sr, err := trace.NewStreamReaderSize(r, size, opts.decodeMode())
+	sr, err := trace.NewStreamReaderMode(r, opts.decodeMode())
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("core: %w", cerr)
@@ -66,21 +61,4 @@ func openStream(ctx context.Context, r io.Reader, opts Options) (*trace.StreamRe
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return sr, nil
-}
-
-// ctxReader fences each Read with a context check, so a decoder pulling
-// from an already-cancelled stream fails with the context's error
-// instead of blocking on the underlying reader. (A read already blocked
-// in the underlying reader is not interrupted; request bodies and other
-// network readers fail on their own when the peer goes away.)
-type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (cr *ctxReader) Read(p []byte) (int, error) {
-	if err := cr.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return cr.r.Read(p)
 }

@@ -211,8 +211,9 @@ func sendUpload(t *testing.T, base string, route uploadRoute, enc []byte, whole 
 }
 
 // slowLogger returns a logger that stands in for a long analysis: it
-// holds each analysis for d once its decode stage is done, while the
-// request's context still governs the rest of the pipeline.
+// holds each analysis for d when the pipeline logs its decode stage's
+// counters, which it does once the whole trace is decoded, before the
+// analysis returns.
 func slowLogger(d time.Duration) *slog.Logger {
 	return slog.New(slowHandler{d})
 }

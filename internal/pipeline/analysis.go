@@ -3,9 +3,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
+	"time"
 
 	"repro/internal/burst"
 	"repro/internal/cluster"
@@ -16,11 +16,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
-
-// blockChanBuf bounds each inter-stage channel: at most this many blocks
-// are in flight between two stages, which is what gives the pipeline
-// backpressure and a constant working set.
-const blockChanBuf = 4
 
 // Config parameterizes an analysis run. It mirrors the analysis knobs of
 // core.Options (core builds one from its Options) so the batch and
@@ -63,8 +58,6 @@ type Config struct {
 	Online bool
 	// TrainBursts is the online training-prefix length (default 512).
 	TrainBursts int
-	// BatchSize is the number of records per pipeline block (default 256).
-	BatchSize int
 	// Resume marks a shard that does not start at the trace origin, so a
 	// rank's first MPI event may legally be an exit (the head of a call
 	// opened by the previous shard). It only affects the flat-profile
@@ -77,9 +70,9 @@ type Config struct {
 	// that; the decode stage collects a lenient reader's salvage stats
 	// into Outcome.Decode either way.
 	Lenient bool
-	// Logger receives live structured progress (per-stage completions at
-	// debug level, online training outcomes and fallbacks at info level).
-	// nil disables logging.
+	// Logger receives structured progress (each stage's counters at debug
+	// level once the run ends, online training outcomes and fallbacks at
+	// info level). nil disables logging.
 	Logger *slog.Logger
 }
 
@@ -108,9 +101,6 @@ func (c *Config) SetDefaults() {
 	}
 	if c.Cluster.Logger == nil {
 		c.Cluster.Logger = c.Logger
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
 	}
 }
 
@@ -187,26 +177,17 @@ type Outcome struct {
 	Warnings []string
 }
 
-// block is the unit of flow between stages: a pooled
-// structure-of-arrays batch of decoded records plus the kept bursts
-// extraction closed while scanning it. Blocks are homogeneous in record
-// kind (the decoder cuts them at section boundaries), so stages dispatch
-// once per block instead of once per record. Ownership travels with the
-// block; the final stage recycles it, so steady-state decoding allocates
-// nothing.
-type block struct {
-	cols   *trace.ColBlock
-	bursts []burst.Burst
-}
-
-// analysis is the shared state of one Run. Each field is written by
-// exactly one stage; cross-stage visibility is ordered by the channel
-// sends between them.
+// analysis is the state of one run, owned by the calling goroutine.
 type analysis struct {
 	cfg  Config
 	meta *trace.Metadata
 
-	// extract stage
+	// per-stage counters; decode's live with the read-ahead goroutine
+	extractM, phaseM, foldM Metrics
+
+	// extract
+	x          *burst.Extractor
+	fresh      []burst.Burst // the kept bursts closed in the current block
 	records    RecordCounts
 	bursts     int
 	rankBursts []int
@@ -215,8 +196,8 @@ type analysis struct {
 	prof       *profile.PartialBuilder
 	marks      map[int32][]trace.Time
 
-	// phase stage: bursts collect in arrival order in store until
-	// finalize gathers them, sorted, into kept; online runs label them
+	// phase: bursts collect in arrival order in store until finalize
+	// gathers them, sorted, into kept; online runs label them
 	store      keptStore
 	kept       []burst.Burst
 	clustering cluster.Result // online mode
@@ -225,10 +206,7 @@ type analysis struct {
 	finalized  bool
 	warnings   []string
 
-	// decode stage (lenient sources only)
-	decode *trace.DecodeStats
-
-	// fold stage routing, built by finalize
+	// fold routing, built by finalize
 	byRank   [][]int // per rank: indices into kept, ascending Start
 	cursor   []int
 	attached [][]trace.Sample
@@ -238,12 +216,6 @@ type analysis struct {
 	phaseIDs []int
 	rankBuf  []instanceBuf
 
-	// block recycling: free is the freelist the fold stage feeds and the
-	// decode stage drains; all tracks every block ever created (decode
-	// goroutine only) so a completed run can return their arenas to the
-	// parallel pools.
-	free       chan *block
-	all        []*block
 	stackChunk []uint32 // arena for attached-sample stack copies (exact mode)
 }
 
@@ -264,223 +236,184 @@ type instanceBuf struct {
 }
 
 // RunContext drives the full analysis pipeline over a record stream
-// and blocks until it completes. When ctx is cancelled the stages stop
-// at the next block boundary, blocked senders are released, and the
-// call returns ctx.Err(). This is what gives the analysis daemon
-// per-request deadlines and client-disconnect cancellation; a cancelled
-// run never returns a partial Outcome.
+// and blocks until it completes. A read-ahead goroutine decodes src
+// while the calling goroutine takes each decoded block through extract,
+// phase and fold. ctx is checked before each block; once it is
+// cancelled, the run stops the decoder, waits for the source's pending
+// NextBlock to return, and returns ctx.Err(). This is what gives the
+// analysis daemon per-request deadlines and client-disconnect
+// cancellation. A failed or cancelled run never returns a partial
+// Outcome, and no goroutine outlives the call.
 func RunContext(ctx context.Context, src trace.Source, cfg Config) (*Outcome, error) {
 	cfg.SetDefaults()
 	meta := src.Meta()
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	a := &analysis{cfg: cfg, meta: meta, marks: map[int32][]trace.Time{}}
-	// Capacity exceeds the blocks that can be in flight at once: a full
-	// buffer per channel plus one held by each stage.
-	a.free = make(chan *block, 4*blockChanBuf+4)
-	a.rankBursts = make([]int, meta.Ranks)
+	x, _ := burst.NewExtractor(meta.Ranks) // ranks >= 1 was validated
+	a := &analysis{
+		cfg: cfg, meta: meta, x: x,
+		extractM: Metrics{Stage: "extract"},
+		// The exact phase stage keeps the name "cluster", which reports
+		// carry; core.Reduce fills its RecordsOut, the labelled burst
+		// count, once the phases are resolved.
+		phaseM:     Metrics{Stage: "cluster"},
+		foldM:      Metrics{Stage: "attach"},
+		rankBursts: make([]int, meta.Ranks),
+		marks:      map[int32][]trace.Time{},
+	}
+	if cfg.Online {
+		a.phaseM.Stage, a.foldM.Stage = "classify", "fold"
+	}
 	a.prof, _ = profile.NewPartialBuilder(meta.Ranks, cfg.Resume) // ranks >= 1 was validated
 
-	p := New()
-	p.Logger = cfg.Logger
-	stop := p.Watch(ctx)
-	defer stop()
-	blocks := a.decodeStage(p, src)
-	extracted := a.extractStage(p, blocks)
-	phased := a.phaseStage(p, extracted)
-	a.foldStage(p, phased)
-	if err := p.wait(); err != nil {
-		// A cancelled context outranks whatever secondary error the
-		// cancellation provoked inside a stage (e.g. a read error wrapped
-		// as ErrBadFormat), so callers can rely on errors.Is(err,
-		// context.Canceled).
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+	d := startReadAhead(src)
+	err := a.run(ctx, d)
+	d.stop()
+	stages := []Metrics{d.m, a.extractM, a.phaseM, a.foldM}
+	if cfg.Logger != nil {
+		for _, m := range stages {
+			cfg.Logger.Debug("stage done", "stage", m.Stage,
+				"records_in", m.RecordsIn, "records_out", m.RecordsOut, "wall", m.Wall)
 		}
+	}
+	// A cancelled context outranks whatever error the cancellation
+	// provoked (a read error wrapped as ErrBadFormat, say), so callers
+	// can rely on errors.Is(err, context.Canceled).
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	if err != nil {
 		return nil, err
 	}
-	out := a.outcome(p)
-	// All stages have returned, so no goroutine can still touch a block:
-	// hand the column arenas back to the pools. Failed runs skip this and
-	// let the GC collect.
-	for _, blk := range a.all {
-		blk.cols.Release()
+	return a.outcome(stages, d.stats), nil
+}
+
+// run takes each decoded block through extract, phase and fold and
+// hands it back, then flushes the phase and fold stages. It returns the
+// first error: the context's, a stage's, or the source's.
+func (a *analysis) run(ctx context.Context, d *readAhead) error {
+	for blk := range d.full {
+		err := a.block(ctx, blk)
+		d.free <- blk
+		if err != nil {
+			return err
+		}
 	}
-	a.all = nil
-	return out, nil
-}
-
-// getBlock returns a reset block from the freelist, or creates one.
-// Called only by the decode goroutine, which is why all needs no lock.
-func (a *analysis) getBlock() *block {
-	select {
-	case blk := <-a.free:
-		blk.bursts = blk.bursts[:0]
-		return blk
-	default:
-		blk := &block{cols: trace.NewColBlock(a.cfg.BatchSize)}
-		a.all = append(a.all, blk)
-		return blk
+	if d.err != nil {
+		return d.err
 	}
-}
-
-// putBlock returns a block to the freelist (dropping it if the list is
-// full; it is then released with the rest at the end of the run).
-func (a *analysis) putBlock(blk *block) {
-	select {
-	case a.free <- blk:
-	default:
+	t := time.Now()
+	if !a.finalized {
+		a.finalize()
 	}
+	lap(&a.phaseM, &t)
+	if a.cfg.Online && !a.cfg.NoSamples {
+		a.flushInstances()
+	}
+	lap(&a.foldM, &t)
+	return nil
 }
 
-// decoder is a source that decodes an encoding (a trace.StreamReader,
-// bare or checked): it reports the bytes it read and a lenient decode's
-// salvage.
-type decoder interface {
-	Decoded() (int64, *trace.DecodeStats)
+// block takes one block through extract, phase and fold, adding each
+// call's time to its stage's wall.
+func (a *analysis) block(ctx context.Context, cols *trace.ColBlock) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	t := time.Now()
+	if err := a.extract(cols); err != nil {
+		return err
+	}
+	lap(&a.extractM, &t)
+	a.phase(cols)
+	lap(&a.phaseM, &t)
+	a.fold(cols)
+	lap(&a.foldM, &t)
+	return nil
 }
 
-// decodeStage pumps the source into pooled column blocks: a
-// StreamReader decodes straight into the columns, a TraceSource copies
-// its slices into them.
-func (a *analysis) decodeStage(p *Pipeline, src trace.Source) <-chan *block {
-	out := make(chan *block, blockChanBuf)
-	p.Go("decode", func(m *Metrics) error {
-		defer close(out)
-		for {
-			blk := a.getBlock()
-			err := src.NextBlock(blk.cols)
-			n := blk.cols.Len()
-			m.RecordsOut += int64(n)
-			if n > 0 {
-				if !send(p, out, blk) {
-					return nil
-				}
-			} else {
-				a.putBlock(blk)
+// lap adds the time since *t to m's wall and moves *t to now.
+func lap(m *Metrics, t *time.Time) {
+	now := time.Now()
+	m.Wall += now.Sub(*t)
+	*t = now
+}
+
+// extract scans an event block through the incremental burst extractor,
+// the profile builder and the iteration-marker collector, leaving the
+// kept bursts it closed in a.fresh; sample and comm blocks just tally.
+// One scratch Event is assembled per row — the consumers copy what they
+// keep.
+func (a *analysis) extract(cols *trace.ColBlock) error {
+	a.fresh = a.fresh[:0]
+	n := cols.Len()
+	a.extractM.RecordsIn += int64(n)
+	switch cols.Kind() {
+	case trace.KindEvent:
+		a.records.Events += int64(n)
+		for i := 0; i < n; i++ {
+			e := trace.Event{
+				Rank:  cols.Ranks[i],
+				Time:  trace.Time(cols.Times[i]),
+				Type:  trace.EventType(cols.Types[i]),
+				Value: cols.Values[i],
 			}
-			// Identity comparison on purpose: a decode error may *wrap* an
-			// io.EOF cause (truncation inside a record) and must still abort
-			// a strict run.
-			if err == io.EOF {
-				if d, ok := src.(decoder); ok {
-					m.Bytes, a.decode = d.Decoded()
+			if cols.Flags[i] != 0 {
+				e.HasCounters = true
+				for c := range cols.Ctrs {
+					e.Counters[c] = cols.Ctrs[c][i]
 				}
-				return nil
 			}
+			b, ok, err := a.x.Add(&e)
 			if err != nil {
 				return err
 			}
+			if ok {
+				a.bursts++
+				a.rankBursts[b.Rank]++
+				d := b.Duration()
+				a.allTime += d
+				if d >= a.cfg.MinBurstDuration {
+					a.keptTime += d
+					a.fresh = append(a.fresh, b)
+				}
+			}
+			a.prof.Add(&e)
+			if e.Type == trace.EvIteration {
+				a.marks[e.Rank] = append(a.marks[e.Rank], e.Time)
+			}
 		}
-	})
-	return out
-}
-
-// send delivers v or aborts when the pipeline is cancelled.
-func send[T any](p *Pipeline, ch chan<- T, v T) bool {
-	select {
-	case ch <- v:
-		return true
-	case <-p.quit:
-		return false
+	case trace.KindSample:
+		a.records.Samples += int64(n)
+	case trace.KindComm:
+		a.records.Comms += int64(n)
 	}
+	a.extractM.RecordsOut += int64(len(a.fresh))
+	return nil
 }
 
-// extractStage scans each event block through the incremental burst
-// extractor, the profile builder and the iteration-marker collector, and
-// forwards the block carrying the kept bursts it closed; sample and comm
-// blocks just tally. One scratch Event is assembled per row — the
-// consumers copy what they keep.
-func (a *analysis) extractStage(p *Pipeline, in <-chan *block) <-chan *block {
-	x, _ := burst.NewExtractor(a.meta.Ranks) // ranks >= 1 was validated
-	return Stage(p, "extract", blockChanBuf, in, func(ctx *StageCtx[*block], blk *block) error {
-		cols := blk.cols
-		n := cols.Len()
-		ctx.Metrics.RecordsIn += int64(n)
-		switch cols.Kind() {
-		case trace.KindEvent:
-			a.records.Events += int64(n)
-			for i := 0; i < n; i++ {
-				e := trace.Event{
-					Rank:  cols.Ranks[i],
-					Time:  trace.Time(cols.Times[i]),
-					Type:  trace.EventType(cols.Types[i]),
-					Value: cols.Values[i],
-				}
-				if cols.Flags[i] != 0 {
-					e.HasCounters = true
-					for c := range cols.Ctrs {
-						e.Counters[c] = cols.Ctrs[c][i]
-					}
-				}
-				b, ok, err := x.Add(&e)
-				if err != nil {
-					return err
-				}
-				if ok {
-					a.bursts++
-					a.rankBursts[b.Rank]++
-					d := b.Duration()
-					a.allTime += d
-					if d >= a.cfg.MinBurstDuration {
-						a.keptTime += d
-						blk.bursts = append(blk.bursts, b)
-					}
-				}
-				a.prof.Add(&e)
-				if e.Type == trace.EvIteration {
-					a.marks[e.Rank] = append(a.marks[e.Rank], e.Time)
-				}
-			}
-		case trace.KindSample:
-			a.records.Samples += int64(n)
-		case trace.KindComm:
-			a.records.Comms += int64(n)
+// phase collects the kept bursts extract closed. All bursts are known
+// at the event→sample boundary (sections are ordered, and blocks are
+// homogeneous, so the first sample block marks it), so it sorts them
+// there, before the first sample is routed. In online mode it also
+// labels them: it trains the classifier on the first TrainBursts bursts
+// mid-stream and classifies the rest as they arrive.
+func (a *analysis) phase(cols *trace.ColBlock) {
+	a.phaseM.RecordsIn += int64(len(a.fresh))
+	for i := range a.fresh {
+		if a.cfg.Online && a.model != nil {
+			a.fresh[i].Cluster = a.model.Classify(&a.fresh[i])
 		}
-		ctx.Metrics.RecordsOut += int64(len(blk.bursts))
-		ctx.Emit(blk)
-		return nil
-	}, nil)
-}
-
-// phaseStage collects the kept bursts. It is a barrier at the
-// event→sample boundary: all bursts are known there (sections are
-// ordered, and blocks are homogeneous, so the first sample block marks
-// it), so it sorts them before the first sample flows on. In online mode
-// it also labels them: it trains the classifier on the first
-// TrainBursts bursts mid-stream and classifies the rest as they arrive.
-// The exact stage keeps the name "cluster", which reports carry;
-// core.Reduce fills the stage's RecordsOut, the labelled burst count,
-// once the phases are resolved.
-func (a *analysis) phaseStage(p *Pipeline, in <-chan *block) <-chan *block {
-	name := "cluster"
-	if a.cfg.Online {
-		name = "classify"
+		a.store.add(&a.fresh[i])
+		if a.cfg.Online && a.model == nil && a.trainErr == nil &&
+			a.store.n == a.cfg.TrainBursts {
+			a.train()
+		}
 	}
-	return Stage(p, name, blockChanBuf, in, func(ctx *StageCtx[*block], blk *block) error {
-		ctx.Metrics.RecordsIn += int64(len(blk.bursts))
-		for i := range blk.bursts {
-			if a.cfg.Online && a.model != nil {
-				blk.bursts[i].Cluster = a.model.Classify(&blk.bursts[i])
-			}
-			a.store.add(&blk.bursts[i])
-			if a.cfg.Online && a.model == nil && a.trainErr == nil &&
-				a.store.n == a.cfg.TrainBursts {
-				a.train()
-			}
-		}
-		if blk.cols.Kind() == trace.KindSample && !a.finalized {
-			a.finalize()
-		}
-		ctx.Emit(blk)
-		return nil
-	}, func(ctx *StageCtx[*block]) error {
-		if !a.finalized {
-			a.finalize()
-		}
-		return nil
-	})
+	if cols.Kind() == trace.KindSample && !a.finalized {
+		a.finalize()
+	}
 }
 
 // train fits the online model on the current training prefix and
@@ -578,28 +511,14 @@ func (a *analysis) fallbackClustering(why string) {
 	}
 }
 
-// foldStage is the terminal stage: it routes each sample to its burst —
-// attaching a copy in exact mode, folding it incrementally in online
-// mode — and recycles the block.
-func (a *analysis) foldStage(p *Pipeline, in <-chan *block) {
-	name := "attach"
-	if a.cfg.Online {
-		name = "fold"
+// fold routes each sample of a sample block to its burst: it attaches a
+// copy in exact mode and folds it incrementally in online mode.
+func (a *analysis) fold(cols *trace.ColBlock) {
+	if !a.cfg.NoSamples && cols.Kind() == trace.KindSample {
+		for i := 0; i < cols.Len(); i++ {
+			a.routeSample(cols, i)
+		}
 	}
-	Sink(p, name, in, func(m *Metrics, blk *block) error {
-		if !a.cfg.NoSamples && blk.cols.Kind() == trace.KindSample {
-			for i := 0; i < blk.cols.Len(); i++ {
-				a.routeSample(m, blk.cols, i)
-			}
-		}
-		a.putBlock(blk)
-		return nil
-	}, func(m *Metrics) error {
-		if a.cfg.Online && !a.cfg.NoSamples {
-			a.flushInstances(m)
-		}
-		return nil
-	})
 }
 
 // routeSample advances the per-rank cursor to the burst containing
@@ -608,8 +527,8 @@ func (a *analysis) foldStage(p *Pipeline, in <-chan *block) {
 // equivalent of burst.AttachSamples) and attaches or folds it. The row
 // is read straight from the columns; a Sample struct is assembled only
 // for the samples that land in a kept burst.
-func (a *analysis) routeSample(m *Metrics, cols *trace.ColBlock, i int) {
-	m.RecordsIn++
+func (a *analysis) routeSample(cols *trace.ColBlock, i int) {
+	a.foldM.RecordsIn++
 	r := int(cols.Ranks[i])
 	if r < 0 || r >= len(a.byRank) {
 		return
@@ -619,7 +538,7 @@ func (a *analysis) routeSample(m *Metrics, cols *trace.ColBlock, i int) {
 	cur := a.cursor[r]
 	if a.cfg.Online {
 		for cur < len(idx) && a.kept[idx[cur]].End <= t {
-			a.closeInstance(m, r, idx[cur])
+			a.closeInstance(r, idx[cur])
 			cur++
 		}
 		a.cursor[r] = cur
@@ -650,7 +569,7 @@ func (a *analysis) routeSample(m *Metrics, cols *trace.ColBlock, i int) {
 		cp.Stack = a.stackSlice(cols.Frames[cols.StackOff[i]:cols.StackOff[i+1]])
 		ki := idx[cur]
 		a.attached[ki] = append(a.attached[ki], cp)
-		m.RecordsOut++
+		a.foldM.RecordsOut++
 	}
 }
 
@@ -683,7 +602,7 @@ func (a *analysis) stackSlice(frames []uint32) []uint32 {
 // closeInstance folds the finished burst instance on rank r — with
 // whatever samples accumulated for it — into its phase's folders, then
 // resets the rank's accumulation buffer for the next instance.
-func (a *analysis) closeInstance(m *Metrics, r, ki int) {
+func (a *analysis) closeInstance(r, ki int) {
 	b := &a.kept[ki]
 	if pf := a.phases[b.Cluster]; pf != nil {
 		inst := folding.Instance{
@@ -696,7 +615,7 @@ func (a *analysis) closeInstance(m *Metrics, r, ki int) {
 		}
 		pf.stacks.Add(&inst)
 		pf.instances++
-		m.RecordsOut++
+		a.foldM.RecordsOut++
 	}
 	a.rankBuf[r].samples = a.rankBuf[r].samples[:0]
 	a.rankBuf[r].leaves = a.rankBuf[r].leaves[:0]
@@ -705,16 +624,16 @@ func (a *analysis) closeInstance(m *Metrics, r, ki int) {
 // flushInstances closes every burst the sample cursor never passed
 // (trailing bursts, sample-less ranks) so each kept burst contributes an
 // instance exactly once, as offline folding does.
-func (a *analysis) flushInstances(m *Metrics) {
+func (a *analysis) flushInstances() {
 	for r := range a.byRank {
 		for ; a.cursor[r] < len(a.byRank[r]); a.cursor[r]++ {
-			a.closeInstance(m, r, a.byRank[r][a.cursor[r]])
+			a.closeInstance(r, a.byRank[r][a.cursor[r]])
 		}
 	}
 }
 
-// outcome assembles the final Outcome after all stages returned.
-func (a *analysis) outcome(p *Pipeline) *Outcome {
+// outcome assembles the final Outcome of a completed run.
+func (a *analysis) outcome(stages []Metrics, decode *trace.DecodeStats) *Outcome {
 	out := &Outcome{
 		Meta:           *a.meta,
 		Records:        a.records,
@@ -723,7 +642,7 @@ func (a *analysis) outcome(p *Pipeline) *Outcome {
 		Clustering:     a.clustering,
 		Attached:       a.attached,
 		Online:         a.cfg.Online,
-		Decode:         a.decode,
+		Decode:         decode,
 		Warnings:       a.warnings,
 		KeptTime:       a.keptTime,
 		AllTime:        a.allTime,
@@ -759,6 +678,6 @@ func (a *analysis) outcome(p *Pipeline) *Outcome {
 			out.OnlinePhases[i] = ph
 		})
 	}
-	out.Stages = p.Metrics()
+	out.Stages = stages
 	return out
 }

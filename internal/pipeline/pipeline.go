@@ -1,28 +1,30 @@
-// Package pipeline is the streaming analysis engine: a set of composable
-// stages connected by bounded channels that turn a stream of trace
-// record blocks (trace.Source) into the measured Outcome that
-// core.Reduce resolves phases over and builds reports from. Batch and
-// streaming analysis run through the exact same stages — batch feeds an
-// in-memory TraceSource, streaming a decoding StreamReader, both filling
-// the same column blocks — so there is one implementation of extraction,
-// sample attachment and incremental folding to test and to trust.
+// Package pipeline is the streaming analysis engine: one pass that
+// turns a stream of trace record blocks (trace.Source) into the
+// measured Outcome that core.Reduce resolves phases over and builds
+// reports from. Batch and streaming analysis run through the same pass
+// — batch feeds an in-memory TraceSource, streaming a decoding
+// StreamReader, both filling the same column blocks — so there is one
+// implementation of extraction, sample attachment and incremental
+// folding to test and to trust.
 //
 // The flow is decode → extract → phase (gather the kept bursts; an
 // online run also trains and classifies) → fold (attach samples, or fold
 // them incrementally online). An exact run resolves no phases: it is the
-// map half of core's algebra, and core.Reduce clusters its bursts. Stages run
-// concurrently; the bounded channels give backpressure, so a fast
-// decoder cannot outrun a slow analysis stage by more than a few blocks
-// and the engine's working set stays constant. Record batches travel in
-// pooled blocks recycled by the final stage, keeping the steady-state
-// allocation rate of a streaming run near zero.
+// map half of core's algebra, and core.Reduce clusters its bursts.
+//
+// Decoding is the one overlap the pass keeps: a read-ahead goroutine
+// decodes into a fixed set of pooled column blocks while the calling
+// goroutine takes each decoded block through extract, phase and fold and
+// hands it back. The decoder runs at most four blocks ahead, so the
+// working set stays constant, and the blocks recycle for the length of
+// the run, so steady-state decoding allocates nothing.
 package pipeline
 
 import (
-	"context"
-	"log/slog"
-	"sync"
+	"io"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Metrics records one stage's observability counters, carried into the
@@ -32,187 +34,118 @@ type Metrics struct {
 	Stage string
 	// RecordsIn and RecordsOut count the logical records (events,
 	// samples, comms, bursts, instances — whatever the stage consumes and
-	// produces), not channel messages.
+	// produces), not blocks.
 	RecordsIn, RecordsOut int64
 	// Bytes is the encoded input bytes attributed to the stage (decode
 	// reports the trace size when known; other stages report 0).
 	Bytes int64
-	// Wall is the stage's wall-clock time from start to completion. Since
-	// stages run concurrently, stage walls overlap and do not sum to the
-	// pipeline's elapsed time.
+	// Wall is the summed time of the stage's calls. Extract, phase and
+	// fold run one after another on the calling goroutine, so their walls
+	// do not overlap and sum to at most the run's elapsed time; decode
+	// runs on the read-ahead goroutine, and its wall overlaps theirs.
 	Wall time.Duration
 }
 
-// Pipeline coordinates a set of concurrently-running stages: it
-// propagates the first error, signals cancellation so upstream stages
-// unblock from full channels, and collects per-stage metrics in spawn
-// order.
-type Pipeline struct {
-	// Logger, when non-nil, receives a debug record per completed stage
-	// (name, records in/out, wall time) — the live view of the same
-	// counters the Report carries. Set it before the first Go call.
-	Logger *slog.Logger
+const (
+	// blockRows is the number of records per block.
+	blockRows = 1024
+	// numBlocks is how many blocks one run makes: one in the calling
+	// goroutine's hands and the rest decoded ahead of it.
+	numBlocks = 5
+)
 
-	wg    sync.WaitGroup
-	once  sync.Once
-	quit  chan struct{} // closed when any stage fails; senders select on it
-	errMu sync.Mutex
-	err   error // guarded by errMu: a Watch goroutine can fail the
-	// pipeline (cancelled context) concurrently with wait reading the
-	// result after the last stage returned.
-	metrics []*Metrics
+// readAhead is the read-ahead goroutine: it fills free blocks from src
+// and sends them, in stream order, on full.
+type readAhead struct {
+	src  trace.Source
+	free chan *trace.ColBlock // blocks ready to fill
+	full chan *trace.ColBlock // decoded blocks; closed when the goroutine returns
+	quit chan struct{}        // closed to stop it before its next block
+
+	// Written by the goroutine before it closes full.
+	m     Metrics
+	stats *trace.DecodeStats // a lenient decode's salvage
+	err   error              // the source's error, other than io.EOF
 }
 
-// New creates an empty pipeline.
-func New() *Pipeline {
-	return &Pipeline{quit: make(chan struct{})}
+// decoder is a source that decodes an encoding (a trace.StreamReader,
+// bare or checked): it reports the bytes it read and a lenient decode's
+// salvage.
+type decoder interface {
+	Decoded() (int64, *trace.DecodeStats)
 }
 
-// Watch ties the pipeline to ctx: when ctx is cancelled the pipeline
-// fails with ctx.Err(), which closes quit and releases every sender
-// blocked on a full channel, so the stages drain and exit promptly.
-// The returned stop function releases the watcher goroutine; call it
-// once the pipeline is done (typically deferred next to wait).
-func (p *Pipeline) Watch(ctx context.Context) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
+// startReadAhead makes the run's blocks and starts decoding src into
+// them. Each channel can hold every block, so no send on one blocks.
+func startReadAhead(src trace.Source) *readAhead {
+	d := &readAhead{
+		src:  src,
+		free: make(chan *trace.ColBlock, numBlocks),
+		full: make(chan *trace.ColBlock, numBlocks),
+		quit: make(chan struct{}),
+		m:    Metrics{Stage: "decode"},
 	}
-	done := make(chan struct{})
-	go func() {
+	for range numBlocks {
+		d.free <- trace.NewColBlock(blockRows)
+	}
+	go d.run()
+	return d
+}
+
+// run decodes until the source ends or fails, or quit is closed.
+func (d *readAhead) run() {
+	defer close(d.full)
+	for {
+		// Check quit first: once it is closed, stop hands blocks back, and
+		// the select below could otherwise take one and decode on.
 		select {
-		case <-ctx.Done():
-			p.fail(ctx.Err())
-		case <-done:
-		case <-p.quit:
+		case <-d.quit:
+			return
+		default:
 		}
-	}()
-	return func() { close(done) }
-}
-
-// fail records the first error and releases every blocked sender.
-func (p *Pipeline) fail(err error) {
-	p.once.Do(func() {
-		p.errMu.Lock()
-		p.err = err
-		p.errMu.Unlock()
-		close(p.quit)
-	})
-}
-
-// loadErr reads the latched error under the lock.
-func (p *Pipeline) loadErr() error {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.err
-}
-
-// Go runs fn as a named stage. fn owns the returned Metrics for counting
-// and must return promptly once the pipeline fails. Stage wall time is
-// measured around fn.
-func (p *Pipeline) Go(name string, fn func(m *Metrics) error) {
-	m := &Metrics{Stage: name}
-	p.metrics = append(p.metrics, m)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
+		var blk *trace.ColBlock
+		select {
+		case blk = <-d.free:
+		case <-d.quit:
+			return
+		}
 		start := time.Now()
-		err := fn(m)
-		m.Wall = time.Since(start)
+		err := d.src.NextBlock(blk)
+		d.m.Wall += time.Since(start)
+		if err == nil && blk.Len() > 0 {
+			d.m.RecordsOut += int64(blk.Len())
+			d.full <- blk
+			continue
+		}
+		// An empty block goes back, and so do rows that came with an
+		// error: a failed run is not analyzed.
+		d.free <- blk
+		// Identity comparison on purpose: a decode error may wrap an
+		// io.EOF cause (truncation inside a record) and must still fail a
+		// strict run.
+		if err == io.EOF {
+			if s, ok := d.src.(decoder); ok {
+				d.m.Bytes, d.stats = s.Decoded()
+			}
+			return
+		}
 		if err != nil {
-			p.fail(err)
+			d.err = err
+			return
 		}
-		if p.Logger != nil {
-			p.Logger.Debug("stage done", "stage", name,
-				"records_in", m.RecordsIn, "records_out", m.RecordsOut,
-				"wall", m.Wall, "err", err)
-		}
-	}()
-}
-
-// wait blocks until every stage has returned and reports the first
-// error, if any.
-func (p *Pipeline) wait() error {
-	p.wg.Wait()
-	return p.loadErr()
-}
-
-// Metrics returns the per-stage counters in spawn order; call it only
-// after wait.
-func (p *Pipeline) Metrics() []Metrics {
-	out := make([]Metrics, len(p.metrics))
-	for i, m := range p.metrics {
-		out[i] = *m
 	}
-	return out
 }
 
-// Stage wires fn as a transforming stage: it consumes every item from
-// in, may emit items downstream via ctx.Emit, and has flush called once
-// after in is drained (barrier work — clustering, final flushes — goes
-// there; flush may be nil). The output channel is bounded by buf and
-// closed when the stage returns, and emission aborts cleanly when the
-// pipeline is cancelled.
-func Stage[In, Out any](p *Pipeline, name string, buf int, in <-chan In,
-	fn func(ctx *StageCtx[Out], v In) error,
-	flush func(ctx *StageCtx[Out]) error) <-chan Out {
-
-	out := make(chan Out, buf)
-	p.Go(name, func(m *Metrics) error {
-		defer close(out)
-		ctx := &StageCtx[Out]{p: p, out: out, Metrics: m}
-		for v := range in {
-			if err := fn(ctx, v); err != nil {
-				return err
-			}
-			if ctx.stopped {
-				return nil
-			}
-		}
-		if flush != nil {
-			return flush(ctx)
-		}
-		return nil
-	})
-	return out
-}
-
-// Sink is Stage with no downstream: the terminal stage of a pipeline.
-func Sink[In any](p *Pipeline, name string, in <-chan In,
-	fn func(m *Metrics, v In) error,
-	flush func(m *Metrics) error) {
-
-	p.Go(name, func(m *Metrics) error {
-		for v := range in {
-			if err := fn(m, v); err != nil {
-				return err
-			}
-		}
-		if flush != nil {
-			return flush(m)
-		}
-		return nil
-	})
-}
-
-// StageCtx is the emission side handed to a stage body.
-type StageCtx[Out any] struct {
-	p       *Pipeline
-	out     chan<- Out
-	stopped bool
-	// Metrics is the stage's counter block; bodies update RecordsIn and
-	// RecordsOut themselves since only they know the record granularity.
-	Metrics *Metrics
-}
-
-// Emit sends v downstream, blocking under backpressure. It returns false
-// when the pipeline was cancelled; the stage should then return nil
-// promptly (the failing stage already carries the error).
-func (c *StageCtx[Out]) Emit(v Out) bool {
-	select {
-	case c.out <- v:
-		return true
-	case <-c.p.quit:
-		c.stopped = true
-		return false
+// stop ends the goroutine and waits for it: it drains full back into
+// free until the goroutine closes it, then returns every block's arenas
+// to the pools. Nothing touches a block afterwards.
+func (d *readAhead) stop() {
+	close(d.quit)
+	for blk := range d.full {
+		d.free <- blk
+	}
+	close(d.free)
+	for blk := range d.free {
+		blk.Release()
 	}
 }

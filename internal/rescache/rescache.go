@@ -1,10 +1,10 @@
 // Package rescache is a content-addressed result cache for the
-// analysis service: a size-bounded, sharded-by-key, LRU in-memory
-// store of serialized results (full core.Reports, per-shard
-// core.Partials, cluster models) keyed by (trace digest, canonical
-// options fingerprint), with an optional disk tier so warm state
-// survives restarts, and singleflight request coalescing so a
-// thundering herd of identical requests costs exactly one computation.
+// analysis service: a size-bounded LRU in-memory store of serialized
+// results (full core.Reports, per-shard core.Partials, cluster models)
+// keyed by (trace digest, canonical options fingerprint), with an
+// optional disk tier so warm state survives restarts, and singleflight
+// request coalescing so a thundering herd of identical requests costs
+// exactly one computation.
 //
 // Because keys are content-addressed — the digest covers every input
 // byte and the fingerprint covers every result-shaping option — cached
@@ -18,14 +18,13 @@
 package rescache
 
 import (
+	"container/list"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -35,15 +34,9 @@ import (
 // Config collects the cache's tunables. The zero value of every field
 // selects a usable default.
 type Config struct {
-	// MaxBytes bounds the in-memory tier (keys + values + per-entry
-	// overhead); 0 selects 256 MiB. The bound is enforced per shard
-	// (MaxBytes/Shards each), so a pathological key distribution can
-	// undershoot but never overshoot the total.
+	// MaxBytes bounds the in-memory tier, all entries together (keys +
+	// values + per-entry overhead); 0 selects 256 MiB.
 	MaxBytes int64
-	// Shards is the lock-striping factor (default 16): entries are
-	// distributed over this many independently locked LRU shards so
-	// concurrent hits do not serialize on one mutex.
-	Shards int
 	// Dir, when non-empty, adds a persistent tier: every stored entry
 	// is also written to this directory (atomic create-temp + rename,
 	// named by the sha256 of its key), and in-memory misses fall back
@@ -116,21 +109,10 @@ func Key(kind, digest string, extra ...string) string {
 // (map bucket, list pointers, headers) charged against MaxBytes.
 const entryOverhead = 128
 
-// entry is one cached value threaded on its shard's LRU list.
+// entry is one cached value on the LRU list.
 type entry struct {
-	key        string
-	val        []byte
-	prev, next *entry
-}
-
-// shard is one independently locked LRU stripe.
-type shard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
-	bytes   int64
-	max     int64
+	key string
+	val []byte
 }
 
 // flight is one in-progress computation that waiters can attach to.
@@ -143,13 +125,15 @@ type flight struct {
 // Cache is the content-addressed result cache. It is safe for
 // concurrent use. Create it with New.
 type Cache struct {
-	cfg    Config
-	shards []*shard
+	cfg Config
 
+	// mu guards the LRU and the in-flight computations.
 	mu      sync.Mutex
+	entries map[string]*list.Element // of *entry
+	lru     *list.List               // front is the most recently used
+	bytes   int64                    // the entries' cost
 	flights map[string]*flight
 
-	stBytes, stEntries                 atomic.Int64
 	hitsMem, hitsDisk, misses          *obs.Counter
 	coalesced, evictions, diskFailures *obs.Counter
 	hitSecs                            *obs.Histogram
@@ -160,9 +144,6 @@ type Cache struct {
 func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 256 << 20
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -175,14 +156,8 @@ func New(cfg Config) *Cache {
 		// through the disk-failure counter at first write.
 		os.MkdirAll(cfg.Dir, 0o755)
 	}
-	c := &Cache{cfg: cfg, flights: map[string]*flight{}}
-	perShard := cfg.MaxBytes / int64(cfg.Shards)
-	if perShard < 1 {
-		perShard = 1
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		c.shards = append(c.shards, &shard{entries: map[string]*entry{}, max: perShard})
-	}
+	c := &Cache{cfg: cfg, entries: map[string]*list.Element{}, lru: list.New(),
+		flights: map[string]*flight{}}
 
 	ns := cfg.Namespace
 	reg := cfg.Registry
@@ -202,20 +177,13 @@ func New(cfg Config) *Cache {
 		"Disk-tier reads or writes that failed (the cache degrades to memory-only).")
 	reg.GaugeFunc(ns+"_cache_bytes",
 		"Bytes held by the in-memory tier (keys + values + overhead).", nil,
-		func() float64 { return float64(c.stBytes.Load()) })
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.bytes) })
 	reg.GaugeFunc(ns+"_cache_entries",
 		"Entries held by the in-memory tier.", nil,
-		func() float64 { return float64(c.stEntries.Load()) })
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.entries)) })
 	c.hitSecs = reg.Histogram(ns+"_cache_hit_seconds",
 		"Latency of cache lookups that hit, in seconds.", nil)
 	return c
-}
-
-// shardFor picks the stripe owning key.
-func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // Get returns the cached value for key, consulting memory first and
@@ -223,8 +191,7 @@ func (c *Cache) shardFor(key string) *shard {
 // slice is shared — treat it as read-only.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	start := time.Now()
-	sh := c.shardFor(key)
-	if v, ok := sh.get(key); ok {
+	if v, ok := c.lookup(key); ok {
 		c.hitsMem.Inc()
 		c.hitSecs.Observe(time.Since(start).Seconds())
 		return v, true
@@ -232,7 +199,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	if c.cfg.Dir != "" {
 		v, err := os.ReadFile(c.diskPath(key))
 		if err == nil {
-			c.insert(sh, key, v)
+			c.insert(key, v)
 			c.hitsDisk.Inc()
 			c.hitSecs.Observe(time.Since(start).Seconds())
 			return v, true
@@ -246,7 +213,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Put stores val under key in memory and, when configured, on disk.
 func (c *Cache) Put(key string, val []byte) {
-	c.insert(c.shardFor(key), key, val)
+	c.insert(key, val)
 	if c.cfg.Dir != "" {
 		c.writeDisk(key, val)
 	}
@@ -312,14 +279,39 @@ func runProtected(ctx context.Context, compute func(context.Context) (Result, er
 	return compute(ctx)
 }
 
-// insert stores into the shard and settles the global gauges and
-// eviction counters from the shard's report.
-func (c *Cache) insert(sh *shard, key string, val []byte) {
-	deltaBytes, deltaEntries, evicted := sh.put(key, val)
-	c.stBytes.Add(deltaBytes)
-	c.stEntries.Add(deltaEntries)
-	if evicted > 0 {
-		c.evictions.Add(float64(evicted))
+// lookup returns key's value from memory, refreshing its LRU position.
+func (c *Cache) lookup(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry).val, true
+}
+
+// insert stores (or refreshes) key in memory and evicts from the LRU
+// tail until the entries fit in MaxBytes. An entry larger than the whole
+// budget is still admitted (everything else is evicted) — a result that
+// was worth computing is worth keeping once.
+func (c *Cache) insert(key string, val []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		e := el.Value.(*entry)
+		c.bytes += cost(key, val) - cost(key, e.val)
+		e.val = val
+		c.lru.MoveToFront(el)
+	} else {
+		c.entries[key] = c.lru.PushFront(&entry{key: key, val: val})
+		c.bytes += cost(key, val)
+	}
+	for c.bytes > c.cfg.MaxBytes && c.lru.Len() > 1 {
+		victim := c.lru.Remove(c.lru.Back()).(*entry)
+		delete(c.entries, victim.key)
+		c.bytes -= cost(victim.key, victim.val)
+		c.evictions.Inc()
 	}
 }
 
@@ -356,86 +348,4 @@ func (c *Cache) writeDisk(key string, val []byte) {
 // cost is what an entry charges against the byte budget.
 func cost(key string, val []byte) int64 {
 	return int64(len(key)) + int64(len(val)) + entryOverhead
-}
-
-// get looks key up in this shard, refreshing its LRU position.
-func (sh *shard) get(key string) ([]byte, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[key]
-	if !ok {
-		return nil, false
-	}
-	sh.moveToFront(e)
-	return e.val, true
-}
-
-// put inserts (or refreshes) key and evicts from the LRU tail until
-// the shard is back under budget. It reports the byte and entry deltas
-// and how many entries were evicted. An entry larger than the whole
-// shard budget is still admitted (everything else is evicted) — a
-// result that was worth computing is worth keeping once.
-func (sh *shard) put(key string, val []byte) (deltaBytes, deltaEntries int64, evicted int) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.entries[key]; ok {
-		deltaBytes += cost(key, val) - cost(key, e.val)
-		sh.bytes += cost(key, val) - cost(key, e.val)
-		e.val = val
-		sh.moveToFront(e)
-	} else {
-		e := &entry{key: key, val: val}
-		sh.entries[key] = e
-		sh.pushFront(e)
-		sh.bytes += cost(key, val)
-		deltaBytes += cost(key, val)
-		deltaEntries++
-	}
-	for sh.bytes > sh.max && sh.tail != nil && sh.tail.key != key {
-		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
-		sh.bytes -= cost(victim.key, victim.val)
-		deltaBytes -= cost(victim.key, victim.val)
-		deltaEntries--
-		evicted++
-	}
-	return deltaBytes, deltaEntries, evicted
-}
-
-// pushFront links e as the most recently used entry.
-func (sh *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-// unlink removes e from the LRU list.
-func (sh *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// moveToFront refreshes e's LRU position.
-func (sh *shard) moveToFront(e *entry) {
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
 }

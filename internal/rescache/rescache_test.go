@@ -29,14 +29,16 @@ type Stats struct {
 
 // stats snapshots the cache's counters and gauges.
 func (c *Cache) stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return Stats{
 		Hits:      int64(c.hitsMem.Value()),
 		DiskHits:  int64(c.hitsDisk.Value()),
 		Misses:    int64(c.misses.Value()),
 		Coalesced: int64(c.coalesced.Value()),
 		Evictions: int64(c.evictions.Value()),
-		Bytes:     c.stBytes.Load(),
-		Entries:   c.stEntries.Load(),
+		Bytes:     c.bytes,
+		Entries:   int64(len(c.entries)),
 	}
 }
 
@@ -67,8 +69,7 @@ func TestKeyLayout(t *testing.T) {
 }
 
 func TestLRUEvictionBound(t *testing.T) {
-	// One shard so the LRU order is global and deterministic.
-	c := New(Config{MaxBytes: 4 * 1024, Shards: 1})
+	c := New(Config{MaxBytes: 4 * 1024})
 	val := make([]byte, 1024)
 	for i := 0; i < 8; i++ {
 		c.Put(fmt.Sprintf("k%d", i), val)
@@ -89,8 +90,29 @@ func TestLRUEvictionBound(t *testing.T) {
 	}
 }
 
+// TestBudgetBoundsAllEntries fills a budget that holds every entry with
+// many small entries and one above a sixteenth of it: nothing is
+// evicted, because MaxBytes bounds the entries together, not per part.
+func TestBudgetBoundsAllEntries(t *testing.T) {
+	const maxBytes = 1 << 20
+	c := New(Config{MaxBytes: maxBytes})
+	small := make([]byte, 1024)
+	for i := 0; i < 100; i++ {
+		c.Put(fmt.Sprintf("small%d", i), small)
+	}
+	c.Put("big", make([]byte, maxBytes/16+1))
+	if st := c.stats(); st.Evictions != 0 || st.Entries != 101 || st.Bytes > maxBytes {
+		t.Fatalf("stats = %+v; want 101 entries within %d bytes and no evictions", st, maxBytes)
+	}
+	for i := 0; i < 100; i++ {
+		if _, ok := c.Get(fmt.Sprintf("small%d", i)); !ok {
+			t.Fatalf("small%d was evicted", i)
+		}
+	}
+}
+
 func TestOversizedEntryAdmitted(t *testing.T) {
-	c := New(Config{MaxBytes: 1024, Shards: 1})
+	c := New(Config{MaxBytes: 1024})
 	big := make([]byte, 8*1024)
 	c.Put("big", big)
 	if _, ok := c.Get("big"); !ok {

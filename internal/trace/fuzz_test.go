@@ -158,9 +158,10 @@ func errText(err error) string {
 }
 
 // addDamagedSeeds seeds the corpus with realistic fault shapes: the
-// featured trace truncated at several depths and with single bits
-// flipped across the record region — the damage the lenient decoder is
-// built to absorb.
+// featured trace truncated at several depths, with single bits flipped
+// across the record region, and followed by bytes no section accounts
+// for (a short tail, and a second copy of the trace) — the damage the
+// lenient decoder is built to absorb.
 func addDamagedSeeds(f *testing.F, tr *Trace) {
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
@@ -178,6 +179,8 @@ func addDamagedSeeds(f *testing.F, tr *Trace) {
 		mut[pos] ^= 0x40
 		f.Add(mut)
 	}
+	f.Add(append(append([]byte(nil), enc...), 0x01, 0x80, 0x7f))
+	f.Add(append(append([]byte(nil), enc...), enc...))
 }
 
 // FuzzReadIntoBlock fuzzes the block decoder against the record decoder

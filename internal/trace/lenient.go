@@ -51,6 +51,9 @@ type DecodeStats struct {
 	// Truncated reports that the input ended mid-stream; records in
 	// sections that were never reached are not counted as dropped.
 	Truncated bool
+	// TrailingBytes counts the input bytes after the comm section, which
+	// no section accounts for and the decode skipped.
+	TrailingBytes int64 `json:",omitempty"`
 }
 
 // Add folds another decode's salvage tally into st — the merge used when
@@ -62,6 +65,7 @@ func (st *DecodeStats) Add(o DecodeStats) {
 	st.BadSections += o.BadSections
 	st.Resyncs += o.Resyncs
 	st.Truncated = st.Truncated || o.Truncated
+	st.TrailingBytes += o.TrailingBytes
 }
 
 // Dropped returns the total number of records lost across all kinds.
@@ -70,9 +74,10 @@ func (st DecodeStats) Dropped() int64 {
 }
 
 // Degraded reports whether the decode lost anything: records dropped,
-// a section count clamped, or the stream truncated.
+// a section count clamped, the stream truncated, or a tail skipped.
 func (st DecodeStats) Degraded() bool {
-	return st.Dropped() > 0 || st.BadSections > 0 || st.Resyncs > 0 || st.Truncated
+	return st.Dropped() > 0 || st.BadSections > 0 || st.Resyncs > 0 || st.Truncated ||
+		st.TrailingBytes > 0
 }
 
 // Warnings renders the stats as human-readable report warnings, one per
@@ -91,6 +96,10 @@ func (st DecodeStats) Warnings() []string {
 		w = append(w, fmt.Sprintf(
 			"salvage decode: %d section header(s) declared impossible record counts",
 			st.BadSections))
+	}
+	if st.TrailingBytes > 0 {
+		w = append(w, fmt.Sprintf(
+			"salvage decode: skipped %d trailing bytes after the comm section", st.TrailingBytes))
 	}
 	return w
 }

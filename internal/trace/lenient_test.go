@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // featuredTrace builds a trace exercising every record shape: events
@@ -90,6 +93,48 @@ func TestLenientTruncatedInput(t *testing.T) {
 		// Salvaged records must be a clean prefix-or-subset: re-encoding
 		// must work (monotone timestamps preserved).
 		encodeTrace(t, tr)
+	}
+}
+
+// TestTrailingBytes appends bytes no section accounts for to a clean
+// trace: strict decoding fails and names the byte where they start,
+// lenient decoding returns the clean trace and counts them. A read that
+// fails after the last section fails both modes.
+func TestTrailingBytes(t *testing.T) {
+	enc := encodeTrace(t, featuredTrace(t, 10))
+	want, err := ReadFrom(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := append(append([]byte(nil), enc...), bytes.Repeat([]byte{0x5a}, 5000)...)
+	for _, rd := range decodeReaders {
+		_, err := ReadFrom(rd.wrap(buf))
+		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), fmt.Sprintf("at byte %d", len(enc))) {
+			t.Fatalf("%s reader: strict decode with a tail: error %v, want ErrBadFormat at byte %d",
+				rd.name, err, len(enc))
+		}
+		got, st, err := ReadFromLenient(rd.wrap(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.TrailingBytes != 5000 || !st.Degraded() {
+			t.Fatalf("%s reader: lenient stats %+v, want 5000 trailing bytes", rd.name, st)
+		}
+		if w := st.Warnings(); len(w) != 1 || w[0] != "salvage decode: skipped 5000 trailing bytes after the comm section" {
+			t.Fatalf("%s reader: lenient warnings %q", rd.name, w)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s reader: lenient decode with a tail differs from the clean decode", rd.name)
+		}
+	}
+	for _, mode := range []Mode{Strict, Lenient} {
+		sr, err := NewStreamReaderMode(io.MultiReader(bytes.NewReader(enc), iotest.ErrReader(errTransient)), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readAll(sr); !errors.Is(err, errTransient) || !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("%v mode: a read failing after the last section gave %v, want the read error", mode, err)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func (sr *StreamReader) nextStrict(rec *Record) error {
 			sr.counted = false
 		}
 		if sr.kind >= numKinds {
-			return sr.fail(io.EOF)
+			return sr.fail(sr.end())
 		}
 		if err := sr.beginSection(); err != nil {
 			return sr.fail(err)
@@ -81,7 +81,7 @@ func (sr *StreamReader) nextLenient(rec *Record) error {
 				sr.counted = false
 			}
 			if sr.kind >= numKinds {
-				return sr.fail(io.EOF)
+				return sr.fail(sr.end())
 			}
 			if err := sr.beginSection(); err != nil {
 				// A section header that cannot be decoded leaves no way to

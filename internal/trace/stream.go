@@ -157,10 +157,10 @@ type StreamReader struct {
 
 // NewStreamReader opens a streaming decoder over r, reading the header
 // (magic + metadata) immediately. When r's total size is discoverable
-// (see InputSize) it is used to reject malformed section counts before
-// any allocation; use NewStreamReaderSize to supply the size explicitly.
+// (see inputSize) it is used to reject malformed section counts before
+// any allocation, never to truncate reads.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	return NewStreamReaderSize(r, InputSize(r), Strict)
+	return NewStreamReaderMode(r, Strict)
 }
 
 // NewStreamReaderMode is NewStreamReader with an explicit decode mode.
@@ -168,20 +168,8 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 // (records dropped, the damage tallied in Stats) instead of aborting the
 // stream; header corruption remains fatal in both modes.
 func NewStreamReaderMode(r io.Reader, mode Mode) (*StreamReader, error) {
-	return NewStreamReaderSize(r, InputSize(r), mode)
-}
-
-// NewStreamReaderSize is NewStreamReaderMode with an explicit total input
-// size in bytes (pass a negative size when unknown). The size is used
-// only to validate declared record counts, never to truncate reads. A
-// caller that wraps r in a reader hiding its size takes InputSize(r)
-// first, so the decoder validates the same way with or without the
-// wrapper.
-func NewStreamReaderSize(r io.Reader, size int64, mode Mode) (*StreamReader, error) {
+	size := inputSize(r)
 	sr := &StreamReader{cr: countingReader{r: r}, limit: size, mode: mode}
-	if size < 0 {
-		sr.limit = -1
-	}
 	// An input known to be smaller than the 1 MiB read buffer gets a
 	// buffer of its own size, so decoding a small input (a session's
 	// appended chunk) does not allocate and clear a mostly unused
@@ -220,10 +208,10 @@ func NewStreamReaderSize(r io.Reader, size int64, mode Mode) (*StreamReader, err
 	return sr, nil
 }
 
-// InputSize returns r's remaining byte count when it is cheaply
+// inputSize returns r's remaining byte count when it is cheaply
 // discoverable, and -1 otherwise: in-memory readers report Len, regular
 // files their size minus offset.
-func InputSize(r io.Reader) int64 {
+func inputSize(r io.Reader) int64 {
 	switch v := r.(type) {
 	case interface{ Len() int }:
 		return int64(v.Len())
@@ -318,6 +306,27 @@ func (sr *StreamReader) truncate() {
 	}
 	sr.counted = false
 	sr.kind = numKinds
+}
+
+// end runs once the comm section is complete. Input left after it is a
+// tail no section accounts for: strict decoding fails on it, saying
+// where it starts, and lenient decoding skips and counts it. It returns
+// io.EOF when the stream ends cleanly.
+func (sr *StreamReader) end() error {
+	at := sr.BytesRead()
+	_, err := sr.br.Peek(1)
+	switch {
+	case err == io.EOF:
+		return io.EOF
+	case err == nil && sr.mode != Lenient:
+		return badf(nil, "trailing bytes after the comm section at byte %d", at)
+	case err == nil:
+		sr.stats.TrailingBytes, err = sr.br.WriteTo(io.Discard)
+		if err == nil {
+			return io.EOF
+		}
+	}
+	return badf(err, "reading past the comm section: %v", err)
 }
 
 // beginSection reads and validates the current section's record count.

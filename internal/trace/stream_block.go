@@ -40,7 +40,7 @@ func (sr *StreamReader) NextBlock(blk *ColBlock) error {
 				sr.counted = false
 			}
 			if sr.kind >= numKinds {
-				return sr.fail(io.EOF)
+				return sr.fail(sr.end())
 			}
 			if err := sr.beginSection(); err != nil {
 				if sr.mode != Lenient {
