@@ -23,11 +23,12 @@
 #                   both modes) and over the validity check (Validate on
 #                   a decoded trace against the check streamed over its
 #                   bytes) + a build of
-#                   every example the docs reference + the benchmark
-#                   regression gate (benchjson -gate fails on any >10%
-#                   median ns/op or B/op regression between the two
-#                   newest BENCH_<date>.json snapshots from the same
-#                   runner)
+#                   every example the docs reference + make chaos +
+#                   make e2e-session + last, so a red gate stops no
+#                   other step, the benchmark regression gate
+#                   (benchjson -gate fails on any >10% median ns/op or
+#                   B/op regression between the two newest
+#                   BENCH_<date>.json snapshots from the same runner)
 #   make chaos    — the fault-injection suite under the race detector:
 #                   full traces driven through the batch, streaming and
 #                   HTTP analysis paths with truncation, bit-flips, short
@@ -104,9 +105,9 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzReadIntoBlock -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCheckedMatchesValidate -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) build ./examples/...
-	$(GO) run ./cmd/benchjson -gate -tol 10 -cur newest
 	$(MAKE) chaos
 	$(MAKE) e2e-session
+	$(GO) run ./cmd/benchjson -gate -tol 10 -cur newest
 
 chaos:
 	$(GO) test -race -count 1 ./internal/faultinject/

@@ -107,17 +107,9 @@ func main() {
 		r = f
 	}
 	if *iterations {
-		var tr *trace.Trace
-		var err error
-		if *lenient {
-			tr, _, err = trace.ReadFromLenient(r)
-		} else {
-			tr, err = trace.ReadFrom(r)
-		}
-		if err != nil {
+		if err := foldIterations(os.Stdout, r, *counter, *bins, *lenient); err != nil {
 			fatal(err)
 		}
-		foldIterations(tr, *counter, *bins)
 		return
 	}
 
@@ -143,11 +135,7 @@ func main() {
 		fmt.Printf("online training failed: %s — no phases classified\n\n", rep.TrainErr)
 	}
 	if rep.Degraded {
-		fmt.Println("DEGRADED analysis — results carry concessions:")
-		for _, w := range rep.Warnings {
-			fmt.Println("  !", w)
-		}
-		fmt.Println()
+		printDegraded(os.Stdout, rep.Warnings)
 	}
 	if *stages {
 		printStages(rep)
@@ -271,34 +259,71 @@ func printStages(rep *core.Report) {
 	fmt.Println()
 }
 
-// foldIterations runs marker-driven iteration folding instead of the
-// clustering pipeline.
-func foldIterations(tr *trace.Trace, counterName string, bins int) {
+// printDegraded prints the DEGRADED block: one line per concession.
+func printDegraded(w io.Writer, warnings []string) {
+	fmt.Fprintln(w, "DEGRADED analysis — results carry concessions:")
+	for _, warn := range warnings {
+		fmt.Fprintln(w, "  !", warn)
+	}
+	fmt.Fprintln(w)
+}
+
+// foldIterations runs marker-driven iteration folding of the trace r
+// holds instead of the clustering pipeline, and prints it to w. It
+// checks the trace like every whole-trace analysis: strict, a trace
+// that fails Trace.Validate is an error; lenient, the DEGRADED block
+// lists the salvage warnings, then the validation warning, and the
+// trace is folded anyway, unless its metadata declares no rank.
+func foldIterations(w io.Writer, r io.Reader, counterName string, bins int, lenient bool) error {
+	var (
+		tr  *trace.Trace
+		st  trace.DecodeStats
+		err error
+	)
+	if lenient {
+		tr, st, err = trace.ReadFromLenient(r)
+	} else {
+		tr, err = trace.ReadFrom(r)
+	}
+	if err != nil {
+		return err
+	}
+	warnings := st.Warnings()
+	if err := tr.Validate(); err != nil {
+		if !lenient || tr.Meta.Validate() != nil {
+			return err
+		}
+		warnings = append(warnings, core.ValidationWarning(err))
+	}
 	instances, err := folding.InstancesFromIterations(tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cs := []counters.Counter{counters.TotIns}
 	if counterName != "" {
 		c, err := counters.ParseCounter(counterName)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cs = []counters.Counter{c}
 	}
-	fmt.Printf("%s: folding %d whole iterations\n\n", tr.Meta.App, len(instances))
+	fmt.Fprintf(w, "%s: folding %d whole iterations\n\n", tr.Meta.App, len(instances))
+	if len(warnings) > 0 {
+		printDegraded(w, warnings)
+	}
 	for _, c := range cs {
 		res, err := folding.Fold(instances, folding.Config{Counter: c, Bins: bins})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s over one iteration (mean %.2f ms):\n", c, res.MeanDuration/1e6)
-		fmt.Print(report.ASCIIPlot("  cumulative", res.Grid, res.Cumulative, 72, 12))
-		fmt.Print(report.ASCIIPlot("  rate (per µs)", res.Grid, scale(res.Rate, 1e3), 72, 12))
+		fmt.Fprintf(w, "%s over one iteration (mean %.2f ms):\n", c, res.MeanDuration/1e6)
+		fmt.Fprint(w, report.ASCIIPlot("  cumulative", res.Grid, res.Cumulative, 72, 12))
+		fmt.Fprint(w, report.ASCIIPlot("  rate (per µs)", res.Grid, scale(res.Rate, 1e3), 72, 12))
 		if len(res.Breakpoints) > 0 {
-			fmt.Printf("  compute/wait boundaries at x = %v\n", res.Breakpoints)
+			fmt.Fprintf(w, "  compute/wait boundaries at x = %v\n", res.Breakpoints)
 		}
 	}
+	return nil
 }
 
 func scale(xs []float64, f float64) []float64 {

@@ -21,11 +21,6 @@ type Config struct {
 	// UseIPC adds IPC as a third feature dimension alongside log duration
 	// and log instructions.
 	UseIPC bool
-	// MinClusterShare demotes clusters holding less than this fraction of
-	// the clustered bursts to noise (default 0.01). Heavy-tailed duration
-	// noise produces tiny outlying shards that DBSCAN dutifully groups;
-	// they are measurement debris, not application phases.
-	MinClusterShare float64
 	// Parallelism bounds the workers used by the heavy kernels
 	// (AutoEpsMode, the silhouette) and by DBSCAN's core-point and
 	// border-point passes; 0 selects GOMAXPROCS, 1 forces sequential
@@ -292,16 +287,19 @@ func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float6
 	return eps
 }
 
-// SetDefaults sets MinPts and MinClusterShare to their defaults when
-// unset, and a negative SilhouetteSample to 0, the default it scores
-// like. ClusterBursts and the analysis options fingerprint both call
-// it, so each default is written only here.
+// minClusterShare is the fraction of the clustered bursts below which
+// a cluster is demoted to noise. Heavy-tailed duration noise produces
+// tiny outlying shards that DBSCAN dutifully groups; they are
+// measurement debris, not application phases.
+const minClusterShare = 0.01
+
+// SetDefaults sets MinPts to its default when unset, and a negative
+// SilhouetteSample to 0, the default it scores like. ClusterBursts and
+// the analysis options fingerprint both call it, so each default is
+// written only here.
 func (c *Config) SetDefaults() {
 	if c.MinPts == 0 {
 		c.MinPts = 4
-	}
-	if c.MinClusterShare == 0 {
-		c.MinClusterShare = 0.01
 	}
 	if c.SilhouetteSample < 0 {
 		c.SilhouetteSample = 0
@@ -325,18 +323,16 @@ func ClusterBursts(bursts []burst.Burst, cfg Config) Result {
 	raw := DBSCANP(res.Features, res.Eps, res.MinPts, cfg.Parallelism)
 
 	// Demote sub-scale shards to noise.
-	if share := cfg.MinClusterShare; share > 0 {
-		sizes := map[int]int{}
-		for _, c := range raw {
-			if c != Noise {
-				sizes[c]++
-			}
+	sizes := map[int]int{}
+	for _, c := range raw {
+		if c != Noise {
+			sizes[c]++
 		}
-		minSize := int(share * float64(len(raw)))
-		for i, c := range raw {
-			if c != Noise && sizes[c] < minSize {
-				raw[i] = Noise
-			}
+	}
+	minSize := int(minClusterShare * float64(len(raw)))
+	for i, c := range raw {
+		if c != Noise && sizes[c] < minSize {
+			raw[i] = Noise
 		}
 	}
 

@@ -45,10 +45,10 @@ func (o Options) Fingerprint() string {
 	fmt.Fprintf(&b, "%s|minb=%d|phases=%d|stackbins=%d|lenient=%t",
 		fingerprintVersion, o.MinBurstDuration, o.MaxPhases, o.StackBins, o.Lenient)
 	fmt.Fprintf(&b, "|online=%t|train=%d", o.Stream.Online, o.Stream.TrainBursts)
-	fmt.Fprintf(&b, "|eps=%.17g|minpts=%d|share=%.17g|ipc=%t|sil=%d",
-		o.Cluster.Eps, o.Cluster.MinPts, o.Cluster.MinClusterShare, o.Cluster.UseIPC, o.Cluster.SilhouetteSample)
-	fmt.Fprintf(&b, "|bins=%d|model=%d|prunek=%.17g|kbw=%.17g|maxseg=%d|segpen=%.17g",
-		o.Fold.Bins, int(o.Fold.Model), o.Fold.PruneK, o.Fold.KernelBandwidth, o.Fold.MaxSegments, o.Fold.SegmentPenalty)
+	fmt.Fprintf(&b, "|eps=%.17g|minpts=%d|ipc=%t|sil=%d",
+		o.Cluster.Eps, o.Cluster.MinPts, o.Cluster.UseIPC, o.Cluster.SilhouetteSample)
+	fmt.Fprintf(&b, "|bins=%d|model=%d|prunek=%.17g",
+		o.Fold.Bins, int(o.Fold.Model), o.Fold.PruneK)
 	b.WriteString("|counters=")
 	for i, c := range o.Counters {
 		if i > 0 {

@@ -107,8 +107,8 @@ func TestFingerprintDefaults(t *testing.T) {
 		StackBins:        50,
 		MaxPhases:        5,
 		Stream:           StreamOptions{TrainBursts: 512},
-		Cluster:          cluster.Config{MinPts: 4, MinClusterShare: 0.01, UseIPC: true},
-		Fold:             folding.Config{Bins: 100, PruneK: 3, KernelBandwidth: 0.02, MaxSegments: 6, SegmentPenalty: 0.02},
+		Cluster:          cluster.Config{MinPts: 4, UseIPC: true},
+		Fold:             folding.Config{Bins: 100, PruneK: 3},
 	}
 	if got, want := explicit.Fingerprint(), (Options{}).Fingerprint(); got != want {
 		t.Fatalf("explicit defaults fingerprint\n  %s\nzero options\n  %s", got, want)

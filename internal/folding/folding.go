@@ -126,15 +126,18 @@ type Config struct {
 	PruneK float64
 	// Model selects the fitting strategy.
 	Model Model
-	// KernelBandwidth is the smoothing bandwidth for ModelKernel
-	// (default 0.02).
-	KernelBandwidth float64
-	// MaxSegments bounds sub-phase detection (default 6; 1 disables).
-	MaxSegments int
-	// SegmentPenalty is the per-extra-segment cost for sub-phase detection
-	// (default chosen relative to the grid; larger = fewer breakpoints).
-	SegmentPenalty float64
 }
+
+const (
+	// kernelBandwidth is the smoothing bandwidth of ModelKernel.
+	kernelBandwidth = 0.02
+	// maxSegments bounds sub-phase detection.
+	maxSegments = 6
+	// segmentPenalty is the per-extra-segment cost of sub-phase
+	// detection, relative to the unit grid; larger means fewer
+	// breakpoints.
+	segmentPenalty = 0.02
+)
 
 // SetDefaults sets every unset field to its default. The fold, the
 // online folder and the analysis options fingerprint all call it, so
@@ -145,15 +148,6 @@ func (c *Config) SetDefaults() {
 	}
 	if c.PruneK == 0 {
 		c.PruneK = 3
-	}
-	if c.KernelBandwidth == 0 {
-		c.KernelBandwidth = 0.02
-	}
-	if c.MaxSegments == 0 {
-		c.MaxSegments = 6
-	}
-	if c.SegmentPenalty == 0 {
-		c.SegmentPenalty = 0.02
 	}
 }
 
@@ -424,7 +418,7 @@ func fitCloud(res *Result, cfg Config) error {
 	case ModelBinnedPCHIP:
 		err = fitBinnedPCHIP(res, cfg)
 	case ModelKernel:
-		err = fitKernel(res, cfg)
+		fitKernel(res)
 	case ModelBinned:
 		err = fitBinned(res, cfg)
 	default:
@@ -444,11 +438,8 @@ func fitCloud(res *Result, cfg Config) error {
 		res.Rate[i] *= scale
 	}
 
-	if cfg.MaxSegments > 1 {
-		breaks := fit.Segment(res.Grid, res.Cumulative, cfg.MaxSegments, cfg.SegmentPenalty)
-		for _, bi := range breaks {
-			res.Breakpoints = append(res.Breakpoints, res.Grid[bi])
-		}
+	for _, bi := range fit.Segment(res.Grid, res.Cumulative, maxSegments, segmentPenalty) {
+		res.Breakpoints = append(res.Breakpoints, res.Grid[bi])
 	}
 	return nil
 }
@@ -475,14 +466,13 @@ func fitBinnedPCHIP(res *Result, cfg Config) error {
 
 // fitKernel smooths the cloud with a Gaussian kernel, then projects onto
 // the monotone cone with PAVA.
-func fitKernel(res *Result, cfg Config) error {
-	sm := fit.KernelSmooth(res.Points, cfg.KernelBandwidth, res.Grid)
+func fitKernel(res *Result) {
+	sm := fit.KernelSmooth(res.Points, kernelBandwidth, res.Grid)
 	pts := make([]fit.Point, len(sm))
 	for i, y := range sm {
 		pts[i] = fit.Point{X: res.Grid[i], Y: y, W: 1}
 	}
 	res.Cumulative = fit.Isotonic(pts)
-	return nil
 }
 
 // fitBinned uses raw isotonic bin means with linear interpolation.

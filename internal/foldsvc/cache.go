@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -16,33 +17,51 @@ import (
 )
 
 // This file is the glue between the HTTP handlers and the
-// content-addressed result cache (internal/rescache): request bodies
-// are hashed while they are read (never buffered twice), the digest
-// plus the canonical options fingerprint (core.Options.Fingerprint)
+// content-addressed result cache (internal/rescache). Every route that
+// produces a report or a partial computes its response body through
+// one helper, cached, the only code that consults the cache: request
+// bodies are hashed while they are read (never buffered twice), the
+// digest plus the canonical options fingerprint (core.Options.Fingerprint)
 // form the cache key, and concurrent identical requests coalesce onto
-// one pipeline run. Every cached response carries a
-// Cache-Status: hit|miss|coalesced header; ?nocache=1 takes the exact
-// pre-cache streaming path.
+// one computation. A response computed through the cache carries a
+// Cache-Status: hit|miss|coalesced header; ?nocache=1, a daemon without
+// a cache and an unkeyed request compute directly and carry none.
 
-// nocacheRequested reports whether the request opted out of the result
-// cache with ?nocache=. Bypassed requests never read or write the
-// cache and stream through the original analysis path.
-func nocacheRequested(r *http.Request) bool {
-	v := r.URL.Query().Get("nocache")
-	if v == "" {
+// caches reports whether the request's result goes through the result
+// cache: the daemon has one and the request did not opt out with
+// ?nocache=. A request that does not never reads or writes the cache,
+// and a single daemon streams its upload through the analysis instead
+// of spooling it.
+func (s *Server) caches(r *http.Request) bool {
+	if s.cache == nil {
 		return false
 	}
-	on, err := strconv.ParseBool(v)
-	return err == nil && on
+	on, err := strconv.ParseBool(r.URL.Query().Get("nocache"))
+	return err != nil || !on
+}
+
+// cached computes one response body: under key through the cache's
+// GetOrCompute, which serves a stored body or coalesces onto an
+// identical computation in flight, when key is set and the request
+// caches; otherwise by running compute directly. status is the
+// Cache-Status value, "" when the cache was not consulted.
+func (s *Server) cached(ctx context.Context, r *http.Request, key string, compute func(context.Context) (rescache.Result, error)) (data []byte, status string, err error) {
+	if key == "" || !s.caches(r) {
+		res, err := compute(ctx)
+		return res.Data, "", err
+	}
+	data, st, err := s.cache.GetOrCompute(ctx, key, compute)
+	return data, st.String(), err
 }
 
 // spoolUpload reads an upload to EOF into memory, hashing it on the
-// way — the one buffering pass a cached upload needs — and returns its
-// bytes and digest. An upload over the size limit, a timed-out or
-// cancelled request or a failed read gets its error response written
-// here and ok false — except that with opts.Lenient a read that failed
-// for none of those salvages the prefix that did arrive, whose digest
-// covers exactly those bytes, so content-addressing stays sound.
+// way — the one buffering pass a cached or coordinated upload needs —
+// and returns its bytes and digest. An upload over the size limit, a
+// timed-out or cancelled request or a failed read gets its error
+// response written here and ok false — except that with opts.Lenient a
+// read that failed for none of those salvages the prefix that did
+// arrive, whose digest covers exactly those bytes, so
+// content-addressing stays sound.
 func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, up *uploadReader, src string) (spooled []byte, digest string, ok bool) {
 	dr := trace.NewDigestReader(up)
 	var buf bytes.Buffer
@@ -61,137 +80,36 @@ func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request, ctx context
 	return buf.Bytes(), dr.Sum(), true
 }
 
-// analyze runs the analysis of rd, records the report's metrics and
-// logs its outcome.
-func (s *Server) analyze(ctx context.Context, rd io.Reader, opts core.Options, src string) (*core.Report, error) {
+// analyzeJSON turns one trace, rd, whose content digest is digest, into
+// a report body. A coordinator fans it out to its workers
+// (runCoordinated), which route on the digest and take the request's
+// options from q; any other daemon streams it through the local
+// analysis, records the report's metrics and logs its outcome. A
+// sharded reduction is bit-identical to a single-pass analysis for any
+// shard count (TestShardedEquivalence), so both share one cache key.
+func (s *Server) analyzeJSON(ctx context.Context, q url.Values, rd io.Reader, digest string, opts core.Options, src string) (rescache.Result, error) {
+	if s.coord != nil {
+		return s.runCoordinated(ctx, q, digest, rd, opts)
+	}
 	start := time.Now()
 	rep, err := core.AnalyzeStreamContext(ctx, rd, opts)
 	if err != nil {
-		return nil, err
+		return rescache.Result{}, err
 	}
 	s.recordReport(rep)
 	s.cfg.Logger.Info("analysis done", "source", src, "app", rep.App,
 		"ranks", rep.Ranks, "bursts", rep.Bursts, "phases", len(rep.Phases),
 		"online", rep.Online, "wall", time.Since(start))
-	return rep, nil
+	return jsonBody("report", rep, false)
 }
 
-// analyzeJSON is analyze with the report encoded as the response body:
-// JSON with a trailing newline, as the uncached path's json.Encoder
-// writes it, so cached and uncached responses are byte-identical.
-func (s *Server) analyzeJSON(ctx context.Context, rd io.Reader, opts core.Options, src string) (rescache.Result, error) {
-	rep, err := s.analyze(ctx, rd, opts, src)
+// jsonBody encodes v, a report or a partial, as a response body: JSON
+// with a trailing newline, as json.Encoder writes it. The cache stores
+// it unless noStore.
+func jsonBody(what string, v any, noStore bool) (rescache.Result, error) {
+	out, err := json.Marshal(v)
 	if err != nil {
-		return rescache.Result{}, err
+		return rescache.Result{}, fmt.Errorf("encode %s: %w", what, err)
 	}
-	out, err := json.Marshal(rep)
-	if err != nil {
-		return rescache.Result{}, fmt.Errorf("encode report: %w", err)
-	}
-	return rescache.Result{Data: append(out, '\n')}, nil
-}
-
-// analyzeCached is the cache-enabled tail of handleAnalyze: digest the
-// trace, look the (digest, options fingerprint) key up, and only run
-// the pipeline on a miss — with concurrent identical requests
-// coalesced onto that one run. The cached value is the exact JSON body
-// the streaming path would have written, so hits and misses are
-// byte-identical.
-func (s *Server) analyzeCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, body *uploadReader, input io.Reader, src string) {
-	var (
-		spooled    []byte
-		fromUpload = src == "upload"
-		digest     string
-	)
-	if fromUpload {
-		var ok bool
-		if spooled, digest, ok = s.spoolUpload(w, r, ctx, opts, body, src); !ok {
-			return
-		}
-	} else {
-		// ?path= files arrive as seekable readers: hash in place and
-		// rewind instead of spooling, keeping memory bounded.
-		rs, ok := input.(io.ReadSeeker)
-		if !ok {
-			s.analyzeError(w, r, src, fmt.Errorf("local trace %s is not seekable", src))
-			return
-		}
-		dr := trace.NewDigestReader(rs)
-		if _, err := io.Copy(io.Discard, dr); err != nil {
-			s.analyzeError(w, r, src, err)
-			return
-		}
-		if _, err := rs.Seek(0, io.SeekStart); err != nil {
-			s.analyzeError(w, r, src, err)
-			return
-		}
-		digest = dr.Sum()
-	}
-
-	key := rescache.Key("report", digest, opts.Fingerprint())
-	data, status, err := s.cache.GetOrCompute(ctx, key, func(cctx context.Context) (rescache.Result, error) {
-		rd := input
-		if fromUpload {
-			rd = bytes.NewReader(spooled)
-		}
-		return s.analyzeJSON(cctx, rd, opts, src)
-	})
-	if err != nil {
-		s.analyzeError(w, r, src, err)
-		return
-	}
-	w.Header().Set("Cache-Status", status.String())
-	// The content digest keys the cached report; echoing it lets
-	// clients diff this run later by reference (/v1/diff?digest_a=…)
-	// without re-uploading the trace.
-	w.Header().Set("Trace-Digest", digest)
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(data); err != nil {
-		s.cfg.Logger.Debug("response write failed", "err", err)
-	}
-}
-
-// partialCached is the cache-enabled tail of handlePartial, used when
-// the coordinator declared the shard's content digest up front
-// (?digest=). A hit answers without reading the upload at all — after
-// a worker died mid-fan-out, the re-upload only recomputes the lost
-// shard. On a miss the shard streams through the map pipeline while
-// being hashed; if the received bytes do not match the declared
-// digest, the partial is served but never stored (a mislabeled upload
-// must not poison the key).
-func (s *Server) partialCached(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, spec core.ShardSpec, body *uploadReader, declared string) {
-	key := rescache.Key("partial", declared,
-		strconv.Itoa(spec.Count), strconv.Itoa(spec.Index), opts.Fingerprint())
-	data, status, err := s.cache.GetOrCompute(ctx, key, func(cctx context.Context) (rescache.Result, error) {
-		dr := trace.NewDigestReader(body)
-		start := time.Now()
-		p, merr := core.MapShardStreamContext(cctx, dr, spec, opts)
-		if merr != nil {
-			return rescache.Result{}, merr
-		}
-		// The decoder's readahead may stop short of EOF; the digest must
-		// cover every uploaded byte before it is compared.
-		if _, derr := io.Copy(io.Discard, dr); derr != nil {
-			return rescache.Result{}, derr
-		}
-		s.reg.Counter("foldsvc_partials_total",
-			"Shard map requests that ran to completion.").Inc()
-		s.cfg.Logger.Info("partial done", "app", p.Meta.App, "shard", spec.Index,
-			"shards", spec.Count, "bursts", p.Bursts, "kept", len(p.Kept),
-			"wall", time.Since(start))
-		out, jerr := json.Marshal(p)
-		if jerr != nil {
-			return rescache.Result{}, fmt.Errorf("encode partial: %w", jerr)
-		}
-		return rescache.Result{Data: append(out, '\n'), NoStore: dr.Sum() != declared}, nil
-	})
-	if err != nil {
-		s.analyzeError(w, r, "partial-upload", body.failure(err))
-		return
-	}
-	w.Header().Set("Cache-Status", status.String())
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(data); err != nil {
-		s.cfg.Logger.Debug("response write failed", "err", err)
-	}
+	return rescache.Result{Data: append(out, '\n'), NoStore: noStore}, nil
 }

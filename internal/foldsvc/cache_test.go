@@ -2,13 +2,18 @@ package foldsvc
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -139,10 +144,19 @@ func (g *gatedBody) Read(p []byte) (int, error) {
 // `make check`.
 func TestCacheSingleflight(t *testing.T) {
 	_, enc := genTrace(t, 4, 60)
-	srv := httptest.NewServer(NewServer(Config{Jobs: 32}))
+	const n = 16
+	// The leader's analysis waits at its "analysis done" record until
+	// the other n-1 requests have joined its flight (for at most 10 s),
+	// so a follower the scheduler runs late cannot find the stored
+	// report and read a hit.
+	var joined *obs.Counter
+	s := NewServer(Config{Jobs: 32, Logger: slog.New(holdHandler{"analysis done", func() bool {
+		return joined.Value() == n-1
+	}})})
+	joined = s.reg.Counter("foldsvc_cache_coalesced_total", "")
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	const n = 16
 	release := make(chan struct{})
 	type result struct {
 		code   int
@@ -220,6 +234,26 @@ func TestCacheSingleflight(t *testing.T) {
 		t.Fatalf("foldsvc_cache_misses_total = %g; want 1", got)
 	}
 }
+
+// holdHandler is a log handler that holds each record with message msg
+// until until reports true or 10 s pass, and drops every record.
+type holdHandler struct {
+	msg   string
+	until func() bool
+}
+
+func (h holdHandler) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h holdHandler) Handle(_ context.Context, r slog.Record) error {
+	for deadline := time.Now().Add(10 * time.Second); r.Message == h.msg && !h.until() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
+func (h holdHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+
+func (h holdHandler) WithGroup(string) slog.Handler { return h }
 
 // TestCachePartialWorker covers the worker-side shard cache: a
 // /v1/partial request that declares its content digest is cached (the
@@ -353,5 +387,147 @@ func TestCacheDisabled(t *testing.T) {
 	}
 	if got := metricValue(t, srv.URL, "foldsvc_analyze_requests_total"); got != 2 {
 		t.Fatalf("foldsvc_analyze_requests_total = %g; want 2", got)
+	}
+}
+
+// TestCacheEveryDaemon drives the one cached path on a single daemon
+// and on a coordinator with 3 in-process workers, one row per route:
+// /v1/analyze and a /v1/diff upload side each miss, then hit;
+// /v1/analyze echoes the upload's digest in Trace-Digest; ?nocache=1
+// sends no Cache-Status on /v1/analyze and "bypass" on the diff side;
+// and every answer carries the same report. A coordinator's diff side
+// fans out to the workers, and a client that abandons its upload
+// mid-body gets 499, counted as cancelled, on either daemon.
+func TestCacheEveryDaemon(t *testing.T) {
+	_, enc := genTrace(t, 4, 40)
+	encB := genPerturbedTrace(t, 4, 40, 2)
+	digest := trace.DigestBytes(enc)
+	const shards = 3
+
+	// reports holds each daemon's reports of enc and encB, as asGeneric
+	// decodes them.
+	reports := map[string]*[2]map[string]any{}
+	for _, daemon := range []string{"single", "coordinator"} {
+		cfg := Config{Jobs: 16}
+		if daemon == "coordinator" {
+			cfg.Workers, cfg.Shards = newWorkerFarm(t, shards), shards
+		}
+		srv := httptest.NewServer(NewServer(cfg))
+		defer srv.Close()
+		reports[daemon] = new([2]map[string]any)
+		analyze := func(t *testing.T, query string, enc []byte) (http.Header, []byte) {
+			t.Helper()
+			resp, err := http.Post(srv.URL+"/v1/analyze"+query, "application/octet-stream", bytes.NewReader(enc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("analyze%s: status %d: %s", query, resp.StatusCode, body)
+			}
+			return resp.Header, body
+		}
+
+		t.Run(daemon+"/analyze", func(t *testing.T) {
+			var first []byte
+			for _, want := range []string{"miss", "hit"} {
+				h, body := analyze(t, "", enc)
+				if cs, td := h.Get("Cache-Status"), h.Get("Trace-Digest"); cs != want || td != digest {
+					t.Errorf("Cache-Status %q, Trace-Digest %q; want %q and %s", cs, td, want, digest)
+				}
+				if first == nil {
+					first = body
+				} else if !bytes.Equal(body, first) {
+					t.Error("hit body differs from the miss body")
+				}
+			}
+			h, fresh := analyze(t, "?nocache=1", enc)
+			if cs, td := h.Get("Cache-Status"), h.Get("Trace-Digest"); cs != "" || td != "" {
+				t.Errorf("?nocache=1: Cache-Status %q, Trace-Digest %q; want neither", cs, td)
+			}
+			if !reflect.DeepEqual(asGeneric(t, fresh), asGeneric(t, first)) {
+				t.Error("?nocache=1 report differs from the cached one")
+			}
+			reports[daemon][0] = asGeneric(t, first)
+		})
+
+		// Side a uploads encB; side b refers to enc's report, which the
+		// analyze row stored.
+		t.Run(daemon+"/diff", func(t *testing.T) {
+			for _, step := range []struct {
+				query, status string
+				fanned        float64
+			}{
+				{"", "miss", shards},
+				{"", "hit", 0},
+				{"&nocache=1", "bypass", shards},
+			} {
+				series := `foldsvc_shards_total{outcome="ok"}`
+				before := metricValue(t, srv.URL, series)
+				body, ctype := multipartDiffBody(t, encB, nil)
+				code, cs, out := postDiff(t, srv.URL, "?digest_b="+digest+step.query, body, ctype)
+				if code != http.StatusOK || cs[0] != step.status || cs[1] != "hit" {
+					t.Fatalf("diff%s: status %d, Cache-Status A=%q B=%q; want 200 %s/hit: %s",
+						step.query, code, cs[0], cs[1], step.status, out)
+				}
+				if got := metricValue(t, srv.URL, series) - before; daemon == "coordinator" && got != step.fanned {
+					t.Errorf("diff%s: %g shards fanned out, want %g", step.query, got, step.fanned)
+				}
+			}
+			// The diff stored side a's report under /v1/analyze's key.
+			h, side := analyze(t, "", encB)
+			if cs := h.Get("Cache-Status"); cs != "hit" {
+				t.Errorf("analyze after the diff: Cache-Status %q, want hit", cs)
+			}
+			reports[daemon][1] = asGeneric(t, side)
+		})
+
+		t.Run(daemon+"/abandoned", func(t *testing.T) {
+			requests := func(code string) float64 {
+				return metricValue(t, srv.URL, `foldsvc_requests_total{path="/v1/analyze",code="`+code+`"}`)
+			}
+			cancelled, served := metricValue(t, srv.URL, "foldsvc_cancelled_total"), requests("200")
+			pr, pw := io.Pipe()
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				req, _ := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/analyze", pr)
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					resp.Body.Close()
+				}
+			}()
+			if _, err := pw.Write(enc[:len(enc)/2]); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the upload to take a job slot", func() bool {
+				return metricValue(t, srv.URL, "foldsvc_inflight_jobs") == 1
+			})
+			cancel()
+			pw.CloseWithError(errors.New("client abandoned upload"))
+			<-done
+			waitFor(t, "the abandoned upload's answer", func() bool {
+				return requests("499")+requests("500") > 0
+			})
+			if got, errs := requests("499"), requests("500"); got != 1 || errs != 0 {
+				t.Errorf("%g answered 499 and %g 500; want 1 and 0", got, errs)
+			}
+			if got := metricValue(t, srv.URL, "foldsvc_cancelled_total") - cancelled; got != 1 {
+				t.Errorf("foldsvc_cancelled_total rose by %g, want 1", got)
+			}
+			if got := requests("200"); got != served {
+				t.Errorf("%g more answered 200", got-served)
+			}
+		})
+	}
+	for i, name := range []string{"uploaded", "diff side"} {
+		single, coord := reports["single"][i], reports["coordinator"][i]
+		if single != nil && coord != nil && !reflect.DeepEqual(coord, single) {
+			t.Errorf("the coordinator's %s report differs from the single daemon's", name)
+		}
 	}
 }

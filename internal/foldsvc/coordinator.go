@@ -3,7 +3,6 @@ package foldsvc
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -200,99 +199,52 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	}
 	body := s.upload(w, ctx, http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 
-	// When the coordinator declared the shard's content digest, the
-	// result is cacheable; a hit answers without reading the upload.
-	// Requests without ?digest= (or with ?nocache=) bypass the cache.
-	if declared := r.URL.Query().Get("digest"); s.cache != nil && declared != "" && !nocacheRequested(r) {
-		s.partialCached(w, r, ctx, opts, spec, body, declared)
-		return
+	// When the coordinator declared the shard's content digest
+	// (?digest=) and the request caches, the partial is keyed, and a hit
+	// answers without reading the upload: after a worker died
+	// mid-fan-out, the re-upload only recomputes the lost shard. Only
+	// then is a computed shard hashed, and one whose bytes do not match
+	// the declared digest is served but never stored, so a mislabeled
+	// upload cannot poison the key.
+	key, declared := "", r.URL.Query().Get("digest")
+	if declared != "" && s.caches(r) {
+		key = rescache.Key("partial", declared,
+			strconv.Itoa(spec.Count), strconv.Itoa(spec.Index), opts.Fingerprint())
 	}
-
-	start := time.Now()
-	p, err := core.MapShardStreamContext(ctx, body, spec, opts)
+	data, status, err := s.cached(ctx, r, key, func(cctx context.Context) (rescache.Result, error) {
+		rd, dr := io.Reader(body), (*trace.DigestReader)(nil)
+		if key != "" {
+			dr = trace.NewDigestReader(body)
+			rd = dr
+		}
+		start := time.Now()
+		p, err := core.MapShardStreamContext(cctx, rd, spec, opts)
+		if err != nil {
+			return rescache.Result{}, err
+		}
+		mislabeled := false
+		if dr != nil {
+			// The digest must cover every uploaded byte before it is
+			// compared.
+			if _, err := io.Copy(io.Discard, dr); err != nil {
+				return rescache.Result{}, err
+			}
+			mislabeled = dr.Sum() != declared
+		}
+		body.drain()
+		s.reg.Counter("foldsvc_partials_total",
+			"Shard map requests that ran to completion.").Inc()
+		s.cfg.Logger.Info("partial done", "app", p.Meta.App, "shard", spec.Index,
+			"shards", spec.Count, "bursts", p.Bursts, "kept", len(p.Kept),
+			"wall", time.Since(start))
+		return jsonBody("partial", p, mislabeled)
+	})
 	if err != nil {
 		s.analyzeError(w, r, "partial-upload", body.failure(err))
 		return
 	}
-	body.drain()
-	s.reg.Counter("foldsvc_partials_total",
-		"Shard map requests that ran to completion.").Inc()
-	s.cfg.Logger.Info("partial done", "app", p.Meta.App, "shard", spec.Index,
-		"shards", spec.Count, "bursts", p.Bursts, "kept", len(p.Kept),
-		"wall", time.Since(start))
-
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(p); err != nil {
-		s.cfg.Logger.Debug("response write failed", "err", err)
-	}
-}
-
-// handleCoordinate is /v1/analyze in coordinator mode: split the upload,
-// fan the shards out to the worker ring, reduce the partials locally. A
-// worker shard that fails (after retries and one failover) degrades the
-// Report with a per-shard warning instead of failing the request; the
-// request errors only when no shard survives.
-func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "coordinator mode accepts POST trace uploads only",
-			http.StatusMethodNotAllowed)
-		return
-	}
-	w, ctx, opts, done, ok := s.admit(w, r, nil)
-	if !ok {
-		return
-	}
-	defer done()
-
-	if opts.Stream.Online {
-		http.Error(w, "online analysis cannot be distributed; send it to a worker's /v1/analyze",
-			http.StatusBadRequest)
-		return
-	}
-
-	body := s.upload(w, ctx, http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	enc, err := io.ReadAll(body)
-	if err != nil {
-		s.analyzeError(w, r, "coordinate-upload", body.failure(err))
-		return
-	}
-	// Full sha256, shared with rescache keys and disk-tier names — ring
-	// routing derives its per-shard keys from the same digest instead of
-	// an ad-hoc truncated hash.
-	digest := trace.DigestBytes(enc)
-
-	if s.cache != nil && !nocacheRequested(r) {
-		// Same key shape as the single-node server: sharded reduction is
-		// bit-identical to a single-pass analysis for any shard count
-		// (locked by TestShardedEquivalence), so the paths may share
-		// entries.
-		key := rescache.Key("report", digest, opts.Fingerprint())
-		data, status, err := s.cache.GetOrCompute(ctx, key, func(cctx context.Context) (rescache.Result, error) {
-			data, lost, rerr := s.runCoordinated(cctx, r.URL.Query(), digest, enc, opts)
-			if rerr != nil {
-				return rescache.Result{}, rerr
-			}
-			// A report that lost a shard is a nondeterministic degradation
-			// of the trace, not a function of the key: serve it, never
-			// store it.
-			return rescache.Result{Data: data, NoStore: lost}, nil
-		})
-		if err != nil {
-			s.writeCoordError(w, r, err)
-			return
-		}
-		w.Header().Set("Cache-Status", status.String())
-		w.Header().Set("Content-Type", "application/json")
-		if _, err := w.Write(data); err != nil {
-			s.cfg.Logger.Debug("response write failed", "err", err)
-		}
-		return
-	}
-
-	data, _, err := s.runCoordinated(ctx, r.URL.Query(), digest, enc, opts)
-	if err != nil {
-		s.writeCoordError(w, r, err)
-		return
+	if status != "" {
+		w.Header().Set("Cache-Status", status)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if _, err := w.Write(data); err != nil {
@@ -300,42 +252,23 @@ func (s *Server) handleCoordinate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusError is an analysis failure that already knows its HTTP
-// mapping, so coordinated errors keep their status codes (and rejection
-// reasons) when they travel through the cache's singleflight layer.
-type statusError struct {
-	code   int
-	reason string // non-empty: count under foldsvc_rejected_total{reason}
-	msg    string
-}
+// msgOnlineCoordinated is a coordinator's 400 to an online analysis of
+// an upload: it classifies on arrival, so no shard can run apart from
+// the rest.
+const msgOnlineCoordinated = "online analysis cannot be distributed; send it to a worker's /v1/analyze"
 
-// Error implements error.
-func (e *statusError) Error() string { return e.msg }
-
-// writeCoordError maps a runCoordinated failure onto the response:
-// statusError carries its own code, anything else goes through the
-// shared analyzeError mapping.
-func (s *Server) writeCoordError(w http.ResponseWriter, r *http.Request, err error) {
-	var se *statusError
-	if errors.As(err, &se) {
-		if se.reason != "" {
-			s.reject(w, se.reason, se.msg, se.code)
-		} else {
-			http.Error(w, se.msg, se.code)
-		}
-		return
-	}
-	s.analyzeError(w, r, "coordinate", err)
-}
+// errAllShardsFailed is a coordinated analysis that lost every shard.
+var errAllShardsFailed = errors.New("every worker shard failed; no partial analysis to reduce")
 
 // runCoordinated is the body of a coordinated analysis: decode and
-// split the trace locally, fan the shards out to the worker ring,
-// reduce the partials, and marshal the Report. It reports whether any
-// shard was lost (the result then must not be cached) and returns
-// failures as errors — statusError where the plain analyzeError
-// mapping would be wrong — so the cached and uncached paths share one
-// implementation.
-func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDigest string, enc []byte, opts core.Options) ([]byte, bool, error) {
+// split the trace rd locally, fan the shards out to the worker ring
+// (routed on traceDigest), reduce the partials, and marshal the Report.
+// A shard that fails after retries and one failover degrades the
+// Report with a per-shard warning; such a report is a nondeterministic
+// degradation of the trace, not a function of its bytes and options, so
+// it is served but never stored (NoStore). Only when no shard survives
+// does the analysis fail, with errAllShardsFailed.
+func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDigest string, rd io.Reader, opts core.Options) (rescache.Result, error) {
 	// Decode locally: the splitter needs the whole trace. Salvage stats
 	// from a lenient decode are the coordinator's, not the workers' (the
 	// shards it re-encodes for them are clean by construction).
@@ -345,12 +278,12 @@ func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDiges
 		err error
 	)
 	if opts.Lenient {
-		tr, st, err = trace.ReadFromLenient(bytes.NewReader(enc))
+		tr, st, err = trace.ReadFromLenient(rd)
 	} else {
-		tr, err = trace.ReadFrom(bytes.NewReader(enc))
+		tr, err = trace.ReadFrom(rd)
 	}
 	if err != nil {
-		return nil, false, err
+		return rescache.Result{}, err
 	}
 	// No shard of a split sees the whole trace, so the coordinator checks
 	// the decoded upload, as a single daemon's whole-trace run would. A
@@ -361,7 +294,7 @@ func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDiges
 	var valWarn string
 	if err := tr.Validate(); err != nil {
 		if !opts.Lenient || tr.Meta.Validate() != nil {
-			return nil, false, &statusError{code: http.StatusBadRequest, msg: err.Error()}
+			return rescache.Result{}, err
 		}
 		if co.shards > 1 {
 			valWarn = core.ValidationWarning(err)
@@ -391,18 +324,14 @@ func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDiges
 		}
 	}
 	if alive == 0 {
-		return nil, false, &statusError{
-			code:   http.StatusBadGateway,
-			reason: "all_shards_failed",
-			msg:    "every worker shard failed; no partial analysis to reduce",
-		}
+		return rescache.Result{}, errAllShardsFailed
 	}
 
 	redStart := time.Now()
 	rep, err := core.Reduce(parts, nil, opts)
 	co.reduceSecs.Observe(time.Since(redStart).Seconds())
 	if err != nil {
-		return nil, false, err
+		return rescache.Result{}, err
 	}
 	for _, warn := range shardWarns {
 		if warn != "" {
@@ -424,11 +353,7 @@ func (s *Server) runCoordinated(ctx context.Context, base url.Values, traceDiges
 		"ranks", rep.Ranks, "shards", len(shards), "failed", len(shards)-alive,
 		"bursts", rep.Bursts, "phases", len(rep.Phases), "wall", time.Since(fanStart))
 
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return nil, false, fmt.Errorf("encode report: %w", err)
-	}
-	return append(data, '\n'), alive < len(shards), nil
+	return jsonBody("report", rep, alive < len(shards))
 }
 
 // mapShard sends one shard to its ring-assigned worker (with one

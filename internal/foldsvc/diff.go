@@ -25,7 +25,8 @@ import (
 // the /v1/analyze cache keys: an upload that was analyzed before
 // resolves as a hit, and a diff upload warms the cache for later
 // /v1/analyze calls. Admission control, body limits (one per side),
-// upload timeouts and error mapping are identical to /v1/analyze.
+// upload timeouts, error mapping and a coordinator's fan-out are
+// identical to /v1/analyze.
 
 // handleDiff serves POST /v1/diff.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -65,6 +66,11 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		parts *multipart.Reader
 	)
 	if !(refd("a") && refd("b")) {
+		if s.coord != nil && opts.Stream.Online {
+			s.diffOutcome("error")
+			http.Error(w, msgOnlineCoordinated, http.StatusBadRequest)
+			return
+		}
 		// Every read of the multipart body, part headers included, goes
 		// through one upload reader.
 		body = s.upload(w, ctx, r.Body)
@@ -161,9 +167,10 @@ func (s *Server) resolveDiffSession(w http.ResponseWriter, side, id string) (*co
 // resolveDiffSide produces one side's Report, either from the result
 // cache (digest reference — zero re-analysis, hard 404 on a cold
 // cache) or by analyzing the next multipart trace upload of parts,
-// which reads body (sharing /v1/analyze's cache keys). On failure the
-// response has been written and failed is true. status is the
-// Cache-Status header value for the side.
+// which reads body, as /v1/analyze does: under its cache keys, and
+// through the workers on a coordinator. On failure the response has
+// been written and failed is true. status is the Cache-Status header
+// value for the side.
 func (s *Server) resolveDiffSide(w http.ResponseWriter, r *http.Request, ctx context.Context, opts core.Options, side, digest string, body *uploadReader, parts *multipart.Reader) (rep *core.Report, status string, failed bool) {
 	if digest != "" {
 		if s.cache == nil {
@@ -209,23 +216,16 @@ func (s *Server) resolveDiffSide(w http.ResponseWriter, r *http.Request, ctx con
 	if !ok {
 		return nil, "", true
 	}
-	analyze := func(cctx context.Context) (rescache.Result, error) {
-		return s.analyzeJSON(cctx, bytes.NewReader(spooled), opts, src)
-	}
-
-	var data []byte
-	if s.cache != nil && !nocacheRequested(r) {
-		var st rescache.Status
-		data, st, err = s.cache.GetOrCompute(ctx, rescache.Key("report", sum, opts.Fingerprint()), analyze)
-		status = st.String()
-	} else {
-		var res rescache.Result
-		res, err = analyze(ctx)
-		data, status = res.Data, "bypass"
-	}
+	data, status, err := s.cached(ctx, r, rescache.Key("report", sum, opts.Fingerprint()),
+		func(cctx context.Context) (rescache.Result, error) {
+			return s.analyzeJSON(cctx, r.URL.Query(), bytes.NewReader(spooled), sum, opts, src)
+		})
 	if err != nil {
 		s.analyzeError(w, r, src, err)
 		return nil, "", true
+	}
+	if status == "" {
+		status = "bypass"
 	}
 	rep = new(core.Report)
 	if err := json.Unmarshal(data, rep); err != nil {

@@ -7,14 +7,21 @@
 // instrumentation — plus admission control (job semaphore → 429, body
 // size limit → 413) and cancellation when the client disconnects.
 //
+// Every route that produces a report or a partial computes its body
+// through one helper over the content-addressed result cache (cache.go).
+// A daemon given Config.Workers is a coordinator: the same handlers
+// split each uploaded trace, of /v1/analyze or of a /v1/diff side, into
+// time shards, map them on the workers' /v1/partial and reduce the
+// partials locally (coordinator.go).
+//
 // The package is importable so tests and examples can run the exact
 // daemon in-process with httptest; cmd/foldsvc is a thin flag-parsing
 // wrapper around NewServer.
 package foldsvc
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -213,10 +220,8 @@ func NewServer(cfg Config) *Server {
 
 	if len(cfg.Workers) > 0 {
 		s.coord = newCoordinator(s)
-		s.mux.Handle("/v1/analyze", s.instrument("/v1/analyze", s.handleCoordinate))
-	} else {
-		s.mux.Handle("/v1/analyze", s.instrument("/v1/analyze", s.handleAnalyze))
 	}
+	s.mux.Handle("/v1/analyze", s.instrument("/v1/analyze", s.handleAnalyze))
 	s.mux.Handle("/v1/diff", s.instrument("/v1/diff", s.handleDiff))
 	s.mux.Handle("/v1/partial", s.instrument("/v1/partial", s.handlePartial))
 	mgr, err := s.newSessionManager()
@@ -302,11 +307,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAnalyze runs one analysis request: the trace comes from the
-// request body (or a ?path= file under the configured root), the
-// analysis knobs from query parameters, and the response is the JSON
-// core.Report.
+// request body (or, on a single daemon, a ?path= file under the
+// configured root), the analysis knobs from query parameters, and the
+// response is the JSON core.Report. A coordinator analyzes uploads
+// only, and through its workers (analyzeJSON).
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost && r.Method != http.MethodGet {
+	switch {
+	case s.coord != nil && r.Method != http.MethodPost:
+		http.Error(w, "coordinator mode accepts POST trace uploads only",
+			http.StatusMethodNotAllowed)
+		return
+	case r.Method != http.MethodPost && r.Method != http.MethodGet:
 		http.Error(w, "use POST (trace upload) or GET with ?path=", http.StatusMethodNotAllowed)
 		return
 	}
@@ -315,39 +326,66 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
+	if s.coord != nil && opts.Stream.Online {
+		http.Error(w, msgOnlineCoordinated, http.StatusBadRequest)
+		return
+	}
 
+	// The cache key and a coordinator's ring both need the content
+	// digest: an upload is spooled and hashed on the way, a ?path= file
+	// hashed in place and rewound, which keeps memory bounded. Otherwise
+	// the upload streams straight into the analysis.
 	body := s.upload(w, ctx, http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	input := io.Reader(body)
-	src := "upload"
-	if p := r.URL.Query().Get("path"); p != "" {
+	input, src, digest := io.Reader(body), "upload", ""
+	keyed := s.caches(r)
+	if p := r.URL.Query().Get("path"); p != "" && s.coord == nil {
 		f, status, err := s.openLocal(p)
 		if err != nil {
 			http.Error(w, err.Error(), status)
 			return
 		}
 		defer f.Close()
-		input = f
-		src = p
+		input, src = f, p
+		if keyed {
+			dr := trace.NewDigestReader(f)
+			if _, err = io.Copy(io.Discard, dr); err == nil {
+				_, err = f.Seek(0, io.SeekStart)
+			}
+			if err != nil {
+				s.analyzeError(w, r, src, err)
+				return
+			}
+			digest = dr.Sum()
+		}
 	} else if r.Method == http.MethodGet {
 		http.Error(w, "GET requires ?path=; upload traces with POST", http.StatusBadRequest)
 		return
+	} else if keyed || s.coord != nil {
+		spooled, sum, ok := s.spoolUpload(w, r, ctx, opts, body, src)
+		if !ok {
+			return
+		}
+		input, digest = bytes.NewReader(spooled), sum
 	}
 
-	if s.cache != nil && !nocacheRequested(r) {
-		s.analyzeCached(w, r, ctx, opts, body, input, src)
-		return
-	}
-
-	rep, err := s.analyze(ctx, input, opts, src)
+	data, status, err := s.cached(ctx, r, rescache.Key("report", digest, opts.Fingerprint()),
+		func(cctx context.Context) (rescache.Result, error) {
+			return s.analyzeJSON(cctx, r.URL.Query(), input, digest, opts, src)
+		})
 	if err != nil {
 		s.analyzeError(w, r, src, body.failure(err))
 		return
 	}
 	body.drain()
-
+	if status != "" {
+		w.Header().Set("Cache-Status", status)
+		// The content digest keys the cached report; echoing it lets
+		// clients diff this run later by reference (/v1/diff?digest_a=…)
+		// without re-uploading the trace.
+		w.Header().Set("Trace-Digest", digest)
+	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(rep); err != nil {
+	if _, err := w.Write(data); err != nil {
 		// The report was computed; a failed write means the client left.
 		s.cfg.Logger.Debug("response write failed", "err", err)
 	}
@@ -572,6 +610,8 @@ func (s *Server) analyzeError(w http.ResponseWriter, r *http.Request, src string
 		s.reject(w, "stalled", err.Error(), http.StatusRequestTimeout)
 	case errors.Is(err, trace.ErrBadFormat), errors.Is(err, trace.ErrInvalid):
 		http.Error(w, err.Error(), http.StatusBadRequest)
+	case errors.Is(err, errAllShardsFailed):
+		s.reject(w, "all_shards_failed", err.Error(), http.StatusBadGateway)
 	default:
 		s.cfg.Logger.Error("analysis failed", "source", src, "err", err)
 		http.Error(w, err.Error(), http.StatusInternalServerError)

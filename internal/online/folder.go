@@ -36,9 +36,9 @@ type Folder struct {
 // configuration, so the streaming pipeline and core.Options drive both
 // folding paths with one config: Bins maps directly; a non-zero PruneK
 // overrides the online default (note the semantics differ — running
-// standard deviations here, median/MAD offline). Config fields without a
-// streaming counterpart (Model, KernelBandwidth, segmentation) are
-// ignored: the folder always follows the binned-PCHIP path.
+// standard deviations here, median/MAD offline). Model has no streaming
+// counterpart and is ignored: the folder always follows the
+// binned-PCHIP path, without the kernel smoothing or segmentation.
 func NewFolderConfig(c counters.Counter, cfg folding.Config) *Folder {
 	f := NewFolder(c, cfg.Bins)
 	if cfg.PruneK != 0 {

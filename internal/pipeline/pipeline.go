@@ -48,7 +48,7 @@ type Metrics struct {
 
 const (
 	// blockRows is the number of records per block.
-	blockRows = 1024
+	blockRows = trace.BlockRows
 	// numBlocks is how many blocks one run makes: one in the calling
 	// goroutine's hands and the rest decoded ahead of it.
 	numBlocks = 5

@@ -79,6 +79,12 @@ type ColBlock struct {
 	a8       []uint8 // arena backing Types/Flags
 }
 
+// BlockRows is the number of rows of the blocks the analysis pipeline
+// and ReadFrom decode into. They share one size because column arenas
+// come from shared pools, which drop a pooled arena too small for the
+// block that asks and allocate a new one.
+const BlockRows = 1024
+
 // NewColBlock allocates a block able to hold up to capacity rows of any
 // kind, carving its columns from the parallel scratch pools. Release
 // returns the backing memory to the pools.

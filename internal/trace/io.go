@@ -75,13 +75,10 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 }
 
 // readAll drains a StreamReader into an in-memory Trace. Each sample
-// owns a copy of its stack; an empty stack stays nil. The block has the
-// analysis pipeline's default size: column arenas come from shared
-// pools that hand any pooled slice to the next caller, so a larger block
-// here would leave oversized arenas behind in the pipeline's blocks.
+// owns a copy of its stack; an empty stack stays nil.
 func readAll(sr *StreamReader) (*Trace, error) {
 	tr := &Trace{Meta: *sr.Meta()}
-	blk := NewColBlock(256)
+	blk := NewColBlock(BlockRows)
 	defer blk.Release()
 	for {
 		err := sr.NextBlock(blk)
