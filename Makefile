@@ -11,7 +11,9 @@
 #                   strict/lenient × single-node/sharded; N concurrent
 #                   identical uploads coalesce onto one pipeline run) + the
 #                   property tests that pin the indexed clustering kernels
-#                   to their brute-force references + a -count 10 stress
+#                   to their brute-force references + the k-d tree,
+#                   auto-eps and ClusterBursts tests under -race -count 10
+#                   (the tree build starts goroutines) + a -count 10 stress
 #                   run of the timing-sensitive packages (foldsvc,
 #                   session, pipeline, faultinject, rescache) so timing
 #                   flakes surface when introduced + the RunContext tests
@@ -100,6 +102,7 @@ check:
 	$(GO) test -race -count 20 -run '^TestRunContext' ./internal/pipeline
 	$(GO) test -race -count 1 -run 'TestCacheEquivalence|TestCacheSingleflight' ./internal/foldsvc/
 	$(GO) test -run 'Property' -count 1 ./internal/cluster
+	$(GO) test -race -count 10 -run 'KDTree|KNN|AutoEps|ClusterBursts' ./internal/cluster
 	$(GO) test -run '^$$' -fuzz FuzzReadFrom$$ -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadFromLenient -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzReadIntoBlock -fuzztime $(FUZZTIME) ./internal/trace

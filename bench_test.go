@@ -698,7 +698,7 @@ func BenchmarkKDTreeBuild(b *testing.B) {
 			b.Run(set.name+"-"+sz.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					kdTreeSink = cluster.NewKDTreeFlat(flat, 3)
+					kdTreeSink = cluster.NewKDTreeFlat(flat, 3, 1)
 				}
 			})
 		}

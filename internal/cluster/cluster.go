@@ -1,10 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/burst"
 	"repro/internal/parallel"
@@ -22,9 +23,10 @@ type Config struct {
 	// and log instructions.
 	UseIPC bool
 	// Parallelism bounds the workers used by the heavy kernels
-	// (AutoEpsMode, the silhouette) and by DBSCAN's core-point and
-	// border-point passes; 0 selects GOMAXPROCS, 1 forces sequential
-	// execution. The clustering result is identical for every value.
+	// (AutoEpsMode's k-d tree build and k-dist scan, the silhouette) and
+	// by DBSCAN's core-point and border-point passes; 0 selects
+	// GOMAXPROCS, 1 forces sequential execution. The clustering result
+	// is identical for every value.
 	Parallelism int
 	// Index selects the neighbor-search implementation behind
 	// AutoEpsMode's k-dist scan. IndexAuto (the zero value) uses the k-d
@@ -130,8 +132,9 @@ func Features(bursts []burst.Burst, useIPC bool) [][]float64 {
 // featuresFlat is the columnar core of Features: the same per-burst
 // arithmetic and the same min-max normalization, but the matrix lives in
 // one row-major allocation instead of a slice per burst. Downstream
-// kernels that index rows (DBSCAN) wrap it with rowsOf; the k-d tree
-// and the silhouette kernel read the flat array directly.
+// kernels that index rows (DBSCAN) wrap it with rowsOf; the silhouette
+// kernel reads the flat array directly, and the k-d tree copies it once
+// into its slot order.
 func featuresFlat(bursts []burst.Burst, useIPC bool) ([]float64, int) {
 	dim := 2
 	if useIPC {
@@ -210,16 +213,18 @@ func normalizeFlat(flat []float64, dim int) {
 // lognormal duration noise produces — the knee rule lands in the dense
 // bulk and fragments each phase into shards.
 //
-// The k-dist scan is row-partitioned onto at most parallelism workers
-// (0 = GOMAXPROCS), each row written to its own slot. mode selects the
-// neighbor search: the indexed path queries a k-d tree with a bounded
-// max-heap per point — O(n log n) total instead of the brute scan's
-// O(n²) — and both paths finish with a quickselect of the 99th
-// percentile rather than a full sort. Because the tree search is exact
-// and sqrt is monotone, every mode returns bit-identical eps on the same
-// input, for every parallelism (the *Property* tests in knn_test.go
-// enforce this). The rows are copied once into a pooled row-major buffer
-// and handed to autoEpsFlat.
+// The k-dist scan is partitioned into contiguous ranges for at most
+// parallelism workers (0 = GOMAXPROCS), each k-dist written to its own
+// slot. mode selects the neighbor search: the indexed path builds a k-d
+// tree (on the same workers) and queries it in the tree's slot order
+// with a bounded max-heap per point — O(n log n) total instead of the
+// brute scan's O(n²) — and both paths finish with a quickselect of the
+// 99th percentile rather than a full sort, which reads the k-dists in
+// any order. Because the tree search is exact and sqrt is monotone,
+// every mode returns bit-identical eps on the same input, for every
+// parallelism (the *Property* tests in knn_test.go enforce this). The
+// rows are copied once into a pooled row-major buffer and handed to
+// autoEpsFlat.
 func AutoEpsMode(points [][]float64, k, parallelism int, mode IndexMode) float64 {
 	if len(points) == 0 {
 		return 0.1
@@ -233,9 +238,9 @@ func AutoEpsMode(points [][]float64, k, parallelism int, mode IndexMode) float64
 	return autoEpsFlat(flat, dim, k, parallelism, mode)
 }
 
-// autoEpsFlat is AutoEpsMode over a row-major flat matrix — the
-// zero-copy path from featuresFlat. The k-d tree bulk-loads the array;
-// the brute path scans contiguous row views.
+// autoEpsFlat is AutoEpsMode over a row-major flat matrix, the layout
+// featuresFlat produces; flat is only read. The k-d tree copies it into
+// its slot order; the brute path scans contiguous row views.
 func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float64 {
 	if dim <= 0 {
 		return 0.1
@@ -250,20 +255,13 @@ func autoEpsFlat(flat []float64, dim, k, parallelism int, mode IndexMode) float6
 	if k < 1 {
 		return 0.1
 	}
-	kd := make([]float64, n)
+	var kd []float64
 	if mode == IndexKDTree || (mode == IndexAuto && n >= indexAutoMin) {
-		tree := NewKDTreeFlat(flat, dim)
-		parallel.ForEachChunk(n, parallelism, func(lo, hi int) {
-			heap := parallel.GetFloat64(k)
-			defer parallel.PutFloat64(heap)
-			for i := lo; i < hi; i++ {
-				kd[i] = tree.KNearestDist(i, k, heap)
-			}
-		})
+		kd = NewKDTreeFlat(flat, dim, parallelism).KDists(k, parallelism)
 	} else {
+		kd = make([]float64, n)
 		parallel.ForEachChunk(n, parallelism, func(lo, hi int) {
-			heap := parallel.GetFloat64(k)
-			defer parallel.PutFloat64(heap)
+			heap := make([]float64, 0, k)
 			for i := lo; i < hi; i++ {
 				h := heap[:0]
 				pi := flat[i*dim : (i+1)*dim]
@@ -322,38 +320,31 @@ func ClusterBursts(bursts []burst.Burst, cfg Config) Result {
 	}
 	raw := DBSCANP(res.Features, res.Eps, res.MinPts, cfg.Parallelism)
 
-	// Demote sub-scale shards to noise.
-	sizes := map[int]int{}
-	for _, c := range raw {
-		if c != Noise {
-			sizes[c]++
-		}
-	}
-	minSize := int(minClusterShare * float64(len(raw)))
+	// DBSCANP numbers its clusters densely 1..max(raw), so per-cluster
+	// tallies are slices indexed by its ids.
+	sizes := make([]int, slices.Max(raw)+1)
+	totals := make([]int64, len(sizes))
 	for i, c := range raw {
-		if c != Noise && sizes[c] < minSize {
-			raw[i] = Noise
-		}
+		sizes[c]++
+		totals[c] += int64(bursts[i].Duration())
 	}
 
-	// Rank clusters by total time, renumber 1..K.
-	totals := map[int]int64{}
-	for i, c := range raw {
-		if c != Noise {
-			totals[c] += int64(bursts[i].Duration())
+	// Demote sub-scale shards to noise, rank the rest by total time and
+	// renumber them 1..K.
+	minSize := int(minClusterShare * float64(len(raw)))
+	var ids []int
+	for c := Noise + 1; c < len(sizes); c++ {
+		if sizes[c] >= minSize {
+			ids = append(ids, c)
 		}
 	}
-	ids := make([]int, 0, len(totals))
-	for id := range totals {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if totals[ids[a]] != totals[ids[b]] {
-			return totals[ids[a]] > totals[ids[b]]
+	slices.SortFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(totals[b], totals[a]); c != 0 {
+			return c
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
-	remap := map[int]int{Noise: Noise}
+	remap := make([]int, len(sizes))
 	for newID, oldID := range ids {
 		remap[oldID] = newID + 1
 	}

@@ -199,8 +199,9 @@ func cellCoords(p []float64, side float64, cs []int64) bool {
 	return true
 }
 
-// makeStencil enumerates the cell offsets within reach, or returns nil
-// when there are more of them than limit (the occupied grid cells).
+// makeStencil enumerates the cell offsets within reach in lexicographic
+// order, or returns nil when there are more of them than limit (the
+// occupied grid cells).
 func makeStencil(dim int, reach float64, limit int) []int64 {
 	r := 1 + int64(math.Sqrt(reach))
 	off := make([]int64, dim)
@@ -275,9 +276,17 @@ func (g *cellGrid) near(k, l int32) bool {
 
 // appendNeighbors appends to out every cell that can hold a neighbor
 // of a point of cell c, c itself included; cur is dim scratch values.
-func (g *cellGrid) appendNeighbors(out []int32, c int, cur []int64) []int32 {
+// With half set it appends, for a grid cell c, only the cells at a
+// lexicographically positive stencil offset from c (or, without a
+// stencil, the grid cells after c) and the spill cell, and nothing for
+// the spill cell itself: every pair of distinct neighboring cells is
+// then appended from exactly one of its two cells.
+func (g *cellGrid) appendNeighbors(out []int32, c int, cur []int64, half bool) []int32 {
 	ncell := len(g.start) - 1
 	if c == g.grid { // the spill cell neighbors every cell
+		if half {
+			return out
+		}
 		for b := 0; b < ncell; b++ {
 			out = append(out, int32(b))
 		}
@@ -285,16 +294,27 @@ func (g *cellGrid) appendNeighbors(out []int32, c int, cur []int64) []int32 {
 	}
 	base := g.coords[c*g.dim : (c+1)*g.dim]
 	if g.stencil != nil {
-		for o := 0; o < len(g.stencil); o += g.dim {
+		stencil := g.stencil
+		if half {
+			// makeStencil lists the offsets in lexicographic order, and
+			// the set is symmetric, so the ones after the middle (zero)
+			// offset are the positive half.
+			stencil = stencil[(len(stencil)/g.dim/2+1)*g.dim:]
+		}
+		for o := 0; o < len(stencil); o += g.dim {
 			for d := range cur {
-				cur[d] = base[d] + g.stencil[o+d]
+				cur[d] = base[d] + stencil[o+d]
 			}
 			if b := g.cell(cur, false); b >= 0 {
 				out = append(out, b)
 			}
 		}
 	} else {
-		for b := 0; b < g.grid; b++ {
+		b0 := 0
+		if half {
+			b0 = c + 1
+		}
+		for b := b0; b < g.grid; b++ {
 			if g.cellGap(base, b) <= g.reach {
 				out = append(out, int32(b))
 			}
@@ -346,7 +366,7 @@ func (g *cellGrid) markCore(minPts, parallelism int) []bool {
 			for k := a0; k < a1; k++ {
 				cnt = append(cnt, own)
 			}
-			nb = g.appendNeighbors(nb[:0], c, cur)
+			nb = g.appendNeighbors(nb[:0], c, cur, false)
 			for _, b := range nb {
 				if own > 0 && int(b) == c {
 					continue
@@ -421,17 +441,18 @@ func (g *cellGrid) connect(core []bool) (label, first []int32) {
 		}
 	}
 
-	// Join cell pairs; a whole pair needs one core pair within eps and
-	// is skipped once already joined.
+	// Join cell pairs, each looked up from one of its cells; a whole
+	// pair needs one core pair within eps and is skipped once already
+	// joined.
 	var nb []int32
 	cur := make([]int64, g.dim)
 	for c := range first {
 		if first[c] < 0 {
 			continue
 		}
-		nb = g.appendNeighbors(nb[:0], c, cur)
+		nb = g.appendNeighbors(nb[:0], c, cur, true)
 		for _, b := range nb {
-			if int(b) <= c || first[b] < 0 {
+			if first[b] < 0 {
 				continue
 			}
 			whole := g.whole(c) && g.whole(int(b))
@@ -487,7 +508,7 @@ func (g *cellGrid) claimBorders(core []bool, label, first []int32, parallelism i
 			if !slices.Contains(core[a0:a1], false) {
 				continue
 			}
-			nb = g.appendNeighbors(nb[:0], c, cur)
+			nb = g.appendNeighbors(nb[:0], c, cur, false)
 			for k := a0; k < a1; k++ {
 				if core[k] {
 					continue

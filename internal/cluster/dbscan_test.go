@@ -165,6 +165,46 @@ func TestDBSCANPropertyMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestCellGridHalfNeighbors checks the half neighbor lists the union
+// pass walks: every pair of distinct neighboring cells is listed from
+// exactly one of its two cells, and a half list holds only neighbors.
+// The trials cover the stencil, the occupied-cell scan (dimensions
+// where the stencil outnumbers the cells) and the spill cell.
+func TestCellGridHalfNeighbors(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 29))
+	for trial := 0; trial < 60; trial++ {
+		dim := 1 + trial%6
+		pts := latticePoints(rng, 1+rng.IntN(200), dim, 2+rng.IntN(12))
+		if trial%3 == 0 {
+			huge := make([]float64, dim)
+			huge[0] = 1e300
+			pts = append(pts, huge)
+		}
+		g := newCellGrid(pts, float64(1+rng.IntN(4))/20)
+		ncell := len(g.start) - 1
+		cur := make([]int64, dim)
+		full, half := map[[2]int32]bool{}, map[[2]int32]bool{}
+		for c := 0; c < ncell; c++ {
+			for _, b := range g.appendNeighbors(nil, c, cur, false) {
+				full[[2]int32{int32(c), b}] = true
+			}
+			for _, b := range g.appendNeighbors(nil, c, cur, true) {
+				half[[2]int32{int32(c), b}] = true
+			}
+		}
+		for pair := range half {
+			if pair[0] == pair[1] || !full[pair] || half[[2]int32{pair[1], pair[0]}] {
+				t.Fatalf("trial %d dim=%d: half lists pair %v (self, not a neighbor, or listed both ways)", trial, dim, pair)
+			}
+		}
+		for pair := range full {
+			if pair[0] != pair[1] && !half[pair] && !half[[2]int32{pair[1], pair[0]}] {
+				t.Fatalf("trial %d dim=%d: neighboring cells %v missing from the half lists", trial, dim, pair)
+			}
+		}
+	}
+}
+
 func TestDBSCANBorderTakesFirstCluster(t *testing.T) {
 	// Two six-point clusters 1.2 apart at eps 1, minPts 6, and a border
 	// point x with only three neighbors (itself, a's edge point at

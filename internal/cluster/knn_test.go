@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -67,43 +66,55 @@ func bruteKDist(pts [][]float64, i, k int) float64 {
 	return dists[k-1]
 }
 
+// TestKNNPropertyMatchesBrute checks every k-dist the batch scan returns
+// against the brute-force reference for the point at its slot.
 func TestKNNPropertyMatchesBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(42, 7))
 	for trial := 0; trial < 15; trial++ {
 		n := 30 + rng.IntN(250)
 		dim := 1 + rng.IntN(3)
-		pts := propPoints(rng, n, dim)
-		var flat []float64
-		for _, p := range pts {
-			flat = append(flat, p...)
-		}
-		tree := NewKDTreeFlat(flat, dim)
-		scratch := make([]float64, 0, 16)
+		tree := NewKDTreeFlat(flatOf(propPoints(rng, n, dim)), dim, 1+trial%3)
+		rows := rowsOf(tree.pts, dim)
 		for _, k := range []int{1, 2, 4, 9} {
 			if k >= n {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				want := bruteKDist(pts, i, k)
-				got := tree.KNearestDist(i, k, scratch)
-				if got != want {
-					t.Fatalf("trial %d n=%d dim=%d: point %d k=%d: tree %.17g != brute %.17g",
-						trial, n, dim, i, k, got, want)
+			kd := tree.KDists(k, 1+trial%4)
+			for s := range rows {
+				if want := bruteKDist(rows, s, k); kd[s] != want {
+					t.Fatalf("trial %d n=%d dim=%d: slot %d k=%d: tree %.17g != brute %.17g",
+						trial, n, dim, s, k, kd[s], want)
 				}
 			}
 		}
 	}
 }
 
-// TestKDTreeBuildInvariant checks every inner node of trees built over
-// random, ascending and descending inputs: its slot holds the rank-mid
-// element of its range ordered by (coordinate on the node's axis, index),
-// the range splits around it by that order, and the axis has the range's
-// maximum spread (ties to the lowest axis).
+// flatOf concatenates rows into one row-major array.
+func flatOf(rows [][]float64) []float64 {
+	var flat []float64
+	for _, p := range rows {
+		flat = append(flat, p...)
+	}
+	return flat
+}
+
+// TestKDTreeBuildInvariant checks trees built over random, ascending and
+// descending inputs: the tree holds exactly the input rows; every inner
+// node's middle slot holds the rank-mid point of its range on the
+// node's axis, with no larger value left of it and no smaller one right
+// of it, and that axis has the range's maximum spread (ties to the
+// lowest axis); every leaf holds 1 to kdLeafSize points. Builds on 1, 2
+// and 4 workers must produce the same layout; the last trial is wide
+// enough for the build to start goroutines.
 func TestKDTreeBuildInvariant(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 141))
-	for trial := 0; trial < 12; trial++ {
+	const trials = 13
+	for trial := 0; trial < trials; trial++ {
 		n := 1 + rng.IntN(400)
+		if trial == trials-1 {
+			n = 2*kdParallelMin + rng.IntN(1000)
+		}
 		dim := 1 + rng.IntN(3)
 		pts := propPoints(rng, n, dim)
 		for _, order := range []string{"random", "ascending", "descending"} {
@@ -114,30 +125,42 @@ func TestKDTreeBuildInvariant(t *testing.T) {
 			case "descending":
 				slices.SortStableFunc(rows, func(a, b []float64) int { return slices.Compare(b, a) })
 			}
-			var flat []float64
-			for _, p := range rows {
-				flat = append(flat, p...)
+			flat := flatOf(rows)
+			tree := NewKDTreeFlat(flat, dim, 1)
+			got, want := rowsOf(tree.pts, dim), slices.Clone(rows)
+			slices.SortFunc(got, slices.Compare[[]float64])
+			slices.SortFunc(want, slices.Compare[[]float64])
+			if !slices.EqualFunc(got, want, slices.Equal[[]float64]) {
+				t.Fatalf("trial %d n=%d dim=%d %s: the tree's rows are not the input rows", trial, n, dim, order)
 			}
-			tree := NewKDTreeFlat(flat, dim)
 			if err := checkKDNodes(tree, 0, n); err != "" {
 				t.Fatalf("trial %d n=%d dim=%d %s: %s", trial, n, dim, order, err)
+			}
+			for _, par := range []int{2, 4} {
+				other := NewKDTreeFlat(flat, dim, par)
+				if !slices.Equal(other.pts, tree.pts) || !slices.Equal(other.axes, tree.axes) {
+					t.Fatalf("trial %d n=%d dim=%d %s: parallelism %d builds another layout than 1", trial, n, dim, order, par)
+				}
 			}
 		}
 	}
 }
 
-// checkKDNodes verifies the subtree over idx[lo:hi) and returns a
+// checkKDNodes verifies the subtree over slots [lo, hi) and returns a
 // description of the first violation, or "".
 func checkKDNodes(tree *KDTree, lo, hi int) string {
-	if hi-lo <= 1 {
+	if hi-lo <= kdLeafSize {
+		if hi-lo < 1 {
+			return fmt.Sprintf("empty leaf at slot %d", lo)
+		}
 		return ""
 	}
-	members := tree.idx[lo:hi]
+	rows := rowsOf(tree.pts[lo*tree.dim:hi*tree.dim], tree.dim)
 	axis, best := 0, math.Inf(-1)
 	for d := 0; d < tree.dim; d++ {
 		mn, mx := math.Inf(1), math.Inf(-1)
-		for _, j := range members {
-			mn, mx = min(mn, tree.coord(j, d)), max(mx, tree.coord(j, d))
+		for _, r := range rows {
+			mn, mx = min(mn, r[d]), max(mx, r[d])
 		}
 		if mx-mn > best {
 			axis, best = d, mx-mn
@@ -147,21 +170,18 @@ func checkKDNodes(tree *KDTree, lo, hi int) string {
 	if int(tree.axes[mid]) != axis {
 		return fmt.Sprintf("node %d splits on axis %d, max spread is on %d", mid, tree.axes[mid], axis)
 	}
-	ranked := slices.Clone(members)
-	slices.SortFunc(ranked, func(a, b int32) int {
-		if c := cmp.Compare(tree.coord(a, axis), tree.coord(b, axis)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	if tree.idx[mid] != ranked[mid-lo] {
-		return fmt.Sprintf("node %d over [%d,%d) holds point %d, rank-mid is %d", mid, lo, hi, tree.idx[mid], ranked[mid-lo])
+	vals := make([]float64, len(rows))
+	for i, r := range rows {
+		vals[i] = r[axis]
 	}
-	left, want := slices.Clone(tree.idx[lo:mid]), slices.Clone(ranked[:mid-lo])
-	slices.Sort(left)
-	slices.Sort(want)
-	if !slices.Equal(left, want) {
-		return fmt.Sprintf("node %d over [%d,%d): left subtree is not the lower ranks", mid, lo, hi)
+	split := vals[mid-lo]
+	ranked := slices.Clone(vals)
+	slices.Sort(ranked)
+	if split != ranked[mid-lo] {
+		return fmt.Sprintf("node %d over [%d,%d) splits at %g, rank-mid is %g", mid, lo, hi, split, ranked[mid-lo])
+	}
+	if slices.Max(vals[:mid-lo]) > split || slices.Min(vals[mid-lo+1:]) < split {
+		return fmt.Sprintf("node %d over [%d,%d): a subtree holds a value on the wrong side of %g", mid, lo, hi, split)
 	}
 	if err := checkKDNodes(tree, lo, mid); err != "" {
 		return err

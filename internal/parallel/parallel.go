@@ -140,8 +140,8 @@ type PoolStats struct {
 }
 
 // slicePool recycles scratch slices of one element type so hot loops
-// (k-dist heaps, AutoEps's row copy, pruning scratch, per-rank
-// aggregation, column-block arenas) stop re-allocating on every call.
+// (AutoEps's row copy, pruning scratch, per-rank aggregation,
+// column-block arenas) stop re-allocating on every call.
 type slicePool[T any] struct {
 	p                  sync.Pool
 	gets, puts, misses atomic.Uint64
